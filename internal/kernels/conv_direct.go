@@ -22,6 +22,24 @@ func convOutShape(in tensor.Shape, outC int, p nn.ConvParams) tensor.Shape {
 	return tensor.Shape{N: in.N, C: outC, H: oh, W: ow}
 }
 
+// validSpan returns the range [lo, hi) of positions i in [0, n) whose
+// input coordinate i*stride + off lies inside [0, size): the output
+// pixels (or kernel taps) that read real input rather than padding.
+// Kernels hoist it out of their inner loops so the per-tap padding
+// test disappears.
+func validSpan(n, stride, off, size int) (lo, hi int) {
+	if off < 0 {
+		lo = (-off + stride - 1) / stride
+	}
+	hi = n
+	if last := size - 1 - off; last < 0 {
+		hi = 0
+	} else if h := last/stride + 1; h < hi {
+		hi = h
+	}
+	return min(lo, hi), hi
+}
+
 // checkConvArgs validates weight/bias lengths for a dense convolution.
 func checkConvArgs(in tensor.Shape, w, bias []float32, p nn.ConvParams) {
 	need := p.OutChannels * in.C * p.KernelH * p.KernelW
@@ -139,6 +157,13 @@ func DepthwiseDirect(in *tensor.Tensor, w, bias []float32, p nn.ConvParams) *ten
 // DepthwiseDirectPar is DepthwiseDirect with the (sample, channel)
 // planes partitioned across workers goroutines; planes are exclusive,
 // so results are bit-identical at any worker count.
+//
+// Each plane is read and written as a slice. The valid kernel rows are
+// computed once per output row and the valid columns once per output
+// pixel, so padding costs no per-tap test; a 3x3 window that lies
+// wholly inside the input sums its nine taps unrolled. Every path adds
+// the valid taps to the bias in r-major, q-minor order, the order of
+// the textbook loop.
 func DepthwiseDirectPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: DepthwiseDirect requires NCHW input")
@@ -153,30 +178,67 @@ func DepthwiseDirectPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, w
 	}
 	out := tensor.New(convOutShape(s, s.C, p), tensor.NCHW)
 	os := out.Shape()
+	plane, oplane := s.H*s.W, os.H*os.W
 	parFor(s.N*s.C, workers, func(j int) {
-		n, c := j/s.C, j%s.C
-		wBase := c * kArea
+		c := j % s.C
+		src := in.Data()[j*plane : (j+1)*plane]
+		dst := out.Data()[j*oplane : (j+1)*oplane]
+		k := w[c*kArea : (c+1)*kArea]
 		for oh := 0; oh < os.H; oh++ {
-			for ow := 0; ow < os.W; ow++ {
-				sum := bias[c]
-				for r := 0; r < p.KernelH; r++ {
-					ih := oh*p.StrideH + r - p.PadH
-					if ih < 0 || ih >= s.H {
-						continue
-					}
-					for q := 0; q < p.KernelW; q++ {
-						iw := ow*p.StrideW + q - p.PadW
-						if iw < 0 || iw >= s.W {
-							continue
-						}
-						sum += w[wBase+r*p.KernelW+q] * in.At(n, c, ih, iw)
-					}
-				}
-				out.Set(n, c, oh, ow, sum)
+			ih0 := oh*p.StrideH - p.PadH
+			r0, r1 := validSpan(p.KernelH, 1, ih0, s.H)
+			row := dst[oh*os.W : (oh+1)*os.W]
+			// Columns whose 3x3 window lies wholly inside the input.
+			lo, hi := 0, 0
+			if p.KernelH == 3 && p.KernelW == 3 && r1-r0 == 3 {
+				lo, hi = validSpan(os.W, p.StrideW, -p.PadW, s.W-2)
+				depthwise3x3Row(row[lo:hi], src[ih0*s.W:(ih0+3)*s.W], s.W, lo*p.StrideW-p.PadW, p.StrideW, k, bias[c])
 			}
+			// Every other column clips its window to the input.
+			clipped := func(from, to int) {
+				for ow := from; ow < to; ow++ {
+					iw0 := ow*p.StrideW - p.PadW
+					q0, q1 := validSpan(p.KernelW, 1, iw0, s.W)
+					sum := bias[c]
+					for r := r0; r < r1; r++ {
+						x, kr := (ih0+r)*s.W+iw0, r*p.KernelW
+						for q := q0; q < q1; q++ {
+							sum += k[kr+q] * src[x+q]
+						}
+					}
+					row[ow] = sum
+				}
+			}
+			clipped(0, lo)
+			clipped(hi, os.W)
 		}
 	})
 	return out
+}
+
+// depthwise3x3Row computes dst[i] for windows that lie wholly inside
+// the input: window i's top-left tap is rows[iw+i*stride], where rows
+// holds three consecutive input rows of width w. The nine taps are
+// added to b unrolled, in the r-major, q-minor order of the general
+// loop.
+func depthwise3x3Row(dst, rows []float32, w, iw, stride int, k []float32, b float32) {
+	k0, k1, k2, k3, k4, k5, k6, k7, k8 := k[0], k[1], k[2], k[3], k[4], k[5], k[6], k[7], k[8]
+	x0, x1, x2 := rows[:w], rows[w:2*w], rows[2*w:3*w]
+	for i := range dst {
+		a, m, z := x0[iw:iw+3:iw+3], x1[iw:iw+3:iw+3], x2[iw:iw+3:iw+3]
+		sum := b
+		sum += k0 * a[0]
+		sum += k1 * a[1]
+		sum += k2 * a[2]
+		sum += k3 * m[0]
+		sum += k4 * m[1]
+		sum += k5 * m[2]
+		sum += k6 * z[0]
+		sum += k7 * z[1]
+		sum += k8 * z[2]
+		dst[i] = sum
+		iw += stride
+	}
 }
 
 // DepthwiseNHWC is DepthwiseDirect for NHWC input/output (the
@@ -187,7 +249,9 @@ func DepthwiseNHWC(in *tensor.Tensor, w, bias []float32, p nn.ConvParams) *tenso
 
 // DepthwiseNHWCPar is DepthwiseNHWC with the (sample, output-row)
 // slabs partitioned across workers goroutines; results are
-// bit-identical at any worker count.
+// bit-identical at any worker count. Like DepthwiseDirectPar it indexes
+// the sample slice directly with the window clipped to the input once
+// per output row and pixel.
 func DepthwiseNHWCPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NHWC {
 		panic("kernels: DepthwiseNHWC requires NHWC input")
@@ -201,24 +265,24 @@ func DepthwiseNHWCPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, wor
 	os := out.Shape()
 	parFor(s.N*os.H, workers, func(j int) {
 		n, oh := j/os.H, j%os.H
+		ih0 := oh*p.StrideH - p.PadH
+		r0, r1 := validSpan(p.KernelH, 1, ih0, s.H)
+		src := sample(in, n)
+		row := out.Data()[j*os.W*s.C : (j+1)*os.W*s.C]
 		for ow := 0; ow < os.W; ow++ {
-			for c := 0; c < s.C; c++ {
+			iw0 := ow*p.StrideW - p.PadW
+			q0, q1 := validSpan(p.KernelW, 1, iw0, s.W)
+			px := row[ow*s.C : (ow+1)*s.C]
+			for c := range px {
 				sum := bias[c]
-				wBase := c * kArea
-				for r := 0; r < p.KernelH; r++ {
-					ih := oh*p.StrideH + r - p.PadH
-					if ih < 0 || ih >= s.H {
-						continue
-					}
-					for q := 0; q < p.KernelW; q++ {
-						iw := ow*p.StrideW + q - p.PadW
-						if iw < 0 || iw >= s.W {
-							continue
-						}
-						sum += w[wBase+r*p.KernelW+q] * in.At(n, c, ih, iw)
+				k := w[c*kArea : (c+1)*kArea]
+				for r := r0; r < r1; r++ {
+					x, kr := ((ih0+r)*s.W+iw0)*s.C+c, r*p.KernelW
+					for q := q0; q < q1; q++ {
+						sum += k[kr+q] * src[x+q*s.C]
 					}
 				}
-				out.Set(n, c, oh, ow, sum)
+				px[c] = sum
 			}
 		}
 	})

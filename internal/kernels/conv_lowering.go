@@ -20,30 +20,8 @@ func Im2col(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow int) []float32 {
 // entry is a pure assignment into an exclusive column range, so the
 // matrix is bit-identical at any worker count.
 func Im2colPar(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) []float32 {
-	s := in.Shape()
-	rows := s.C * p.KernelH * p.KernelW
-	cols := oh * ow
-	m := make([]float32, rows*cols)
-	parFor(oh, workers, func(y int) {
-		row := 0
-		for c := 0; c < s.C; c++ {
-			for r := 0; r < p.KernelH; r++ {
-				ih := y*p.StrideH + r - p.PadH
-				for q := 0; q < p.KernelW; q++ {
-					if ih >= 0 && ih < s.H {
-						base := row*cols + y*ow
-						for x := 0; x < ow; x++ {
-							iw := x*p.StrideW + q - p.PadW
-							if iw >= 0 && iw < s.W {
-								m[base+x] = in.At(n, c, ih, iw)
-							}
-						}
-					}
-					row++
-				}
-			}
-		}
-	})
+	m := make([]float32, in.Shape().C*p.KernelH*p.KernelW*oh*ow)
+	im2colRows(in, n, p, ow, 0, oh, workers, m)
 	return m
 }
 
@@ -58,30 +36,109 @@ func Im2row(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow int) []float32 {
 // across workers goroutines; each patch is an exclusive slice, so the
 // matrix is bit-identical at any worker count.
 func Im2rowPar(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) []float32 {
+	m := make([]float32, oh*ow*in.Shape().C*p.KernelH*p.KernelW)
+	im2rowRows(in, n, p, ow, 0, oh, workers, m)
+	return m
+}
+
+// im2colRows writes the im2col lowering of output rows [y0, y1) into
+// m: a (C*KH*KW) x ((y1-y0)*ow) matrix, column y*ow+x at offset
+// (y-y0)*ow+x. Each matrix row segment is gathered from one input row
+// slice. Every entry is written (padding entries as zero), so a panel
+// buffer can be reused across panels without clearing.
+func im2colRows(in *tensor.Tensor, n int, p nn.ConvParams, ow, y0, y1, workers int, m []float32) {
 	s := in.Shape()
-	cols := s.C * p.KernelH * p.KernelW
-	m := make([]float32, oh*ow*cols)
-	parFor(oh, workers, func(y int) {
-		patch := y * ow
-		for x := 0; x < ow; x++ {
-			base := patch * cols
-			i := 0
-			for c := 0; c < s.C; c++ {
-				for r := 0; r < p.KernelH; r++ {
-					ih := y*p.StrideH + r - p.PadH
-					for q := 0; q < p.KernelW; q++ {
-						iw := x*p.StrideW + q - p.PadW
-						if ih >= 0 && ih < s.H && iw >= 0 && iw < s.W {
-							m[base+i] = in.At(n, c, ih, iw)
-						}
-						i++
-					}
+	cols := (y1 - y0) * ow
+	src := sample(in, n)
+	parFor(y1-y0, workers, func(yy int) {
+		y := y0 + yy
+		row := 0
+		for c := 0; c < s.C; c++ {
+			plane := src[c*s.H*s.W : (c+1)*s.H*s.W]
+			for r := 0; r < p.KernelH; r++ {
+				x := inputRow(plane, y*p.StrideH+r-p.PadH, s.H, s.W)
+				for q := 0; q < p.KernelW; q++ {
+					base := row*cols + yy*ow
+					gatherRow(m[base:base+ow], x, p.StrideW, q-p.PadW)
+					row++
 				}
 			}
-			patch++
 		}
 	})
-	return m
+}
+
+// im2rowRows writes the im2row lowering of output rows [y0, y1) into
+// m: a ((y1-y0)*ow) x (C*KH*KW) matrix, patch y*ow+x at row
+// (y-y0)*ow+x. Each patch's KW-wide kernel rows are gathered from input
+// row slices. Every entry is written, so the buffer reuses cleanly.
+func im2rowRows(in *tensor.Tensor, n int, p nn.ConvParams, ow, y0, y1, workers int, m []float32) {
+	s := in.Shape()
+	ckk := s.C * p.KernelH * p.KernelW
+	src := sample(in, n)
+	parFor(y1-y0, workers, func(yy int) {
+		y := y0 + yy
+		for x := 0; x < ow; x++ {
+			patch := m[(yy*ow+x)*ckk : (yy*ow+x+1)*ckk]
+			iw0 := x*p.StrideW - p.PadW
+			for c := 0; c < s.C; c++ {
+				plane := src[c*s.H*s.W : (c+1)*s.H*s.W]
+				for r := 0; r < p.KernelH; r++ {
+					gatherRow(patch[:p.KernelW], inputRow(plane, y*p.StrideH+r-p.PadH, s.H, s.W), 1, iw0)
+					patch = patch[p.KernelW:]
+				}
+			}
+		}
+	})
+}
+
+// sample returns the C*H*W values of sample n: C planes of H x W in
+// NCHW, H*W pixels of C channels in NHWC.
+func sample(t *tensor.Tensor, n int) []float32 {
+	s := t.Shape()
+	size := s.C * s.H * s.W
+	return t.Data()[n*size : (n+1)*size]
+}
+
+// inputRow returns row ih of an h x w plane, or nil when ih falls in
+// the padding.
+func inputRow(plane []float32, ih, h, w int) []float32 {
+	if ih < 0 || ih >= h {
+		return nil
+	}
+	return plane[ih*w : (ih+1)*w]
+}
+
+// gatherRow sets dst[i] = x[i*stride+off] wherever that index lies
+// inside x, and zero elsewhere (a nil x is a row of padding).
+func gatherRow(dst, x []float32, stride, off int) {
+	lo, hi := validSpan(len(dst), stride, off, len(x))
+	clear(dst[:lo])
+	if stride == 1 && lo < hi {
+		copy(dst[lo:hi], x[lo+off:hi+off])
+	} else {
+		for i := lo; i < hi; i++ {
+			dst[i] = x[i*stride+off]
+		}
+	}
+	clear(dst[hi:])
+}
+
+// isPointwise reports whether p is a 1x1 convolution with stride 1 and
+// no padding. Its im2col matrix and its only kn2row shifted view are
+// both the input sample itself, so the lowerings skip the gather.
+func isPointwise(p nn.ConvParams) bool {
+	return p.KernelH == 1 && p.KernelW == 1 && p.StrideH == 1 && p.StrideW == 1 && p.PadH == 0 && p.PadW == 0
+}
+
+// fillBias sets row oc of the OC x n matrix dst to bias[oc]: the
+// starting value the GEMM accumulates onto.
+func fillBias(dst, bias []float32, n int) {
+	for oc, b := range bias {
+		row := dst[oc*n : (oc+1)*n]
+		for i := range row {
+			row[i] = b
+		}
+	}
 }
 
 // Gemm is the matrix-multiply signature the lowering kernels accept, so
@@ -97,7 +154,9 @@ func ConvIm2col(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm)
 
 // ConvIm2colPar is ConvIm2col with the im2col lowering parallelized
 // across column blocks (Im2colPar); the GEMM parallelism is whatever
-// mul provides. Results are bit-identical at any worker count.
+// mul provides. Results are bit-identical at any worker count. The
+// GEMM accumulates straight into the output sample, and a pointwise
+// conv hands it the input sample in place of a gathered copy.
 func ConvIm2colPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvIm2col requires NCHW input")
@@ -109,17 +168,13 @@ func ConvIm2colPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Ge
 	ckk := s.C * p.KernelH * p.KernelW
 	spatial := os.H * os.W
 	for n := 0; n < s.N; n++ {
-		cols := Im2colPar(in, n, p, os.H, os.W, workers)
-		res := make([]float32, p.OutChannels*spatial)
-		for oc := 0; oc < p.OutChannels; oc++ {
-			b := bias[oc]
-			row := res[oc*spatial : (oc+1)*spatial]
-			for i := range row {
-				row[i] = b
-			}
+		dst := sample(out, n)
+		fillBias(dst, bias, spatial)
+		cols := sample(in, n)
+		if !isPointwise(p) {
+			cols = Im2colPar(in, n, p, os.H, os.W, workers)
 		}
-		mul(p.OutChannels, spatial, ckk, w, cols, res)
-		copy(out.Data()[n*os.C*spatial:], res)
+		mul(p.OutChannels, spatial, ckk, w, cols, dst)
 	}
 	return out
 }
@@ -146,15 +201,15 @@ func ConvIm2rowPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Ge
 	spatial := os.H * os.W
 	wt := make([]float32, len(w))
 	gemm.Transpose(p.OutChannels, ckk, w, wt)
+	res := make([]float32, spatial*p.OutChannels) // (OHOW x OC)
 	for n := 0; n < s.N; n++ {
 		rows := Im2rowPar(in, n, p, os.H, os.W, workers)
-		res := make([]float32, spatial*p.OutChannels) // (OHOW x OC)
 		for i := 0; i < spatial; i++ {
 			copy(res[i*p.OutChannels:(i+1)*p.OutChannels], bias)
 		}
 		mul(spatial, p.OutChannels, ckk, rows, wt, res)
 		// Transpose (OHOW x OC) into the NCHW output plane.
-		dst := out.Data()[n*os.C*spatial:]
+		dst := sample(out, n)
 		for i := 0; i < spatial; i++ {
 			for oc := 0; oc < p.OutChannels; oc++ {
 				dst[oc*spatial+i] = res[i*p.OutChannels+oc]
@@ -177,7 +232,10 @@ func ConvKn2row(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm)
 // ConvKn2rowPar is ConvKn2row with the shifted-view gather parallelized
 // across input channels (each channel writes an exclusive plane of the
 // scratch buffer); the GEMM parallelism is whatever mul provides.
-// Results are bit-identical at any worker count.
+// Results are bit-identical at any worker count. The GEMMs accumulate
+// straight into the output sample. A 1x1 kernel needs no weight
+// regroup (its one OC x C block is w), and a pointwise conv's shifted
+// view is the input sample itself.
 func ConvKn2rowPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvKn2row requires NCHW input")
@@ -188,54 +246,47 @@ func ConvKn2rowPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Ge
 	os := out.Shape()
 	spatial := os.H * os.W
 	kArea := p.KernelH * p.KernelW
+	block := p.OutChannels * s.C
 
 	// Regroup OIHW weights into per-offset (r,q) OC x C blocks.
-	sub := make([]float32, kArea*p.OutChannels*s.C)
-	for oc := 0; oc < p.OutChannels; oc++ {
-		for c := 0; c < s.C; c++ {
-			for r := 0; r < p.KernelH; r++ {
-				for q := 0; q < p.KernelW; q++ {
-					off := r*p.KernelW + q
-					sub[off*p.OutChannels*s.C+oc*s.C+c] = w[((oc*s.C+c)*p.KernelH+r)*p.KernelW+q]
+	sub := w
+	if kArea > 1 {
+		sub = make([]float32, kArea*block)
+		for oc := 0; oc < p.OutChannels; oc++ {
+			for c := 0; c < s.C; c++ {
+				for off, v := range w[(oc*s.C+c)*kArea : (oc*s.C+c+1)*kArea] {
+					sub[off*block+oc*s.C+c] = v
 				}
 			}
 		}
 	}
 
-	shift := make([]float32, s.C*spatial)
+	var shift []float32
+	if !isPointwise(p) {
+		shift = make([]float32, s.C*spatial)
+	}
 	for n := 0; n < s.N; n++ {
-		res := make([]float32, p.OutChannels*spatial)
-		for oc := 0; oc < p.OutChannels; oc++ {
-			b := bias[oc]
-			row := res[oc*spatial : (oc+1)*spatial]
-			for i := range row {
-				row[i] = b
-			}
-		}
+		dst := sample(out, n)
+		fillBias(dst, bias, spatial)
+		src := sample(in, n)
 		for r := 0; r < p.KernelH; r++ {
 			for q := 0; q < p.KernelW; q++ {
-				// Gather the shifted input view for offset (r,q).
-				parFor(s.C, workers, func(c int) {
-					base := c * spatial
-					i := 0
-					for y := 0; y < os.H; y++ {
-						ih := y*p.StrideH + r - p.PadH
-						for x := 0; x < os.W; x++ {
-							iw := x*p.StrideW + q - p.PadW
-							if ih >= 0 && ih < s.H && iw >= 0 && iw < s.W {
-								shift[base+i] = in.At(n, c, ih, iw)
-							} else {
-								shift[base+i] = 0
-							}
-							i++
+				view := src
+				if shift != nil {
+					// Gather the shifted input view for offset (r,q).
+					parFor(s.C, workers, func(c int) {
+						plane := src[c*s.H*s.W : (c+1)*s.H*s.W]
+						for y := 0; y < os.H; y++ {
+							x := inputRow(plane, y*p.StrideH+r-p.PadH, s.H, s.W)
+							gatherRow(shift[c*spatial+y*os.W:c*spatial+(y+1)*os.W], x, p.StrideW, q-p.PadW)
 						}
-					}
-				})
+					})
+					view = shift
+				}
 				off := r*p.KernelW + q
-				mul(p.OutChannels, spatial, s.C, sub[off*p.OutChannels*s.C:(off+1)*p.OutChannels*s.C], shift, res)
+				mul(p.OutChannels, spatial, s.C, sub[off*block:(off+1)*block], view, dst)
 			}
 		}
-		copy(out.Data()[n*os.C*spatial:], res)
 	}
 	return out
 }

@@ -56,66 +56,6 @@ func (c ConvTuned) panelRows(oh int) int {
 	return c.Panel
 }
 
-// im2colRows writes the im2col lowering of output rows [y0, y1) into
-// m: a (C*KH*KW) x ((y1-y0)*ow) matrix, column y*ow+x at offset
-// (y-y0)*ow+x. Every entry is written (padding entries as zero), so a
-// panel buffer can be reused across panels without clearing.
-func im2colRows(in *tensor.Tensor, n int, p nn.ConvParams, ow, y0, y1, workers int, m []float32) {
-	s := in.Shape()
-	cols := (y1 - y0) * ow
-	parFor(y1-y0, workers, func(yy int) {
-		y := y0 + yy
-		row := 0
-		for c := 0; c < s.C; c++ {
-			for r := 0; r < p.KernelH; r++ {
-				ih := y*p.StrideH + r - p.PadH
-				inRow := ih >= 0 && ih < s.H
-				for q := 0; q < p.KernelW; q++ {
-					base := row*cols + yy*ow
-					for x := 0; x < ow; x++ {
-						iw := x*p.StrideW + q - p.PadW
-						if inRow && iw >= 0 && iw < s.W {
-							m[base+x] = in.At(n, c, ih, iw)
-						} else {
-							m[base+x] = 0
-						}
-					}
-					row++
-				}
-			}
-		}
-	})
-}
-
-// im2rowRows writes the im2row lowering of output rows [y0, y1) into
-// m: a ((y1-y0)*ow) x (C*KH*KW) matrix, patch y*ow+x at row
-// (y-y0)*ow+x. Every entry is written, so the buffer reuses cleanly.
-func im2rowRows(in *tensor.Tensor, n int, p nn.ConvParams, ow, y0, y1, workers int, m []float32) {
-	s := in.Shape()
-	ckk := s.C * p.KernelH * p.KernelW
-	parFor(y1-y0, workers, func(yy int) {
-		y := y0 + yy
-		for x := 0; x < ow; x++ {
-			base := (yy*ow + x) * ckk
-			i := 0
-			for c := 0; c < s.C; c++ {
-				for r := 0; r < p.KernelH; r++ {
-					ih := y*p.StrideH + r - p.PadH
-					for q := 0; q < p.KernelW; q++ {
-						iw := x*p.StrideW + q - p.PadW
-						if ih >= 0 && ih < s.H && iw >= 0 && iw < s.W {
-							m[base+i] = in.At(n, c, ih, iw)
-						} else {
-							m[base+i] = 0
-						}
-						i++
-					}
-				}
-			}
-		}
-	})
-}
-
 // ConvIm2colTuned is ConvIm2colPar under a ConvTuned config: the
 // lowering and GEMM run panel-by-panel over blocks of output rows, and
 // the GEMM runs through cfg.Block. With a zero Block the result is
@@ -143,13 +83,7 @@ func ConvIm2colTuned(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, cfg 
 			y1 := min(y0+panel, os.H)
 			pcols := (y1 - y0) * os.W
 			im2colRows(in, n, p, os.W, y0, y1, workers, cols)
-			for oc := 0; oc < p.OutChannels; oc++ {
-				b := bias[oc]
-				row := pres[oc*pcols : (oc+1)*pcols]
-				for i := range row {
-					row[i] = b
-				}
-			}
+			fillBias(pres, bias, pcols)
 			mul(p.OutChannels, pcols, ckk, w, cols, pres)
 			for oc := 0; oc < p.OutChannels; oc++ {
 				copy(dst[oc*spatial+y0*os.W:oc*spatial+y1*os.W], pres[oc*pcols:(oc+1)*pcols])

@@ -33,97 +33,111 @@ func FCGemv(in *tensor.Tensor, w, bias []float32, outUnits int) *tensor.Tensor {
 // MaxPool computes spatial max pooling, preserving the input layout.
 // Padded positions never win the max (they are treated as -inf).
 func MaxPool(in *tensor.Tensor, p nn.ConvParams) *tensor.Tensor {
-	s := in.Shape()
-	out := tensor.New(convOutShape(s, s.C, p), in.Layout())
-	os := out.Shape()
-	for n := 0; n < s.N; n++ {
-		for c := 0; c < s.C; c++ {
-			for oh := 0; oh < os.H; oh++ {
-				for ow := 0; ow < os.W; ow++ {
-					best := float32(math.Inf(-1))
-					for r := 0; r < p.KernelH; r++ {
-						ih := oh*p.StrideH + r - p.PadH
-						if ih < 0 || ih >= s.H {
-							continue
-						}
-						for q := 0; q < p.KernelW; q++ {
-							iw := ow*p.StrideW + q - p.PadW
-							if iw < 0 || iw >= s.W {
-								continue
-							}
-							if v := in.At(n, c, ih, iw); v > best {
-								best = v
-							}
-						}
-					}
-					out.Set(n, c, oh, ow, best)
+	out := tensor.New(convOutShape(in.Shape(), in.Shape().C, p), in.Layout())
+	src := in.Data()
+	poolWindows(in, out, p, func(x, r0, r1, dr, q0, q1, dq int) float32 {
+		best := float32(math.Inf(-1))
+		for r := r0; r < r1; r++ {
+			for q := q0; q < q1; q++ {
+				if v := src[x+r*dr+q*dq]; v > best {
+					best = v
 				}
 			}
 		}
-	}
+		return best
+	})
 	return out
 }
 
 // AvgPool computes spatial average pooling, preserving the input
 // layout and dividing by the full window area (Caffe convention).
 func AvgPool(in *tensor.Tensor, p nn.ConvParams) *tensor.Tensor {
-	s := in.Shape()
-	out := tensor.New(convOutShape(s, s.C, p), in.Layout())
-	os := out.Shape()
+	out := tensor.New(convOutShape(in.Shape(), in.Shape().C, p), in.Layout())
+	src := in.Data()
 	area := float32(p.KernelH * p.KernelW)
+	poolWindows(in, out, p, func(x, r0, r1, dr, q0, q1, dq int) float32 {
+		var sum float32
+		for r := r0; r < r1; r++ {
+			for q := q0; q < q1; q++ {
+				sum += src[x+r*dr+q*dq]
+			}
+		}
+		return sum / area
+	})
+	return out
+}
+
+// poolWindows stores reduce's value for every pooling window into out,
+// in either layout. reduce reads the taps (r, q) for r in [r0, r1) and
+// q in [q0, q1) — the window clipped to the input, so padding is never
+// visited — at in.Data()[x + r*dr + q*dq], in r-major, q-minor order.
+func poolWindows(in, out *tensor.Tensor, p nn.ConvParams, reduce func(x, r0, r1, dr, q0, q1, dq int) float32) {
+	s, os := in.Shape(), out.Shape()
+	dst := out.Data()
+	isn, isc, ish, isw := in.Strides()
+	osn, osc, osh, osw := out.Strides()
 	for n := 0; n < s.N; n++ {
 		for c := 0; c < s.C; c++ {
 			for oh := 0; oh < os.H; oh++ {
+				ih0 := oh*p.StrideH - p.PadH
+				r0, r1 := validSpan(p.KernelH, 1, ih0, s.H)
 				for ow := 0; ow < os.W; ow++ {
-					var sum float32
-					for r := 0; r < p.KernelH; r++ {
-						ih := oh*p.StrideH + r - p.PadH
-						if ih < 0 || ih >= s.H {
-							continue
-						}
-						for q := 0; q < p.KernelW; q++ {
-							iw := ow*p.StrideW + q - p.PadW
-							if iw < 0 || iw >= s.W {
-								continue
-							}
-							sum += in.At(n, c, ih, iw)
-						}
-					}
-					out.Set(n, c, oh, ow, sum/area)
+					iw0 := ow*p.StrideW - p.PadW
+					q0, q1 := validSpan(p.KernelW, 1, iw0, s.W)
+					x := n*isn + c*isc + ih0*ish + iw0*isw
+					dst[n*osn+c*osc+oh*osh+ow*osw] = reduce(x, r0, r1, ish, q0, q1, isw)
 				}
 			}
 		}
 	}
-	return out
 }
 
-// ReLU applies max(0, x) element-wise, preserving layout.
+// ReLU applies max(0, x) element-wise, preserving layout, in one pass
+// into a fresh tensor. Only values below zero are replaced, so -0 and
+// NaN pass through with their bits unchanged.
 func ReLU(in *tensor.Tensor) *tensor.Tensor {
-	out := in.Clone()
+	out := tensor.New(in.Shape(), in.Layout())
 	d := out.Data()
-	for i, v := range d {
-		if v < 0 {
-			d[i] = 0
-		}
+	for i, v := range in.Data() {
+		// v < 0 exactly when the sign bit is set and the magnitude is
+		// in (0, +Inf]. Adding 0x7fffffff maps those bit patterns onto
+		// [0, 0x7f800000) and every other one (±0, NaN, positives)
+		// above it, so one subtraction's sign is the mask of bits to
+		// clear. A branch on v < 0 would mispredict on activations,
+		// which are about half negative in no pattern.
+		u := math.Float32bits(v)
+		neg := (int64(u+0x7fffffff) - 0x7f800000) >> 63
+		d[i] = math.Float32frombits(u &^ uint32(neg))
 	}
 	return out
 }
 
 // BatchNorm applies the inference-mode affine transform
-// y = x*scale[c] + shift[c] per channel, preserving layout.
+// y = x*scale[c] + shift[c] per channel, preserving layout: one
+// channel's parameters over each NCHW plane, or every channel's over
+// each NHWC pixel.
 func BatchNorm(in *tensor.Tensor, scale, shift []float32) *tensor.Tensor {
 	s := in.Shape()
 	if len(scale) != s.C || len(shift) != s.C {
 		panic("kernels: batch-norm parameter size mismatch")
 	}
 	out := tensor.New(s, in.Layout())
-	for n := 0; n < s.N; n++ {
-		for c := 0; c < s.C; c++ {
-			for h := 0; h < s.H; h++ {
-				for w := 0; w < s.W; w++ {
-					out.Set(n, c, h, w, in.At(n, c, h, w)*scale[c]+shift[c])
-				}
+	src, dst := in.Data(), out.Data()
+	if in.Layout() == tensor.NHWC {
+		for i := 0; i < len(src); i += s.C {
+			y := dst[i : i+s.C]
+			for c, v := range src[i : i+s.C] {
+				y[c] = v*scale[c] + shift[c]
 			}
+		}
+		return out
+	}
+	hw := s.H * s.W
+	for j := 0; j < s.N*s.C; j++ {
+		sc, sh := scale[j%s.C], shift[j%s.C]
+		y := dst[j*hw : (j+1)*hw]
+		for i, v := range src[j*hw : (j+1)*hw] {
+			y[i] = v*sc + sh
 		}
 	}
 	return out
@@ -166,24 +180,27 @@ func LRN(in *tensor.Tensor, size int) *tensor.Tensor {
 func Softmax(in *tensor.Tensor) *tensor.Tensor {
 	s := in.Shape()
 	out := tensor.New(s, in.Layout())
+	src, dst := in.Data(), out.Data()
+	sn, sc, sh, sw := in.Strides()
+	exps := make([]float64, s.C)
 	for n := 0; n < s.N; n++ {
 		for h := 0; h < s.H; h++ {
 			for w := 0; w < s.W; w++ {
+				base := n*sn + h*sh + w*sw
 				maxv := float64(math.Inf(-1))
-				for c := 0; c < s.C; c++ {
-					if v := float64(in.At(n, c, h, w)); v > maxv {
+				for c := range exps {
+					if v := float64(src[base+c*sc]); v > maxv {
 						maxv = v
 					}
 				}
 				var sum float64
-				exps := make([]float64, s.C)
-				for c := 0; c < s.C; c++ {
-					e := math.Exp(float64(in.At(n, c, h, w)) - maxv)
+				for c := range exps {
+					e := math.Exp(float64(src[base+c*sc]) - maxv)
 					exps[c] = e
 					sum += e
 				}
-				for c := 0; c < s.C; c++ {
-					out.Set(n, c, h, w, float32(exps[c]/sum))
+				for c, e := range exps {
+					dst[base+c*sc] = float32(e / sum)
 				}
 			}
 		}
@@ -210,19 +227,23 @@ func Concat(ins []*tensor.Tensor) *tensor.Tensor {
 		total += s.C
 	}
 	out := tensor.New(tensor.Shape{N: first.N, C: total, H: first.H, W: first.W}, ins[0].Layout())
+	dst := out.Data()
+	hw := first.H * first.W
 	base := 0
 	for _, in := range ins {
-		s := in.Shape()
-		for n := 0; n < s.N; n++ {
-			for c := 0; c < s.C; c++ {
-				for h := 0; h < s.H; h++ {
-					for w := 0; w < s.W; w++ {
-						out.Set(n, base+c, h, w, in.At(n, c, h, w))
-					}
-				}
+		src, c := in.Data(), in.Shape().C
+		for n := 0; n < first.N; n++ {
+			if in.Layout() == tensor.NCHW {
+				// A sample's channels are one contiguous block.
+				copy(dst[(n*total+base)*hw:], src[n*c*hw:(n+1)*c*hw])
+				continue
+			}
+			// NHWC: each pixel's channels are a contiguous run.
+			for i := n * hw; i < (n+1)*hw; i++ {
+				copy(dst[i*total+base:], src[i*c:(i+1)*c])
 			}
 		}
-		base += s.C
+		base += c
 	}
 	return out
 }

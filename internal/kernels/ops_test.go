@@ -63,6 +63,56 @@ func TestReLU(t *testing.T) {
 	}
 }
 
+// TestReLUEdgeValues pins the values ReLU must pass through with their
+// bits unchanged: -0 stays -0 and NaN stays NaN (a rewrite that keeps
+// v > 0 instead of zeroing v < 0 flips -0 to +0 and NaN to 0).
+func TestReLUEdgeValues(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	cases := []struct{ in, want float32 }{
+		{negZero, negZero},
+		{0, 0},
+		{float32(math.NaN()), float32(math.NaN())},
+		{math.Float32frombits(0xffc00001), math.Float32frombits(0xffc00001)}, // negative NaN
+		{float32(math.Inf(1)), float32(math.Inf(1))},
+		{float32(math.Inf(-1)), 0},
+		{math.Float32frombits(0x80000001), 0}, // smallest negative subnormal
+		{math.Float32frombits(0x00000001), math.Float32frombits(0x00000001)},
+		{-math.MaxFloat32, 0},
+		{math.MaxFloat32, math.MaxFloat32},
+	}
+	in := tensor.New(tensor.Shape{N: 1, C: 1, H: 1, W: len(cases)}, tensor.NCHW)
+	for i, c := range cases {
+		in.Data()[i] = c.in
+	}
+	out := ReLU(in).Data()
+	for i, c := range cases {
+		if math.Float32bits(out[i]) != math.Float32bits(c.want) {
+			t.Errorf("ReLU(%#08x) = %#08x, want %#08x", math.Float32bits(c.in), math.Float32bits(out[i]), math.Float32bits(c.want))
+		}
+	}
+}
+
+// TestReLUMatchesComparison checks ReLU's branch-free form against the
+// plain "zero it if v < 0" rule on random bit patterns, which cover
+// every sign, exponent and NaN class.
+func TestReLUMatchesComparison(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	in := tensor.New(tensor.Shape{N: 1, C: 4, H: 256, W: 256}, tensor.NCHW)
+	for i := range in.Data() {
+		in.Data()[i] = math.Float32frombits(rng.Uint32())
+	}
+	out := ReLU(in).Data()
+	for i, v := range in.Data() {
+		want := v
+		if v < 0 {
+			want = 0
+		}
+		if math.Float32bits(out[i]) != math.Float32bits(want) {
+			t.Fatalf("ReLU(%#08x) = %#08x, want %#08x", math.Float32bits(v), math.Float32bits(out[i]), math.Float32bits(want))
+		}
+	}
+}
+
 func TestBatchNorm(t *testing.T) {
 	in := tensor.NewFrom(tensor.Shape{N: 1, C: 2, H: 1, W: 2}, tensor.NCHW, []float32{1, 2, 3, 4})
 	out := BatchNorm(in, []float32{2, 10}, []float32{1, -1})

@@ -84,6 +84,22 @@ func (t *Tensor) Index(n, c, h, w int) int {
 	}
 }
 
+// Strides returns the distance in Data between neighbouring elements
+// along each of N, C, H and W under the tensor's layout, so that
+// (n, c, h, w) lives at n*sn + c*sc + h*sh + w*sw. Loops that walk a
+// tensor in either layout index through them instead of calling At.
+func (t *Tensor) Strides() (sn, sc, sh, sw int) {
+	s := t.shape
+	switch t.layout {
+	case NCHW:
+		return s.C * s.H * s.W, s.H * s.W, s.W, 1
+	case NHWC:
+		return s.H * s.W * s.C, 1, s.W * s.C, s.C
+	default:
+		panic("tensor: unknown layout " + t.layout.String())
+	}
+}
+
 // At returns the element at (n, c, h, w).
 func (t *Tensor) At(n, c, h, w int) float32 { return t.data[t.Index(n, c, h, w)] }
 
@@ -122,12 +138,24 @@ func (t *Tensor) ToLayout(l Layout) *Tensor {
 	}
 	out := New(t.shape, l)
 	s := t.shape
+	// Within a sample, pixel i = h*W + w of channel c sits at c*HW + i
+	// in NCHW and at i*C + c in NHWC: read the source contiguously and
+	// scatter each value to its place in the destination.
+	hw := s.H * s.W
 	for n := 0; n < s.N; n++ {
-		for c := 0; c < s.C; c++ {
-			for h := 0; h < s.H; h++ {
-				for w := 0; w < s.W; w++ {
-					out.Set(n, c, h, w, t.At(n, c, h, w))
+		src := t.data[n*s.C*hw : (n+1)*s.C*hw]
+		dst := out.data[n*s.C*hw : (n+1)*s.C*hw]
+		if l == NHWC {
+			for c := 0; c < s.C; c++ {
+				for i, v := range src[c*hw : (c+1)*hw] {
+					dst[i*s.C+c] = v
 				}
+			}
+			continue
+		}
+		for i := 0; i < hw; i++ {
+			for c, v := range src[i*s.C : (i+1)*s.C] {
+				dst[c*hw+i] = v
 			}
 		}
 	}

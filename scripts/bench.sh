@@ -41,7 +41,9 @@ mkdir -p "$(dirname "$RAW")"
 # The dispatched GEMM micro-kernel (ISA) the numbers were measured
 # with; recorded in every JSON so perf records from different hosts
 # (or QSDNN_DISABLE_SIMD runs) are never compared apples-to-oranges.
-KERNEL="$(go run ./cmd/qsdnn version | awk -F': ' '/^gemm kernel/ {print $2}')"
+# The version line reads "gemm kernel: avx2-8x8 (variants: ...)"; keep
+# only the kernel name.
+KERNEL="$(go run ./cmd/qsdnn version | awk '/^gemm kernel:/ {print $3}')"
 
 # emit_json RAWFILE OUTFILE: reduce benchmark text to one JSON object
 # per benchmark. Averages over COUNT repetitions; carries every
