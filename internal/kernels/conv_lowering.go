@@ -154,10 +154,20 @@ func ConvIm2col(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm)
 
 // ConvIm2colPar is ConvIm2col with the im2col lowering parallelized
 // across column blocks (Im2colPar); the GEMM parallelism is whatever
-// mul provides. Results are bit-identical at any worker count. The
-// GEMM accumulates straight into the output sample, and a pointwise
-// conv hands it the input sample in place of a gathered copy.
+// mul provides. Results are bit-identical at any worker count.
 func ConvIm2colPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
+	return convIm2col(in, w, bias, p, mul, workers, 0)
+}
+
+// convIm2col is the im2col convolution behind ConvIm2colPar and
+// ConvIm2colTuned: the lowering and GEMM run over blocks of panel
+// output rows (panel <= 0 or >= OH is one block). Each output element
+// keeps its full k reduction in one GEMM call, so the result does not
+// depend on panel. When one block covers every row, the GEMM
+// accumulates straight into the output sample, and a pointwise conv
+// hands it the input sample in place of a gathered copy. Smaller
+// blocks multiply into a scratch panel copied into the output rows.
+func convIm2col(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers, panel int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvIm2col requires NCHW input")
 	}
@@ -167,14 +177,39 @@ func ConvIm2colPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Ge
 	os := out.Shape()
 	ckk := s.C * p.KernelH * p.KernelW
 	spatial := os.H * os.W
+	whole := panel <= 0 || panel >= os.H
+	if whole {
+		panel = os.H
+	}
+	var cols, pres []float32
+	if !whole || !isPointwise(p) {
+		cols = make([]float32, ckk*panel*os.W)
+	}
+	if !whole {
+		pres = make([]float32, p.OutChannels*panel*os.W)
+	}
 	for n := 0; n < s.N; n++ {
 		dst := sample(out, n)
-		fillBias(dst, bias, spatial)
-		cols := sample(in, n)
-		if !isPointwise(p) {
-			cols = Im2colPar(in, n, p, os.H, os.W, workers)
+		if whole {
+			fillBias(dst, bias, spatial)
+			b := sample(in, n)
+			if cols != nil {
+				im2colRows(in, n, p, os.W, 0, os.H, workers, cols)
+				b = cols
+			}
+			mul(p.OutChannels, spatial, ckk, w, b, dst)
+			continue
 		}
-		mul(p.OutChannels, spatial, ckk, w, cols, dst)
+		for y0 := 0; y0 < os.H; y0 += panel {
+			y1 := min(y0+panel, os.H)
+			pcols := (y1 - y0) * os.W
+			im2colRows(in, n, p, os.W, y0, y1, workers, cols)
+			fillBias(pres, bias, pcols)
+			mul(p.OutChannels, pcols, ckk, w, cols, pres)
+			for oc := 0; oc < p.OutChannels; oc++ {
+				copy(dst[oc*spatial+y0*os.W:oc*spatial+y1*os.W], pres[oc*pcols:(oc+1)*pcols])
+			}
+		}
 	}
 	return out
 }
@@ -190,6 +225,15 @@ func ConvIm2row(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm)
 // across patch-row blocks (Im2rowPar); results are bit-identical at any
 // worker count.
 func ConvIm2rowPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
+	return convIm2row(in, w, bias, p, mul, workers, 0)
+}
+
+// convIm2row is the im2row convolution behind ConvIm2rowPar and
+// ConvIm2rowTuned: the lowering and GEMM run over blocks of panel
+// output rows (panel <= 0 or >= OH is one block), each block's
+// (rows x OC) product transposed into the NCHW output. Blocks split
+// the GEMM's m dimension only, so the result does not depend on panel.
+func convIm2row(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers, panel int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvIm2row requires NCHW input")
 	}
@@ -199,20 +243,27 @@ func ConvIm2rowPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Ge
 	os := out.Shape()
 	ckk := s.C * p.KernelH * p.KernelW
 	spatial := os.H * os.W
+	if panel <= 0 || panel > os.H {
+		panel = os.H
+	}
 	wt := make([]float32, len(w))
 	gemm.Transpose(p.OutChannels, ckk, w, wt)
-	res := make([]float32, spatial*p.OutChannels) // (OHOW x OC)
+	rows := make([]float32, panel*os.W*ckk)
+	pres := make([]float32, panel*os.W*p.OutChannels)
 	for n := 0; n < s.N; n++ {
-		rows := Im2rowPar(in, n, p, os.H, os.W, workers)
-		for i := 0; i < spatial; i++ {
-			copy(res[i*p.OutChannels:(i+1)*p.OutChannels], bias)
-		}
-		mul(spatial, p.OutChannels, ckk, rows, wt, res)
-		// Transpose (OHOW x OC) into the NCHW output plane.
 		dst := sample(out, n)
-		for i := 0; i < spatial; i++ {
-			for oc := 0; oc < p.OutChannels; oc++ {
-				dst[oc*spatial+i] = res[i*p.OutChannels+oc]
+		for y0 := 0; y0 < os.H; y0 += panel {
+			y1 := min(y0+panel, os.H)
+			prows := (y1 - y0) * os.W
+			im2rowRows(in, n, p, os.W, y0, y1, workers, rows)
+			for i := 0; i < prows; i++ {
+				copy(pres[i*p.OutChannels:(i+1)*p.OutChannels], bias)
+			}
+			mul(prows, p.OutChannels, ckk, rows, wt, pres)
+			for i := 0; i < prows; i++ {
+				for oc := 0; oc < p.OutChannels; oc++ {
+					dst[oc*spatial+y0*os.W+i] = pres[i*p.OutChannels+oc]
+				}
 			}
 		}
 	}

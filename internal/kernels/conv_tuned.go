@@ -48,14 +48,6 @@ func (c ConvTuned) mul() Gemm {
 	}
 }
 
-// panelRows resolves the panel height in output rows.
-func (c ConvTuned) panelRows(oh int) int {
-	if c.Panel <= 0 || c.Panel > oh {
-		return oh
-	}
-	return c.Panel
-}
-
 // ConvIm2colTuned is ConvIm2colPar under a ConvTuned config: the
 // lowering and GEMM run panel-by-panel over blocks of output rows, and
 // the GEMM runs through cfg.Block. With a zero Block the result is
@@ -63,34 +55,7 @@ func (c ConvTuned) panelRows(oh int) int {
 // panel tiling splits output columns between GEMM calls without
 // changing any element's accumulation order.
 func ConvIm2colTuned(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, cfg ConvTuned) *tensor.Tensor {
-	if in.Layout() != tensor.NCHW {
-		panic("kernels: ConvIm2colTuned requires NCHW input")
-	}
-	s := in.Shape()
-	checkConvArgs(s, w, bias, p)
-	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
-	os := out.Shape()
-	ckk := s.C * p.KernelH * p.KernelW
-	spatial := os.H * os.W
-	workers := cfg.workers()
-	mul := cfg.mul()
-	panel := cfg.panelRows(os.H)
-	cols := make([]float32, ckk*panel*os.W)
-	pres := make([]float32, p.OutChannels*panel*os.W)
-	for n := 0; n < s.N; n++ {
-		dst := out.Data()[n*os.C*spatial:]
-		for y0 := 0; y0 < os.H; y0 += panel {
-			y1 := min(y0+panel, os.H)
-			pcols := (y1 - y0) * os.W
-			im2colRows(in, n, p, os.W, y0, y1, workers, cols)
-			fillBias(pres, bias, pcols)
-			mul(p.OutChannels, pcols, ckk, w, cols, pres)
-			for oc := 0; oc < p.OutChannels; oc++ {
-				copy(dst[oc*spatial+y0*os.W:oc*spatial+y1*os.W], pres[oc*pcols:(oc+1)*pcols])
-			}
-		}
-	}
-	return out
+	return convIm2col(in, w, bias, p, cfg.mul(), cfg.workers(), cfg.Panel)
 }
 
 // ConvIm2rowTuned is ConvIm2rowPar under a ConvTuned config, with the
@@ -99,40 +64,7 @@ func ConvIm2colTuned(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, cfg 
 // k reduction, so a zero Block is bit-identical to ConvIm2rowPar at
 // any Panel and Workers setting.
 func ConvIm2rowTuned(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, cfg ConvTuned) *tensor.Tensor {
-	if in.Layout() != tensor.NCHW {
-		panic("kernels: ConvIm2rowTuned requires NCHW input")
-	}
-	s := in.Shape()
-	checkConvArgs(s, w, bias, p)
-	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
-	os := out.Shape()
-	ckk := s.C * p.KernelH * p.KernelW
-	spatial := os.H * os.W
-	workers := cfg.workers()
-	mul := cfg.mul()
-	panel := cfg.panelRows(os.H)
-	wt := make([]float32, len(w))
-	gemm.Transpose(p.OutChannels, ckk, w, wt)
-	rows := make([]float32, panel*os.W*ckk)
-	pres := make([]float32, panel*os.W*p.OutChannels)
-	for n := 0; n < s.N; n++ {
-		dst := out.Data()[n*os.C*spatial:]
-		for y0 := 0; y0 < os.H; y0 += panel {
-			y1 := min(y0+panel, os.H)
-			prows := (y1 - y0) * os.W
-			im2rowRows(in, n, p, os.W, y0, y1, workers, rows)
-			for i := 0; i < prows; i++ {
-				copy(pres[i*p.OutChannels:(i+1)*p.OutChannels], bias)
-			}
-			mul(prows, p.OutChannels, ckk, rows, wt, pres)
-			for i := 0; i < prows; i++ {
-				for oc := 0; oc < p.OutChannels; oc++ {
-					dst[oc*spatial+y0*os.W+i] = pres[i*p.OutChannels+oc]
-				}
-			}
-		}
-	}
-	return out
+	return convIm2row(in, w, bias, p, cfg.mul(), cfg.workers(), cfg.Panel)
 }
 
 // ConvKn2rowTuned is ConvKn2rowPar under a ConvTuned config. Kn2row's

@@ -99,15 +99,10 @@ func ReLU(in *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(in.Shape(), in.Layout())
 	d := out.Data()
 	for i, v := range in.Data() {
-		// v < 0 exactly when the sign bit is set and the magnitude is
-		// in (0, +Inf]. Adding 0x7fffffff maps those bit patterns onto
-		// [0, 0x7f800000) and every other one (±0, NaN, positives)
-		// above it, so one subtraction's sign is the mask of bits to
-		// clear. A branch on v < 0 would mispredict on activations,
-		// which are about half negative in no pattern.
-		u := math.Float32bits(v)
-		neg := (int64(u+0x7fffffff) - 0x7f800000) >> 63
-		d[i] = math.Float32frombits(u &^ uint32(neg))
+		if v < 0 {
+			v = 0
+		}
+		d[i] = v
 	}
 	return out
 }

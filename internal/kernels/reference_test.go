@@ -446,6 +446,13 @@ func refIm2rowRows(in *tensor.Tensor, n int, p nn.ConvParams, ow, y0, y1, worker
 	})
 }
 
+func refPanelRows(panel, oh int) int {
+	if panel <= 0 || panel > oh {
+		return oh
+	}
+	return panel
+}
+
 func refConvIm2colTuned(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, cfg ConvTuned) *tensor.Tensor {
 	s := in.Shape()
 	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
@@ -454,7 +461,7 @@ func refConvIm2colTuned(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, c
 	spatial := os.H * os.W
 	workers := cfg.workers()
 	mul := cfg.mul()
-	panel := cfg.panelRows(os.H)
+	panel := refPanelRows(cfg.Panel, os.H)
 	cols := make([]float32, ckk*panel*os.W)
 	pres := make([]float32, p.OutChannels*panel*os.W)
 	for n := 0; n < s.N; n++ {
@@ -487,7 +494,7 @@ func refConvIm2rowTuned(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, c
 	spatial := os.H * os.W
 	workers := cfg.workers()
 	mul := cfg.mul()
-	panel := cfg.panelRows(os.H)
+	panel := refPanelRows(cfg.Panel, os.H)
 	wt := make([]float32, len(w))
 	gemm.Transpose(p.OutChannels, ckk, w, wt)
 	rows := make([]float32, panel*os.W*ckk)
