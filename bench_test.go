@@ -292,19 +292,17 @@ func BenchmarkConvKernels(b *testing.B) {
 		w[i] = rand.New(rand.NewSource(int64(i))).Float32()
 	}
 	bias := make([]float32, 32)
+	packed := func(m, n, k int, a, b, c []float32) { gemm.Parallel(m, n, k, a, b, c, 1) }
 	variants := []struct {
 		name string
 		run  func()
 	}{
-		{"direct", func() { kernels.ConvDirect(in, w, bias, p) }},
-		{"im2col-naive", func() { kernels.ConvIm2col(in, w, bias, p, gemm.Naive) }},
-		{"im2col-blocked", func() { kernels.ConvIm2col(in, w, bias, p, gemm.Blocked) }},
-		{"im2col-packed", func() { kernels.ConvIm2col(in, w, bias, p, gemm.Packed) }},
-		{"im2row-blocked", func() { kernels.ConvIm2row(in, w, bias, p, gemm.Blocked) }},
-		{"im2row-packed", func() { kernels.ConvIm2row(in, w, bias, p, gemm.Packed) }},
-		{"kn2row-blocked", func() { kernels.ConvKn2row(in, w, bias, p, gemm.Blocked) }},
-		{"kn2row-packed", func() { kernels.ConvKn2row(in, w, bias, p, gemm.Packed) }},
-		{"winograd", func() { kernels.ConvWinograd(in, w, bias, p) }},
+		{"direct", func() { kernels.ConvDirect(in, w, bias, p, 1) }},
+		{"im2col-naive", func() { kernels.ConvIm2col(in, w, bias, p, gemm.Naive, 1, 0) }},
+		{"im2col-packed", func() { kernels.ConvIm2col(in, w, bias, p, packed, 1, 0) }},
+		{"im2row-packed", func() { kernels.ConvIm2row(in, w, bias, p, packed, 1, 0) }},
+		{"kn2row-packed", func() { kernels.ConvKn2row(in, w, bias, p, packed, 1) }},
+		{"winograd", func() { kernels.ConvWinograd(in, w, bias, p, 1) }},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -315,8 +313,7 @@ func BenchmarkConvKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkGemm measures the two GEMM backends at a conv-lowering
-// shape.
+// BenchmarkGemm measures the naive GEMM at a conv-lowering shape.
 func BenchmarkGemm(b *testing.B) {
 	const m, n, k = 64, 784, 288
 	a := make([]float32, m*k)
@@ -331,11 +328,6 @@ func BenchmarkGemm(b *testing.B) {
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			gemm.Naive(m, n, k, a, bb, c)
-		}
-	})
-	b.Run("blocked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			gemm.Blocked(m, n, k, a, bb, c)
 		}
 	})
 }
@@ -468,17 +460,19 @@ func BenchmarkConvFFTKernel(b *testing.B) {
 	bias := make([]float32, 32)
 	b.Run("fft", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			kernels.ConvFFT(in, w, bias, p)
+			kernels.ConvFFT(in, w, bias, p, 1)
 		}
 	})
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			kernels.ConvDirect(in, w, bias, p)
+			kernels.ConvDirect(in, w, bias, p, 1)
 		}
 	})
 	b.Run("im2col", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			kernels.ConvIm2col(in, w, bias, p, gemm.Blocked)
+			kernels.ConvIm2col(in, w, bias, p, func(m, n, k int, a, b, c []float32) {
+				gemm.Parallel(m, n, k, a, b, c, 1)
+			}, 1, 0)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/models"
@@ -130,11 +131,27 @@ var mobileNetDigests = map[string]map[string]string{
 	},
 }
 
+// twinAssignment returns a with every tunable base swapped for its
+// tuned twin.
+func twinAssignment(a []primitives.ID) []primitives.ID {
+	tw := append([]primitives.ID(nil), a...)
+	for i, id := range tw {
+		if twin, ok := primitives.TunedOf(id); ok {
+			tw[i] = twin
+		}
+	}
+	return tw
+}
+
 // TestMobileNetOutputDigests runs each library assignment of the
 // MobileNets through the real engine and checks the digest of every
-// layer's output.
+// layer's output. On mobilenet-v1-025 each OpenBLAS row runs a second
+// time with its tunable bases (the packed-GEMM lowerings, on pointwise
+// and depth-wise layers alike) swapped for their tuned twins at the
+// zero config, which must reproduce the base row's digest.
 // The full-width network is skipped under -short.
 func TestMobileNetOutputDigests(t *testing.T) {
+	primitives.EnableTunedVariants()
 	for _, name := range []string{"mobilenet-v1-025", "mobilenet-v1"} {
 		if name == "mobilenet-v1" && testing.Short() {
 			continue
@@ -147,9 +164,15 @@ func TestMobileNetOutputDigests(t *testing.T) {
 		in := testInput(net, 1)
 		names, assigns := libraryAssignments(e)
 		for j, a := range assigns {
-			got := activationDigest(t, e, a, in)
-			if want := mobileNetDigests[name][names[j]]; got != want {
+			want := mobileNetDigests[name][names[j]]
+			if got := activationDigest(t, e, a, in); got != want {
 				t.Errorf("%s %s: output digest %s, want %s", name, names[j], got, want)
+			}
+			if name != "mobilenet-v1-025" || !strings.HasPrefix(names[j], "OpenBLAS/") {
+				continue
+			}
+			if got := activationDigest(t, e, twinAssignment(a), in); got != want {
+				t.Errorf("%s %s with tuned twins: output digest %s, want %s", name, names[j], got, want)
 			}
 		}
 	}

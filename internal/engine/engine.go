@@ -53,7 +53,7 @@ type Engine struct {
 type Option func(*Engine)
 
 // Parallelism sets the number of goroutines the library-backed kernels
-// may use (the packed GEMM, the Par conv kernels and the lowerings).
+// may use (the packed GEMM, the conv kernels and the lowerings).
 // The Vanilla reference primitive always runs sequentially. Kernel
 // outputs are bit-identical at every worker count — parallelism changes
 // who computes each exclusive output block, never any reduction order —
@@ -221,24 +221,26 @@ func checkExecutable(l *nn.Layer, p *primitives.Primitive) error {
 }
 
 // exec dispatches one layer to the kernel implementing the primitive.
-// Inputs are already in p.Layout.
+// Inputs are already in p.Layout. A tuned twin runs as its base under
+// the config recorded for it (the zero config when none was), so plain
+// layers and twins share one dispatch.
 func (e *Engine) exec(i int, l *nn.Layer, p *primitives.Primitive, in []*tensor.Tensor) (*tensor.Tensor, error) {
+	var cfg kernels.ConvTuned
 	if p.Tuned {
-		return e.execTuned(i, l, p, in)
+		cfg = e.tuned[tunedKey{i, p.Idx}]
+		p = primitives.ByID(p.Base)
 	}
+	return e.execCfg(i, l, p, in, cfg)
+}
+
+// execCfg executes layer i under a non-twin primitive, with cfg
+// parameterizing its conv or depth-wise kernel.
+func (e *Engine) execCfg(i int, l *nn.Layer, p *primitives.Primitive, in []*tensor.Tensor, cfg kernels.ConvTuned) (*tensor.Tensor, error) {
 	x := in[0]
 	par := e.params[i]
 	switch l.Kind {
-	case nn.OpConv:
-		return e.execConv(l, p, x, par)
-	case nn.OpDepthwiseConv:
-		if p.Lib == primitives.Vanilla {
-			return kernels.DepthwiseDirect(x, par.w, par.bias, l.Conv), nil
-		}
-		if p.Layout == tensor.NHWC {
-			return kernels.DepthwiseNHWCPar(x, par.w, par.bias, l.Conv, e.workers), nil
-		}
-		return kernels.DepthwiseDirectPar(x, par.w, par.bias, l.Conv, e.workers), nil
+	case nn.OpConv, nn.OpDepthwiseConv:
+		return e.execConv(l, p, x, par, cfg)
 	case nn.OpFullyConnected:
 		if p.Lib == primitives.Sparse {
 			return kernels.FCSparse(x, par.csr, par.bias), nil
@@ -269,17 +271,36 @@ func (e *Engine) exec(i int, l *nn.Layer, p *primitives.Primitive, in []*tensor.
 	return nil, fmt.Errorf("engine: layer %s has unsupported kind %v", l.Name, l.Kind)
 }
 
-// execConv dispatches the convolution variants. NCHW-native fast
-// kernels used under an NHWC-declared primitive convert internally;
-// that cost is the primitive's own business and lands in its layer
-// time.
-func (e *Engine) execConv(l *nn.Layer, p *primitives.Primitive, x *tensor.Tensor, par layerParams) (*tensor.Tensor, error) {
+// execConv dispatches the convolution and depth-wise variants.
+// NCHW-native fast kernels used under an NHWC-declared primitive
+// convert internally; that cost is the primitive's own business and
+// lands in its layer time.
+//
+// cfg is the layer's tuned config, zero for plain primitives. Kernels
+// run on cfg.Workers goroutines, or on the engine's Parallelism when
+// cfg.Workers is 0 or less; Vanilla and Sparse always run on one. The
+// packed GEMM runs under cfg.Block, which a zero Block makes
+// bit-identical to gemm.Parallel. Panel applies to the im2col and
+// im2row lowerings only.
+func (e *Engine) execConv(l *nn.Layer, p *primitives.Primitive, x *tensor.Tensor, par layerParams, cfg kernels.ConvTuned) (*tensor.Tensor, error) {
+	w := cfg.Workers
+	if w <= 0 {
+		w = e.workers
+	}
+	if l.Kind == nn.OpDepthwiseConv {
+		switch {
+		case p.Lib == primitives.Vanilla:
+			return kernels.DepthwiseDirect(x, par.w, par.bias, l.Conv, 1), nil
+		case p.Layout == tensor.NHWC:
+			return kernels.DepthwiseNHWC(x, par.w, par.bias, l.Conv, w), nil
+		}
+		return kernels.DepthwiseDirect(x, par.w, par.bias, l.Conv, w), nil
+	}
 	// Tuned libraries get the packed parallel GEMM (the tuned-BLAS
 	// stand-in); ATLAS and Vanilla keep the naive one — their role in
 	// the paper is the slow reference BLAS.
-	w := e.workers
 	mul := kernels.Gemm(func(m, n, k int, a, b, c []float32) {
-		gemm.Parallel(m, n, k, a, b, c, w)
+		gemm.ParallelCfg(m, n, k, a, b, c, w, cfg.Block)
 	})
 	if p.Lib == primitives.ATLAS || p.Lib == primitives.Vanilla {
 		mul = gemm.Naive
@@ -287,36 +308,36 @@ func (e *Engine) execConv(l *nn.Layer, p *primitives.Primitive, x *tensor.Tensor
 	if kernels.IsGrouped(l.Conv) {
 		switch p.Lib {
 		case primitives.Vanilla:
-			return kernels.ConvGroupedDirect(x, par.w, par.bias, l.Conv), nil
+			return kernels.ConvGroupedDirect(x, par.w, par.bias, l.Conv, 1), nil
 		case primitives.Sparse:
 			// Sparse weights for grouped convs run the direct grouped
 			// path (the zeros contribute nothing either way).
-			return kernels.ConvGroupedDirect(x, par.w, par.bias, l.Conv), nil
+			return kernels.ConvGroupedDirect(x, par.w, par.bias, l.Conv, 1), nil
 		default:
-			return kernels.ConvGroupedIm2colPar(x, par.w, par.bias, l.Conv, mul, w), nil
+			return kernels.ConvGroupedIm2col(x, par.w, par.bias, l.Conv, mul, w), nil
 		}
 	}
 	switch {
 	case p.Lib == primitives.Vanilla:
-		return kernels.ConvDirect(x, par.w, par.bias, l.Conv), nil
+		return kernels.ConvDirect(x, par.w, par.bias, l.Conv, 1), nil
 	case p.Lib == primitives.Sparse:
 		return kernels.ConvSparse(x, par.csr, par.bias, l.Conv), nil
 	case p.Algo == primitives.WinogradAlgo:
 		nchw := x.ToLayout(tensor.NCHW)
-		out := kernels.ConvWinogradPar(nchw, par.w, par.bias, l.Conv, w)
+		out := kernels.ConvWinograd(nchw, par.w, par.bias, l.Conv, w)
 		return out.ToLayout(p.Layout), nil
 	case p.Algo == primitives.FFTAlgo:
 		nchw := x.ToLayout(tensor.NCHW)
-		out := kernels.ConvFFTPar(nchw, par.w, par.bias, l.Conv, w)
+		out := kernels.ConvFFT(nchw, par.w, par.bias, l.Conv, w)
 		return out.ToLayout(p.Layout), nil
 	case p.Layout == tensor.NHWC: // nnpack-gemm / armcl-gemm
-		return kernels.ConvDirectNHWCPar(x, par.w, par.bias, l.Conv, w), nil
+		return kernels.ConvDirectNHWC(x, par.w, par.bias, l.Conv, w), nil
 	case p.Lower == primitives.Im2col:
-		return kernels.ConvIm2colPar(x, par.w, par.bias, l.Conv, mul, w), nil
+		return kernels.ConvIm2col(x, par.w, par.bias, l.Conv, mul, w, cfg.Panel), nil
 	case p.Lower == primitives.Im2row:
-		return kernels.ConvIm2rowPar(x, par.w, par.bias, l.Conv, mul, w), nil
+		return kernels.ConvIm2row(x, par.w, par.bias, l.Conv, mul, w, cfg.Panel), nil
 	case p.Lower == primitives.Kn2row:
-		return kernels.ConvKn2rowPar(x, par.w, par.bias, l.Conv, mul, w), nil
+		return kernels.ConvKn2row(x, par.w, par.bias, l.Conv, mul, w), nil
 	}
 	return nil, fmt.Errorf("engine: no conv kernel for %s", p.Name)
 }

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/gemm"
 	"repro/internal/kernels"
-	"repro/internal/nn"
 	"repro/internal/primitives"
 	"repro/internal/tensor"
 )
@@ -40,54 +38,6 @@ func (e *Engine) TunedConfig(i int, id primitives.ID) (kernels.ConvTuned, bool) 
 	return cfg, ok
 }
 
-// execTuned executes layer i under a tuned twin using its recorded
-// config (defaults when none was recorded).
-func (e *Engine) execTuned(i int, l *nn.Layer, p *primitives.Primitive, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	cfg := e.tuned[tunedKey{i, p.Idx}]
-	return e.execTunedCfg(i, l, primitives.ByID(p.Base), in, cfg)
-}
-
-// execTunedCfg executes layer i as the base primitive would, but
-// through the parameterized kernel paths under an explicit config. It
-// is the race-free entry point the tuner measures through: nothing
-// here reads or writes the engine's tuned map.
-func (e *Engine) execTunedCfg(i int, l *nn.Layer, base *primitives.Primitive, in []*tensor.Tensor, cfg kernels.ConvTuned) (*tensor.Tensor, error) {
-	if base.Tuned {
-		return nil, fmt.Errorf("engine: tuned base %s is itself tuned", base.Name)
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = e.workers
-	}
-	x := in[0]
-	par := e.params[i]
-	switch l.Kind {
-	case nn.OpConv:
-		if kernels.IsGrouped(l.Conv) {
-			// Grouped convs have no panel-tiled lowering; the tunables
-			// are the GEMM config and the fan-out.
-			w := cfg.Workers
-			blk := cfg.Block
-			mul := kernels.Gemm(func(m, n, k int, a, b, c []float32) {
-				gemm.ParallelCfg(m, n, k, a, b, c, w, blk)
-			})
-			return kernels.ConvGroupedIm2colPar(x, par.w, par.bias, l.Conv, mul, w), nil
-		}
-		switch base.Lower {
-		case primitives.Im2col:
-			return kernels.ConvIm2colTuned(x, par.w, par.bias, l.Conv, cfg), nil
-		case primitives.Im2row:
-			return kernels.ConvIm2rowTuned(x, par.w, par.bias, l.Conv, cfg), nil
-		case primitives.Kn2row:
-			return kernels.ConvKn2rowTuned(x, par.w, par.bias, l.Conv, cfg), nil
-		}
-		return nil, fmt.Errorf("engine: no tuned conv path for %s", base.Name)
-	case nn.OpDepthwiseConv:
-		return kernels.DepthwiseDirectPar(x, par.w, par.bias, l.Conv, cfg.Workers), nil
-	}
-	// Any other layer kind a tuned base can serve runs its default path.
-	return e.exec(i, l, base, in)
-}
-
 // MeasureTuned times one execution of layer i as base would run it,
 // under an explicit tuned config, on the cached canonical activations.
 // Unlike MeasureSample with a tuned twin it never touches the engine's
@@ -98,12 +48,15 @@ func (s *Source) MeasureTuned(ctx context.Context, i int, base *primitives.Primi
 		return 0, err
 	}
 	l := s.eng.Net.Layers[i]
+	if base.Tuned {
+		return 0, fmt.Errorf("tuning %s: base %s is itself tuned", l.Name, base.Name)
+	}
 	inputs := make([]*tensor.Tensor, len(l.Inputs))
 	for k, src := range l.Inputs {
 		inputs[k] = s.acts[src].ToLayout(base.Layout)
 	}
 	t0 := time.Now()
-	if _, err := s.eng.execTunedCfg(i, l, base, inputs, cfg); err != nil {
+	if _, err := s.eng.execCfg(i, l, base, inputs, cfg); err != nil {
 		return 0, fmt.Errorf("tuning %s with %s: %w", l.Name, base.Name, err)
 	}
 	return time.Since(t0).Seconds(), nil

@@ -45,11 +45,11 @@ func TestDispatchVariantsBitEqual(t *testing.T) {
 		b := randomSlice(rng, k*n)
 		c0 := randomSlice(rng, m*n)
 		want := append([]float32(nil), c0...)
-		parallelKernel(fallbackKernel, m, n, k, a, b, want, 1)
+		blockedKernel(fallbackKernel, m, n, k, a, b, want, 1, 0, 0)
 		for _, kn := range variants {
 			for _, w := range []int{1, 3, 8} {
 				got := append([]float32(nil), c0...)
-				parallelKernel(kn, m, n, k, a, b, got, w)
+				blockedKernel(kn, m, n, k, a, b, got, w, 0, 0)
 				if !bitEqual(want, got) {
 					t.Errorf("%s %dx%dx%d workers=%d: not bit-identical to pure-Go fallback", kn.Name, m, n, k, w)
 				}
@@ -71,10 +71,10 @@ func FuzzDispatchKernelsBitEqual(f *testing.F) {
 		b := randomSlice(rng, k*n)
 		c0 := randomSlice(rng, m*n)
 		want := append([]float32(nil), c0...)
-		parallelKernel(fallbackKernel, m, n, k, a, b, want, 1)
+		blockedKernel(fallbackKernel, m, n, k, a, b, want, 1, 0, 0)
 		for _, kn := range variants {
 			got := append([]float32(nil), c0...)
-			parallelKernel(kn, m, n, k, a, b, got, 4)
+			blockedKernel(kn, m, n, k, a, b, got, 4, 0, 0)
 			if !bitEqual(want, got) {
 				t.Fatalf("%s %dx%dx%d: not bit-identical to pure-Go fallback", kn.Name, m, n, k)
 			}
@@ -128,7 +128,7 @@ func TestDisableSIMDKnob(t *testing.T) {
 	Parallel(m, n, k, a, b, want, 4) // fallback active
 	for _, kn := range variants {
 		got := append([]float32(nil), c0...)
-		parallelKernel(kn, m, n, k, a, b, got, 4)
+		blockedKernel(kn, m, n, k, a, b, got, 4, 0, 0)
 		if !bitEqual(want, got) {
 			t.Errorf("%s: disabled-SIMD result not bit-identical to %s", kn.Name, ActiveKernel())
 		}

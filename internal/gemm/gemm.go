@@ -2,8 +2,9 @@
 // routines the convolution lowerings (im2col / im2row / kn2row) and the
 // fully-connected kernels are built on. All matrices are row-major
 // float32 slices. Two GEMM variants are provided — a straightforward
-// triple loop and a cache-blocked version — mirroring how a
-// dependency-free "Vanilla" engine differs from a tuned BLAS.
+// triple loop (Naive) and a packed, register-tiled, worker-parallel
+// pipeline (Parallel, packed.go) — mirroring how a dependency-free
+// "Vanilla" engine differs from a tuned BLAS.
 package gemm
 
 import "fmt"
@@ -33,55 +34,6 @@ func Naive(m, n, k int, a, b, c []float32) {
 			brow := b[p*n : p*n+n]
 			for j := range crow {
 				crow[j] += av * brow[j]
-			}
-		}
-	}
-}
-
-// blockSize is the square tile edge used by Blocked. 64 float32 rows of
-// that width fit comfortably in L1 on common cores.
-const blockSize = 64
-
-// Blocked computes C = A*B + C with square cache tiling. Results are
-// NOT bit-identical to Naive: tiling splits each dot product into
-// per-block partial sums, so float32 rounding differs, but stays within
-// the tolerance the kernel tests use. The contract the kernel layer
-// enforces is the one Packed/Parallel state: for a given backend, the
-// output is bit-identical at every worker count, and all backends agree
-// with Naive within float32 tolerance.
-//
-// Demoted: Blocked is kept as a reference implementation and as a
-// latency-diversity entry for LUT experiments, NOT as a default
-// candidate for the tuned-library backend. Measured on the bench host
-// it is slower than Naive at both 128 (1.33ms vs 1.13ms) and 512
-// (92ms vs 75ms): square tiling re-streams C sub-rows per k-block
-// without the packing or register tiling that makes the cost pay off,
-// while Naive's ikj order already walks B and C with unit stride. The
-// tuned paths use Packed/Parallel exclusively (see DESIGN.md, "Why
-// Blocked lost its default slot").
-func Blocked(m, n, k int, a, b, c []float32) {
-	checkDims("A", a, m*k)
-	checkDims("B", b, k*n)
-	checkDims("C", c, m*n)
-	for i0 := 0; i0 < m; i0 += blockSize {
-		iMax := min(i0+blockSize, m)
-		for p0 := 0; p0 < k; p0 += blockSize {
-			pMax := min(p0+blockSize, k)
-			for j0 := 0; j0 < n; j0 += blockSize {
-				jMax := min(j0+blockSize, n)
-				for i := i0; i < iMax; i++ {
-					crow := c[i*n : i*n+n]
-					for p := p0; p < pMax; p++ {
-						av := a[i*k+p]
-						if av == 0 {
-							continue
-						}
-						brow := b[p*n : p*n+n]
-						for j := j0; j < jMax; j++ {
-							crow[j] += av * brow[j]
-						}
-					}
-				}
 			}
 		}
 	}

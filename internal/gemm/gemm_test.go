@@ -49,39 +49,6 @@ func TestNaiveAccumulates(t *testing.T) {
 	}
 }
 
-func TestBlockedMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, dims := range [][3]int{{1, 1, 1}, {3, 5, 7}, {64, 64, 64}, {65, 130, 70}, {200, 17, 129}} {
-		m, n, k := dims[0], dims[1], dims[2]
-		a := randomSlice(rng, m*k)
-		b := randomSlice(rng, k*n)
-		c1 := make([]float32, m*n)
-		c2 := make([]float32, m*n)
-		Naive(m, n, k, a, b, c1)
-		Blocked(m, n, k, a, b, c2)
-		if d := maxDiff(c1, c2); d > 1e-4 {
-			t.Errorf("%dx%dx%d: blocked differs from naive by %g", m, n, k, d)
-		}
-	}
-}
-
-func TestBlockedMatchesNaiveProperty(t *testing.T) {
-	f := func(mm, nn, kk uint8, seed int64) bool {
-		m, n, k := int(mm%20)+1, int(nn%20)+1, int(kk%20)+1
-		rng := rand.New(rand.NewSource(seed))
-		a := randomSlice(rng, m*k)
-		b := randomSlice(rng, k*n)
-		c1 := make([]float32, m*n)
-		c2 := make([]float32, m*n)
-		Naive(m, n, k, a, b, c1)
-		Blocked(m, n, k, a, b, c2)
-		return maxDiff(c1, c2) <= 1e-4
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGemv(t *testing.T) {
 	// [1 2; 3 4] * [5; 6] = [17; 39]
 	a := []float32{1, 2, 3, 4}

@@ -7,8 +7,8 @@ import (
 
 // Kernel describes one register micro-kernel and the pack-buffer
 // geometry it consumes. The packed GEMM is generic over this
-// descriptor: packB lays B out in NR-wide panels, packStripA packs
-// MR-row strips of A, and the micro func reduces one MR x NR tile.
+// descriptor: packBBlock lays B out in NR-wide panels, packStripABlock
+// packs MR-row strips of A, and the micro func reduces one MR x NR tile.
 // Dispatch picks one Kernel per process at init (see initKernel); the
 // whole pack/strip pipeline reads the geometry from the descriptor, so
 // no per-call ISA branching happens anywhere in the hot path.
@@ -19,10 +19,9 @@ import (
 //	sum over p ascending of one float32 multiply then one float32 add
 //
 // with no fused multiply-add and no reassociation. Per-element
-// rounding therefore never depends on the tile shape, so Packed /
-// Parallel produce byte-identical C for every Kernel, and all of them
-// match the pure-Go fallback exactly (pinned by the dispatch equality
-// tests). This is why the AVX2 and NEON kernels use mul+add pairs
+// rounding therefore never depends on the tile shape, so Parallel
+// produces byte-identical C under every Kernel, each matching the
+// pure-Go fallback exactly (pinned by the dispatch equality tests). This is why the AVX2 and NEON kernels use mul+add pairs
 // rather than FMA: FMA skips the intermediate rounding and would break
 // the contract.
 type Kernel struct {

@@ -21,7 +21,7 @@ package gemm
 // microTileGo is the portable 4x8 micro-kernel: the pure-Go fallback
 // dispatch uses (QSDNN_DISABLE_SIMD, non-SIMD builds) and the
 // reference the SSE kernel is tested against. ap must hold k*4
-// elements, bp k*8, laid out as packStripA / packB produce them; t
+// elements, bp k*8, laid out as packStripABlock / packBBlock produce them; t
 // receives the 32-element tile.
 func microTileGo(k int, ap, bp, t []float32) {
 	var c00, c01, c02, c03, c04, c05, c06, c07 float32

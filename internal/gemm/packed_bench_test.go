@@ -19,6 +19,9 @@ func benchGemm(b *testing.B, size int, f func(m, n, k int, a, bb, c []float32)) 
 	}
 }
 
+// packed is the 1-worker packed GEMM the "packed/N" rows measure.
+func packed(m, n, k int, a, b, c []float32) { Parallel(m, n, k, a, b, c, 1) }
+
 // BenchmarkGEMMBackends compares the GEMM backends at the 512-cube the
 // ISSUE targets and at a conv-lowering-like 128 cube. Sub-benchmark
 // names use "/" (not "-<size>") so the bench.sh JSON reducer, which
@@ -28,8 +31,7 @@ func BenchmarkGEMMBackends(b *testing.B) {
 	b.Logf("active kernel: %s", ActiveKernel())
 	for _, size := range []int{128, 512} {
 		b.Run(fmt.Sprintf("naive/%d", size), func(b *testing.B) { benchGemm(b, size, Naive) })
-		b.Run(fmt.Sprintf("blocked/%d", size), func(b *testing.B) { benchGemm(b, size, Blocked) })
-		b.Run(fmt.Sprintf("packed/%d", size), func(b *testing.B) { benchGemm(b, size, Packed) })
+		b.Run(fmt.Sprintf("packed/%d", size), func(b *testing.B) { benchGemm(b, size, packed) })
 		b.Run(fmt.Sprintf("parallel8/%d", size), func(b *testing.B) {
 			benchGemm(b, size, func(m, n, k int, a, bb, c []float32) { Parallel(m, n, k, a, bb, c, 8) })
 		})
@@ -45,7 +47,7 @@ func BenchmarkGEMMKernelVariants(b *testing.B) {
 		for _, size := range []int{128, 512} {
 			b.Run(fmt.Sprintf("%s/%d", kn.Name, size), func(b *testing.B) {
 				benchGemm(b, size, func(m, n, k int, a, bb, c []float32) {
-					parallelKernel(kn, m, n, k, a, bb, c, 1)
+					blockedKernel(kn, m, n, k, a, bb, c, 1, 0, 0)
 				})
 			})
 		}
@@ -58,7 +60,7 @@ func BenchmarkGEMMKernelVariants(b *testing.B) {
 // floor); 192 and 256 fan out.
 func BenchmarkGEMMParallelCrossover(b *testing.B) {
 	for _, size := range []int{128, 160, 192, 256} {
-		b.Run(fmt.Sprintf("packed/%d", size), func(b *testing.B) { benchGemm(b, size, Packed) })
+		b.Run(fmt.Sprintf("packed/%d", size), func(b *testing.B) { benchGemm(b, size, packed) })
 		b.Run(fmt.Sprintf("parallel8/%d", size), func(b *testing.B) {
 			benchGemm(b, size, func(m, n, k int, a, bb, c []float32) { Parallel(m, n, k, a, bb, c, 8) })
 		})

@@ -53,7 +53,7 @@ func TestPackedMatchesNaive(t *testing.T) {
 		c1 := randomSlice(rng, m*n) // non-zero C: both paths must accumulate
 		c2 := append([]float32(nil), c1...)
 		Naive(m, n, k, a, b, c1)
-		Packed(m, n, k, a, b, c2)
+		Parallel(m, n, k, a, b, c2, 1)
 		if d := maxDiff(c1, c2); d > 1e-4 {
 			t.Errorf("%dx%dx%d: packed differs from naive by %g", m, n, k, d)
 		}
@@ -71,7 +71,7 @@ func TestParallelBitIdenticalAcrossWorkers(t *testing.T) {
 		b := randomSlice(rng, k*n)
 		c0 := randomSlice(rng, m*n)
 		want := append([]float32(nil), c0...)
-		Packed(m, n, k, a, b, want)
+		Parallel(m, n, k, a, b, want, 1)
 		for _, w := range []int{1, 2, 3, 4, 7, 8, 16, 100} {
 			got := append([]float32(nil), c0...)
 			Parallel(m, n, k, a, b, got, w)
@@ -95,9 +95,9 @@ func TestParallelKZeroLeavesCUntouched(t *testing.T) {
 // dispatch_test.go (TestMicroKernelVariantsMatchGeneric,
 // TestDispatchVariantsBitEqual).
 
-// TestParallelMatchesNaiveProperty is the quick-check analogue of
-// TestBlockedMatchesNaiveProperty for the packed kernels, also
-// asserting worker-count bit-invariance on every drawn shape.
+// TestParallelMatchesNaiveProperty is the quick-check sweep of the
+// packed kernels against Naive, also asserting worker-count
+// bit-invariance on every drawn shape.
 func TestParallelMatchesNaiveProperty(t *testing.T) {
 	f := func(mm, nn, kk uint8, workers uint8, seed int64) bool {
 		m, n, k := int(mm%33)+1, int(nn%33)+1, int(kk%33) // k may be 0
@@ -110,7 +110,7 @@ func TestParallelMatchesNaiveProperty(t *testing.T) {
 		cs := append([]float32(nil), c0...)
 		cw := append([]float32(nil), c0...)
 		Naive(m, n, k, a, b, cn)
-		Packed(m, n, k, a, b, cs)
+		Parallel(m, n, k, a, b, cs, 1)
 		Parallel(m, n, k, a, b, cw, w)
 		return maxDiff(cn, cs) <= 1e-4 && bitEqual(cs, cw)
 	}
@@ -120,8 +120,8 @@ func TestParallelMatchesNaiveProperty(t *testing.T) {
 }
 
 // FuzzGEMMParallelMatchesNaive fuzzes shapes and worker counts,
-// asserting Packed stays within float32 tolerance of Naive and that
-// every worker count is bit-identical to the sequential path.
+// asserting the 1-worker packed path stays within float32 tolerance of
+// Naive and that every worker count is bit-identical to it.
 func FuzzGEMMParallelMatchesNaive(f *testing.F) {
 	f.Add(uint8(4), uint8(8), uint8(16), uint8(3), int64(1))
 	f.Add(uint8(1), uint8(1), uint8(0), uint8(8), int64(2))
@@ -136,7 +136,7 @@ func FuzzGEMMParallelMatchesNaive(f *testing.F) {
 		cn := append([]float32(nil), c0...)
 		cs := append([]float32(nil), c0...)
 		Naive(m, n, k, a, b, cn)
-		Packed(m, n, k, a, b, cs)
+		Parallel(m, n, k, a, b, cs, 1)
 		if d := maxDiff(cn, cs); d > 1e-4 {
 			t.Fatalf("%dx%dx%d: packed differs from naive by %g", m, n, k, d)
 		}
@@ -153,8 +153,8 @@ func TestPackedDimCheckPanics(t *testing.T) {
 		name string
 		call func()
 	}{
-		{"short A", func() { Packed(2, 2, 2, make([]float32, 3), make([]float32, 4), make([]float32, 4)) }},
-		{"short B", func() { Packed(2, 2, 2, make([]float32, 4), make([]float32, 3), make([]float32, 4)) }},
+		{"short A", func() { Parallel(2, 2, 2, make([]float32, 3), make([]float32, 4), make([]float32, 4), 1) }},
+		{"short B", func() { Parallel(2, 2, 2, make([]float32, 4), make([]float32, 3), make([]float32, 4), 1) }},
 		{"short C", func() { Parallel(2, 2, 2, make([]float32, 4), make([]float32, 4), make([]float32, 3), 2) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -178,7 +178,7 @@ func TestPackBLayout(t *testing.T) {
 			b[i] = float32(i + 1)
 		}
 		dst := make([]float32, k*2*nr)
-		packB(k, n, nr, b, dst)
+		packBBlock(n, 0, k, 0, n, nr, b, dst)
 		for p := 0; p < k; p++ {
 			for j := 0; j < n; j++ {
 				pj, jj := j/nr, j%nr
@@ -204,7 +204,7 @@ func TestPackStripALayout(t *testing.T) {
 			a[i] = float32(i + 1)
 		}
 		dst := make([]float32, k*mr)
-		packStripA(m, k, mr, mr, a, dst)
+		packStripABlock(m, k, mr, mr, 0, k, a, dst)
 		for p := 0; p < k; p++ {
 			for ii := 0; ii < mr; ii++ {
 				want := float32(0)

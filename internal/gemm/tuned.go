@@ -1,7 +1,5 @@
 package gemm
 
-import "repro/internal/pool"
-
 // BlockConfig parameterizes the packed GEMM pipeline for the per-layer
 // autotuner (internal/tune). The zero value selects exactly the default
 // pipeline: the runtime-dispatched micro-kernel, B packed whole, every
@@ -12,10 +10,9 @@ import "repro/internal/pool"
 // B is packed one (KC x NC) block at a time and each block's
 // contribution is added into C before the next block is packed, so the
 // pack buffer and the C tiles it feeds stay cache-resident for shapes
-// whose full packed B would not. Blocked variants are NOT bit-identical
+// whose full packed B would not. Cache-blocked configs are NOT bit-identical
 // to the default path (each output element accumulates one partial sum
-// per KC block instead of one full-k sum — the same float32 rounding
-// trade Blocked makes against Naive); they agree within float32
+// per KC block instead of one full-k sum); they agree within float32
 // tolerance and are bit-identical to themselves at any worker count,
 // which is the contract the tuner's measurements rely on.
 type BlockConfig struct {
@@ -32,17 +29,6 @@ type BlockConfig struct {
 	NC int
 	// Workers overrides the caller's strip fan-out; <= 0 keeps it.
 	Workers int
-}
-
-// Blocked reports whether the config selects the cache-blocked loop
-// structure (and therefore trades bit-identity with the default path
-// for cache residency).
-func (c BlockConfig) Blocked() bool { return c.KC > 0 || c.NC > 0 }
-
-// IsDefault reports whether the config selects exactly the default
-// packed pipeline.
-func (c BlockConfig) IsDefault() bool {
-	return c.Kernel == "" && !c.Blocked() && c.Workers <= 0
 }
 
 // kernelByName resolves a micro-kernel variant by name. "" and unknown
@@ -77,130 +63,8 @@ func KernelShape(name string) (mr, nr int, ok bool) {
 // blocking, and an optional worker override. A zero config is
 // bit-identical to Parallel(m, n, k, a, b, c, workers).
 func ParallelCfg(m, n, k int, a, b, c []float32, workers int, cfg BlockConfig) {
-	kn := kernelByName(cfg.Kernel)
 	if cfg.Workers > 0 {
 		workers = cfg.Workers
 	}
-	if !cfg.Blocked() {
-		parallelKernel(kn, m, n, k, a, b, c, workers)
-		return
-	}
-	blockedKernel(kn, m, n, k, a, b, c, workers, cfg.KC, cfg.NC)
-}
-
-// packBBlock packs the (kcb x ncb) block of row-major B (k x n) rooted
-// at (p0, j0) into ceil(ncb/nr) panels of nr columns, kcb rows each,
-// zero-padded past column j0+ncb. dst must have kcb*roundUp(ncb, nr)
-// elements. This is packB restricted to one cache block.
-func packBBlock(n, p0, kcb, j0, ncb, nr int, b, dst []float32) {
-	np := (ncb + nr - 1) / nr
-	for pj := 0; pj < np; pj++ {
-		c0 := j0 + pj*nr
-		panel := dst[pj*kcb*nr : (pj+1)*kcb*nr]
-		w := min(nr, j0+ncb-c0)
-		for p := 0; p < kcb; p++ {
-			row := b[(p0+p)*n+c0 : (p0+p)*n+c0+w]
-			copy(panel[p*nr:p*nr+w], row)
-			for jj := w; jj < nr; jj++ {
-				panel[p*nr+jj] = 0
-			}
-		}
-	}
-}
-
-// packStripABlock packs rows [i0, i0+mr) x cols [p0, p0+kcb) of
-// row-major A (m x k) column-major: dst[p*mr+ii] = A[i0+ii][p0+p],
-// zero-padded past row m. dst must have kcb*mr elements.
-func packStripABlock(m, k, i0, mr, p0, kcb int, a, dst []float32) {
-	rows := min(mr, m-i0)
-	for ii := 0; ii < rows; ii++ {
-		arow := a[(i0+ii)*k+p0 : (i0+ii)*k+p0+kcb]
-		for p, v := range arow {
-			dst[p*mr+ii] = v
-		}
-	}
-	for ii := rows; ii < mr; ii++ {
-		for p := 0; p < kcb; p++ {
-			dst[p*mr+ii] = 0
-		}
-	}
-}
-
-// stripBlock computes the contribution of the (p0, kcb) x (j0, ncb)
-// block to C rows [i0, min(i0+MR, m)): it packs its own A strip block
-// into apk (kcb*MR elements) and adds one partial sum per output
-// element. Like strip, it is the exclusive-ownership work unit that
-// makes the blocked path worker-count-invariant.
-func stripBlock(kn *Kernel, m, n, k, i0, p0, kcb, j0, ncb int, a, bpk, c, apk []float32) {
-	mr, nr := kn.MR, kn.NR
-	packStripABlock(m, k, i0, mr, p0, kcb, a, apk)
-	rows := min(mr, m-i0)
-	np := (ncb + nr - 1) / nr
-	var tbuf [maxTileElems]float32
-	t := tbuf[:mr*nr]
-	for pj := 0; pj < np; pj++ {
-		kn.micro(kcb, apk, bpk[pj*kcb*nr:(pj+1)*kcb*nr], t)
-		c0 := j0 + pj*nr
-		cols := min(nr, j0+ncb-c0)
-		for ii := 0; ii < rows; ii++ {
-			crow := c[(i0+ii)*n+c0 : (i0+ii)*n+c0+cols]
-			trow := t[ii*nr : ii*nr+cols]
-			for jj := range crow {
-				crow[jj] += trow[jj]
-			}
-		}
-	}
-}
-
-// blockedKernel is the cache-blocked Goto loop structure: for each
-// (NC, KC) block of B, pack it once, then partition the MR-row strips
-// of C across workers. Blocks are processed sequentially (ascending j0,
-// then ascending p0) with a completion barrier per block, and each
-// strip is owned by exactly one worker within a block, so every output
-// element accumulates its per-block partial sums in the same order at
-// any worker count — the result is bit-identical to itself for every
-// worker setting, though not to the unblocked path.
-func blockedKernel(kn *Kernel, m, n, k int, a, b, c []float32, workers, kc, nc int) {
-	checkDims("A", a, m*k)
-	checkDims("B", b, k*n)
-	checkDims("C", c, m*n)
-	if m == 0 || n == 0 || k == 0 {
-		return
-	}
-	mr, nr := kn.MR, kn.NR
-	if kc <= 0 || kc > k {
-		kc = k
-	}
-	if nc <= 0 || nc > n {
-		nc = n
-	}
-	nc = (nc + nr - 1) / nr * nr
-	strips := (m + mr - 1) / mr
-	workers = effectiveWorkers(m, n, k, strips, workers, pool.DefaultWorkers())
-	bpk := make([]float32, kc*((nc+nr-1)/nr)*nr)
-	var apk []float32
-	if workers <= 1 {
-		apk = make([]float32, kc*mr)
-	}
-	for j0 := 0; j0 < n; j0 += nc {
-		ncb := min(nc, n-j0)
-		for p0 := 0; p0 < k; p0 += kc {
-			kcb := min(kc, k-p0)
-			packBBlock(n, p0, kcb, j0, ncb, nr, b, bpk)
-			if workers <= 1 {
-				for s := 0; s < strips; s++ {
-					stripBlock(kn, m, n, k, s*mr, p0, kcb, j0, ncb, a, bpk, c, apk)
-				}
-				continue
-			}
-			pool.Run(workers, workers, func(w int) {
-				lo := w * strips / workers
-				hi := (w + 1) * strips / workers
-				wapk := make([]float32, kcb*mr)
-				for s := lo; s < hi; s++ {
-					stripBlock(kn, m, n, k, s*mr, p0, kcb, j0, ncb, a, bpk, c, wapk)
-				}
-			})
-		}
-	}
+	blockedKernel(kernelByName(cfg.Kernel), m, n, k, a, b, c, workers, cfg.KC, cfg.NC)
 }

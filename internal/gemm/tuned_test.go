@@ -36,7 +36,7 @@ func TestParallelCfgKernelDegradesToDispatch(t *testing.T) {
 	b := randomSlice(rng, k*n)
 	c0 := randomSlice(rng, m*n)
 	want := append([]float32(nil), c0...)
-	Packed(m, n, k, a, b, want)
+	Parallel(m, n, k, a, b, want, 1)
 	got := append([]float32(nil), c0...)
 	ParallelCfg(m, n, k, a, b, got, 1, BlockConfig{Kernel: "no-such-kernel-9x9"})
 	if !bitEqual(want, got) {
@@ -167,7 +167,7 @@ func TestEffectiveWorkers(t *testing.T) {
 // TestParallelNotSlowerThanPackedGuard is the benchmark guard for the
 // crossover satellite: at the 512 cube where BENCH_kernels.json caught
 // parallel8 behind packed (5.71 ms vs 5.63 ms), Parallel with 8
-// requested workers must now stay within noise of Packed — on an
+// requested workers must now stay within noise of one worker — on an
 // over-subscribed host the clamp makes it the identical code path.
 // Wall-clock comparisons are noisy, so the bound is generous and the
 // test skips under -short.
@@ -182,7 +182,7 @@ func TestParallelNotSlowerThanPackedGuard(t *testing.T) {
 	c := make([]float32, size*size)
 	packed := testing.Benchmark(func(b2 *testing.B) {
 		for i := 0; i < b2.N; i++ {
-			Packed(size, size, size, a, b, c)
+			Parallel(size, size, size, a, b, c, 1)
 		}
 	})
 	parallel := testing.Benchmark(func(b2 *testing.B) {

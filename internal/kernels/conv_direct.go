@@ -53,16 +53,11 @@ func checkConvArgs(in tensor.Shape, w, bias []float32, p nn.ConvParams) {
 
 // ConvDirect computes a dense 2-D convolution over an NCHW input with
 // OIHW weights, the dependency-free "Vanilla" implementation and the
-// numerical reference for every other conv kernel.
-func ConvDirect(in *tensor.Tensor, w, bias []float32, p nn.ConvParams) *tensor.Tensor {
-	return ConvDirectPar(in, w, bias, p, 1)
-}
-
-// ConvDirectPar is ConvDirect with the (sample, output-channel) planes
-// partitioned across at most workers goroutines. Each plane is computed
-// by exactly one iteration with the sequential code, so the output is
-// bit-identical to ConvDirect at any worker count.
-func ConvDirectPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+// numerical reference for every other conv kernel. The (sample,
+// output-channel) planes are partitioned across at most workers
+// goroutines; each plane is computed by exactly one iteration with the
+// sequential code, so the output is bit-identical at any worker count.
+func ConvDirect(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvDirect requires NCHW input")
 	}
@@ -102,16 +97,11 @@ func ConvDirectPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, worker
 // ConvDirectNHWC is ConvDirect for NHWC input, producing NHWC output.
 // It exists so the primitive registry has a genuinely NHWC-native
 // convolution (the NNPACK-style family), making layout conversions a
-// real cost rather than bookkeeping.
-func ConvDirectNHWC(in *tensor.Tensor, w, bias []float32, p nn.ConvParams) *tensor.Tensor {
-	return ConvDirectNHWCPar(in, w, bias, p, 1)
-}
-
-// ConvDirectNHWCPar is ConvDirectNHWC with the (sample, output-row)
-// slabs partitioned across workers goroutines; output rows are
-// contiguous exclusive slabs in NHWC, so results are bit-identical at
-// any worker count.
-func ConvDirectNHWCPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+// real cost rather than bookkeeping. The (sample, output-row) slabs are
+// partitioned across workers goroutines; output rows are contiguous
+// exclusive slabs in NHWC, so results are bit-identical at any worker
+// count.
+func ConvDirectNHWC(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NHWC {
 		panic("kernels: ConvDirectNHWC requires NHWC input")
 	}
@@ -149,14 +139,10 @@ func ConvDirectNHWCPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, wo
 }
 
 // DepthwiseDirect computes a depth-wise convolution (one KxK filter per
-// channel) over an NCHW input. Weights are C*KH*KW, bias is C.
-func DepthwiseDirect(in *tensor.Tensor, w, bias []float32, p nn.ConvParams) *tensor.Tensor {
-	return DepthwiseDirectPar(in, w, bias, p, 1)
-}
-
-// DepthwiseDirectPar is DepthwiseDirect with the (sample, channel)
-// planes partitioned across workers goroutines; planes are exclusive,
-// so results are bit-identical at any worker count.
+// channel) over an NCHW input. Weights are C*KH*KW, bias is C. The
+// (sample, channel) planes are partitioned across workers goroutines;
+// planes are exclusive, so results are bit-identical at any worker
+// count.
 //
 // Each plane is read and written as a slice. The valid kernel rows are
 // computed once per output row and the valid columns once per output
@@ -164,7 +150,7 @@ func DepthwiseDirect(in *tensor.Tensor, w, bias []float32, p nn.ConvParams) *ten
 // wholly inside the input sums its nine taps unrolled. Every path adds
 // the valid taps to the bias in r-major, q-minor order, the order of
 // the textbook loop.
-func DepthwiseDirectPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+func DepthwiseDirect(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: DepthwiseDirect requires NCHW input")
 	}
@@ -242,17 +228,12 @@ func depthwise3x3Row(dst, rows []float32, w, iw, stride int, k []float32, b floa
 }
 
 // DepthwiseNHWC is DepthwiseDirect for NHWC input/output (the
-// ArmCL-style specialized depth-wise code path).
-func DepthwiseNHWC(in *tensor.Tensor, w, bias []float32, p nn.ConvParams) *tensor.Tensor {
-	return DepthwiseNHWCPar(in, w, bias, p, 1)
-}
-
-// DepthwiseNHWCPar is DepthwiseNHWC with the (sample, output-row)
-// slabs partitioned across workers goroutines; results are
-// bit-identical at any worker count. Like DepthwiseDirectPar it indexes
-// the sample slice directly with the window clipped to the input once
-// per output row and pixel.
-func DepthwiseNHWCPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+// ArmCL-style specialized depth-wise code path). The (sample,
+// output-row) slabs are partitioned across workers goroutines; results
+// are bit-identical at any worker count. Like DepthwiseDirect it
+// indexes the sample slice directly with the window clipped to the
+// input once per output row and pixel.
+func DepthwiseNHWC(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NHWC {
 		panic("kernels: DepthwiseNHWC requires NHWC input")
 	}

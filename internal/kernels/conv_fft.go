@@ -90,18 +90,14 @@ func nextPow2(v int) int {
 
 // ConvFFT computes a dense stride-1 convolution via 2-D FFT. Panics on
 // stride > 1 (the frequency-domain product computes a full correlation
-// at stride 1; the registry never selects it otherwise).
-func ConvFFT(in *tensor.Tensor, w, bias []float32, p nn.ConvParams) *tensor.Tensor {
-	return ConvFFTPar(in, w, bias, p, 1)
-}
-
-// ConvFFTPar is ConvFFT with the per-channel input transforms and the
-// per-output-channel frequency-domain accumulations partitioned across
-// workers goroutines. Input spectra are computed into exclusive slots
-// and shared read-only; each worker owns a contiguous output-channel
-// chunk (boundaries depend only on the shape and worker count) with its
-// own scratch grids, so results are bit-identical at any worker count.
-func ConvFFTPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+// at stride 1; the registry never selects it otherwise). The
+// per-channel input transforms and the per-output-channel
+// frequency-domain accumulations are partitioned across workers
+// goroutines. Input spectra are computed into exclusive slots and
+// shared read-only; each worker owns a contiguous output-channel chunk
+// (boundaries depend only on the shape and worker count) with its own
+// scratch grids, so results are bit-identical at any worker count.
+func ConvFFT(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvFFT requires NCHW input")
 	}

@@ -29,16 +29,11 @@ func checkGroupedArgs(in tensor.Shape, w, bias []float32, p nn.ConvParams) error
 }
 
 // ConvGroupedDirect computes a grouped convolution with the direct
-// algorithm over an NCHW input.
-func ConvGroupedDirect(in *tensor.Tensor, w, bias []float32, p nn.ConvParams) *tensor.Tensor {
-	return ConvGroupedDirectPar(in, w, bias, p, 1)
-}
-
-// ConvGroupedDirectPar is ConvGroupedDirect with the (sample,
-// output-channel) planes partitioned across workers goroutines (each
-// output channel reads only its own group's input block); results are
-// bit-identical at any worker count.
-func ConvGroupedDirectPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+// algorithm over an NCHW input. The (sample, output-channel) planes are
+// partitioned across workers goroutines (each output channel reads only
+// its own group's input block); results are bit-identical at any worker
+// count.
+func ConvGroupedDirect(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvGroupedDirect requires NCHW input")
 	}
@@ -48,7 +43,7 @@ func ConvGroupedDirectPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams,
 	}
 	g := p.GroupCount()
 	if g == 1 {
-		return ConvDirectPar(in, w, bias, p, workers)
+		return ConvDirect(in, w, bias, p, workers)
 	}
 	inPerG, outPerG := s.C/g, p.OutChannels/g
 	kArea := p.KernelH * p.KernelW
@@ -102,16 +97,12 @@ func sliceChannels(in *tensor.Tensor, from, to int) *tensor.Tensor {
 }
 
 // ConvGroupedIm2col computes a grouped convolution as one im2col GEMM
-// per group (how BLAS libraries implement grouping).
-func ConvGroupedIm2col(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm) *tensor.Tensor {
-	return ConvGroupedIm2colPar(in, w, bias, p, mul, 1)
-}
-
-// ConvGroupedIm2colPar is ConvGroupedIm2col with the groups partitioned
-// across workers goroutines. Each group slices its own input channels,
-// runs its own sequential im2col GEMM, and writes an exclusive output
-// channel block, so results are bit-identical at any worker count.
-func ConvGroupedIm2colPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
+// per group (how BLAS libraries implement grouping), with the groups
+// partitioned across workers goroutines. Each group slices its own
+// input channels, runs its own sequential im2col GEMM, and writes an
+// exclusive output channel block, so results are bit-identical at any
+// worker count.
+func ConvGroupedIm2col(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvGroupedIm2col requires NCHW input")
 	}
@@ -121,7 +112,7 @@ func ConvGroupedIm2colPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams,
 	}
 	g := p.GroupCount()
 	if g == 1 {
-		return ConvIm2colPar(in, w, bias, p, mul, workers)
+		return ConvIm2col(in, w, bias, p, mul, workers, 0)
 	}
 	inPerG, outPerG := s.C/g, p.OutChannels/g
 	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
@@ -135,7 +126,7 @@ func ConvGroupedIm2colPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams,
 		gin := sliceChannels(in, grp*inPerG, (grp+1)*inPerG)
 		gw := w[grp*outPerG*inPerG*kArea : (grp+1)*outPerG*inPerG*kArea]
 		gb := bias[grp*outPerG : (grp+1)*outPerG]
-		gout := ConvIm2col(gin, gw, gb, sub, mul)
+		gout := ConvIm2col(gin, gw, gb, sub, mul, 1, 0)
 		for n := 0; n < s.N; n++ {
 			src := gout.Data()[n*outPerG*spatial:]
 			dst := out.Data()[n*os.C*spatial+grp*outPerG*spatial:]

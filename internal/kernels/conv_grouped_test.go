@@ -30,7 +30,7 @@ func groupedRef(in *tensor.Tensor, w, bias []float32, p nn.ConvParams) *tensor.T
 	}
 	dp := p
 	dp.Groups = 1
-	return ConvDirect(in, dense, bias, dp)
+	return ConvDirect(in, dense, bias, dp, 1)
 }
 
 func TestGroupedConvMatchesBlockDiagonal(t *testing.T) {
@@ -48,11 +48,11 @@ func TestGroupedConvMatchesBlockDiagonal(t *testing.T) {
 			bias[i] = rng.Float32()
 		}
 		ref := groupedRef(in, w, bias, p)
-		direct := ConvGroupedDirect(in, w, bias, p)
+		direct := ConvGroupedDirect(in, w, bias, p, 1)
 		if d := tensor.MaxAbsDiff(ref, direct); d > convTol {
 			t.Errorf("groups=%d: direct max diff %g", g, d)
 		}
-		lowered := ConvGroupedIm2col(in, w, bias, p, gemm.Blocked)
+		lowered := ConvGroupedIm2col(in, w, bias, p, packed, 1)
 		if d := tensor.MaxAbsDiff(ref, lowered); d > convTol {
 			t.Errorf("groups=%d: im2col max diff %g", g, d)
 		}
@@ -69,8 +69,8 @@ func TestGroupedConvReducesToUngrouped(t *testing.T) {
 		w[i] = rng.Float32()
 	}
 	bias := make([]float32, 6)
-	a := ConvGroupedDirect(in, w, bias, p)
-	b := ConvDirect(in, w, bias, p)
+	a := ConvGroupedDirect(in, w, bias, p, 1)
+	b := ConvDirect(in, w, bias, p, 1)
 	if d := tensor.MaxAbsDiff(a, b); d != 0 {
 		t.Errorf("groups=1 should be identical to ConvDirect, diff %g", d)
 	}
@@ -87,10 +87,10 @@ func TestGroupedConvStride(t *testing.T) {
 	}
 	bias := make([]float32, 6)
 	ref := groupedRef(in, w, bias, p)
-	if d := tensor.MaxAbsDiff(ref, ConvGroupedDirect(in, w, bias, p)); d > convTol {
+	if d := tensor.MaxAbsDiff(ref, ConvGroupedDirect(in, w, bias, p, 1)); d > convTol {
 		t.Errorf("strided grouped direct diff %g", d)
 	}
-	if d := tensor.MaxAbsDiff(ref, ConvGroupedIm2col(in, w, bias, p, gemm.Naive)); d > convTol {
+	if d := tensor.MaxAbsDiff(ref, ConvGroupedIm2col(in, w, bias, p, gemm.Naive, 1)); d > convTol {
 		t.Errorf("strided grouped im2col diff %g", d)
 	}
 }
@@ -103,7 +103,7 @@ func TestGroupedConvBadGeometryPanics(t *testing.T) {
 	}()
 	in := tensor.New(tensor.Shape{N: 1, C: 5, H: 4, W: 4}, tensor.NCHW)
 	p := nn.ConvParams{OutChannels: 4, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1, Groups: 2}
-	ConvGroupedDirect(in, make([]float32, 10), make([]float32, 4), p)
+	ConvGroupedDirect(in, make([]float32, 10), make([]float32, 4), p, 1)
 }
 
 func TestIsGrouped(t *testing.T) {

@@ -9,17 +9,13 @@ import (
 // Im2col lowers an NCHW input into the (C*KH*KW) x (OH*OW) patch
 // matrix: each column holds one receptive field, each row one
 // (channel, kernel-offset) pair. Out-of-bounds (padding) entries are
-// zero. This is the classic Caffe/BLAS lowering.
-func Im2col(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow int) []float32 {
-	return Im2colPar(in, n, p, oh, ow, 1)
-}
-
-// Im2colPar is Im2col with the columns partitioned into blocks across
-// workers goroutines: column y*ow+x belongs to output row y, and each
-// worker fills every matrix row for its own block of output rows. Every
-// entry is a pure assignment into an exclusive column range, so the
-// matrix is bit-identical at any worker count.
-func Im2colPar(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) []float32 {
+// zero. This is the classic Caffe/BLAS lowering. The columns are
+// partitioned into blocks across workers goroutines: column y*ow+x
+// belongs to output row y, and each worker fills every matrix row for
+// its own block of output rows. Every entry is a pure assignment into
+// an exclusive column range, so the matrix is bit-identical at any
+// worker count.
+func Im2col(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) []float32 {
 	m := make([]float32, in.Shape().C*p.KernelH*p.KernelW*oh*ow)
 	im2colRows(in, n, p, ow, 0, oh, workers, m)
 	return m
@@ -27,15 +23,10 @@ func Im2colPar(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) [
 
 // Im2row lowers an NCHW input into the (OH*OW) x (C*KH*KW) patch
 // matrix — the transpose orientation of Im2col, matching BLAS
-// libraries that prefer the patches as rows.
-func Im2row(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow int) []float32 {
-	return Im2rowPar(in, n, p, oh, ow, 1)
-}
-
-// Im2rowPar is Im2row with the patch rows partitioned by output row
-// across workers goroutines; each patch is an exclusive slice, so the
-// matrix is bit-identical at any worker count.
-func Im2rowPar(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) []float32 {
+// libraries that prefer the patches as rows. The patch rows are
+// partitioned by output row across workers goroutines; each patch is an
+// exclusive slice, so the matrix is bit-identical at any worker count.
+func Im2row(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) []float32 {
 	m := make([]float32, oh*ow*in.Shape().C*p.KernelH*p.KernelW)
 	im2rowRows(in, n, p, ow, 0, oh, workers, m)
 	return m
@@ -142,32 +133,24 @@ func fillBias(dst, bias []float32, n int) {
 }
 
 // Gemm is the matrix-multiply signature the lowering kernels accept, so
-// the same code path serves the naive (ATLAS-like), blocked, and
-// packed/parallel (tuned-BLAS-like) backends.
+// the same code path serves the naive (ATLAS-like) and packed/parallel
+// (tuned-BLAS-like) backends.
 type Gemm func(m, n, k int, a, b, c []float32)
 
 // ConvIm2col computes a dense convolution as W (OC x CKK) times the
-// im2col matrix (CKK x OHOW), using the supplied GEMM.
-func ConvIm2col(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm) *tensor.Tensor {
-	return ConvIm2colPar(in, w, bias, p, mul, 1)
-}
-
-// ConvIm2colPar is ConvIm2col with the im2col lowering parallelized
-// across column blocks (Im2colPar); the GEMM parallelism is whatever
-// mul provides. Results are bit-identical at any worker count.
-func ConvIm2colPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
-	return convIm2col(in, w, bias, p, mul, workers, 0)
-}
-
-// convIm2col is the im2col convolution behind ConvIm2colPar and
-// ConvIm2colTuned: the lowering and GEMM run over blocks of panel
-// output rows (panel <= 0 or >= OH is one block). Each output element
-// keeps its full k reduction in one GEMM call, so the result does not
-// depend on panel. When one block covers every row, the GEMM
-// accumulates straight into the output sample, and a pointwise conv
-// hands it the input sample in place of a gathered copy. Smaller
-// blocks multiply into a scratch panel copied into the output rows.
-func convIm2col(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers, panel int) *tensor.Tensor {
+// im2col matrix (CKK x OHOW), using the supplied GEMM. The lowering is
+// parallelized across column blocks (Im2col); the GEMM parallelism is
+// whatever mul provides. Results are bit-identical at any worker count.
+//
+// The lowering and GEMM run over blocks of panel output rows (panel
+// <= 0 or >= OH is one block). Panel tiling splits only the GEMM's n
+// dimension: each output element keeps its full k reduction in one GEMM
+// call, so the result does not depend on panel. When one block covers
+// every row, the GEMM accumulates straight into the output sample, and
+// a pointwise conv hands it the input sample in place of a gathered
+// copy. Smaller blocks multiply into a scratch panel copied into the
+// output rows.
+func ConvIm2col(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers, panel int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvIm2col requires NCHW input")
 	}
@@ -216,24 +199,13 @@ func convIm2col(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm,
 
 // ConvIm2row computes a dense convolution as the im2row matrix
 // (OHOW x CKK) times W-transposed (CKK x OC), then transposes the
-// result back into NCHW.
-func ConvIm2row(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm) *tensor.Tensor {
-	return ConvIm2rowPar(in, w, bias, p, mul, 1)
-}
-
-// ConvIm2rowPar is ConvIm2row with the im2row lowering parallelized
-// across patch-row blocks (Im2rowPar); results are bit-identical at any
-// worker count.
-func ConvIm2rowPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
-	return convIm2row(in, w, bias, p, mul, workers, 0)
-}
-
-// convIm2row is the im2row convolution behind ConvIm2rowPar and
-// ConvIm2rowTuned: the lowering and GEMM run over blocks of panel
-// output rows (panel <= 0 or >= OH is one block), each block's
-// (rows x OC) product transposed into the NCHW output. Blocks split
-// the GEMM's m dimension only, so the result does not depend on panel.
-func convIm2row(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers, panel int) *tensor.Tensor {
+// result back into NCHW. The lowering is parallelized across patch-row
+// blocks (Im2row); results are bit-identical at any worker count. The
+// lowering and GEMM run over blocks of panel output rows (panel <= 0 or
+// >= OH is one block), each block's (rows x OC) product transposed into
+// the NCHW output. Blocks split the GEMM's m dimension only, so the
+// result does not depend on panel.
+func ConvIm2row(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers, panel int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvIm2row requires NCHW input")
 	}
@@ -275,19 +247,15 @@ func convIm2row(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm,
 // multiplies the correspondingly shifted input (C x OHOW) and
 // accumulates into the output. The shifted view is gathered into a
 // scratch buffer, which generalizes the textbook stride-1 kn2row to
-// arbitrary stride and padding.
-func ConvKn2row(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm) *tensor.Tensor {
-	return ConvKn2rowPar(in, w, bias, p, mul, 1)
-}
-
-// ConvKn2rowPar is ConvKn2row with the shifted-view gather parallelized
+// arbitrary stride and padding. The shifted-view gather is parallelized
 // across input channels (each channel writes an exclusive plane of the
 // scratch buffer); the GEMM parallelism is whatever mul provides.
-// Results are bit-identical at any worker count. The GEMMs accumulate
-// straight into the output sample. A 1x1 kernel needs no weight
-// regroup (its one OC x C block is w), and a pointwise conv's shifted
-// view is the input sample itself.
-func ConvKn2rowPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
+// Results are bit-identical at any worker count. The lowering is
+// already a sequence of rank-C GEMMs, so it takes no panel. The GEMMs
+// accumulate straight into the output sample. A 1x1 kernel needs no
+// weight regroup (its one OC x C block is w), and a pointwise conv's
+// shifted view is the input sample itself.
+func ConvKn2row(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvKn2row requires NCHW input")
 	}

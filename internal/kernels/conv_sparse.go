@@ -110,7 +110,7 @@ func ConvSparse(in *tensor.Tensor, w *CSR, bias []float32, p nn.ConvParams) *ten
 	os := out.Shape()
 	spatial := os.H * os.W
 	for n := 0; n < s.N; n++ {
-		cols := Im2col(in, n, p, os.H, os.W)
+		cols := Im2col(in, n, p, os.H, os.W, 1)
 		res := make([]float32, p.OutChannels*spatial)
 		for oc := 0; oc < p.OutChannels; oc++ {
 			b := bias[oc]

@@ -5,20 +5,17 @@ import (
 	"testing"
 
 	"repro/internal/gemm"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
-func bitEqualTensors(a, b *tensor.Tensor) bool {
-	da, db := a.Data(), b.Data()
-	if len(da) != len(db) {
-		return false
-	}
-	for i := range da {
-		if da[i] != db[i] {
-			return false
-		}
-	}
-	return true
+// runTuned runs the three lowering convs under cfg the way the engine's
+// conv dispatch does, with a fallback fan-out of 1.
+func runTuned(x *tensor.Tensor, w, b []float32, p nn.ConvParams, cfg ConvTuned) (col, row, kn *tensor.Tensor) {
+	mul, workers := refTunedGemm(cfg)
+	return ConvIm2col(x, w, b, p, mul, workers, cfg.Panel),
+		ConvIm2row(x, w, b, p, mul, workers, cfg.Panel),
+		ConvKn2row(x, w, b, p, mul, workers)
 }
 
 // TestConvTunedZeroConfigBitIdentical pins the golden-safety contract:
@@ -27,22 +24,21 @@ func bitEqualTensors(a, b *tensor.Tensor) bool {
 // tiling only splits GEMM calls between output columns.
 func TestConvTunedZeroConfigBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	par := func(m, n, k int, a, b, c []float32) { gemm.Parallel(m, n, k, a, b, c, 1) }
 	for _, g := range convGeometries {
 		x, w, b := randConv(rng, g.in, g.p)
-		refCol := ConvIm2col(x, w, b, g.p, par)
-		refRow := ConvIm2row(x, w, b, g.p, par)
-		refKn := ConvKn2row(x, w, b, g.p, par)
+		refCol := ConvIm2col(x, w, b, g.p, packed, 1, 0)
+		refRow := ConvIm2row(x, w, b, g.p, packed, 1, 0)
+		refKn := ConvKn2row(x, w, b, g.p, packed, 1)
 		for _, panel := range []int{0, 1, 2, 3, 100} {
 			for _, workers := range []int{1, 3} {
-				cfg := ConvTuned{Panel: panel, Workers: workers}
-				if got := ConvIm2colTuned(x, w, b, g.p, cfg); !bitEqualTensors(refCol, got) {
+				col, row, kn := runTuned(x, w, b, g.p, ConvTuned{Panel: panel, Workers: workers})
+				if !tensorsBitEqual(refCol, col) {
 					t.Errorf("%s im2col panel=%d workers=%d: not bit-identical to default", g.name, panel, workers)
 				}
-				if got := ConvIm2rowTuned(x, w, b, g.p, cfg); !bitEqualTensors(refRow, got) {
+				if !tensorsBitEqual(refRow, row) {
 					t.Errorf("%s im2row panel=%d workers=%d: not bit-identical to default", g.name, panel, workers)
 				}
-				if got := ConvKn2rowTuned(x, w, b, g.p, cfg); !bitEqualTensors(refKn, got) {
+				if !tensorsBitEqual(refKn, kn) {
 					t.Errorf("%s kn2row workers=%d: not bit-identical to default", g.name, workers)
 				}
 			}
@@ -62,14 +58,11 @@ func TestConvTunedBlockedMatchesDirect(t *testing.T) {
 	}
 	for _, g := range convGeometries {
 		x, w, b := randConv(rng, g.in, g.p)
-		ref := ConvDirect(x, w, b, g.p)
+		ref := ConvDirect(x, w, b, g.p, 1)
 		for i, cfg := range cfgs {
-			for name, run := range map[string]func() *tensor.Tensor{
-				"im2col": func() *tensor.Tensor { return ConvIm2colTuned(x, w, b, g.p, cfg) },
-				"im2row": func() *tensor.Tensor { return ConvIm2rowTuned(x, w, b, g.p, cfg) },
-				"kn2row": func() *tensor.Tensor { return ConvKn2rowTuned(x, w, b, g.p, cfg) },
-			} {
-				if d := tensor.MaxAbsDiff(ref, run()); d > convTol {
+			col, row, kn := runTuned(x, w, b, g.p, cfg)
+			for name, got := range map[string]*tensor.Tensor{"im2col": col, "im2row": row, "kn2row": kn} {
+				if d := tensor.MaxAbsDiff(ref, got); d > convTol {
 					t.Errorf("%s %s cfg#%d: max diff %g > %g", g.name, name, i, d, convTol)
 				}
 			}
@@ -91,19 +84,18 @@ func TestConvTunedWorkerInvariance(t *testing.T) {
 	}
 	for i, base := range cfgs {
 		base.Workers = 1
-		refCol := ConvIm2colTuned(x, w, b, g.p, base)
-		refRow := ConvIm2rowTuned(x, w, b, g.p, base)
-		refKn := ConvKn2rowTuned(x, w, b, g.p, base)
+		refCol, refRow, refKn := runTuned(x, w, b, g.p, base)
 		for _, workers := range []int{2, 4, 8} {
 			cfg := base
 			cfg.Workers = workers
-			if got := ConvIm2colTuned(x, w, b, g.p, cfg); !bitEqualTensors(refCol, got) {
+			col, row, kn := runTuned(x, w, b, g.p, cfg)
+			if !tensorsBitEqual(refCol, col) {
 				t.Errorf("cfg#%d im2col workers=%d: not bit-identical to workers=1", i, workers)
 			}
-			if got := ConvIm2rowTuned(x, w, b, g.p, cfg); !bitEqualTensors(refRow, got) {
+			if !tensorsBitEqual(refRow, row) {
 				t.Errorf("cfg#%d im2row workers=%d: not bit-identical to workers=1", i, workers)
 			}
-			if got := ConvKn2rowTuned(x, w, b, g.p, cfg); !bitEqualTensors(refKn, got) {
+			if !tensorsBitEqual(refKn, kn) {
 				t.Errorf("cfg#%d kn2row workers=%d: not bit-identical to workers=1", i, workers)
 			}
 		}

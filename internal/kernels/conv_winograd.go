@@ -10,17 +10,12 @@ import (
 // producing 2x2 output tiles, with the filter transformed once. This
 // is the ArmCL/NNPACK fast path for the 3x3 convolutions that dominate
 // VGG-style networks. Panics if the geometry is not 3x3 stride 1 —
-// the primitive registry never selects it otherwise.
-func ConvWinograd(in *tensor.Tensor, w, bias []float32, p nn.ConvParams) *tensor.Tensor {
-	return ConvWinogradPar(in, w, bias, p, 1)
-}
-
-// ConvWinogradPar is ConvWinograd with the (sample, output-channel)
-// tile batches partitioned across workers goroutines. The filter
-// transform is computed once and shared read-only; each (n, oc) plane
-// of tiles is owned by one iteration with its own scratch, so results
-// are bit-identical at any worker count.
-func ConvWinogradPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+// the primitive registry never selects it otherwise. The (sample,
+// output-channel) tile batches are partitioned across workers
+// goroutines. The filter transform is computed once and shared
+// read-only; each (n, oc) plane of tiles is owned by one iteration with
+// its own scratch, so results are bit-identical at any worker count.
+func ConvWinograd(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvWinograd requires NCHW input")
 	}

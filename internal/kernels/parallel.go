@@ -5,7 +5,7 @@ import "repro/internal/pool"
 // parFor runs fn(i) for i in [0, n) on at most workers goroutines from
 // the bounded pool (inline when workers <= 1). Every iteration runs
 // exactly once, so as long as iteration i writes only state it owns —
-// which is how every Par kernel partitions its output — the result is
+// which is how every kernel partitions its output — the result is
 // bit-identical to the sequential loop at any worker count: no output
 // element's reduction order changes, only which goroutine runs it.
 func parFor(n, workers int, fn func(i int)) {

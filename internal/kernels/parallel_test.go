@@ -33,35 +33,34 @@ var parWorkerCounts = []int{2, 3, 4, 8, 64}
 // geometry in the shared table.
 func TestParKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	par := gemm.Packed
 	kernelsUnderTest := []struct {
 		name string
 		run  func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor
 	}{
-		{"direct", ConvDirectPar},
+		{"direct", ConvDirect},
 		{"winograd3x3", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 			if p.KernelH != 3 || p.KernelW != 3 || p.StrideH != 1 || p.StrideW != 1 {
 				return nil
 			}
-			return ConvWinogradPar(in, w, b, p, workers)
+			return ConvWinograd(in, w, b, p, workers)
 		}},
 		{"fft", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 			if p.StrideH != 1 || p.StrideW != 1 {
 				return nil
 			}
-			return ConvFFTPar(in, w, b, p, workers)
+			return ConvFFT(in, w, b, p, workers)
 		}},
 		{"im2col", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
-			return ConvIm2colPar(in, w, b, p, par, workers)
+			return ConvIm2col(in, w, b, p, packed, workers, 0)
 		}},
 		{"im2row", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
-			return ConvIm2rowPar(in, w, b, p, par, workers)
+			return ConvIm2row(in, w, b, p, packed, workers, 0)
 		}},
 		{"kn2row", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
-			return ConvKn2rowPar(in, w, b, p, par, workers)
+			return ConvKn2row(in, w, b, p, packed, workers)
 		}},
 		{"nhwc", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
-			return ConvDirectNHWCPar(in.ToLayout(tensor.NHWC), w, b, p, workers)
+			return ConvDirectNHWC(in.ToLayout(tensor.NHWC), w, b, p, workers)
 		}},
 	}
 	for _, g := range convGeometries {
@@ -81,21 +80,27 @@ func TestParKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestParKernelsMatchSequentialExports checks the workers=1 wrappers
-// really are the same code path: exported sequential kernels and their
-// Par(…, 1) forms agree bit-for-bit.
+// TestParKernelsMatchSequentialExports checks that a worker count below
+// one runs the sequential path, bit-identical to workers=1.
 func TestParKernelsMatchSequentialExports(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	g := convGeometries[0]
 	x, w, b := randConv(rng, g.in, g.p)
-	if !tensorsBitEqual(ConvDirect(x, w, b, g.p), ConvDirectPar(x, w, b, g.p, 1)) {
-		t.Error("ConvDirect != ConvDirectPar(1)")
-	}
-	if !tensorsBitEqual(ConvWinograd(x, w, b, g.p), ConvWinogradPar(x, w, b, g.p, 1)) {
-		t.Error("ConvWinograd != ConvWinogradPar(1)")
-	}
-	if !tensorsBitEqual(ConvFFT(x, w, b, g.p), ConvFFTPar(x, w, b, g.p, 1)) {
-		t.Error("ConvFFT != ConvFFTPar(1)")
+	for _, k := range []struct {
+		name string
+		run  func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor
+	}{
+		{"ConvDirect", ConvDirect},
+		{"ConvWinograd", ConvWinograd},
+		{"ConvFFT", ConvFFT},
+		{"ConvGroupedDirect", ConvGroupedDirect},
+	} {
+		seq := k.run(x, w, b, g.p, 1)
+		for _, workers := range []int{0, -1} {
+			if !tensorsBitEqual(seq, k.run(x, w, b, g.p, workers)) {
+				t.Errorf("%s workers=%d != workers=1", k.name, workers)
+			}
+		}
 	}
 }
 
@@ -115,15 +120,15 @@ func TestDepthwiseParBitIdentical(t *testing.T) {
 	for i := range b {
 		b[i] = rng.Float32()
 	}
-	seq := DepthwiseDirectPar(x, w, b, p, 1)
+	seq := DepthwiseDirect(x, w, b, p, 1)
 	xh := x.ToLayout(tensor.NHWC)
-	seqH := DepthwiseNHWCPar(xh, w, b, p, 1)
+	seqH := DepthwiseNHWC(xh, w, b, p, 1)
 	for _, workers := range parWorkerCounts {
-		if !tensorsBitEqual(seq, DepthwiseDirectPar(x, w, b, p, workers)) {
-			t.Errorf("DepthwiseDirectPar workers=%d: not bit-identical", workers)
+		if !tensorsBitEqual(seq, DepthwiseDirect(x, w, b, p, workers)) {
+			t.Errorf("DepthwiseDirect workers=%d: not bit-identical", workers)
 		}
-		if !tensorsBitEqual(seqH, DepthwiseNHWCPar(xh, w, b, p, workers)) {
-			t.Errorf("DepthwiseNHWCPar workers=%d: not bit-identical", workers)
+		if !tensorsBitEqual(seqH, DepthwiseNHWC(xh, w, b, p, workers)) {
+			t.Errorf("DepthwiseNHWC workers=%d: not bit-identical", workers)
 		}
 	}
 }
@@ -144,14 +149,14 @@ func TestGroupedParBitIdentical(t *testing.T) {
 	for i := range b {
 		b[i] = rng.Float32()
 	}
-	seqD := ConvGroupedDirectPar(x, w, b, p, 1)
-	seqI := ConvGroupedIm2colPar(x, w, b, p, gemm.Packed, 1)
+	seqD := ConvGroupedDirect(x, w, b, p, 1)
+	seqI := ConvGroupedIm2col(x, w, b, p, packed, 1)
 	for _, workers := range parWorkerCounts {
-		if !tensorsBitEqual(seqD, ConvGroupedDirectPar(x, w, b, p, workers)) {
-			t.Errorf("ConvGroupedDirectPar workers=%d: not bit-identical", workers)
+		if !tensorsBitEqual(seqD, ConvGroupedDirect(x, w, b, p, workers)) {
+			t.Errorf("ConvGroupedDirect workers=%d: not bit-identical", workers)
 		}
-		if !tensorsBitEqual(seqI, ConvGroupedIm2colPar(x, w, b, p, gemm.Packed, workers)) {
-			t.Errorf("ConvGroupedIm2colPar workers=%d: not bit-identical", workers)
+		if !tensorsBitEqual(seqI, ConvGroupedIm2col(x, w, b, p, packed, workers)) {
+			t.Errorf("ConvGroupedIm2col workers=%d: not bit-identical", workers)
 		}
 	}
 }
@@ -162,11 +167,11 @@ func TestConvPackedGemmMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for _, g := range convGeometries {
 		x, w, b := randConv(rng, g.in, g.p)
-		ref := ConvDirect(x, w, b, g.p)
+		ref := ConvDirect(x, w, b, g.p, 1)
 		for _, workers := range []int{1, 4} {
-			got := ConvIm2colPar(x, w, b, g.p, func(m, n, k int, a, bb, c []float32) {
+			got := ConvIm2col(x, w, b, g.p, func(m, n, k int, a, bb, c []float32) {
 				gemm.Parallel(m, n, k, a, bb, c, workers)
-			}, workers)
+			}, workers, 0)
 			rd, gd := ref.Data(), got.Data()
 			for i := range rd {
 				if d := math.Abs(float64(rd[i] - gd[i])); d > convTol {

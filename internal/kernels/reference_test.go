@@ -453,14 +453,22 @@ func refPanelRows(panel, oh int) int {
 	return panel
 }
 
+// refTunedGemm returns the GEMM and fan-out a ConvTuned config runs
+// with: cfg.Workers (1 when unset) and cfg.Block on the packed GEMM.
+func refTunedGemm(cfg ConvTuned) (Gemm, int) {
+	workers := max(cfg.Workers, 1)
+	return func(m, n, k int, a, b, c []float32) {
+		gemm.ParallelCfg(m, n, k, a, b, c, workers, cfg.Block)
+	}, workers
+}
+
 func refConvIm2colTuned(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, cfg ConvTuned) *tensor.Tensor {
 	s := in.Shape()
 	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
 	ckk := s.C * p.KernelH * p.KernelW
 	spatial := os.H * os.W
-	workers := cfg.workers()
-	mul := cfg.mul()
+	mul, workers := refTunedGemm(cfg)
 	panel := refPanelRows(cfg.Panel, os.H)
 	cols := make([]float32, ckk*panel*os.W)
 	pres := make([]float32, p.OutChannels*panel*os.W)
@@ -492,8 +500,7 @@ func refConvIm2rowTuned(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, c
 	os := out.Shape()
 	ckk := s.C * p.KernelH * p.KernelW
 	spatial := os.H * os.W
-	workers := cfg.workers()
-	mul := cfg.mul()
+	mul, workers := refTunedGemm(cfg)
 	panel := refPanelRows(cfg.Panel, os.H)
 	wt := make([]float32, len(w))
 	gemm.Transpose(p.OutChannels, ckk, w, wt)
@@ -632,24 +639,24 @@ func checkMatchesReference(t *testing.T, g refGeom, seed int64) {
 	p.OutChannels = 3
 	w, b := randSlice(rng, p.OutChannels*s.C*p.KernelH*p.KernelW), randSlice(rng, p.OutChannels)
 	os := convOutShape(s, p.OutChannels, p)
-	packed := func(m, n, k int, a, bb, c []float32) { gemm.Parallel(m, n, k, a, bb, c, 1) }
 	for _, workers := range []int{1, 3} {
-		same("Depthwise", refDepthwiseDirectPar(x, dw, db, g.p, workers), DepthwiseDirectPar(x, dw, db, g.p, workers))
+		same("Depthwise", refDepthwiseDirectPar(x, dw, db, g.p, workers), DepthwiseDirect(x, dw, db, g.p, workers))
 		xh := refToLayout(x, tensor.NHWC)
-		same("DepthwiseNHWC", refDepthwiseNHWCPar(xh, dw, db, g.p, workers), DepthwiseNHWCPar(xh, dw, db, g.p, workers))
+		same("DepthwiseNHWC", refDepthwiseNHWCPar(xh, dw, db, g.p, workers), DepthwiseNHWC(xh, dw, db, g.p, workers))
 		for n := 0; n < s.N; n++ {
-			sameSlice("Im2col", refIm2colPar(x, n, p, os.H, os.W, workers), Im2colPar(x, n, p, os.H, os.W, workers))
-			sameSlice("Im2row", refIm2rowPar(x, n, p, os.H, os.W, workers), Im2rowPar(x, n, p, os.H, os.W, workers))
+			sameSlice("Im2col", refIm2colPar(x, n, p, os.H, os.W, workers), Im2col(x, n, p, os.H, os.W, workers))
+			sameSlice("Im2row", refIm2rowPar(x, n, p, os.H, os.W, workers), Im2row(x, n, p, os.H, os.W, workers))
 		}
 		for name, mul := range map[string]Gemm{"naive": gemm.Naive, "packed": packed} {
-			same("ConvIm2col/"+name, refConvIm2colPar(x, w, b, p, mul, workers), ConvIm2colPar(x, w, b, p, mul, workers))
-			same("ConvIm2row/"+name, refConvIm2rowPar(x, w, b, p, mul, workers), ConvIm2rowPar(x, w, b, p, mul, workers))
-			same("ConvKn2row/"+name, refConvKn2rowPar(x, w, b, p, mul, workers), ConvKn2rowPar(x, w, b, p, mul, workers))
+			same("ConvIm2col/"+name, refConvIm2colPar(x, w, b, p, mul, workers), ConvIm2col(x, w, b, p, mul, workers, 0))
+			same("ConvIm2row/"+name, refConvIm2rowPar(x, w, b, p, mul, workers), ConvIm2row(x, w, b, p, mul, workers, 0))
+			same("ConvKn2row/"+name, refConvKn2rowPar(x, w, b, p, mul, workers), ConvKn2row(x, w, b, p, mul, workers))
 		}
 		for _, panel := range []int{0, 2} {
 			cfg := ConvTuned{Panel: panel, Workers: workers}
-			same("ConvIm2colTuned", refConvIm2colTuned(x, w, b, p, cfg), ConvIm2colTuned(x, w, b, p, cfg))
-			same("ConvIm2rowTuned", refConvIm2rowTuned(x, w, b, p, cfg), ConvIm2rowTuned(x, w, b, p, cfg))
+			mul, _ := refTunedGemm(cfg)
+			same("ConvIm2col/tuned", refConvIm2colTuned(x, w, b, p, cfg), ConvIm2col(x, w, b, p, mul, workers, panel))
+			same("ConvIm2row/tuned", refConvIm2rowTuned(x, w, b, p, cfg), ConvIm2row(x, w, b, p, mul, workers, panel))
 		}
 	}
 }

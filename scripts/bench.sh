@@ -45,11 +45,21 @@ mkdir -p "$(dirname "$RAW")"
 # only the kernel name.
 KERNEL="$(go run ./cmd/qsdnn version | awk '/^gemm kernel:/ {print $3}')"
 
+# Host identity, so a record says which machine produced it: the
+# target architecture, the Go scheduler's parallelism (GOMAXPROCS when
+# set, else the CPU count it defaults to) and the CPU model. Each falls
+# back to "unknown" where the host cannot say.
+HOST_GOARCH="$(go env GOARCH 2>/dev/null || true)"
+HOST_PROCS="${GOMAXPROCS:-$(nproc 2>/dev/null || true)}"
+HOST_CPU="$(awk -F': *' '/^model name/ {print $2; exit}' /proc/cpuinfo 2>/dev/null || true)"
+
 # emit_json RAWFILE OUTFILE: reduce benchmark text to one JSON object
 # per benchmark. Averages over COUNT repetitions; carries every
-# reported metric through. The header records the dispatched kernel.
+# reported metric through. The header records the dispatched kernel
+# and the host identity.
 emit_json() {
-    awk -v out="$2" -v kern="$KERNEL" '
+    awk -v out="$2" -v kern="$KERNEL" -v goarch="${HOST_GOARCH:-unknown}" \
+        -v procs="${HOST_PROCS:-unknown}" -v cpu="${HOST_CPU:-unknown}" '
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
@@ -65,7 +75,9 @@ emit_json() {
     if (!(name in order_seen)) { order[++no] = name; order_seen[name] = 1 }
 }
 END {
-    printf "{\n  \"gemm_kernel\": \"%s\",\n  \"benchmarks\": [\n", kern > out
+    gsub(/[\\"]/, "\\\\&", cpu)
+    if (procs !~ /^[0-9]+$/) procs = "\"unknown\""
+    printf "{\n  \"gemm_kernel\": \"%s\",\n  \"goarch\": \"%s\",\n  \"gomaxprocs\": %s,\n  \"cpu_model\": \"%s\",\n  \"benchmarks\": [\n", kern, goarch, procs, cpu > out
     for (b = 1; b <= no; b++) {
         name = order[b]
         printf "    {\"name\": \"%s\", \"count\": %d", name, n[name] >> out
