@@ -143,6 +143,76 @@ func twinAssignment(a []primitives.ID) []primitives.ID {
 	return tw
 }
 
+// dagDigests pins the same per-layer digests for the branchy zoo
+// networks, whose Concat, EltwiseAdd, fan-out and Dropout layers the
+// chain MobileNets never execute. They were generated with the engine
+// that allocated a fresh tensor for every activation.
+var dagDigests = map[string]map[string]string{
+	"googlenet": {
+		"Vanilla":    "6774936e78942ad6c47b9e7c2e364a34fdc5307ca5121a3784fc5b36fc0711ce",
+		"ATLAS/0":    "6774936e78942ad6c47b9e7c2e364a34fdc5307ca5121a3784fc5b36fc0711ce",
+		"ATLAS/1":    "6774936e78942ad6c47b9e7c2e364a34fdc5307ca5121a3784fc5b36fc0711ce",
+		"ATLAS/2":    "494ba345cc5bbc395da1168ff6cf04eb7834da7f5fc1a8ebad5b26be06be4b30",
+		"OpenBLAS/0": "6774936e78942ad6c47b9e7c2e364a34fdc5307ca5121a3784fc5b36fc0711ce",
+		"OpenBLAS/1": "6774936e78942ad6c47b9e7c2e364a34fdc5307ca5121a3784fc5b36fc0711ce",
+		"OpenBLAS/2": "0509a01a72d8de02344c419c59977c3ef8760d93d36752e244fd78a1495c7f61",
+		"NNPACK/0":   "9c00f933162d66a04dd8db28f30b3d37df627c5f5462d0d962af3b616122f321",
+		"NNPACK/1":   "d053f4b44c9d90b491b014e1620ec0c64c98e3afc9765027707721dd9e2ca2dc",
+		"ArmCL/0":    "c4b07f2e0e9ef969dcd5b28949bd8c2ccba50fe55de7ca92ecb704f501283c5f",
+		"ArmCL/1":    "ef7e396fd7bbc389022af8b03a730c04f546efc03f49666db39f7988d59673dd",
+		"Sparse/0":   "6774936e78942ad6c47b9e7c2e364a34fdc5307ca5121a3784fc5b36fc0711ce",
+	},
+	"squeezenet": {
+		"Vanilla":    "cb10f8e9c7c64e2758680108c98dc3f051912daa383e850232e28989363eede1",
+		"ATLAS/0":    "cb10f8e9c7c64e2758680108c98dc3f051912daa383e850232e28989363eede1",
+		"ATLAS/1":    "cb10f8e9c7c64e2758680108c98dc3f051912daa383e850232e28989363eede1",
+		"ATLAS/2":    "676bff81999c9ba4703ab9f46c88f207b0157b48aa22a468660400201a96636c",
+		"OpenBLAS/0": "cb10f8e9c7c64e2758680108c98dc3f051912daa383e850232e28989363eede1",
+		"OpenBLAS/1": "cb10f8e9c7c64e2758680108c98dc3f051912daa383e850232e28989363eede1",
+		"OpenBLAS/2": "16fca827bfe5251affd82d13e50d5e8992af2e8563717697cd5ef1b185773fc6",
+		"NNPACK/0":   "3b2b6c99e4e5074aee96c2230ae203cb77938f2463c01348475e2825306bdbe4",
+		"ArmCL/0":    "c8f23576cf47d0375615337d724a2db248a9c30c0068a9dd0b64515de779da0c",
+		"ArmCL/1":    "275fe2ec45568771c6d369bdb04cee0ef3214f3f6e801ea1a86f6a31ed535fb1",
+		"Sparse/0":   "cb10f8e9c7c64e2758680108c98dc3f051912daa383e850232e28989363eede1",
+	},
+	"resnet18": {
+		"Vanilla":    "67d14457f6a851eab6d090c5af57ce0008ae5fdefd0445d8c62f596d2f24b01a",
+		"ATLAS/0":    "67d14457f6a851eab6d090c5af57ce0008ae5fdefd0445d8c62f596d2f24b01a",
+		"ATLAS/1":    "67d14457f6a851eab6d090c5af57ce0008ae5fdefd0445d8c62f596d2f24b01a",
+		"ATLAS/2":    "e52807ee85dbbe9926ed2d15f08aa2c1297e797db56410f59d25fab89dba5626",
+		"OpenBLAS/0": "67d14457f6a851eab6d090c5af57ce0008ae5fdefd0445d8c62f596d2f24b01a",
+		"OpenBLAS/1": "67d14457f6a851eab6d090c5af57ce0008ae5fdefd0445d8c62f596d2f24b01a",
+		"OpenBLAS/2": "fda5935eebe93faa47ec21241eb210c95f361c128523ed8caae3d22ff1380792",
+		"NNPACK/0":   "b66a10d6bfb16e3a648d57d290a25c2c7feab2ce0eaa27d70aeda7fae1e4a5a9",
+		"ArmCL/0":    "d0e05f80cd0da78a1ff426625f432c4b9858d2854d984b20d22cdc749ffd5f93",
+		"ArmCL/1":    "7ee8a8bf750396c50d7e9d5714a645ed4f5f40f27a8b80ca6929cf7b32e5a219",
+		"Sparse/0":   "67d14457f6a851eab6d090c5af57ce0008ae5fdefd0445d8c62f596d2f24b01a",
+	},
+}
+
+// TestDAGOutputDigests is TestMobileNetOutputDigests for googlenet,
+// squeezenet and resnet18. It is skipped under -short.
+func TestDAGOutputDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large networks")
+	}
+	for _, name := range []string{"googlenet", "squeezenet", "resnet18"} {
+		net, err := models.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(net, 1, 0.35)
+		in := testInput(net, 1)
+		names, assigns := libraryAssignments(e)
+		for j, a := range assigns {
+			want := dagDigests[name][names[j]]
+			if got := activationDigest(t, e, a, in); got != want {
+				t.Errorf("%s %s: output digest %s, want %s", name, names[j], got, want)
+			}
+		}
+	}
+}
+
 // TestMobileNetOutputDigests runs each library assignment of the
 // MobileNets through the real engine and checks the digest of every
 // layer's output. On mobilenet-v1-025 each OpenBLAS row runs a second
