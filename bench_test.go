@@ -297,12 +297,12 @@ func BenchmarkConvKernels(b *testing.B) {
 		name string
 		run  func()
 	}{
-		{"direct", func() { kernels.ConvDirect(in, w, bias, p, 1) }},
-		{"im2col-naive", func() { kernels.ConvIm2col(in, w, bias, p, gemm.Naive, 1, 0) }},
-		{"im2col-packed", func() { kernels.ConvIm2col(in, w, bias, p, packed, 1, 0) }},
-		{"im2row-packed", func() { kernels.ConvIm2row(in, w, bias, p, packed, 1, 0) }},
-		{"kn2row-packed", func() { kernels.ConvKn2row(in, w, bias, p, packed, 1) }},
-		{"winograd", func() { kernels.ConvWinograd(in, w, bias, p, 1) }},
+		{"direct", func() { kernels.ConvDirect(nil, in, w, bias, p, 1) }},
+		{"im2col-naive", func() { kernels.ConvIm2col(nil, in, w, bias, p, gemm.Naive, 1, 0) }},
+		{"im2col-packed", func() { kernels.ConvIm2col(nil, in, w, bias, p, packed, 1, 0) }},
+		{"im2row-packed", func() { kernels.ConvIm2row(nil, in, w, bias, p, packed, 1, 0) }},
+		{"kn2row-packed", func() { kernels.ConvKn2row(nil, in, w, bias, p, packed, 1) }},
+		{"winograd", func() { kernels.ConvWinograd(nil, in, w, bias, p, 1) }},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -460,17 +460,17 @@ func BenchmarkConvFFTKernel(b *testing.B) {
 	bias := make([]float32, 32)
 	b.Run("fft", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			kernels.ConvFFT(in, w, bias, p, 1)
+			kernels.ConvFFT(nil, in, w, bias, p, 1)
 		}
 	})
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			kernels.ConvDirect(in, w, bias, p, 1)
+			kernels.ConvDirect(nil, in, w, bias, p, 1)
 		}
 	})
 	b.Run("im2col", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			kernels.ConvIm2col(in, w, bias, p, func(m, n, k int, a, b, c []float32) {
+			kernels.ConvIm2col(nil, in, w, bias, p, func(m, n, k int, a, b, c []float32) {
 				gemm.Parallel(m, n, k, a, b, c, 1)
 			}, 1, 0)
 		}

@@ -56,28 +56,17 @@ func libraryAssignments(e *Engine) (names []string, assigns [][]primitives.ID) {
 	return names, assigns
 }
 
-// activationDigest executes the assignment the way Run does and
-// returns the SHA-256 of every layer's activation (layout byte, then
-// IEEE-754 bits in little-endian order), so that a one-ulp change in
-// any layer shows up even where the final softmax would round it away.
-// It fails the test unless Run's own output equals the replayed one.
+// activationDigest runs the assignment and returns the SHA-256 of
+// every layer's activation (layout byte, then IEEE-754 bits in
+// little-endian order), read as each kernel returns and before the
+// arena reuses its memory, so that a one-ulp change in any layer shows
+// up even where the final softmax would round it away. It fails the
+// test unless Run's output equals the last layer's activation.
 func activationDigest(t *testing.T, e *Engine, a []primitives.ID, in *tensor.Tensor) string {
 	t.Helper()
-	net := e.Net
 	h := sha256.New()
-	acts := make([]*tensor.Tensor, net.Len())
-	acts[0] = in.ToLayout(tensor.NCHW)
-	for i := 1; i < net.Len(); i++ {
-		l, p := net.Layers[i], primitives.ByID(a[i])
-		inputs := make([]*tensor.Tensor, len(l.Inputs))
-		for k, src := range l.Inputs {
-			inputs[k] = acts[src].ToLayout(p.Layout)
-		}
-		out, err := e.exec(i, l, p, inputs)
-		if err != nil {
-			t.Fatalf("layer %s: %v", l.Name, err)
-		}
-		acts[i] = out
+	var last []float32
+	res, err := e.run(a, in, func(i int, out *tensor.Tensor) {
 		d := out.Data()
 		buf := make([]byte, 1+4*len(d))
 		buf[0] = byte(out.Layout())
@@ -85,15 +74,16 @@ func activationDigest(t *testing.T, e *Engine, a []primitives.ID, in *tensor.Ten
 			binary.LittleEndian.PutUint32(buf[1+4*j:], math.Float32bits(v))
 		}
 		h.Write(buf)
-	}
-	res, err := e.Run(a, in)
+		if i == e.Net.OutputLayer() {
+			last = out.ToLayout(tensor.NCHW).Data()
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := acts[net.OutputLayer()].ToLayout(tensor.NCHW).Data()
 	for j, v := range res.Output.Data() {
-		if math.Float32bits(v) != math.Float32bits(want[j]) {
-			t.Fatalf("Run output %d is %v, replayed layers give %v", j, v, want[j])
+		if math.Float32bits(v) != math.Float32bits(last[j]) {
+			t.Fatalf("Run output %d is %v, the last layer gave %v", j, v, last[j])
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -191,9 +181,12 @@ var dagDigests = map[string]map[string]string{
 }
 
 // TestDAGOutputDigests is TestMobileNetOutputDigests for googlenet,
-// squeezenet and resnet18. It is skipped under -short.
+// squeezenet and resnet18. It takes about a minute and a half, so it
+// is skipped under -short and under the race detector; the MobileNet
+// digests and the concurrent-Run test exercise the same kernels and
+// arena code under -race.
 func TestDAGOutputDigests(t *testing.T) {
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		t.Skip("large networks")
 	}
 	for _, name := range []string{"googlenet", "squeezenet", "resnet18"} {

@@ -132,7 +132,8 @@ func (e *Engine) makeParams(l *nn.Layer, rng *rand.Rand) layerParams {
 
 // RunResult reports one timed inference.
 type RunResult struct {
-	// Output is the final layer's activation (host layout, NCHW).
+	// Output is the final layer's activation (host layout, NCHW), in
+	// memory of its own that the caller may keep.
 	Output *tensor.Tensor
 	// LayerSeconds is the kernel execution time per layer index.
 	LayerSeconds []float64
@@ -155,8 +156,18 @@ func (e *Engine) VanillaAssignment() []primitives.ID {
 
 // Run executes the network on input with the given assignment (one
 // primitive ID per layer; entry 0 is ignored). The input must match
-// the network's input shape.
+// the network's input shape; Run never writes to it. The activations
+// live in an arena that Run allocates, plans by liveness and drops on
+// return (see compile), so concurrent Runs on one engine share nothing
+// but the weights, and the returned Output is the caller's to keep.
 func (e *Engine) Run(assignment []primitives.ID, input *tensor.Tensor) (*RunResult, error) {
+	return e.run(assignment, input, nil)
+}
+
+// run is Run with an observer, which, when non-nil, sees each layer's
+// output as soon as its kernel returns, before the arena reuses its
+// memory.
+func (e *Engine) run(assignment []primitives.ID, input *tensor.Tensor, observe func(layer int, out *tensor.Tensor)) (*RunResult, error) {
 	net := e.Net
 	if len(assignment) != net.Len() {
 		return nil, fmt.Errorf("engine: assignment has %d entries, want %d", len(assignment), net.Len())
@@ -164,38 +175,63 @@ func (e *Engine) Run(assignment []primitives.ID, input *tensor.Tensor) (*RunResu
 	if !input.Shape().Equal(net.InputShape) {
 		return nil, fmt.Errorf("engine: input shape %v, want %v", input.Shape(), net.InputShape)
 	}
+	prog, err := e.compile(assignment)
+	if err != nil {
+		return nil, err
+	}
+	offset := make([]int, len(prog.slots)+1)
+	for s, n := range prog.slots {
+		offset[s+1] = offset[s] + n
+	}
+	arena := make([]float32, offset[len(prog.slots)])
+	at := func(v view) *tensor.Tensor {
+		return tensor.NewFrom(v.shape, v.layout, arena[offset[v.slot]:offset[v.slot]+v.shape.Elems()])
+	}
 	res := &RunResult{
 		LayerSeconds:   make([]float64, net.Len()),
 		PenaltySeconds: make([]float64, net.Len()),
 	}
 	acts := make([]*tensor.Tensor, net.Len())
 	acts[0] = input.ToLayout(tensor.NCHW)
+	var ins []*tensor.Tensor
 	start := time.Now()
-	for i := 1; i < net.Len(); i++ {
-		l := net.Layers[i]
-		p := primitives.ByID(assignment[i])
-		if err := checkExecutable(l, p); err != nil {
-			return nil, err
-		}
+	for _, st := range prog.steps {
+		i := st.layer
 		// Real layout conversions at incompatible edges, timed as the
 		// consumer's penalty — exactly the compatibility layers of
 		// the paper's Fig. 3.
-		inputs := make([]*tensor.Tensor, len(l.Inputs))
-		for k, src := range l.Inputs {
-			t0 := time.Now()
-			inputs[k] = acts[src].ToLayout(p.Layout)
-			res.PenaltySeconds[i] += time.Since(t0).Seconds()
+		ins = ins[:0]
+		for _, op := range st.in {
+			x := acts[op.src]
+			if op.conv.slot >= 0 {
+				t0 := time.Now()
+				x = tensor.Convert(at(op.conv), x)
+				res.PenaltySeconds[i] += time.Since(t0).Seconds()
+			}
+			ins = append(ins, x)
+		}
+		var dst *tensor.Tensor
+		switch {
+		case st.inPlace:
+			dst = ins[0]
+		case st.out.slot >= 0:
+			dst = at(st.out)
 		}
 		t0 := time.Now()
-		out, err := e.exec(i, l, p, inputs)
+		out, err := e.execCfg(dst, i, net.Layers[i], st.prim, ins, st.cfg)
 		if err != nil {
 			return nil, err
 		}
 		res.LayerSeconds[i] = time.Since(t0).Seconds()
 		acts[i] = out
+		if observe != nil {
+			observe(i, out)
+		}
 	}
-	outIdx := net.OutputLayer()
-	res.Output = acts[outIdx].ToLayout(tensor.NCHW)
+	// A copy, so that a caller holding the output does not keep the
+	// whole arena alive.
+	out := acts[net.OutputLayer()]
+	res.Output = tensor.Convert(tensor.New(out.Shape(), tensor.NCHW), out)
 	res.Total = time.Since(start).Seconds()
 	return res, nil
 }
@@ -220,51 +256,54 @@ func checkExecutable(l *nn.Layer, p *primitives.Primitive) error {
 	return fmt.Errorf("engine: primitive %s cannot implement layer %s (%v)", p.Name, l.Name, l.Kind)
 }
 
-// exec dispatches one layer to the kernel implementing the primitive.
-// Inputs are already in p.Layout. A tuned twin runs as its base under
-// the config recorded for it (the zero config when none was), so plain
-// layers and twins share one dispatch.
-func (e *Engine) exec(i int, l *nn.Layer, p *primitives.Primitive, in []*tensor.Tensor) (*tensor.Tensor, error) {
+// exec dispatches one layer to the kernel implementing the primitive,
+// writing into dst (a fresh tensor when dst is nil). Inputs are already
+// in p.Layout. A tuned twin runs as its base under the config recorded
+// for it (the zero config when none was), so plain layers and twins
+// share one dispatch.
+func (e *Engine) exec(dst *tensor.Tensor, i int, l *nn.Layer, p *primitives.Primitive, in []*tensor.Tensor) (*tensor.Tensor, error) {
 	var cfg kernels.ConvTuned
 	if p.Tuned {
 		cfg = e.tuned[tunedKey{i, p.Idx}]
 		p = primitives.ByID(p.Base)
 	}
-	return e.execCfg(i, l, p, in, cfg)
+	return e.execCfg(dst, i, l, p, in, cfg)
 }
 
 // execCfg executes layer i under a non-twin primitive, with cfg
-// parameterizing its conv or depth-wise kernel.
-func (e *Engine) execCfg(i int, l *nn.Layer, p *primitives.Primitive, in []*tensor.Tensor, cfg kernels.ConvTuned) (*tensor.Tensor, error) {
+// parameterizing its conv or depth-wise kernel. dst, when non-nil, is
+// the output tensor in the layer's output shape and outLayout; it may
+// be in[0] for the kinds inPlace admits. A Dropout returns in[0].
+func (e *Engine) execCfg(dst *tensor.Tensor, i int, l *nn.Layer, p *primitives.Primitive, in []*tensor.Tensor, cfg kernels.ConvTuned) (*tensor.Tensor, error) {
 	x := in[0]
 	par := e.params[i]
 	switch l.Kind {
 	case nn.OpConv, nn.OpDepthwiseConv:
-		return e.execConv(l, p, x, par, cfg)
+		return e.execConv(dst, l, p, x, par, cfg)
 	case nn.OpFullyConnected:
 		if p.Lib == primitives.Sparse {
-			return kernels.FCSparse(x, par.csr, par.bias), nil
+			return kernels.FCSparse(dst, x, par.csr, par.bias), nil
 		}
-		return kernels.FCGemv(x, par.w, par.bias, l.OutUnits), nil
+		return kernels.FCGemv(dst, x, par.w, par.bias, l.OutUnits), nil
 	case nn.OpPool:
 		if l.Pool == nn.MaxPool {
-			return kernels.MaxPool(x, l.Conv), nil
+			return kernels.MaxPool(dst, x, l.Conv), nil
 		}
-		return kernels.AvgPool(x, l.Conv), nil
+		return kernels.AvgPool(dst, x, l.Conv), nil
 	case nn.OpReLU:
-		return kernels.ReLU(x), nil
+		return kernels.ReLU(dst, x), nil
 	case nn.OpBatchNorm:
-		return kernels.BatchNorm(x, par.scale, par.shift), nil
+		return kernels.BatchNorm(dst, x, par.scale, par.shift), nil
 	case nn.OpLRN:
-		return kernels.LRN(x, l.LRNSize), nil
+		return kernels.LRN(dst, x, l.LRNSize), nil
 	case nn.OpSoftmax:
-		return kernels.Softmax(x), nil
+		return kernels.Softmax(dst, x), nil
 	case nn.OpConcat:
-		return kernels.Concat(in), nil
+		return kernels.Concat(dst, in), nil
 	case nn.OpEltwiseAdd:
-		return kernels.EltwiseAdd(in[0], in[1]), nil
+		return kernels.EltwiseAdd(dst, in[0], in[1]), nil
 	case nn.OpFlatten:
-		return kernels.Flatten(x), nil
+		return kernels.Flatten(dst, x), nil
 	case nn.OpDropout:
 		return x, nil // inference dropout is the identity
 	}
@@ -282,7 +321,7 @@ func (e *Engine) execCfg(i int, l *nn.Layer, p *primitives.Primitive, in []*tens
 // packed GEMM runs under cfg.Block, which a zero Block makes
 // bit-identical to gemm.Parallel. Panel applies to the im2col and
 // im2row lowerings only.
-func (e *Engine) execConv(l *nn.Layer, p *primitives.Primitive, x *tensor.Tensor, par layerParams, cfg kernels.ConvTuned) (*tensor.Tensor, error) {
+func (e *Engine) execConv(dst *tensor.Tensor, l *nn.Layer, p *primitives.Primitive, x *tensor.Tensor, par layerParams, cfg kernels.ConvTuned) (*tensor.Tensor, error) {
 	w := cfg.Workers
 	if w <= 0 {
 		w = e.workers
@@ -290,11 +329,11 @@ func (e *Engine) execConv(l *nn.Layer, p *primitives.Primitive, x *tensor.Tensor
 	if l.Kind == nn.OpDepthwiseConv {
 		switch {
 		case p.Lib == primitives.Vanilla:
-			return kernels.DepthwiseDirect(x, par.w, par.bias, l.Conv, 1), nil
+			return kernels.DepthwiseDirect(dst, x, par.w, par.bias, l.Conv, 1), nil
 		case p.Layout == tensor.NHWC:
-			return kernels.DepthwiseNHWC(x, par.w, par.bias, l.Conv, w), nil
+			return kernels.DepthwiseNHWC(dst, x, par.w, par.bias, l.Conv, w), nil
 		}
-		return kernels.DepthwiseDirect(x, par.w, par.bias, l.Conv, w), nil
+		return kernels.DepthwiseDirect(dst, x, par.w, par.bias, l.Conv, w), nil
 	}
 	// Tuned libraries get the packed parallel GEMM (the tuned-BLAS
 	// stand-in); ATLAS and Vanilla keep the naive one — their role in
@@ -308,36 +347,50 @@ func (e *Engine) execConv(l *nn.Layer, p *primitives.Primitive, x *tensor.Tensor
 	if kernels.IsGrouped(l.Conv) {
 		switch p.Lib {
 		case primitives.Vanilla:
-			return kernels.ConvGroupedDirect(x, par.w, par.bias, l.Conv, 1), nil
+			return kernels.ConvGroupedDirect(dst, x, par.w, par.bias, l.Conv, 1), nil
 		case primitives.Sparse:
 			// Sparse weights for grouped convs run the direct grouped
 			// path (the zeros contribute nothing either way).
-			return kernels.ConvGroupedDirect(x, par.w, par.bias, l.Conv, 1), nil
+			return kernels.ConvGroupedDirect(dst, x, par.w, par.bias, l.Conv, 1), nil
 		default:
-			return kernels.ConvGroupedIm2col(x, par.w, par.bias, l.Conv, mul, w), nil
+			return kernels.ConvGroupedIm2col(dst, x, par.w, par.bias, l.Conv, mul, w), nil
 		}
 	}
 	switch {
 	case p.Lib == primitives.Vanilla:
-		return kernels.ConvDirect(x, par.w, par.bias, l.Conv, 1), nil
+		return kernels.ConvDirect(dst, x, par.w, par.bias, l.Conv, 1), nil
 	case p.Lib == primitives.Sparse:
-		return kernels.ConvSparse(x, par.csr, par.bias, l.Conv), nil
+		return kernels.ConvSparse(dst, x, par.csr, par.bias, l.Conv), nil
 	case p.Algo == primitives.WinogradAlgo:
-		nchw := x.ToLayout(tensor.NCHW)
-		out := kernels.ConvWinograd(nchw, par.w, par.bias, l.Conv, w)
-		return out.ToLayout(p.Layout), nil
+		return viaNCHW(dst, x, p.Layout, func(dst, in *tensor.Tensor) *tensor.Tensor {
+			return kernels.ConvWinograd(dst, in, par.w, par.bias, l.Conv, w)
+		}), nil
 	case p.Algo == primitives.FFTAlgo:
-		nchw := x.ToLayout(tensor.NCHW)
-		out := kernels.ConvFFT(nchw, par.w, par.bias, l.Conv, w)
-		return out.ToLayout(p.Layout), nil
+		return viaNCHW(dst, x, p.Layout, func(dst, in *tensor.Tensor) *tensor.Tensor {
+			return kernels.ConvFFT(dst, in, par.w, par.bias, l.Conv, w)
+		}), nil
 	case p.Layout == tensor.NHWC: // nnpack-gemm / armcl-gemm
-		return kernels.ConvDirectNHWC(x, par.w, par.bias, l.Conv, w), nil
+		return kernels.ConvDirectNHWC(dst, x, par.w, par.bias, l.Conv, w), nil
 	case p.Lower == primitives.Im2col:
-		return kernels.ConvIm2col(x, par.w, par.bias, l.Conv, mul, w, cfg.Panel), nil
+		return kernels.ConvIm2col(dst, x, par.w, par.bias, l.Conv, mul, w, cfg.Panel), nil
 	case p.Lower == primitives.Im2row:
-		return kernels.ConvIm2row(x, par.w, par.bias, l.Conv, mul, w, cfg.Panel), nil
+		return kernels.ConvIm2row(dst, x, par.w, par.bias, l.Conv, mul, w, cfg.Panel), nil
 	case p.Lower == primitives.Kn2row:
-		return kernels.ConvKn2row(x, par.w, par.bias, l.Conv, mul, w), nil
+		return kernels.ConvKn2row(dst, x, par.w, par.bias, l.Conv, mul, w), nil
 	}
 	return nil, fmt.Errorf("engine: no conv kernel for %s", p.Name)
+}
+
+// viaNCHW runs an NCHW-only kernel for a primitive of layout l: x and
+// the kernel's output convert to and from NCHW when l is NHWC, and the
+// result lands in dst (a fresh tensor when dst is nil).
+func viaNCHW(dst, x *tensor.Tensor, l tensor.Layout, kernel func(dst, in *tensor.Tensor) *tensor.Tensor) *tensor.Tensor {
+	if l == tensor.NCHW {
+		return kernel(dst, x)
+	}
+	out := kernel(nil, x.ToLayout(tensor.NCHW))
+	if dst == nil {
+		return out.ToLayout(l)
+	}
+	return tensor.Convert(dst, out)
 }

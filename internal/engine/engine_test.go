@@ -70,14 +70,7 @@ func TestAssignmentInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 12; trial++ {
-		assignment := make([]primitives.ID, net.Len())
-		assignment[0] = primitives.PVanilla.Idx
-		for i := 1; i < net.Len(); i++ {
-			cands := primitives.Candidates(net.Layers[i], primitives.ModeCPU)
-			assignment[i] = cands[rng.Intn(len(cands))].Idx
-		}
+	for trial, assignment := range randomAssignments(net, 12, 9) {
 		res, err := e.Run(assignment, in)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -266,17 +259,7 @@ func TestParallelismBitIdenticalOutputs(t *testing.T) {
 	net := testNet(t)
 	in := testInput(net, 5)
 	seq := New(net, 3, 0.5)
-	rng := rand.New(rand.NewSource(10))
-	assignments := [][]primitives.ID{seq.VanillaAssignment()}
-	for trial := 0; trial < 6; trial++ {
-		a := make([]primitives.ID, net.Len())
-		a[0] = primitives.PVanilla.Idx
-		for i := 1; i < net.Len(); i++ {
-			cands := primitives.Candidates(net.Layers[i], primitives.ModeCPU)
-			a[i] = cands[rng.Intn(len(cands))].Idx
-		}
-		assignments = append(assignments, a)
-	}
+	assignments := append([][]primitives.ID{seq.VanillaAssignment()}, randomAssignments(net, 6, 10)...)
 	for _, workers := range []int{2, 4, 8} {
 		par := New(net, 3, 0.5, Parallelism(workers))
 		if par.Workers() != workers {

@@ -36,7 +36,7 @@ func NewSource(e *Engine, input *tensor.Tensor) (*Source, error) {
 		for k, src := range l.Inputs {
 			inputs[k] = s.acts[src].ToLayout(tensor.NCHW)
 		}
-		out, err := e.exec(i, l, primitives.PVanilla, inputs)
+		out, err := e.exec(nil, i, l, primitives.PVanilla, inputs)
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +76,7 @@ func (s *Source) MeasureSample(ctx context.Context, i int, p *primitives.Primiti
 		inputs[k] = s.acts[src].ToLayout(p.Layout)
 	}
 	t0 := time.Now()
-	if _, err := s.eng.exec(i, l, p, inputs); err != nil {
+	if _, err := s.eng.exec(nil, i, l, p, inputs); err != nil {
 		return 0, fmt.Errorf("profiling %s with %s: %w", l.Name, p.Name, err)
 	}
 	return time.Since(t0).Seconds(), nil

@@ -6,6 +6,11 @@
 // / normalization operators. NCHW is the native layout; a handful of
 // NHWC-native kernels exist so the engine has genuinely
 // layout-incompatible primitives to choose between.
+//
+// Every kernel takes its output tensor as its first argument, dst, and
+// returns it; a nil dst allocates a fresh one. A kernel overwrites every
+// element of dst, so a reused buffer needs no clearing. Only ReLU,
+// BatchNorm and EltwiseAdd (as its first operand) accept dst == in.
 package kernels
 
 import (
@@ -40,6 +45,18 @@ func validSpan(n, stride, off, size int) (lo, hi int) {
 	return min(lo, hi), hi
 }
 
+// output returns dst as the kernel's output tensor of shape s in
+// layout l, or a fresh one when dst is nil.
+func output(dst *tensor.Tensor, s tensor.Shape, l tensor.Layout) *tensor.Tensor {
+	if dst == nil {
+		return tensor.New(s, l)
+	}
+	if !dst.Shape().Equal(s) || dst.Layout() != l {
+		panic(fmt.Sprintf("kernels: destination is %v %v, the output is %v %v", dst.Shape(), dst.Layout(), s, l))
+	}
+	return dst
+}
+
 // checkConvArgs validates weight/bias lengths for a dense convolution.
 func checkConvArgs(in tensor.Shape, w, bias []float32, p nn.ConvParams) {
 	need := p.OutChannels * in.C * p.KernelH * p.KernelW
@@ -57,13 +74,13 @@ func checkConvArgs(in tensor.Shape, w, bias []float32, p nn.ConvParams) {
 // output-channel) planes are partitioned across at most workers
 // goroutines; each plane is computed by exactly one iteration with the
 // sequential code, so the output is bit-identical at any worker count.
-func ConvDirect(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+func ConvDirect(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvDirect requires NCHW input")
 	}
 	s := in.Shape()
 	checkConvArgs(s, w, bias, p)
-	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
+	out := output(dst, convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
 	kArea := p.KernelH * p.KernelW
 	parFor(s.N*os.C, workers, func(j int) {
@@ -101,13 +118,13 @@ func ConvDirect(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers i
 // partitioned across workers goroutines; output rows are contiguous
 // exclusive slabs in NHWC, so results are bit-identical at any worker
 // count.
-func ConvDirectNHWC(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+func ConvDirectNHWC(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NHWC {
 		panic("kernels: ConvDirectNHWC requires NHWC input")
 	}
 	s := in.Shape()
 	checkConvArgs(s, w, bias, p)
-	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NHWC)
+	out := output(dst, convOutShape(s, p.OutChannels, p), tensor.NHWC)
 	os := out.Shape()
 	kArea := p.KernelH * p.KernelW
 	parFor(s.N*os.H, workers, func(j int) {
@@ -150,7 +167,7 @@ func ConvDirectNHWC(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, worke
 // wholly inside the input sums its nine taps unrolled. Every path adds
 // the valid taps to the bias in r-major, q-minor order, the order of
 // the textbook loop.
-func DepthwiseDirect(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+func DepthwiseDirect(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: DepthwiseDirect requires NCHW input")
 	}
@@ -162,18 +179,18 @@ func DepthwiseDirect(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, work
 	if len(bias) != s.C {
 		panic(fmt.Sprintf("kernels: depthwise bias has %d elements, need %d", len(bias), s.C))
 	}
-	out := tensor.New(convOutShape(s, s.C, p), tensor.NCHW)
+	out := output(dst, convOutShape(s, s.C, p), tensor.NCHW)
 	os := out.Shape()
 	plane, oplane := s.H*s.W, os.H*os.W
 	parFor(s.N*s.C, workers, func(j int) {
 		c := j % s.C
 		src := in.Data()[j*plane : (j+1)*plane]
-		dst := out.Data()[j*oplane : (j+1)*oplane]
+		res := out.Data()[j*oplane : (j+1)*oplane]
 		k := w[c*kArea : (c+1)*kArea]
 		for oh := 0; oh < os.H; oh++ {
 			ih0 := oh*p.StrideH - p.PadH
 			r0, r1 := validSpan(p.KernelH, 1, ih0, s.H)
-			row := dst[oh*os.W : (oh+1)*os.W]
+			row := res[oh*os.W : (oh+1)*os.W]
 			// Columns whose 3x3 window lies wholly inside the input.
 			lo, hi := 0, 0
 			if p.KernelH == 3 && p.KernelW == 3 && r1-r0 == 3 {
@@ -233,7 +250,7 @@ func depthwise3x3Row(dst, rows []float32, w, iw, stride int, k []float32, b floa
 // are bit-identical at any worker count. Like DepthwiseDirect it
 // indexes the sample slice directly with the window clipped to the
 // input once per output row and pixel.
-func DepthwiseNHWC(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+func DepthwiseNHWC(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NHWC {
 		panic("kernels: DepthwiseNHWC requires NHWC input")
 	}
@@ -242,7 +259,7 @@ func DepthwiseNHWC(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, worker
 	if len(w) != s.C*kArea || len(bias) != s.C {
 		panic("kernels: depthwise weight/bias size mismatch")
 	}
-	out := tensor.New(convOutShape(s, s.C, p), tensor.NHWC)
+	out := output(dst, convOutShape(s, s.C, p), tensor.NHWC)
 	os := out.Shape()
 	parFor(s.N*os.H, workers, func(j int) {
 		n, oh := j/os.H, j%os.H

@@ -97,7 +97,7 @@ func nextPow2(v int) int {
 // shared read-only; each worker owns a contiguous output-channel chunk
 // (boundaries depend only on the shape and worker count) with its own
 // scratch grids, so results are bit-identical at any worker count.
-func ConvFFT(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+func ConvFFT(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvFFT requires NCHW input")
 	}
@@ -106,7 +106,7 @@ func ConvFFT(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int)
 	}
 	s := in.Shape()
 	checkConvArgs(s, w, bias, p)
-	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
+	out := output(dst, convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
 
 	// Grid large enough for the padded input and the linear (not

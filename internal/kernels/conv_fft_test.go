@@ -88,8 +88,8 @@ func TestConvFFTMatchesDirect(t *testing.T) {
 			continue
 		}
 		x, w, b := randConv(rng, g.in, g.p)
-		ref := ConvDirect(x, w, b, g.p, 1)
-		got := ConvFFT(x, w, b, g.p, 1)
+		ref := ConvDirect(nil, x, w, b, g.p, 1)
+		got := ConvFFT(nil, x, w, b, g.p, 1)
 		if d := tensor.MaxAbsDiff(ref, got); d > convTol {
 			t.Errorf("%s: fft conv max diff %g", g.name, d)
 		}
@@ -102,8 +102,8 @@ func TestConvFFT5x5Inception(t *testing.T) {
 	in := tensor.Shape{N: 1, C: 16, H: 14, W: 14}
 	p := nn.ConvParams{OutChannels: 8, KernelH: 5, KernelW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}
 	x, w, b := randConv(rng, in, p)
-	ref := ConvDirect(x, w, b, p, 1)
-	got := ConvFFT(x, w, b, p, 1)
+	ref := ConvDirect(nil, x, w, b, p, 1)
+	got := ConvFFT(nil, x, w, b, p, 1)
 	if d := tensor.MaxAbsDiff(ref, got); d > convTol {
 		t.Errorf("5x5 fft conv max diff %g", d)
 	}
@@ -117,7 +117,7 @@ func TestConvFFTRejectsStride(t *testing.T) {
 	}()
 	p := nn.ConvParams{OutChannels: 1, KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2}
 	x, w, b := randConv(rand.New(rand.NewSource(1)), tensor.Shape{N: 1, C: 1, H: 8, W: 8}, p)
-	ConvFFT(x, w, b, p, 1)
+	ConvFFT(nil, x, w, b, p, 1)
 }
 
 func TestConvFFTProperty(t *testing.T) {
@@ -133,7 +133,7 @@ func TestConvFFTProperty(t *testing.T) {
 			PadH: int(k % 2), PadW: int(k % 2),
 		}
 		x, w, b := randConv(rng, in, p)
-		return tensor.MaxAbsDiff(ConvDirect(x, w, b, p, 1), ConvFFT(x, w, b, p, 1)) <= convTol
+		return tensor.MaxAbsDiff(ConvDirect(nil, x, w, b, p, 1), ConvFFT(nil, x, w, b, p, 1)) <= convTol
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -33,7 +33,7 @@ func checkGroupedArgs(in tensor.Shape, w, bias []float32, p nn.ConvParams) error
 // partitioned across workers goroutines (each output channel reads only
 // its own group's input block); results are bit-identical at any worker
 // count.
-func ConvGroupedDirect(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+func ConvGroupedDirect(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvGroupedDirect requires NCHW input")
 	}
@@ -43,11 +43,11 @@ func ConvGroupedDirect(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, wo
 	}
 	g := p.GroupCount()
 	if g == 1 {
-		return ConvDirect(in, w, bias, p, workers)
+		return ConvDirect(dst, in, w, bias, p, workers)
 	}
 	inPerG, outPerG := s.C/g, p.OutChannels/g
 	kArea := p.KernelH * p.KernelW
-	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
+	out := output(dst, convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
 	parFor(s.N*p.OutChannels, workers, func(j int) {
 		n, oc := j/p.OutChannels, j%p.OutChannels
@@ -102,7 +102,7 @@ func sliceChannels(in *tensor.Tensor, from, to int) *tensor.Tensor {
 // input channels, runs its own sequential im2col GEMM, and writes an
 // exclusive output channel block, so results are bit-identical at any
 // worker count.
-func ConvGroupedIm2col(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
+func ConvGroupedIm2col(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvGroupedIm2col requires NCHW input")
 	}
@@ -112,10 +112,10 @@ func ConvGroupedIm2col(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mu
 	}
 	g := p.GroupCount()
 	if g == 1 {
-		return ConvIm2col(in, w, bias, p, mul, workers, 0)
+		return ConvIm2col(dst, in, w, bias, p, mul, workers, 0)
 	}
 	inPerG, outPerG := s.C/g, p.OutChannels/g
-	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
+	out := output(dst, convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
 	spatial := os.H * os.W
 	kArea := p.KernelH * p.KernelW
@@ -126,11 +126,10 @@ func ConvGroupedIm2col(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mu
 		gin := sliceChannels(in, grp*inPerG, (grp+1)*inPerG)
 		gw := w[grp*outPerG*inPerG*kArea : (grp+1)*outPerG*inPerG*kArea]
 		gb := bias[grp*outPerG : (grp+1)*outPerG]
-		gout := ConvIm2col(gin, gw, gb, sub, mul, 1, 0)
+		gout := ConvIm2col(nil, gin, gw, gb, sub, mul, 1, 0)
 		for n := 0; n < s.N; n++ {
 			src := gout.Data()[n*outPerG*spatial:]
-			dst := out.Data()[n*os.C*spatial+grp*outPerG*spatial:]
-			copy(dst[:outPerG*spatial], src[:outPerG*spatial])
+			copy(out.Data()[n*os.C*spatial+grp*outPerG*spatial:][:outPerG*spatial], src[:outPerG*spatial])
 		}
 	})
 	return out

@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"fmt"
+
 	"repro/internal/gemm"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -15,8 +17,8 @@ import (
 // its own block of output rows. Every entry is a pure assignment into
 // an exclusive column range, so the matrix is bit-identical at any
 // worker count.
-func Im2col(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) []float32 {
-	m := make([]float32, in.Shape().C*p.KernelH*p.KernelW*oh*ow)
+func Im2col(dst []float32, in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) []float32 {
+	m := matrix(dst, in.Shape().C*p.KernelH*p.KernelW*oh*ow)
 	im2colRows(in, n, p, ow, 0, oh, workers, m)
 	return m
 }
@@ -26,10 +28,22 @@ func Im2col(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) []fl
 // libraries that prefer the patches as rows. The patch rows are
 // partitioned by output row across workers goroutines; each patch is an
 // exclusive slice, so the matrix is bit-identical at any worker count.
-func Im2row(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) []float32 {
-	m := make([]float32, oh*ow*in.Shape().C*p.KernelH*p.KernelW)
+func Im2row(dst []float32, in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) []float32 {
+	m := matrix(dst, oh*ow*in.Shape().C*p.KernelH*p.KernelW)
 	im2rowRows(in, n, p, ow, 0, oh, workers, m)
 	return m
+}
+
+// matrix returns dst as a lowering's size-element matrix, or a fresh
+// one when dst is nil. The lowerings write every entry.
+func matrix(dst []float32, size int) []float32 {
+	if dst == nil {
+		return make([]float32, size)
+	}
+	if len(dst) != size {
+		panic(fmt.Sprintf("kernels: destination has %d elements, the matrix %d", len(dst), size))
+	}
+	return dst
 }
 
 // im2colRows writes the im2col lowering of output rows [y0, y1) into
@@ -150,13 +164,13 @@ type Gemm func(m, n, k int, a, b, c []float32)
 // a pointwise conv hands it the input sample in place of a gathered
 // copy. Smaller blocks multiply into a scratch panel copied into the
 // output rows.
-func ConvIm2col(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers, panel int) *tensor.Tensor {
+func ConvIm2col(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers, panel int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvIm2col requires NCHW input")
 	}
 	s := in.Shape()
 	checkConvArgs(s, w, bias, p)
-	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
+	out := output(dst, convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
 	ckk := s.C * p.KernelH * p.KernelW
 	spatial := os.H * os.W
@@ -172,15 +186,15 @@ func ConvIm2col(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm,
 		pres = make([]float32, p.OutChannels*panel*os.W)
 	}
 	for n := 0; n < s.N; n++ {
-		dst := sample(out, n)
+		res := sample(out, n)
 		if whole {
-			fillBias(dst, bias, spatial)
+			fillBias(res, bias, spatial)
 			b := sample(in, n)
 			if cols != nil {
 				im2colRows(in, n, p, os.W, 0, os.H, workers, cols)
 				b = cols
 			}
-			mul(p.OutChannels, spatial, ckk, w, b, dst)
+			mul(p.OutChannels, spatial, ckk, w, b, res)
 			continue
 		}
 		for y0 := 0; y0 < os.H; y0 += panel {
@@ -190,7 +204,7 @@ func ConvIm2col(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm,
 			fillBias(pres, bias, pcols)
 			mul(p.OutChannels, pcols, ckk, w, cols, pres)
 			for oc := 0; oc < p.OutChannels; oc++ {
-				copy(dst[oc*spatial+y0*os.W:oc*spatial+y1*os.W], pres[oc*pcols:(oc+1)*pcols])
+				copy(res[oc*spatial+y0*os.W:oc*spatial+y1*os.W], pres[oc*pcols:(oc+1)*pcols])
 			}
 		}
 	}
@@ -205,13 +219,13 @@ func ConvIm2col(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm,
 // >= OH is one block), each block's (rows x OC) product transposed into
 // the NCHW output. Blocks split the GEMM's m dimension only, so the
 // result does not depend on panel.
-func ConvIm2row(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers, panel int) *tensor.Tensor {
+func ConvIm2row(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers, panel int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvIm2row requires NCHW input")
 	}
 	s := in.Shape()
 	checkConvArgs(s, w, bias, p)
-	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
+	out := output(dst, convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
 	ckk := s.C * p.KernelH * p.KernelW
 	spatial := os.H * os.W
@@ -223,7 +237,7 @@ func ConvIm2row(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm,
 	rows := make([]float32, panel*os.W*ckk)
 	pres := make([]float32, panel*os.W*p.OutChannels)
 	for n := 0; n < s.N; n++ {
-		dst := sample(out, n)
+		res := sample(out, n)
 		for y0 := 0; y0 < os.H; y0 += panel {
 			y1 := min(y0+panel, os.H)
 			prows := (y1 - y0) * os.W
@@ -234,7 +248,7 @@ func ConvIm2row(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm,
 			mul(prows, p.OutChannels, ckk, rows, wt, pres)
 			for i := 0; i < prows; i++ {
 				for oc := 0; oc < p.OutChannels; oc++ {
-					dst[oc*spatial+y0*os.W+i] = pres[i*p.OutChannels+oc]
+					res[oc*spatial+y0*os.W+i] = pres[i*p.OutChannels+oc]
 				}
 			}
 		}
@@ -255,13 +269,13 @@ func ConvIm2row(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm,
 // accumulate straight into the output sample. A 1x1 kernel needs no
 // weight regroup (its one OC x C block is w), and a pointwise conv's
 // shifted view is the input sample itself.
-func ConvKn2row(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
+func ConvKn2row(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvKn2row requires NCHW input")
 	}
 	s := in.Shape()
 	checkConvArgs(s, w, bias, p)
-	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
+	out := output(dst, convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
 	spatial := os.H * os.W
 	kArea := p.KernelH * p.KernelW
@@ -285,8 +299,8 @@ func ConvKn2row(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm,
 		shift = make([]float32, s.C*spatial)
 	}
 	for n := 0; n < s.N; n++ {
-		dst := sample(out, n)
-		fillBias(dst, bias, spatial)
+		res := sample(out, n)
+		fillBias(res, bias, spatial)
 		src := sample(in, n)
 		for r := 0; r < p.KernelH; r++ {
 			for q := 0; q < p.KernelW; q++ {
@@ -303,7 +317,7 @@ func ConvKn2row(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm,
 					view = shift
 				}
 				off := r*p.KernelW + q
-				mul(p.OutChannels, spatial, s.C, sub[off*block:(off+1)*block], view, dst)
+				mul(p.OutChannels, spatial, s.C, sub[off*block:(off+1)*block], view, res)
 			}
 		}
 	}

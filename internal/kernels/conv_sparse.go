@@ -94,7 +94,7 @@ func (m *CSR) MulVec(x, y []float32) {
 
 // ConvSparse computes a dense-output convolution whose weights are a
 // CSR matrix of shape (OC x C*KH*KW): im2col the input, then SpMM.
-func ConvSparse(in *tensor.Tensor, w *CSR, bias []float32, p nn.ConvParams) *tensor.Tensor {
+func ConvSparse(dst, in *tensor.Tensor, w *CSR, bias []float32, p nn.ConvParams) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvSparse requires NCHW input")
 	}
@@ -106,35 +106,29 @@ func ConvSparse(in *tensor.Tensor, w *CSR, bias []float32, p nn.ConvParams) *ten
 	if len(bias) != p.OutChannels {
 		panic("kernels: sparse conv bias size mismatch")
 	}
-	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
+	out := output(dst, convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
 	spatial := os.H * os.W
+	var cols []float32
 	for n := 0; n < s.N; n++ {
-		cols := Im2col(in, n, p, os.H, os.W, 1)
-		res := make([]float32, p.OutChannels*spatial)
-		for oc := 0; oc < p.OutChannels; oc++ {
-			b := bias[oc]
-			row := res[oc*spatial : (oc+1)*spatial]
-			for i := range row {
-				row[i] = b
-			}
-		}
+		cols = Im2col(cols, in, n, p, os.H, os.W, 1)
+		res := sample(out, n)
+		fillBias(res, bias, spatial)
 		w.MulMat(spatial, cols, res)
-		copy(out.Data()[n*os.C*spatial:], res)
 	}
 	return out
 }
 
 // FCSparse computes a fully-connected layer with CSR weights
 // (OutUnits x In): SpMV plus bias.
-func FCSparse(in *tensor.Tensor, w *CSR, bias []float32) *tensor.Tensor {
+func FCSparse(dst, in *tensor.Tensor, w *CSR, bias []float32) *tensor.Tensor {
 	s := in.Shape()
 	inWidth := s.C * s.H * s.W
 	if w.Cols != inWidth || len(bias) != w.Rows {
 		panic(fmt.Sprintf("kernels: sparse FC %dx%d incompatible with input %d / bias %d",
 			w.Rows, w.Cols, inWidth, len(bias)))
 	}
-	out := tensor.New(tensor.Shape{N: s.N, C: w.Rows, H: 1, W: 1}, tensor.NCHW)
+	out := output(dst, tensor.Shape{N: s.N, C: w.Rows, H: 1, W: 1}, tensor.NCHW)
 	for n := 0; n < s.N; n++ {
 		x := in.Data()[n*inWidth : (n+1)*inWidth]
 		y := out.Data()[n*w.Rows : (n+1)*w.Rows]

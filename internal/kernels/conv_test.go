@@ -59,28 +59,28 @@ func TestConvVariantsMatchDirect(t *testing.T) {
 		run  func(in *tensor.Tensor, w, b []float32, p nn.ConvParams) *tensor.Tensor
 	}{
 		{"im2col-naive", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams) *tensor.Tensor {
-			return ConvIm2col(in, w, b, p, gemm.Naive, 1, 0)
+			return ConvIm2col(nil, in, w, b, p, gemm.Naive, 1, 0)
 		}},
 		{"im2col-packed", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams) *tensor.Tensor {
-			return ConvIm2col(in, w, b, p, packed, 1, 0)
+			return ConvIm2col(nil, in, w, b, p, packed, 1, 0)
 		}},
 		{"im2row", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams) *tensor.Tensor {
-			return ConvIm2row(in, w, b, p, packed, 1, 0)
+			return ConvIm2row(nil, in, w, b, p, packed, 1, 0)
 		}},
 		{"kn2row", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams) *tensor.Tensor {
-			return ConvKn2row(in, w, b, p, packed, 1)
+			return ConvKn2row(nil, in, w, b, p, packed, 1)
 		}},
 		{"nhwc", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams) *tensor.Tensor {
-			return ConvDirectNHWC(in.ToLayout(tensor.NHWC), w, b, p, 1).ToLayout(tensor.NCHW)
+			return ConvDirectNHWC(nil, in.ToLayout(tensor.NHWC), w, b, p, 1).ToLayout(tensor.NCHW)
 		}},
 		{"sparse-dense", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams) *tensor.Tensor {
 			csr := FromDense(p.OutChannels, in.Shape().C*p.KernelH*p.KernelW, w, 0)
-			return ConvSparse(in, csr, b, p)
+			return ConvSparse(nil, in, csr, b, p)
 		}},
 	}
 	for _, g := range convGeometries {
 		x, w, b := randConv(rng, g.in, g.p)
-		ref := ConvDirect(x, w, b, g.p, 1)
+		ref := ConvDirect(nil, x, w, b, g.p, 1)
 		for _, v := range variants {
 			got := v.run(x, w, b, g.p)
 			if got.Layout() != tensor.NCHW {
@@ -104,8 +104,8 @@ func TestWinogradMatchesDirect(t *testing.T) {
 			continue
 		}
 		x, w, b := randConv(rng, g.in, g.p)
-		ref := ConvDirect(x, w, b, g.p, 1)
-		got := ConvWinograd(x, w, b, g.p, 1)
+		ref := ConvDirect(nil, x, w, b, g.p, 1)
+		got := ConvWinograd(nil, x, w, b, g.p, 1)
 		if d := tensor.MaxAbsDiff(ref, got); d > convTol {
 			t.Errorf("%s: winograd max diff %g", g.name, d)
 		}
@@ -114,7 +114,7 @@ func TestWinogradMatchesDirect(t *testing.T) {
 	in := tensor.Shape{N: 1, C: 2, H: 7, W: 9}
 	p := nn.ConvParams{OutChannels: 3, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	x, w, b := randConv(rng, in, p)
-	if d := tensor.MaxAbsDiff(ConvDirect(x, w, b, p, 1), ConvWinograd(x, w, b, p, 1)); d > convTol {
+	if d := tensor.MaxAbsDiff(ConvDirect(nil, x, w, b, p, 1), ConvWinograd(nil, x, w, b, p, 1)); d > convTol {
 		t.Errorf("odd-size winograd max diff %g", d)
 	}
 }
@@ -127,7 +127,7 @@ func TestWinogradRejectsBadGeometry(t *testing.T) {
 	}()
 	p := nn.ConvParams{OutChannels: 1, KernelH: 5, KernelW: 5, StrideH: 1, StrideW: 1}
 	x, w, b := randConv(rand.New(rand.NewSource(1)), tensor.Shape{N: 1, C: 1, H: 8, W: 8}, p)
-	ConvWinograd(x, w, b, p, 1)
+	ConvWinograd(nil, x, w, b, p, 1)
 }
 
 // Property: im2col and direct agree on random small geometries.
@@ -144,8 +144,8 @@ func TestConvLoweringProperty(t *testing.T) {
 			PadH: int(k % 2), PadW: int(k % 2),
 		}
 		x, w, b := randConv(rng, in, p)
-		ref := ConvDirect(x, w, b, p, 1)
-		got := ConvIm2col(x, w, b, p, gemm.Naive, 1, 0)
+		ref := ConvDirect(nil, x, w, b, p, 1)
+		got := ConvIm2col(nil, x, w, b, p, gemm.Naive, 1, 0)
 		return tensor.MaxAbsDiff(ref, got) <= convTol
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -167,20 +167,20 @@ func TestDepthwiseMatchesPerChannelDirect(t *testing.T) {
 	for i := range b {
 		b[i] = rng.Float32()
 	}
-	got := DepthwiseDirect(x, w, b, p, 1)
+	got := DepthwiseDirect(nil, x, w, b, p, 1)
 
 	// Reference: depthwise == dense conv with a block-diagonal filter.
 	dense := make([]float32, in.C*in.C*9)
 	for c := 0; c < in.C; c++ {
 		copy(dense[(c*in.C+c)*9:(c*in.C+c)*9+9], w[c*9:c*9+9])
 	}
-	ref := ConvDirect(x, dense, b, p, 1)
+	ref := ConvDirect(nil, x, dense, b, p, 1)
 	if d := tensor.MaxAbsDiff(ref, got); d > convTol {
 		t.Errorf("depthwise max diff %g", d)
 	}
 
 	// NHWC variant agrees too.
-	got2 := DepthwiseNHWC(x.ToLayout(tensor.NHWC), w, b, p, 1)
+	got2 := DepthwiseNHWC(nil, x.ToLayout(tensor.NHWC), w, b, p, 1)
 	if d := tensor.MaxAbsDiff(ref, got2.ToLayout(tensor.NCHW)); d > convTol {
 		t.Errorf("depthwise NHWC max diff %g", d)
 	}
@@ -193,7 +193,7 @@ func TestConvDirectRejectsWrongLayout(t *testing.T) {
 		}
 	}()
 	p := nn.ConvParams{OutChannels: 1, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1}
-	ConvDirect(tensor.New(tensor.Shape{N: 1, C: 1, H: 2, W: 2}, tensor.NHWC), []float32{1}, []float32{0}, p, 1)
+	ConvDirect(nil, tensor.New(tensor.Shape{N: 1, C: 1, H: 2, W: 2}, tensor.NHWC), []float32{1}, []float32{0}, p, 1)
 }
 
 func TestConvWeightSizeChecked(t *testing.T) {
@@ -203,7 +203,7 @@ func TestConvWeightSizeChecked(t *testing.T) {
 		}
 	}()
 	p := nn.ConvParams{OutChannels: 2, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}
-	ConvDirect(tensor.New(tensor.Shape{N: 1, C: 1, H: 4, W: 4}, tensor.NCHW), []float32{1, 2}, []float32{0, 0}, p, 1)
+	ConvDirect(nil, tensor.New(tensor.Shape{N: 1, C: 1, H: 4, W: 4}, tensor.NCHW), []float32{1, 2}, []float32{0, 0}, p, 1)
 }
 
 func TestCSRRoundTrip(t *testing.T) {
@@ -244,8 +244,8 @@ func TestFCSparseMatchesDense(t *testing.T) {
 		w[i] = rng.Float32()*2 - 1
 	}
 	b := make([]float32, 8)
-	ref := FCGemv(in, w, b, 8)
-	got := FCSparse(in, FromDense(8, 20, w, 0), b)
+	ref := FCGemv(nil, in, w, b, 8)
+	got := FCSparse(nil, in, FromDense(8, 20, w, 0), b)
 	if d := tensor.MaxAbsDiff(ref, got); d > convTol {
 		t.Errorf("sparse FC max diff %g", d)
 	}

@@ -13,9 +13,9 @@ import (
 // conv dispatch does, with a fallback fan-out of 1.
 func runTuned(x *tensor.Tensor, w, b []float32, p nn.ConvParams, cfg ConvTuned) (col, row, kn *tensor.Tensor) {
 	mul, workers := refTunedGemm(cfg)
-	return ConvIm2col(x, w, b, p, mul, workers, cfg.Panel),
-		ConvIm2row(x, w, b, p, mul, workers, cfg.Panel),
-		ConvKn2row(x, w, b, p, mul, workers)
+	return ConvIm2col(nil, x, w, b, p, mul, workers, cfg.Panel),
+		ConvIm2row(nil, x, w, b, p, mul, workers, cfg.Panel),
+		ConvKn2row(nil, x, w, b, p, mul, workers)
 }
 
 // TestConvTunedZeroConfigBitIdentical pins the golden-safety contract:
@@ -26,9 +26,9 @@ func TestConvTunedZeroConfigBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, g := range convGeometries {
 		x, w, b := randConv(rng, g.in, g.p)
-		refCol := ConvIm2col(x, w, b, g.p, packed, 1, 0)
-		refRow := ConvIm2row(x, w, b, g.p, packed, 1, 0)
-		refKn := ConvKn2row(x, w, b, g.p, packed, 1)
+		refCol := ConvIm2col(nil, x, w, b, g.p, packed, 1, 0)
+		refRow := ConvIm2row(nil, x, w, b, g.p, packed, 1, 0)
+		refKn := ConvKn2row(nil, x, w, b, g.p, packed, 1)
 		for _, panel := range []int{0, 1, 2, 3, 100} {
 			for _, workers := range []int{1, 3} {
 				col, row, kn := runTuned(x, w, b, g.p, ConvTuned{Panel: panel, Workers: workers})
@@ -58,7 +58,7 @@ func TestConvTunedBlockedMatchesDirect(t *testing.T) {
 	}
 	for _, g := range convGeometries {
 		x, w, b := randConv(rng, g.in, g.p)
-		ref := ConvDirect(x, w, b, g.p, 1)
+		ref := ConvDirect(nil, x, w, b, g.p, 1)
 		for i, cfg := range cfgs {
 			col, row, kn := runTuned(x, w, b, g.p, cfg)
 			for name, got := range map[string]*tensor.Tensor{"im2col": col, "im2row": row, "kn2row": kn} {

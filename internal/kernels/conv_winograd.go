@@ -15,7 +15,7 @@ import (
 // goroutines. The filter transform is computed once and shared
 // read-only; each (n, oc) plane of tiles is owned by one iteration with
 // its own scratch, so results are bit-identical at any worker count.
-func ConvWinograd(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+func ConvWinograd(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvWinograd requires NCHW input")
 	}
@@ -24,7 +24,7 @@ func ConvWinograd(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers
 	}
 	s := in.Shape()
 	checkConvArgs(s, w, bias, p)
-	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
+	out := output(dst, convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
 
 	// Filter transform U = G g G^T, one 4x4 block per (oc, c).

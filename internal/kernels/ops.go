@@ -11,7 +11,7 @@ import (
 
 // FCGemv computes a fully-connected layer as a dense GEMV (the
 // cuBLAS-style batch-1 path). Weights are row-major (OutUnits x In).
-func FCGemv(in *tensor.Tensor, w, bias []float32, outUnits int) *tensor.Tensor {
+func FCGemv(dst, in *tensor.Tensor, w, bias []float32, outUnits int) *tensor.Tensor {
 	s := in.Shape()
 	inWidth := s.C * s.H * s.W
 	if len(w) != outUnits*inWidth {
@@ -20,7 +20,7 @@ func FCGemv(in *tensor.Tensor, w, bias []float32, outUnits int) *tensor.Tensor {
 	if len(bias) != outUnits {
 		panic("kernels: FC bias size mismatch")
 	}
-	out := tensor.New(tensor.Shape{N: s.N, C: outUnits, H: 1, W: 1}, tensor.NCHW)
+	out := output(dst, tensor.Shape{N: s.N, C: outUnits, H: 1, W: 1}, tensor.NCHW)
 	for n := 0; n < s.N; n++ {
 		x := in.Data()[n*inWidth : (n+1)*inWidth]
 		y := out.Data()[n*outUnits : (n+1)*outUnits]
@@ -32,8 +32,8 @@ func FCGemv(in *tensor.Tensor, w, bias []float32, outUnits int) *tensor.Tensor {
 
 // MaxPool computes spatial max pooling, preserving the input layout.
 // Padded positions never win the max (they are treated as -inf).
-func MaxPool(in *tensor.Tensor, p nn.ConvParams) *tensor.Tensor {
-	out := tensor.New(convOutShape(in.Shape(), in.Shape().C, p), in.Layout())
+func MaxPool(dst, in *tensor.Tensor, p nn.ConvParams) *tensor.Tensor {
+	out := output(dst, convOutShape(in.Shape(), in.Shape().C, p), in.Layout())
 	src := in.Data()
 	poolWindows(in, out, p, func(x, r0, r1, dr, q0, q1, dq int) float32 {
 		best := float32(math.Inf(-1))
@@ -51,8 +51,8 @@ func MaxPool(in *tensor.Tensor, p nn.ConvParams) *tensor.Tensor {
 
 // AvgPool computes spatial average pooling, preserving the input
 // layout and dividing by the full window area (Caffe convention).
-func AvgPool(in *tensor.Tensor, p nn.ConvParams) *tensor.Tensor {
-	out := tensor.New(convOutShape(in.Shape(), in.Shape().C, p), in.Layout())
+func AvgPool(dst, in *tensor.Tensor, p nn.ConvParams) *tensor.Tensor {
+	out := output(dst, convOutShape(in.Shape(), in.Shape().C, p), in.Layout())
 	src := in.Data()
 	area := float32(p.KernelH * p.KernelW)
 	poolWindows(in, out, p, func(x, r0, r1, dr, q0, q1, dq int) float32 {
@@ -73,7 +73,7 @@ func AvgPool(in *tensor.Tensor, p nn.ConvParams) *tensor.Tensor {
 // visited — at in.Data()[x + r*dr + q*dq], in r-major, q-minor order.
 func poolWindows(in, out *tensor.Tensor, p nn.ConvParams, reduce func(x, r0, r1, dr, q0, q1, dq int) float32) {
 	s, os := in.Shape(), out.Shape()
-	dst := out.Data()
+	y := out.Data()
 	isn, isc, ish, isw := in.Strides()
 	osn, osc, osh, osw := out.Strides()
 	for n := 0; n < s.N; n++ {
@@ -85,18 +85,18 @@ func poolWindows(in, out *tensor.Tensor, p nn.ConvParams, reduce func(x, r0, r1,
 					iw0 := ow*p.StrideW - p.PadW
 					q0, q1 := validSpan(p.KernelW, 1, iw0, s.W)
 					x := n*isn + c*isc + ih0*ish + iw0*isw
-					dst[n*osn+c*osc+oh*osh+ow*osw] = reduce(x, r0, r1, ish, q0, q1, isw)
+					y[n*osn+c*osc+oh*osh+ow*osw] = reduce(x, r0, r1, ish, q0, q1, isw)
 				}
 			}
 		}
 	}
 }
 
-// ReLU applies max(0, x) element-wise, preserving layout, in one pass
-// into a fresh tensor. Only values below zero are replaced, so -0 and
-// NaN pass through with their bits unchanged.
-func ReLU(in *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(in.Shape(), in.Layout())
+// ReLU applies max(0, x) element-wise, preserving layout, in one pass.
+// Only values below zero are replaced, so -0 and NaN pass through with
+// their bits unchanged. dst may be in itself.
+func ReLU(dst, in *tensor.Tensor) *tensor.Tensor {
+	out := output(dst, in.Shape(), in.Layout())
 	d := out.Data()
 	for i, v := range in.Data() {
 		if v < 0 {
@@ -110,17 +110,17 @@ func ReLU(in *tensor.Tensor) *tensor.Tensor {
 // BatchNorm applies the inference-mode affine transform
 // y = x*scale[c] + shift[c] per channel, preserving layout: one
 // channel's parameters over each NCHW plane, or every channel's over
-// each NHWC pixel.
-func BatchNorm(in *tensor.Tensor, scale, shift []float32) *tensor.Tensor {
+// each NHWC pixel. dst may be in itself.
+func BatchNorm(dst, in *tensor.Tensor, scale, shift []float32) *tensor.Tensor {
 	s := in.Shape()
 	if len(scale) != s.C || len(shift) != s.C {
 		panic("kernels: batch-norm parameter size mismatch")
 	}
-	out := tensor.New(s, in.Layout())
-	src, dst := in.Data(), out.Data()
+	out := output(dst, s, in.Layout())
+	src, res := in.Data(), out.Data()
 	if in.Layout() == tensor.NHWC {
 		for i := 0; i < len(src); i += s.C {
-			y := dst[i : i+s.C]
+			y := res[i : i+s.C]
 			for c, v := range src[i : i+s.C] {
 				y[c] = v*scale[c] + shift[c]
 			}
@@ -130,7 +130,7 @@ func BatchNorm(in *tensor.Tensor, scale, shift []float32) *tensor.Tensor {
 	hw := s.H * s.W
 	for j := 0; j < s.N*s.C; j++ {
 		sc, sh := scale[j%s.C], shift[j%s.C]
-		y := dst[j*hw : (j+1)*hw]
+		y := res[j*hw : (j+1)*hw]
 		for i, v := range src[j*hw : (j+1)*hw] {
 			y[i] = v*sc + sh
 		}
@@ -140,14 +140,14 @@ func BatchNorm(in *tensor.Tensor, scale, shift []float32) *tensor.Tensor {
 
 // LRN applies AlexNet-style cross-channel local response
 // normalization with window size, alpha 1e-4, beta 0.75, k 1.
-func LRN(in *tensor.Tensor, size int) *tensor.Tensor {
+func LRN(dst, in *tensor.Tensor, size int) *tensor.Tensor {
 	const (
 		alpha = 1e-4
 		beta  = 0.75
 		k     = 1.0
 	)
 	s := in.Shape()
-	out := tensor.New(s, in.Layout())
+	out := output(dst, s, in.Layout())
 	half := size / 2
 	for n := 0; n < s.N; n++ {
 		for h := 0; h < s.H; h++ {
@@ -172,10 +172,10 @@ func LRN(in *tensor.Tensor, size int) *tensor.Tensor {
 
 // Softmax normalizes each sample's values into probabilities over the
 // channel axis (numerically stabilized by max subtraction).
-func Softmax(in *tensor.Tensor) *tensor.Tensor {
+func Softmax(dst, in *tensor.Tensor) *tensor.Tensor {
 	s := in.Shape()
-	out := tensor.New(s, in.Layout())
-	src, dst := in.Data(), out.Data()
+	out := output(dst, s, in.Layout())
+	src, res := in.Data(), out.Data()
 	sn, sc, sh, sw := in.Strides()
 	exps := make([]float64, s.C)
 	for n := 0; n < s.N; n++ {
@@ -195,7 +195,7 @@ func Softmax(in *tensor.Tensor) *tensor.Tensor {
 					sum += e
 				}
 				for c, e := range exps {
-					dst[base+c*sc] = float32(e / sum)
+					res[base+c*sc] = float32(e / sum)
 				}
 			}
 		}
@@ -205,7 +205,7 @@ func Softmax(in *tensor.Tensor) *tensor.Tensor {
 
 // Concat concatenates the inputs along the channel axis. All inputs
 // must share N/H/W and layout; the output uses the first input's layout.
-func Concat(ins []*tensor.Tensor) *tensor.Tensor {
+func Concat(dst *tensor.Tensor, ins []*tensor.Tensor) *tensor.Tensor {
 	if len(ins) == 0 {
 		panic("kernels: Concat needs at least one input")
 	}
@@ -221,8 +221,8 @@ func Concat(ins []*tensor.Tensor) *tensor.Tensor {
 		}
 		total += s.C
 	}
-	out := tensor.New(tensor.Shape{N: first.N, C: total, H: first.H, W: first.W}, ins[0].Layout())
-	dst := out.Data()
+	out := output(dst, tensor.Shape{N: first.N, C: total, H: first.H, W: first.W}, ins[0].Layout())
+	res := out.Data()
 	hw := first.H * first.W
 	base := 0
 	for _, in := range ins {
@@ -230,12 +230,12 @@ func Concat(ins []*tensor.Tensor) *tensor.Tensor {
 		for n := 0; n < first.N; n++ {
 			if in.Layout() == tensor.NCHW {
 				// A sample's channels are one contiguous block.
-				copy(dst[(n*total+base)*hw:], src[n*c*hw:(n+1)*c*hw])
+				copy(res[(n*total+base)*hw:], src[n*c*hw:(n+1)*c*hw])
 				continue
 			}
 			// NHWC: each pixel's channels are a contiguous run.
 			for i := n * hw; i < (n+1)*hw; i++ {
-				copy(dst[i*total+base:], src[i*c:(i+1)*c])
+				copy(res[i*total+base:], src[i*c:(i+1)*c])
 			}
 		}
 		base += c
@@ -243,27 +243,25 @@ func Concat(ins []*tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// EltwiseAdd adds two tensors of identical shape element-wise.
-func EltwiseAdd(a, b *tensor.Tensor) *tensor.Tensor {
+// EltwiseAdd adds two tensors of identical shape element-wise, in a's
+// layout. dst may be a itself.
+func EltwiseAdd(dst, a, b *tensor.Tensor) *tensor.Tensor {
 	if !a.Shape().Equal(b.Shape()) {
 		panic("kernels: EltwiseAdd shape mismatch")
 	}
-	bb := b.ToLayout(a.Layout())
-	out := a.Clone()
-	d, e := out.Data(), bb.Data()
+	out := output(dst, a.Shape(), a.Layout())
+	d, x, e := out.Data(), a.Data(), b.ToLayout(a.Layout()).Data()
 	for i := range d {
-		d[i] += e[i]
+		d[i] = x[i] + e[i]
 	}
 	return out
 }
 
 // Flatten reshapes an activation into N x (CHW) x 1 x 1, materializing
 // NCHW order regardless of the input layout.
-func Flatten(in *tensor.Tensor) *tensor.Tensor {
-	nchw := in.ToLayout(tensor.NCHW)
+func Flatten(dst, in *tensor.Tensor) *tensor.Tensor {
 	s := in.Shape()
-	flat := tensor.Shape{N: s.N, C: s.C * s.H * s.W, H: 1, W: 1}
-	d := make([]float32, len(nchw.Data()))
-	copy(d, nchw.Data())
-	return tensor.NewFrom(flat, tensor.NCHW, d)
+	out := output(dst, tensor.Shape{N: s.N, C: s.C * s.H * s.W, H: 1, W: 1}, tensor.NCHW)
+	tensor.Convert(tensor.NewFrom(s, tensor.NCHW, out.Data()), in)
+	return out
 }

@@ -17,7 +17,7 @@ func TestMaxPoolKnown(t *testing.T) {
 		13, 14, 15, 16,
 	})
 	p := nn.ConvParams{KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2}
-	out := MaxPool(in, p)
+	out := MaxPool(nil, in, p)
 	want := []float32{6, 8, 14, 16}
 	for i, v := range want {
 		if out.Data()[i] != v {
@@ -31,7 +31,7 @@ func TestMaxPoolPaddingIgnored(t *testing.T) {
 	in := tensor.New(tensor.Shape{N: 1, C: 1, H: 2, W: 2}, tensor.NCHW)
 	in.Fill(-5)
 	p := nn.ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	out := MaxPool(in, p)
+	out := MaxPool(nil, in, p)
 	for i, v := range out.Data() {
 		if v != -5 {
 			t.Errorf("out[%d] = %v, want -5 (padding leaked into max)", i, v)
@@ -42,7 +42,7 @@ func TestMaxPoolPaddingIgnored(t *testing.T) {
 func TestAvgPoolKnown(t *testing.T) {
 	in := tensor.NewFrom(tensor.Shape{N: 1, C: 1, H: 2, W: 2}, tensor.NCHW, []float32{1, 2, 3, 4})
 	p := nn.ConvParams{KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2}
-	out := AvgPool(in, p)
+	out := AvgPool(nil, in, p)
 	if out.Data()[0] != 2.5 {
 		t.Errorf("avg = %v, want 2.5", out.Data()[0])
 	}
@@ -50,7 +50,7 @@ func TestAvgPoolKnown(t *testing.T) {
 
 func TestReLU(t *testing.T) {
 	in := tensor.NewFrom(tensor.Shape{N: 1, C: 1, H: 1, W: 4}, tensor.NCHW, []float32{-1, 0, 2, -3})
-	out := ReLU(in)
+	out := ReLU(nil, in)
 	want := []float32{0, 0, 2, 0}
 	for i, v := range want {
 		if out.Data()[i] != v {
@@ -84,7 +84,7 @@ func TestReLUEdgeValues(t *testing.T) {
 	for i, c := range cases {
 		in.Data()[i] = c.in
 	}
-	out := ReLU(in).Data()
+	out := ReLU(nil, in).Data()
 	for i, c := range cases {
 		if math.Float32bits(out[i]) != math.Float32bits(c.want) {
 			t.Errorf("ReLU(%#08x) = %#08x, want %#08x", math.Float32bits(c.in), math.Float32bits(out[i]), math.Float32bits(c.want))
@@ -101,7 +101,7 @@ func TestReLUMatchesComparison(t *testing.T) {
 	for i := range in.Data() {
 		in.Data()[i] = math.Float32frombits(rng.Uint32())
 	}
-	out := ReLU(in).Data()
+	out := ReLU(nil, in).Data()
 	for i, v := range in.Data() {
 		want := v
 		if v < 0 {
@@ -113,9 +113,56 @@ func TestReLUMatchesComparison(t *testing.T) {
 	}
 }
 
+// TestReLUEveryBitPattern checks ReLU against the plain "zero it if
+// v < 0" rule on all 2^32 float32 bit patterns: both zeros, denormals,
+// infinities and NaNs of either sign. Under -short, and under the race
+// detector, it checks a sample of every class instead.
+func TestReLUEveryBitPattern(t *testing.T) {
+	const chunk = 1 << 20
+	in := tensor.New(tensor.Shape{N: 1, C: 1, H: 1, W: chunk}, tensor.NCHW)
+	out := tensor.New(in.Shape(), tensor.NCHW)
+	x, y := in.Data(), out.Data()
+	check := func() {
+		t.Helper()
+		ReLU(out, in)
+		for i, v := range x {
+			want := v
+			if v < 0 {
+				want = 0
+			}
+			if got := y[i]; math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("ReLU(%#08x) = %#08x, want %#08x", math.Float32bits(v), math.Float32bits(got), math.Float32bits(want))
+			}
+		}
+	}
+	if testing.Short() || raceEnabled {
+		// Each class's edges with either sign, then the rest of the
+		// chunk at random: ±0, the smallest and largest denormals and
+		// normals, ±Inf, and the quiet and signalling NaNs with extreme
+		// payloads.
+		edges := []uint32{0, 1, 0x007fffff, 0x00800000, 0x3f800000, 0x7f7fffff, 0x7f800000, 0x7f800001, 0x7fbfffff, 0x7fc00000, 0x7fffffff}
+		rng := rand.New(rand.NewSource(8))
+		for i := range x {
+			b := rng.Uint32()
+			if i < 2*len(edges) {
+				b = edges[i/2] | uint32(i%2)<<31
+			}
+			x[i] = math.Float32frombits(b)
+		}
+		check()
+		return
+	}
+	for hi := 0; hi < 1<<32/chunk; hi++ {
+		for i := range x {
+			x[i] = math.Float32frombits(uint32(hi*chunk + i))
+		}
+		check()
+	}
+}
+
 func TestBatchNorm(t *testing.T) {
 	in := tensor.NewFrom(tensor.Shape{N: 1, C: 2, H: 1, W: 2}, tensor.NCHW, []float32{1, 2, 3, 4})
-	out := BatchNorm(in, []float32{2, 10}, []float32{1, -1})
+	out := BatchNorm(nil, in, []float32{2, 10}, []float32{1, -1})
 	want := []float32{3, 5, 29, 39}
 	for i, v := range want {
 		if out.Data()[i] != v {
@@ -128,7 +175,7 @@ func TestLRNIdentityForTinyActivations(t *testing.T) {
 	// With alpha*sq tiny, denominator ~1 so output ~input.
 	in := tensor.New(tensor.Shape{N: 1, C: 5, H: 2, W: 2}, tensor.NCHW)
 	in.Fill(0.01)
-	out := LRN(in, 5)
+	out := LRN(nil, in, 5)
 	if d := tensor.MaxAbsDiff(in, out); d > 1e-5 {
 		t.Errorf("LRN perturbation %g too large for tiny input", d)
 	}
@@ -137,7 +184,7 @@ func TestLRNIdentityForTinyActivations(t *testing.T) {
 func TestLRNShrinksLargeActivations(t *testing.T) {
 	in := tensor.New(tensor.Shape{N: 1, C: 5, H: 1, W: 1}, tensor.NCHW)
 	in.Fill(100)
-	out := LRN(in, 5)
+	out := LRN(nil, in, 5)
 	for c := 0; c < 5; c++ {
 		if out.At(0, c, 0, 0) >= 100 {
 			t.Errorf("LRN should shrink large activations, got %v", out.At(0, c, 0, 0))
@@ -147,7 +194,7 @@ func TestLRNShrinksLargeActivations(t *testing.T) {
 
 func TestSoftmax(t *testing.T) {
 	in := tensor.NewFrom(tensor.Shape{N: 1, C: 3, H: 1, W: 1}, tensor.NCHW, []float32{1, 2, 3})
-	out := Softmax(in)
+	out := Softmax(nil, in)
 	var sum float64
 	for c := 0; c < 3; c++ {
 		v := float64(out.At(0, c, 0, 0))
@@ -166,7 +213,7 @@ func TestSoftmax(t *testing.T) {
 
 func TestSoftmaxNumericalStability(t *testing.T) {
 	in := tensor.NewFrom(tensor.Shape{N: 1, C: 2, H: 1, W: 1}, tensor.NCHW, []float32{1000, 1001})
-	out := Softmax(in)
+	out := Softmax(nil, in)
 	for c := 0; c < 2; c++ {
 		if v := out.At(0, c, 0, 0); math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			t.Fatalf("softmax[%d] = %v not finite", c, v)
@@ -179,7 +226,7 @@ func TestConcat(t *testing.T) {
 	a.Fill(1)
 	b := tensor.New(tensor.Shape{N: 1, C: 3, H: 2, W: 2}, tensor.NCHW)
 	b.Fill(2)
-	out := Concat([]*tensor.Tensor{a, b})
+	out := Concat(nil, []*tensor.Tensor{a, b})
 	if out.Shape().C != 5 {
 		t.Fatalf("concat channels = %d", out.Shape().C)
 	}
@@ -196,7 +243,7 @@ func TestConcatRejectsMismatch(t *testing.T) {
 	}()
 	a := tensor.New(tensor.Shape{N: 1, C: 1, H: 2, W: 2}, tensor.NCHW)
 	b := tensor.New(tensor.Shape{N: 1, C: 1, H: 3, W: 2}, tensor.NCHW)
-	Concat([]*tensor.Tensor{a, b})
+	Concat(nil, []*tensor.Tensor{a, b})
 }
 
 func TestEltwiseAdd(t *testing.T) {
@@ -204,7 +251,7 @@ func TestEltwiseAdd(t *testing.T) {
 	a.Fill(1)
 	b := tensor.New(tensor.Shape{N: 1, C: 1, H: 1, W: 3}, tensor.NCHW)
 	b.Fill(2)
-	out := EltwiseAdd(a, b)
+	out := EltwiseAdd(nil, a, b)
 	for _, v := range out.Data() {
 		if v != 3 {
 			t.Errorf("add = %v, want 3", v)
@@ -218,8 +265,8 @@ func TestEltwiseAddCrossLayout(t *testing.T) {
 	a.FillRandom(rng, 1)
 	b := tensor.New(tensor.Shape{N: 1, C: 3, H: 4, W: 4}, tensor.NCHW)
 	b.FillRandom(rng, 1)
-	ref := EltwiseAdd(a, b)
-	got := EltwiseAdd(a, b.ToLayout(tensor.NHWC))
+	ref := EltwiseAdd(nil, a, b)
+	got := EltwiseAdd(nil, a, b.ToLayout(tensor.NHWC))
 	if d := tensor.MaxAbsDiff(ref, got); d != 0 {
 		t.Errorf("cross-layout add differs by %g", d)
 	}
@@ -229,12 +276,12 @@ func TestFlatten(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	in := tensor.New(tensor.Shape{N: 1, C: 2, H: 3, W: 4}, tensor.NCHW)
 	in.FillRandom(rng, 1)
-	out := Flatten(in)
+	out := Flatten(nil, in)
 	if !out.Shape().Equal(tensor.Shape{N: 1, C: 24, H: 1, W: 1}) {
 		t.Fatalf("flatten shape = %v", out.Shape())
 	}
 	// Flatten of an NHWC tensor must produce canonical NCHW order.
-	out2 := Flatten(in.ToLayout(tensor.NHWC))
+	out2 := Flatten(nil, in.ToLayout(tensor.NHWC))
 	if d := tensor.MaxAbsDiff(out, out2); d != 0 {
 		t.Errorf("flatten layout dependence: diff %g", d)
 	}
@@ -244,7 +291,7 @@ func TestFCGemvKnown(t *testing.T) {
 	in := tensor.NewFrom(tensor.Shape{N: 1, C: 2, H: 1, W: 1}, tensor.NCHW, []float32{1, 2})
 	w := []float32{1, 0, 0, 1, 1, 1} // 3x2
 	b := []float32{10, 20, 30}
-	out := FCGemv(in, w, b, 3)
+	out := FCGemv(nil, in, w, b, 3)
 	want := []float32{11, 22, 33}
 	for i, v := range want {
 		if out.Data()[i] != v {
@@ -258,7 +305,7 @@ func TestGlobalAvgPoolEqualsMean(t *testing.T) {
 	in := tensor.New(tensor.Shape{N: 1, C: 2, H: 5, W: 5}, tensor.NCHW)
 	in.FillRandom(rng, 1)
 	p := nn.ConvParams{KernelH: 5, KernelW: 5, StrideH: 5, StrideW: 5}
-	out := AvgPool(in, p)
+	out := AvgPool(nil, in, p)
 	for c := 0; c < 2; c++ {
 		var sum float32
 		for h := 0; h < 5; h++ {

@@ -37,30 +37,32 @@ func TestParKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 		name string
 		run  func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor
 	}{
-		{"direct", ConvDirect},
+		{"direct", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+			return ConvDirect(nil, in, w, b, p, workers)
+		}},
 		{"winograd3x3", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 			if p.KernelH != 3 || p.KernelW != 3 || p.StrideH != 1 || p.StrideW != 1 {
 				return nil
 			}
-			return ConvWinograd(in, w, b, p, workers)
+			return ConvWinograd(nil, in, w, b, p, workers)
 		}},
 		{"fft", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 			if p.StrideH != 1 || p.StrideW != 1 {
 				return nil
 			}
-			return ConvFFT(in, w, b, p, workers)
+			return ConvFFT(nil, in, w, b, p, workers)
 		}},
 		{"im2col", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
-			return ConvIm2col(in, w, b, p, packed, workers, 0)
+			return ConvIm2col(nil, in, w, b, p, packed, workers, 0)
 		}},
 		{"im2row", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
-			return ConvIm2row(in, w, b, p, packed, workers, 0)
+			return ConvIm2row(nil, in, w, b, p, packed, workers, 0)
 		}},
 		{"kn2row", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
-			return ConvKn2row(in, w, b, p, packed, workers)
+			return ConvKn2row(nil, in, w, b, p, packed, workers)
 		}},
 		{"nhwc", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
-			return ConvDirectNHWC(in.ToLayout(tensor.NHWC), w, b, p, workers)
+			return ConvDirectNHWC(nil, in.ToLayout(tensor.NHWC), w, b, p, workers)
 		}},
 	}
 	for _, g := range convGeometries {
@@ -88,16 +90,16 @@ func TestParKernelsMatchSequentialExports(t *testing.T) {
 	x, w, b := randConv(rng, g.in, g.p)
 	for _, k := range []struct {
 		name string
-		run  func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor
+		run  func(dst, in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor
 	}{
 		{"ConvDirect", ConvDirect},
 		{"ConvWinograd", ConvWinograd},
 		{"ConvFFT", ConvFFT},
 		{"ConvGroupedDirect", ConvGroupedDirect},
 	} {
-		seq := k.run(x, w, b, g.p, 1)
+		seq := k.run(nil, x, w, b, g.p, 1)
 		for _, workers := range []int{0, -1} {
-			if !tensorsBitEqual(seq, k.run(x, w, b, g.p, workers)) {
+			if !tensorsBitEqual(seq, k.run(nil, x, w, b, g.p, workers)) {
 				t.Errorf("%s workers=%d != workers=1", k.name, workers)
 			}
 		}
@@ -120,14 +122,14 @@ func TestDepthwiseParBitIdentical(t *testing.T) {
 	for i := range b {
 		b[i] = rng.Float32()
 	}
-	seq := DepthwiseDirect(x, w, b, p, 1)
+	seq := DepthwiseDirect(nil, x, w, b, p, 1)
 	xh := x.ToLayout(tensor.NHWC)
-	seqH := DepthwiseNHWC(xh, w, b, p, 1)
+	seqH := DepthwiseNHWC(nil, xh, w, b, p, 1)
 	for _, workers := range parWorkerCounts {
-		if !tensorsBitEqual(seq, DepthwiseDirect(x, w, b, p, workers)) {
+		if !tensorsBitEqual(seq, DepthwiseDirect(nil, x, w, b, p, workers)) {
 			t.Errorf("DepthwiseDirect workers=%d: not bit-identical", workers)
 		}
-		if !tensorsBitEqual(seqH, DepthwiseNHWC(xh, w, b, p, workers)) {
+		if !tensorsBitEqual(seqH, DepthwiseNHWC(nil, xh, w, b, p, workers)) {
 			t.Errorf("DepthwiseNHWC workers=%d: not bit-identical", workers)
 		}
 	}
@@ -149,13 +151,13 @@ func TestGroupedParBitIdentical(t *testing.T) {
 	for i := range b {
 		b[i] = rng.Float32()
 	}
-	seqD := ConvGroupedDirect(x, w, b, p, 1)
-	seqI := ConvGroupedIm2col(x, w, b, p, packed, 1)
+	seqD := ConvGroupedDirect(nil, x, w, b, p, 1)
+	seqI := ConvGroupedIm2col(nil, x, w, b, p, packed, 1)
 	for _, workers := range parWorkerCounts {
-		if !tensorsBitEqual(seqD, ConvGroupedDirect(x, w, b, p, workers)) {
+		if !tensorsBitEqual(seqD, ConvGroupedDirect(nil, x, w, b, p, workers)) {
 			t.Errorf("ConvGroupedDirect workers=%d: not bit-identical", workers)
 		}
-		if !tensorsBitEqual(seqI, ConvGroupedIm2col(x, w, b, p, packed, workers)) {
+		if !tensorsBitEqual(seqI, ConvGroupedIm2col(nil, x, w, b, p, packed, workers)) {
 			t.Errorf("ConvGroupedIm2col workers=%d: not bit-identical", workers)
 		}
 	}
@@ -167,9 +169,9 @@ func TestConvPackedGemmMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for _, g := range convGeometries {
 		x, w, b := randConv(rng, g.in, g.p)
-		ref := ConvDirect(x, w, b, g.p, 1)
+		ref := ConvDirect(nil, x, w, b, g.p, 1)
 		for _, workers := range []int{1, 4} {
-			got := ConvIm2col(x, w, b, g.p, func(m, n, k int, a, bb, c []float32) {
+			got := ConvIm2col(nil, x, w, b, g.p, func(m, n, k int, a, bb, c []float32) {
 				gemm.Parallel(m, n, k, a, bb, c, workers)
 			}, workers, 0)
 			rd, gd := ref.Data(), got.Data()

@@ -237,6 +237,46 @@ func refToLayout(t *tensor.Tensor, l tensor.Layout) *tensor.Tensor {
 	return out
 }
 
+func refEltwiseAdd(a, b *tensor.Tensor) *tensor.Tensor {
+	bb := b.ToLayout(a.Layout())
+	out := a.Clone()
+	d, e := out.Data(), bb.Data()
+	for i := range d {
+		d[i] += e[i]
+	}
+	return out
+}
+
+func refFlatten(in *tensor.Tensor) *tensor.Tensor {
+	nchw := refToLayout(in, tensor.NCHW)
+	s := in.Shape()
+	flat := tensor.Shape{N: s.N, C: s.C * s.H * s.W, H: 1, W: 1}
+	d := make([]float32, len(nchw.Data()))
+	copy(d, nchw.Data())
+	return tensor.NewFrom(flat, tensor.NCHW, d)
+}
+
+func refConvSparse(in *tensor.Tensor, w *CSR, bias []float32, p nn.ConvParams) *tensor.Tensor {
+	s := in.Shape()
+	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
+	os := out.Shape()
+	spatial := os.H * os.W
+	for n := 0; n < s.N; n++ {
+		cols := refIm2colPar(in, n, p, os.H, os.W, 1)
+		res := make([]float32, p.OutChannels*spatial)
+		for oc := 0; oc < p.OutChannels; oc++ {
+			b := bias[oc]
+			row := res[oc*spatial : (oc+1)*spatial]
+			for i := range row {
+				row[i] = b
+			}
+		}
+		w.MulMat(spatial, cols, res)
+		copy(out.Data()[n*os.C*spatial:], res)
+	}
+	return out
+}
+
 func refIm2colPar(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) []float32 {
 	s := in.Shape()
 	rows := s.C * p.KernelH * p.KernelW
@@ -596,24 +636,52 @@ func sliceBitEqual(a, b []float32) bool {
 	return true
 }
 
-// checkMatchesReference runs every slice-indexed kernel on g against
-// its frozen At/Set loop and fails t unless the outputs carry
-// identical bits, at workers 1 and 3 and (for the layout-general
-// kernels) in both layouts.
+// checkMatchesReference runs every kernel on g against its frozen
+// At/Set loop — or, for the kernels that never had their loops
+// rewritten, against their own output into a fresh tensor — and fails
+// t unless the outputs carry identical bits, at workers 1 and 3 and
+// (for the layout-general kernels) in both layouts. Each kernel runs
+// three ways: with a nil destination, into a destination filled with
+// NaN (so a kernel that relies on zeroed memory fails), and, for the
+// kernels that accept it, in place into its own first input.
 func checkMatchesReference(t *testing.T, g refGeom, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	s := g.in
-	same := func(what string, want, got *tensor.Tensor) {
+	fail := func(what, how string) {
 		t.Helper()
-		if !tensorsBitEqual(want, got) {
-			t.Errorf("%s %s (in %v, %+v): not bit-identical to the reference", g.name, what, s, g.p)
+		t.Errorf("%s %s (in %v, %+v) %s: not bit-identical to the reference", g.name, what, s, g.p, how)
+	}
+	same := func(what string, want *tensor.Tensor, run func(dst *tensor.Tensor) *tensor.Tensor) {
+		t.Helper()
+		if !tensorsBitEqual(want, run(nil)) {
+			fail(what, "into a nil dst")
+		}
+		poisoned := tensor.New(want.Shape(), want.Layout())
+		poisoned.Fill(float32(math.NaN()))
+		if got := run(poisoned); got != poisoned || !tensorsBitEqual(want, got) {
+			fail(what, "into a NaN-filled dst")
 		}
 	}
-	sameSlice := func(what string, want, got []float32) {
+	sameInPlace := func(what string, want, in *tensor.Tensor, run func(dst, in *tensor.Tensor) *tensor.Tensor) {
 		t.Helper()
-		if !sliceBitEqual(want, got) {
-			t.Errorf("%s %s (in %v, %+v): not bit-identical to the reference", g.name, what, s, g.p)
+		same(what, want, func(dst *tensor.Tensor) *tensor.Tensor { return run(dst, in) })
+		alias := in.Clone()
+		if got := run(alias, alias); got != alias || !tensorsBitEqual(want, got) {
+			fail(what, "in place")
+		}
+	}
+	sameSlice := func(what string, want []float32, run func(dst []float32) []float32) {
+		t.Helper()
+		if !sliceBitEqual(want, run(nil)) {
+			fail(what, "into a nil dst")
+		}
+		poisoned := make([]float32, len(want))
+		for i := range poisoned {
+			poisoned[i] = float32(math.NaN())
+		}
+		if !sliceBitEqual(want, run(poisoned)) || !sliceBitEqual(want, poisoned) {
+			fail(what, "into a NaN-filled dst")
 		}
 	}
 
@@ -623,40 +691,104 @@ func checkMatchesReference(t *testing.T, g refGeom, seed int64) {
 	for _, l := range tensor.Layouts() {
 		xl, xsl := refToLayout(x, l), refToLayout(xs, l)
 		ln := l.String()
-		same("ToLayout/"+ln, refToLayout(xsl, tensor.NCHW), xsl.ToLayout(tensor.NCHW))
-		same("ToLayoutNHWC/"+ln, refToLayout(xsl, tensor.NHWC), xsl.ToLayout(tensor.NHWC))
-		same("ReLU/"+ln, refReLU(xsl), ReLU(xsl))
-		same("BatchNorm/"+ln, refBatchNorm(xsl, scale, shift), BatchNorm(xsl, scale, shift))
-		same("Softmax/"+ln, refSoftmax(xl), Softmax(xl))
-		same("MaxPool/"+ln, refMaxPool(xsl, g.p), MaxPool(xsl, g.p))
-		same("AvgPool/"+ln, refAvgPool(xl, g.p), AvgPool(xl, g.p))
+		for _, to := range tensor.Layouts() {
+			same("Convert/"+ln+"->"+to.String(), refToLayout(refToLayout(xsl, to), to), func(dst *tensor.Tensor) *tensor.Tensor {
+				if dst == nil {
+					return xsl.ToLayout(to).Clone()
+				}
+				return tensor.Convert(dst, xsl)
+			})
+		}
+		sameInPlace("ReLU/"+ln, refReLU(xsl), xsl, ReLU)
+		sameInPlace("BatchNorm/"+ln, refBatchNorm(xsl, scale, shift), xsl, func(dst, in *tensor.Tensor) *tensor.Tensor {
+			return BatchNorm(dst, in, scale, shift)
+		})
+		other := randTensor(rng, s, true) // NCHW, so the NHWC pass adds across layouts
+		sameInPlace("EltwiseAdd/"+ln, refEltwiseAdd(xsl, other), xsl, func(dst, in *tensor.Tensor) *tensor.Tensor {
+			return EltwiseAdd(dst, in, other)
+		})
+		same("Softmax/"+ln, refSoftmax(xl), func(dst *tensor.Tensor) *tensor.Tensor { return Softmax(dst, xl) })
+		same("LRN/"+ln, LRN(nil, xl, 3), func(dst *tensor.Tensor) *tensor.Tensor { return LRN(dst, xl, 3) })
+		same("MaxPool/"+ln, refMaxPool(xsl, g.p), func(dst *tensor.Tensor) *tensor.Tensor { return MaxPool(dst, xsl, g.p) })
+		same("AvgPool/"+ln, refAvgPool(xl, g.p), func(dst *tensor.Tensor) *tensor.Tensor { return AvgPool(dst, xl, g.p) })
 		parts := []*tensor.Tensor{xsl, refToLayout(randTensor(rng, tensor.Shape{N: s.N, C: 2, H: s.H, W: s.W}, true), l), xl}
-		same("Concat/"+ln, refConcat(parts), Concat(parts))
+		same("Concat/"+ln, refConcat(parts), func(dst *tensor.Tensor) *tensor.Tensor { return Concat(dst, parts) })
+		same("Flatten/"+ln, refFlatten(xsl), func(dst *tensor.Tensor) *tensor.Tensor { return Flatten(dst, xsl) })
 	}
+	fw, fb := randSlice(rng, 3*s.C*s.H*s.W), randSlice(rng, 3)
+	same("FCGemv", FCGemv(nil, x, fw, fb, 3), func(dst *tensor.Tensor) *tensor.Tensor { return FCGemv(dst, x, fw, fb, 3) })
+	csr := FromDense(3, s.C*s.H*s.W, fw, 0)
+	same("FCSparse", FCSparse(nil, x, csr, fb), func(dst *tensor.Tensor) *tensor.Tensor { return FCSparse(dst, x, csr, fb) })
 
 	dw, db := randSlice(rng, s.C*g.p.KernelH*g.p.KernelW), randSlice(rng, s.C)
 	p := g.p
 	p.OutChannels = 3
 	w, b := randSlice(rng, p.OutChannels*s.C*p.KernelH*p.KernelW), randSlice(rng, p.OutChannels)
 	os := convOutShape(s, p.OutChannels, p)
+	xh := refToLayout(x, tensor.NHWC)
+	wcsr := FromDense(p.OutChannels, s.C*p.KernelH*p.KernelW, w, 0)
+	same("ConvSparse", refConvSparse(x, wcsr, b, p), func(dst *tensor.Tensor) *tensor.Tensor { return ConvSparse(dst, x, wcsr, b, p) })
 	for _, workers := range []int{1, 3} {
-		same("Depthwise", refDepthwiseDirectPar(x, dw, db, g.p, workers), DepthwiseDirect(x, dw, db, g.p, workers))
-		xh := refToLayout(x, tensor.NHWC)
-		same("DepthwiseNHWC", refDepthwiseNHWCPar(xh, dw, db, g.p, workers), DepthwiseNHWC(xh, dw, db, g.p, workers))
+		same("Depthwise", refDepthwiseDirectPar(x, dw, db, g.p, workers), func(dst *tensor.Tensor) *tensor.Tensor {
+			return DepthwiseDirect(dst, x, dw, db, g.p, workers)
+		})
+		same("DepthwiseNHWC", refDepthwiseNHWCPar(xh, dw, db, g.p, workers), func(dst *tensor.Tensor) *tensor.Tensor {
+			return DepthwiseNHWC(dst, xh, dw, db, g.p, workers)
+		})
 		for n := 0; n < s.N; n++ {
-			sameSlice("Im2col", refIm2colPar(x, n, p, os.H, os.W, workers), Im2col(x, n, p, os.H, os.W, workers))
-			sameSlice("Im2row", refIm2rowPar(x, n, p, os.H, os.W, workers), Im2row(x, n, p, os.H, os.W, workers))
+			sameSlice("Im2col", refIm2colPar(x, n, p, os.H, os.W, workers), func(dst []float32) []float32 {
+				return Im2col(dst, x, n, p, os.H, os.W, workers)
+			})
+			sameSlice("Im2row", refIm2rowPar(x, n, p, os.H, os.W, workers), func(dst []float32) []float32 {
+				return Im2row(dst, x, n, p, os.H, os.W, workers)
+			})
 		}
 		for name, mul := range map[string]Gemm{"naive": gemm.Naive, "packed": packed} {
-			same("ConvIm2col/"+name, refConvIm2colPar(x, w, b, p, mul, workers), ConvIm2col(x, w, b, p, mul, workers, 0))
-			same("ConvIm2row/"+name, refConvIm2rowPar(x, w, b, p, mul, workers), ConvIm2row(x, w, b, p, mul, workers, 0))
-			same("ConvKn2row/"+name, refConvKn2rowPar(x, w, b, p, mul, workers), ConvKn2row(x, w, b, p, mul, workers))
+			same("ConvIm2col/"+name, refConvIm2colPar(x, w, b, p, mul, workers), func(dst *tensor.Tensor) *tensor.Tensor {
+				return ConvIm2col(dst, x, w, b, p, mul, workers, 0)
+			})
+			same("ConvIm2row/"+name, refConvIm2rowPar(x, w, b, p, mul, workers), func(dst *tensor.Tensor) *tensor.Tensor {
+				return ConvIm2row(dst, x, w, b, p, mul, workers, 0)
+			})
+			same("ConvKn2row/"+name, refConvKn2rowPar(x, w, b, p, mul, workers), func(dst *tensor.Tensor) *tensor.Tensor {
+				return ConvKn2row(dst, x, w, b, p, mul, workers)
+			})
 		}
 		for _, panel := range []int{0, 2} {
 			cfg := ConvTuned{Panel: panel, Workers: workers}
 			mul, _ := refTunedGemm(cfg)
-			same("ConvIm2col/tuned", refConvIm2colTuned(x, w, b, p, cfg), ConvIm2col(x, w, b, p, mul, workers, panel))
-			same("ConvIm2row/tuned", refConvIm2rowTuned(x, w, b, p, cfg), ConvIm2row(x, w, b, p, mul, workers, panel))
+			same("ConvIm2col/tuned", refConvIm2colTuned(x, w, b, p, cfg), func(dst *tensor.Tensor) *tensor.Tensor {
+				return ConvIm2col(dst, x, w, b, p, mul, workers, panel)
+			})
+			same("ConvIm2row/tuned", refConvIm2rowTuned(x, w, b, p, cfg), func(dst *tensor.Tensor) *tensor.Tensor {
+				return ConvIm2row(dst, x, w, b, p, mul, workers, panel)
+			})
+		}
+		// The kernels whose loops were never rewritten are their own
+		// reference: a reused destination must not change their output.
+		own := map[string]func(dst *tensor.Tensor) *tensor.Tensor{
+			"ConvDirect": func(dst *tensor.Tensor) *tensor.Tensor { return ConvDirect(dst, x, w, b, p, workers) },
+			"ConvDirectNHWC": func(dst *tensor.Tensor) *tensor.Tensor {
+				return ConvDirectNHWC(dst, xh, w, b, p, workers)
+			},
+		}
+		if p.StrideH == 1 && p.StrideW == 1 {
+			own["ConvFFT"] = func(dst *tensor.Tensor) *tensor.Tensor { return ConvFFT(dst, x, w, b, p, workers) }
+			if p.KernelH == 3 && p.KernelW == 3 {
+				own["ConvWinograd"] = func(dst *tensor.Tensor) *tensor.Tensor { return ConvWinograd(dst, x, w, b, p, workers) }
+			}
+		}
+		if s.C%2 == 0 {
+			pg := p
+			pg.Groups, pg.OutChannels = 2, 4
+			gw, gb := randSlice(rng, pg.OutChannels*s.C/2*p.KernelH*p.KernelW), randSlice(rng, pg.OutChannels)
+			own["ConvGroupedDirect"] = func(dst *tensor.Tensor) *tensor.Tensor { return ConvGroupedDirect(dst, x, gw, gb, pg, workers) }
+			own["ConvGroupedIm2col"] = func(dst *tensor.Tensor) *tensor.Tensor {
+				return ConvGroupedIm2col(dst, x, gw, gb, pg, packed, workers)
+			}
+		}
+		for name, run := range own {
+			same(name, run(nil), run)
 		}
 	}
 }

@@ -131,35 +131,48 @@ func (t *Tensor) Fill(v float32) {
 
 // ToLayout returns a tensor with identical logical contents in the
 // requested layout. If the layout already matches, the receiver is
-// returned unchanged (no copy).
+// returned unchanged (no copy); otherwise the result is a fresh tensor.
 func (t *Tensor) ToLayout(l Layout) *Tensor {
 	if t.layout == l {
 		return t
 	}
-	out := New(t.shape, l)
-	s := t.shape
+	return Convert(&Tensor{shape: t.shape, layout: l, data: make([]float32, len(t.data))}, t)
+}
+
+// Convert writes src's logical contents into dst in dst's layout and
+// returns dst, overwriting every element; the shapes must match and the
+// two must not share memory. Between equal layouts it is a copy.
+func Convert(dst, src *Tensor) *Tensor {
+	if !dst.shape.Equal(src.shape) {
+		panic(fmt.Sprintf("tensor: cannot convert %v into %v", src.shape, dst.shape))
+	}
+	if dst.layout == src.layout {
+		copy(dst.data, src.data)
+		return dst
+	}
+	s := src.shape
 	// Within a sample, pixel i = h*W + w of channel c sits at c*HW + i
 	// in NCHW and at i*C + c in NHWC: read the source contiguously and
 	// scatter each value to its place in the destination.
 	hw := s.H * s.W
 	for n := 0; n < s.N; n++ {
-		src := t.data[n*s.C*hw : (n+1)*s.C*hw]
-		dst := out.data[n*s.C*hw : (n+1)*s.C*hw]
-		if l == NHWC {
+		from := src.data[n*s.C*hw : (n+1)*s.C*hw]
+		to := dst.data[n*s.C*hw : (n+1)*s.C*hw]
+		if dst.layout == NHWC {
 			for c := 0; c < s.C; c++ {
-				for i, v := range src[c*hw : (c+1)*hw] {
-					dst[i*s.C+c] = v
+				for i, v := range from[c*hw : (c+1)*hw] {
+					to[i*s.C+c] = v
 				}
 			}
 			continue
 		}
 		for i := 0; i < hw; i++ {
-			for c, v := range src[i*s.C : (i+1)*s.C] {
-				dst[c*hw+i] = v
+			for c, v := range from[i*s.C : (i+1)*s.C] {
+				to[c*hw+i] = v
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // MaxAbsDiff returns the maximum absolute element-wise difference

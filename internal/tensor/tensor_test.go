@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -124,6 +125,33 @@ func TestToLayoutNoCopyWhenSame(t *testing.T) {
 	if a.ToLayout(NCHW) != a {
 		t.Error("ToLayout with same layout should return receiver")
 	}
+}
+
+// TestConvertOverwritesDestination converts into a destination full
+// of NaN, in every layout pair: each element must land where ToLayout
+// puts it, and Convert must return the destination.
+func TestConvertOverwritesDestination(t *testing.T) {
+	src := New(Shape{2, 3, 4, 5}, NCHW)
+	src.FillRandom(rand.New(rand.NewSource(3)), 1)
+	for _, from := range Layouts() {
+		x := src.ToLayout(from)
+		for _, to := range Layouts() {
+			dst := New(x.Shape(), to)
+			dst.Fill(float32(math.NaN()))
+			if Convert(dst, x) != dst {
+				t.Fatalf("%v->%v: Convert did not return its destination", from, to)
+			}
+			if d := MaxAbsDiff(x, dst); !(d == 0) {
+				t.Errorf("%v->%v: converted values differ by %v", from, to, d)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Convert into a different shape should panic")
+		}
+	}()
+	Convert(New(Shape{1, 3, 4, 5}, NHWC), src)
 }
 
 func TestCloneIsDeep(t *testing.T) {
