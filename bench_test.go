@@ -25,6 +25,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/qlearn"
 	"repro/internal/report"
+	"repro/internal/searchplan"
 	"repro/internal/tensor"
 )
 
@@ -82,7 +83,7 @@ func BenchmarkFig1GreedyTrap(b *testing.B) {
 	tab := benchTable(b, "mobilenet-v1", primitives.ModeGPGPU)
 	var greedy, rl float64
 	for i := 0; i < b.N; i++ {
-		greedy = core.Greedy(tab).Time
+		greedy = core.GreedyPlanned(searchplan.Compile(tab)).Time
 		rl = core.Search(tab, core.Config{Episodes: 1000, Seed: 1}).Time
 	}
 	b.ReportMetric(greedy*1e3, "ms_greedy")
@@ -511,28 +512,6 @@ func BenchmarkAblationProfilingNoise(b *testing.B) {
 	}
 }
 
-// BenchmarkBoltzmannVsEpsilonGreedy compares exploration policies (a
-// "different reward/exploration choices" study from the paper's
-// future work).
-func BenchmarkBoltzmannVsEpsilonGreedy(b *testing.B) {
-	tab := benchTable(b, "mobilenet-v1", primitives.ModeGPGPU)
-	b.Run("epsilon-greedy", func(b *testing.B) {
-		var res *core.Result
-		for i := 0; i < b.N; i++ {
-			res = core.SearchWithPolicy(tab, core.Config{Episodes: 1000, Seed: 1}, nil)
-		}
-		b.ReportMetric(res.Time*1e3, "ms_solution")
-	})
-	b.Run("boltzmann", func(b *testing.B) {
-		var res *core.Result
-		for i := 0; i < b.N; i++ {
-			res = core.SearchWithPolicy(tab, core.Config{Episodes: 1000, Seed: 1},
-				&core.Boltzmann{Start: 1, End: 0.01, Episodes: 1000})
-		}
-		b.ReportMetric(res.Time*1e3, "ms_solution")
-	})
-}
-
 // BenchmarkOptimizeBatch measures the batch orchestrator's throughput
 // at one worker (pure sequential, pool bypassed) versus an 8-worker
 // pool, over a mixed batch with best-of-2 seeds per job (8 units).
@@ -565,20 +544,4 @@ func BenchmarkOptimizeBatch(b *testing.B) {
 			b.ReportMetric(float64(batch.ProfileMisses), "profiles")
 		})
 	}
-}
-
-// BenchmarkSearchEnsemble measures the 5-seed ensemble protocol of
-// Fig. 5 and reports the spread across seeds.
-func BenchmarkSearchEnsemble(b *testing.B) {
-	tab := benchTable(b, "mobilenet-v1", primitives.ModeGPGPU)
-	var stats *core.EnsembleStats
-	for i := 0; i < b.N; i++ {
-		var err error
-		stats, err = core.SearchEnsemble(tab, core.Config{Episodes: 350, Seed: 1}, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(stats.Mean*1e3, "ms_mean")
-	b.ReportMetric(stats.Std*1e3, "ms_std")
 }

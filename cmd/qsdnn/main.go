@@ -40,6 +40,7 @@ import (
 	"repro/internal/qlearn"
 	"repro/internal/resilience"
 	"repro/internal/sched"
+	"repro/internal/searchplan"
 	"repro/internal/serve"
 	"repro/internal/store"
 	"repro/internal/tensor"
@@ -524,7 +525,7 @@ func searchDurable(tab *lut.Table, cfg core.Config, df durableFlags) (*core.Resu
 		}
 		fmt.Fprintf(os.Stderr, "qsdnn: resuming from episode %d/%d\n", from.Checkpoint.Episode, max(cfg.Episodes, 1))
 	}
-	res, _, err := core.SearchCheckpointed(tab, cfg, core.DurableOptions{
+	return core.SearchCheckpointedPlanned(searchplan.Compile(tab), cfg, core.DurableOptions{
 		Every: df.every,
 		From:  from,
 		Save: func(s *core.Snapshot) error {
@@ -535,7 +536,6 @@ func searchDurable(tab *lut.Table, cfg core.Config, df durableFlags) (*core.Resu
 			return store.SaveRotating(ckPath, payload)
 		},
 	})
-	return res, err
 }
 
 // profileTable runs the inference phase for one network under the
@@ -904,9 +904,10 @@ func runCtx(ctx context.Context, cmd, netName, modeStr string, episodes, samples
 			}
 		}
 		fmt.Print(rep.Summary())
+		sp := searchplan.Compile(tab)
 		fmt.Printf("  random search    : %10.3f ms (same budget)\n",
-			core.RandomSearch(tab, episodes, seed).Time*1e3)
-		fmt.Printf("  greedy per layer : %10.3f ms\n", core.Greedy(tab).Time*1e3)
+			core.RandomSearchPlanned(sp, episodes, seed).Time*1e3)
+		fmt.Printf("  greedy per layer : %10.3f ms\n", core.GreedyPlanned(sp).Time*1e3)
 		fmt.Println("\nlibrary mix:")
 		mix := rep.LibraryMix()
 		libs := make([]string, 0, len(mix))

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/models"
 	"repro/internal/primitives"
+	"repro/internal/searchplan"
 )
 
 func TestSearchApproxFindsGoodConfiguration(t *testing.T) {
@@ -24,11 +25,11 @@ func TestSearchApproxFindsGoodConfiguration(t *testing.T) {
 	}
 	// Quality: far better than random search at the same budget, and
 	// within striking distance of the exact optimum.
-	rs := RandomSearch(tab, 600, 1)
+	rs := RandomSearchPlanned(searchplan.Compile(tab), 600, 1)
 	if res.Time >= rs.Time {
 		t.Errorf("approx agent %.4g should beat random search %.4g", res.Time, rs.Time)
 	}
-	opt, err := Optimal(tab)
+	opt, err := OptimalPlanned(searchplan.Compile(tab))
 	if err != nil {
 		t.Fatal(err)
 	}

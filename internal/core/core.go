@@ -99,46 +99,26 @@ func newSearchRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed))
 
 // Search runs QS-DNN (Algorithm 1) over a profiled look-up table. It
 // compiles the table into an evaluation plan first; callers that run
-// many searches over one table (the batch runner, ensembles) compile
-// once and use SearchPlanned directly.
+// many searches over one table (the batch runner, the serve daemon)
+// compile once and use SearchPlanned directly.
 func Search(tab *lut.Table, cfg Config) *Result {
 	return SearchPlanned(searchplan.Compile(tab), cfg)
 }
 
-// SearchPlanned runs QS-DNN over a pre-compiled plan. The plan is
-// read-only here, so any number of searches may share one plan
-// concurrently.
+// SearchPlanned runs QS-DNN over a pre-compiled plan from a fresh
+// agent. The plan is read-only here, so any number of searches may
+// share one plan concurrently.
 func SearchPlanned(p *searchplan.Plan, cfg Config) *Result {
 	cfg = cfg.withDefaults()
-	rng := newSearchRNG(cfg.Seed)
 	q := qlearn.NewTable(p.NumLayers(), primitives.Count())
-	replay := qlearn.NewReplay(cfg.Agent.ReplaySize)
-	e := newEpisodeEngine(p, cfg, q, replay, rng)
-
-	curve := make([]EpisodePoint, 0, cfg.Episodes)
-	for ep := 0; ep < cfg.Episodes; ep++ {
-		eps := qlearn.EpsilonAt(cfg.Schedule, ep)
-		total := e.runEpisode(eps)
-		curve = append(curve, EpisodePoint{Episode: ep, Epsilon: eps, Time: total, Best: e.bestTime})
-	}
-	return &Result{
-		Assignment: e.bestCopy(),
-		Time:       e.bestTime,
-		Episodes:   cfg.Episodes,
-		Curve:      curve,
-	}
+	return runEpisodes(p, cfg, q, qlearn.NewReplay(cfg.Agent.ReplaySize), 0, cfg.Episodes)
 }
 
-// RandomSearch evaluates the given number of uniformly random
-// configurations — the RS baseline of §VI-B.
-func RandomSearch(tab *lut.Table, episodes int, seed int64) *Result {
-	return RandomSearchPlanned(searchplan.Compile(tab), episodes, seed)
-}
-
-// RandomSearchPlanned is RandomSearch over a pre-compiled plan. A
-// uniform draw over candidates *is* a uniform draw over candidate
-// positions, so the whole loop runs on positions and converts the
-// winner to primitive IDs once at the end.
+// RandomSearchPlanned evaluates the given number of uniformly random
+// configurations — the RS baseline of §VI-B. A uniform draw over
+// candidates *is* a uniform draw over candidate positions, so the
+// whole loop runs on positions and converts the winner to primitive
+// IDs once at the end.
 func RandomSearchPlanned(p *searchplan.Plan, episodes int, seed int64) *Result {
 	rng := rand.New(rand.NewSource(seed))
 	L := p.NumLayers()
@@ -167,15 +147,10 @@ func RandomSearchPlanned(p *searchplan.Plan, episodes int, seed int64) *Result {
 	return best
 }
 
-// Greedy picks, for every layer independently, the primitive with the
-// lowest isolated execution time, ignoring all compatibility
+// GreedyPlanned picks, for every layer independently, the primitive
+// with the lowest isolated execution time, ignoring all compatibility
 // penalties — the locally-optimal "red path" of the paper's Fig. 1
 // that the RL agent learns to avoid.
-func Greedy(tab *lut.Table) *Result {
-	return GreedyPlanned(searchplan.Compile(tab))
-}
-
-// GreedyPlanned is Greedy over a pre-compiled plan.
 func GreedyPlanned(p *searchplan.Plan) *Result {
 	L := p.NumLayers()
 	apos := make([]int32, L)
@@ -192,20 +167,11 @@ func GreedyPlanned(p *searchplan.Plan) *Result {
 	return &Result{Assignment: p.AssignmentIDs(apos, nil), Time: p.TotalTimePos(apos), Episodes: 1}
 }
 
-// Optimal computes the exact minimum-time assignment for chain
-// networks with Viterbi dynamic programming over (layer, primitive)
-// states. It returns an error for non-chain tables (an edge whose
-// producer is not the sequential predecessor), where the chain DP is
-// not exact.
-func Optimal(tab *lut.Table) (*Result, error) {
-	return OptimalPlanned(searchplan.Compile(tab))
-}
-
-// OptimalPlanned is Optimal over a pre-compiled plan: the DP runs on
-// dense candidate-position vectors instead of maps, so cost ties now
-// break deterministically toward the earlier candidate (the map
-// version broke them by iteration order); the optimal cost itself is
-// unchanged.
+// OptimalPlanned computes the exact minimum-time assignment for chain
+// networks with Viterbi dynamic programming over (layer, candidate
+// position) states; cost ties break toward the earlier candidate. It
+// returns an error for non-chain plans (an edge whose producer is not
+// the sequential predecessor), where the chain DP is not exact.
 func OptimalPlanned(p *searchplan.Plan) (*Result, error) {
 	L := p.NumLayers()
 	edgeInto := make([]int, L)
@@ -259,17 +225,11 @@ func OptimalPlanned(p *searchplan.Plan) (*Result, error) {
 	return &Result{Assignment: p.AssignmentIDs(apos, nil), Time: p.TotalTimePos(apos), Episodes: 1}, nil
 }
 
-// Exhaustive enumerates every configuration and returns the true
-// optimum. It refuses design spaces larger than maxConfigs to keep
-// runtimes bounded; it exists to certify the other searches on small
-// networks.
-func Exhaustive(tab *lut.Table, maxConfigs float64) (*Result, error) {
-	return ExhaustivePlanned(searchplan.Compile(tab), maxConfigs)
-}
-
-// ExhaustivePlanned is Exhaustive over a pre-compiled plan. The walk
-// enumerates candidate positions in the same order the table walk
-// enumerated candidate IDs, so the found optimum is identical.
+// ExhaustivePlanned enumerates every configuration and returns the
+// true optimum. It refuses design spaces larger than maxConfigs to
+// keep runtimes bounded; it exists to certify the other searches on
+// small networks. The walk enumerates candidate positions in layer
+// order, so ties resolve to the first configuration in that order.
 func ExhaustivePlanned(p *searchplan.Plan, maxConfigs float64) (*Result, error) {
 	L := p.NumLayers()
 	space := 1.0

@@ -11,6 +11,7 @@ import (
 	"repro/internal/primitives"
 	"repro/internal/profile"
 	"repro/internal/qlearn"
+	"repro/internal/searchplan"
 	"repro/internal/tensor"
 )
 
@@ -43,7 +44,7 @@ func TestSearchFindsChainOptimum(t *testing.T) {
 	net := smallChain(t)
 	for _, mode := range []primitives.Mode{primitives.ModeCPU, primitives.ModeGPGPU} {
 		tab := profiled(t, net, mode)
-		opt, err := Optimal(tab)
+		opt, err := OptimalPlanned(searchplan.Compile(tab))
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -65,11 +66,11 @@ func TestExhaustiveAgreesWithOptimal(t *testing.T) {
 	b.FullyConnected("fc", x, 10)
 	net := b.MustBuild()
 	tab := profiled(t, net, primitives.ModeGPGPU)
-	opt, err := Optimal(tab)
+	opt, err := OptimalPlanned(searchplan.Compile(tab))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exh, err := Exhaustive(tab, 1e6)
+	exh, err := ExhaustivePlanned(searchplan.Compile(tab), 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestExhaustiveAgreesWithOptimal(t *testing.T) {
 
 func TestExhaustiveRefusesHugeSpace(t *testing.T) {
 	tab := profiled(t, models.MustBuild("lenet5"), primitives.ModeGPGPU)
-	if _, err := Exhaustive(tab, 100); err == nil {
+	if _, err := ExhaustivePlanned(searchplan.Compile(tab), 100); err == nil {
 		t.Error("exhaustive should refuse a space above the cap")
 	}
 }
@@ -96,7 +97,7 @@ func TestOptimalRejectsBranches(t *testing.T) {
 	b.Concat("cat", l, r)
 	net := b.MustBuild()
 	tab := profiled(t, net, primitives.ModeCPU)
-	if _, err := Optimal(tab); err == nil {
+	if _, err := OptimalPlanned(searchplan.Compile(tab)); err == nil {
 		t.Error("Optimal should reject non-chain networks")
 	}
 }
@@ -137,7 +138,7 @@ func TestGreedyTrapFig1(t *testing.T) {
 		tab.SetOutputPenalty(p, 0)
 	}
 
-	greedy := Greedy(tab)
+	greedy := GreedyPlanned(searchplan.Compile(tab))
 	if greedy.Assignment[1] != fast {
 		t.Fatalf("greedy should fall for the fast layer-1 primitive, took %v",
 			primitives.ByID(greedy.Assignment[1]).Name)
@@ -147,7 +148,7 @@ func TestGreedyTrapFig1(t *testing.T) {
 	if math.Abs(greedy.Time-11) > 1e-9 {
 		t.Errorf("greedy time = %v, want 11", greedy.Time)
 	}
-	opt, err := Optimal(tab)
+	opt, err := OptimalPlanned(searchplan.Compile(tab))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestRLBeatsRandomSearch(t *testing.T) {
 	net := models.MustBuild("mobilenet-v1")
 	tab := profiled(t, net, primitives.ModeGPGPU)
 	rl := Search(tab, Config{Episodes: 700, Seed: 5})
-	rs := RandomSearch(tab, 700, 5)
+	rs := RandomSearchPlanned(searchplan.Compile(tab), 700, 5)
 	if rl.Time >= rs.Time {
 		t.Errorf("RL %.4gms should beat RS %.4gms at equal budget", rl.Time*1e3, rs.Time*1e3)
 	}
@@ -291,7 +292,7 @@ func TestAblationsRun(t *testing.T) {
 	}
 	// The ablated variants must never beat physics: all results are
 	// valid configurations of the same table.
-	opt, err := Optimal(tab)
+	opt, err := OptimalPlanned(searchplan.Compile(tab))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,8 +324,8 @@ func TestCustomScheduleAndConfigDefaults(t *testing.T) {
 
 func TestRandomSearchDeterministic(t *testing.T) {
 	tab := profiled(t, smallChain(t), primitives.ModeGPGPU)
-	a := RandomSearch(tab, 100, 9)
-	b := RandomSearch(tab, 100, 9)
+	a := RandomSearchPlanned(searchplan.Compile(tab), 100, 9)
+	b := RandomSearchPlanned(searchplan.Compile(tab), 100, 9)
 	if a.Time != b.Time {
 		t.Error("random search should be seed-deterministic")
 	}

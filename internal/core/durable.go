@@ -12,17 +12,16 @@ import (
 	"repro/internal/searchplan"
 )
 
-// Durable search: SearchResumable already splits a search into
-// sessions; this file adds the pieces a crash-safe CLI needs on top —
-// a serializable Snapshot that carries the best configuration found so
-// far alongside the agent state (the Q-table alone cannot replay a
-// best that was discovered before the last checkpoint boundary), and
-// SearchCheckpointed, which runs the search in fixed-cadence chunks
-// and hands each boundary snapshot to a persistence sink. Because the
-// chunk boundaries are deterministic for a given cadence, a run killed
-// at any instant and resumed from its last snapshot recomputes exactly
-// the chunks the crash destroyed and converges to the same final
-// result as an uninterrupted run of the same cadence.
+// Durable search: the pieces a crash-safe CLI needs — a serializable
+// Snapshot that carries the best configuration found so far alongside
+// the agent state (the Q-table alone cannot replay a best that was
+// discovered before the last checkpoint boundary), and
+// SearchCheckpointedPlanned, which runs the search in fixed-cadence
+// chunks and hands each boundary snapshot to a persistence sink.
+// Because the chunk boundaries are deterministic for a given cadence,
+// a run killed at any instant and resumed from its last snapshot
+// recomputes exactly the chunks the crash destroyed and converges to
+// the same final result as an uninterrupted run of the same cadence.
 
 // Snapshot is the durable state of a checkpointed search: the agent
 // checkpoint plus the best assignment observed so far.
@@ -115,15 +114,19 @@ func isCandidateOf(tab *lut.Table, i int, id primitives.ID) bool {
 	return false
 }
 
-// DurableOptions configures SearchCheckpointed.
+// DurableOptions configures SearchCheckpointedPlanned.
 type DurableOptions struct {
 	// Every is the snapshot cadence in episodes (<= 0 selects 100).
 	Every int
 	// Save persists one boundary snapshot; a failure aborts the
 	// search (durability is the point — losing snapshots silently
-	// would defeat it). nil disables persistence.
+	// would defeat it). nil disables persistence. The snapshot is
+	// also the next chunk's training state, so it is valid only until
+	// Save returns; marshal before returning. A Save that returns an
+	// error ends the search, which leaves that snapshot intact.
 	Save func(*Snapshot) error
-	// From resumes from a prior snapshot; nil starts fresh.
+	// From resumes from a prior snapshot; nil starts fresh. The search
+	// trains on a copy, so From is left unchanged.
 	From *Snapshot
 }
 
@@ -133,85 +136,85 @@ const DefaultSnapshotEvery = 100
 // ErrStopEarly is the cooperative early-stop signal for a deadline
 // budget: a Save callback that returns an error wrapping it makes
 // SearchCheckpointedPlanned stop at that checkpoint boundary and
-// return the best-so-far Result and boundary Snapshot alongside the
-// error — the caller gets a usable (partial-budget) plan instead of
-// nothing. Any other Save error still aborts with a nil result.
+// return the best-so-far Result alongside the error — the caller gets
+// a usable (partial-budget) plan instead of nothing. Any other Save
+// error still aborts with a nil result.
 var ErrStopEarly = errors.New("core: search stopped early at checkpoint boundary")
 
-// SearchCheckpointed runs a search of cfg.Episodes total episodes in
-// chunks of opts.Every episodes, saving a Snapshot after each chunk.
-// With opts.From it continues from a prior snapshot's episode count —
-// the ε schedule (fixed over the total budget) anneals as if the run
-// were never interrupted, and the carried best-so-far guarantees the
-// final result equals an uninterrupted run at the same cadence.
+// SearchCheckpointedPlanned runs a search of cfg.Episodes total
+// episodes over a pre-compiled plan in chunks of opts.Every episodes,
+// saving a Snapshot after each chunk. Each chunk runs the shared
+// episode loop on a fresh qlearn.Snapshot copy of the previous
+// boundary's agent state, with the RNG re-seeded from cfg.Seed plus
+// the chunk's first episode. With opts.From it continues from a prior
+// snapshot's episode count — the ε schedule (fixed over the total
+// budget) anneals as if the run were never interrupted, and the
+// carried best-so-far guarantees the final result equals an
+// uninterrupted run at the same cadence. The checkpointed protocol
+// always learns from the shaped per-layer reward (a snapshot carries
+// no record of the ablation), so cfg.DisableShaping is ignored.
 //
 // The returned Result covers the episodes run in this session (its
-// Curve starts at the resumed episode); its Time/Assignment reflect
-// the best over the whole logical run, snapshot history included.
-func SearchCheckpointed(tab *lut.Table, cfg Config, opts DurableOptions) (*Result, *Snapshot, error) {
-	return SearchCheckpointedPlanned(searchplan.Compile(tab), cfg, opts)
-}
-
-// SearchCheckpointedPlanned is SearchCheckpointed over a pre-compiled
-// plan — the serve daemon compiles each distinct table once in its
-// single-flight cache and runs every coalesced request's search on the
-// shared plan.
-func SearchCheckpointedPlanned(plan *searchplan.Plan, cfg Config, opts DurableOptions) (*Result, *Snapshot, error) {
+// Curve starts at the resumed episode, and each chunk's Best column
+// starts afresh); its Time/Assignment reflect the best over the whole
+// logical run, snapshot history included.
+func SearchCheckpointedPlanned(plan *searchplan.Plan, cfg Config, opts DurableOptions) (*Result, error) {
 	cfg = cfg.withDefaults()
+	cfg.DisableShaping = false
 	total := cfg.Episodes
 	every := opts.Every
 	if every <= 0 {
 		every = DefaultSnapshotEvery
 	}
-	start := 0
 	best := &Result{Time: math.Inf(1)}
-	var from *qlearn.Checkpoint
-	if opts.From != nil {
-		from = opts.From.Checkpoint
-		start = from.Episode
+	var state *qlearn.Checkpoint
+	if opts.From == nil {
+		state = &qlearn.Checkpoint{Table: qlearn.NewTable(plan.NumLayers(), primitives.Count())}
+	} else {
+		from := opts.From.Checkpoint
+		state = qlearn.Snapshot(from.Table, from.Replay, from.Episode)
 		if len(opts.From.BestAssignment) > 0 {
 			best.Time = opts.From.BestTime
 			best.Assignment = append([]primitives.ID(nil), opts.From.BestAssignment...)
 		}
 	}
+	if state.Replay == nil {
+		state.Replay = qlearn.NewReplay(cfg.Agent.ReplaySize)
+	}
+	start := state.Episode
 	if start >= total {
-		return nil, nil, fmt.Errorf("core: snapshot already covers %d episodes (budget %d): nothing to resume", start, total)
+		return nil, fmt.Errorf("core: snapshot already covers %d episodes (budget %d): nothing to resume", start, total)
 	}
 
-	snap := func(ck *qlearn.Checkpoint) *Snapshot {
-		s := &Snapshot{Checkpoint: ck, BestTime: best.Time}
-		if best.Assignment != nil {
-			s.BestAssignment = append([]primitives.ID(nil), best.Assignment...)
-		}
-		return s
-	}
-	var last *Snapshot
 	for ep := start; ep < total; {
 		chunk := every - ep%every // realign to cadence boundaries after a resume
 		if ep+chunk > total {
 			chunk = total - ep
 		}
-		ccfg := cfg
-		ccfg.Episodes = chunk
-		res, ck := SearchResumablePlanned(plan, ccfg, from)
-		from = ck
+		res := runEpisodes(plan, cfg, state.Table, state.Replay, ep, chunk)
 		ep += chunk
+		state = qlearn.Snapshot(state.Table, state.Replay, ep)
 		if res.Time < best.Time {
 			best.Time = res.Time
 			best.Assignment = append([]primitives.ID(nil), res.Assignment...)
 		}
 		best.Curve = append(best.Curve, res.Curve...)
-		last = snap(ck)
-		if opts.Save != nil {
-			if err := opts.Save(last); err != nil {
-				if errors.Is(err, ErrStopEarly) {
-					best.Episodes = ep - start
-					return best, last, fmt.Errorf("core: saving snapshot at episode %d: %w", ep, err)
-				}
-				return nil, nil, fmt.Errorf("core: saving snapshot at episode %d: %w", ep, err)
+		if opts.Save == nil {
+			continue
+		}
+		s := &Snapshot{Checkpoint: state, BestTime: best.Time}
+		if best.Assignment != nil {
+			s.BestAssignment = append([]primitives.ID(nil), best.Assignment...)
+		}
+		if err := opts.Save(s); err != nil {
+			err = fmt.Errorf("core: saving snapshot at episode %d: %w", ep, err)
+			if errors.Is(err, ErrStopEarly) {
+				best.Episodes = ep - start
+				return best, err
 			}
+			return nil, err
 		}
 	}
 	best.Episodes = total - start
-	return best, last, nil
+	return best, nil
 }

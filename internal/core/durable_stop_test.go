@@ -6,7 +6,38 @@ import (
 
 	"repro/internal/models"
 	"repro/internal/primitives"
+	"repro/internal/searchplan"
 )
+
+// stopAt runs a checkpointed search at cadence every and stops it with
+// ErrStopEarly at the n-th boundary, returning the best-so-far result
+// and the snapshot saved there. The search ends inside that Save, so
+// the snapshot stays valid after it returns.
+func stopAt(t *testing.T, p *searchplan.Plan, cfg Config, every, n int) (*Result, *Snapshot) {
+	t.Helper()
+	var kept *Snapshot
+	saves := 0
+	best, err := SearchCheckpointedPlanned(p, cfg, DurableOptions{Every: every, Save: func(s *Snapshot) error {
+		if saves++; saves < n {
+			return nil
+		}
+		kept = s
+		return ErrStopEarly
+	}})
+	if !errors.Is(err, ErrStopEarly) {
+		t.Fatalf("err = %v, want ErrStopEarly", err)
+	}
+	return best, kept
+}
+
+// finalEpisode returns a Save sink that records the episode count of
+// each boundary snapshot into *ep.
+func finalEpisode(ep *int) func(*Snapshot) error {
+	return func(s *Snapshot) error {
+		*ep = s.Checkpoint.Episode
+		return nil
+	}
+}
 
 // TestSearchCheckpointedStopEarly: a Save callback returning
 // ErrStopEarly (the deadline-budget signal) stops the search at the
@@ -15,27 +46,17 @@ import (
 // uninterrupted run exactly. This is the contract the serving layer's
 // deadline budgets lean on.
 func TestSearchCheckpointedStopEarly(t *testing.T) {
-	tab := profiled(t, models.MustBuild("mobilenet-v1"), primitives.ModeGPGPU)
+	plan := searchplan.Compile(profiled(t, models.MustBuild("mobilenet-v1"), primitives.ModeGPGPU))
 	cfg := Config{Episodes: 500, Seed: 7}
 	const every = 90 // deliberately not a divisor of the budget
 
-	full, _, err := SearchCheckpointed(tab, cfg, DurableOptions{Every: every})
+	full, err := SearchCheckpointedPlanned(plan, cfg, DurableOptions{Every: every})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Budget "expires" at the second snapshot boundary (episode 180).
-	saves := 0
-	best, snap, err := SearchCheckpointed(tab, cfg, DurableOptions{Every: every, Save: func(s *Snapshot) error {
-		saves++
-		if saves == 2 {
-			return ErrStopEarly
-		}
-		return nil
-	}})
-	if !errors.Is(err, ErrStopEarly) {
-		t.Fatalf("err = %v, want ErrStopEarly", err)
-	}
+	best, snap := stopAt(t, plan, cfg, every, 2)
 	if best == nil || snap == nil {
 		t.Fatal("early stop must still return best-so-far and a snapshot")
 	}
@@ -59,7 +80,8 @@ func TestSearchCheckpointedStopEarly(t *testing.T) {
 
 	// Resuming from the early-stop snapshot completes the budget and
 	// lands exactly where the uninterrupted run did.
-	resumed, fin, err := SearchCheckpointed(tab, cfg, DurableOptions{Every: every, From: snap})
+	var finEp int
+	resumed, err := SearchCheckpointedPlanned(plan, cfg, DurableOptions{Every: every, From: snap, Save: finalEpisode(&finEp)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +96,7 @@ func TestSearchCheckpointedStopEarly(t *testing.T) {
 	if resumed.Episodes != cfg.Episodes-boundary {
 		t.Errorf("resumed session ran %d episodes, want %d", resumed.Episodes, cfg.Episodes-boundary)
 	}
-	if fin.Checkpoint.Episode != cfg.Episodes {
-		t.Errorf("final snapshot at episode %d, want %d", fin.Checkpoint.Episode, cfg.Episodes)
+	if finEp != cfg.Episodes {
+		t.Errorf("final snapshot at episode %d, want %d", finEp, cfg.Episodes)
 	}
 }

@@ -1,14 +1,24 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/models"
 	"repro/internal/primitives"
-	"repro/internal/qlearn"
+	"repro/internal/searchplan"
 )
+
+// marshalInto returns a Save sink that marshals each boundary snapshot
+// into *data, so *data holds the last one when the search returns.
+func marshalInto(data *[]byte) func(*Snapshot) error {
+	return func(s *Snapshot) (err error) {
+		*data, err = s.Marshal()
+		return err
+	}
+}
 
 // TestSplitSearchProperty (property test): a search split at an
 // arbitrary episode boundary — checkpoint, then restore — must reach a
@@ -17,7 +27,7 @@ import (
 // is not bit-identical (the RNG is re-derived at the boundary) but the
 // learned state carries over, so quality must not degrade.
 func TestSplitSearchProperty(t *testing.T) {
-	tab := profiled(t, models.MustBuild("mobilenet-v1"), primitives.ModeGPGPU)
+	plan := searchplan.Compile(profiled(t, models.MustBuild("mobilenet-v1"), primitives.ModeGPGPU))
 	const episodes = 600
 	rng := rand.New(rand.NewSource(99))
 	for _, seed := range []int64{1, 2, 3, 5, 8} {
@@ -25,22 +35,21 @@ func TestSplitSearchProperty(t *testing.T) {
 		split := 1 + rng.Intn(episodes-1)
 		t.Run(fmt.Sprintf("seed%d-split%d", seed, split), func(t *testing.T) {
 			cfg := Config{Episodes: episodes, Seed: seed}
-			mono := Search(tab, cfg)
+			mono := SearchPlanned(plan, cfg)
 
-			schedule := qlearn.PaperSchedule(episodes)
-			part1, ck := SearchResumable(tab, Config{Episodes: split, Schedule: schedule, Seed: seed}, nil)
-			part2, ck2 := SearchResumable(tab, Config{Episodes: episodes - split, Schedule: schedule, Seed: seed}, ck)
-			if ck2.Episode != episodes {
-				t.Fatalf("final episode %d, want %d", ck2.Episode, episodes)
+			_, snap := stopAt(t, plan, cfg, split, 1)
+			var finEp int
+			split2, err := SearchCheckpointedPlanned(plan, cfg, DurableOptions{Every: episodes, From: snap, Save: finalEpisode(&finEp)})
+			if err != nil {
+				t.Fatal(err)
 			}
-			splitBest := part1.Time
-			if part2.Time < splitBest {
-				splitBest = part2.Time
+			if finEp != episodes {
+				t.Fatalf("final episode %d, want %d", finEp, episodes)
 			}
 			// 5% tolerance: the halves share the Q-table, so the split
 			// run must stay in the same quality band as the monolith.
-			if splitBest > mono.Time*1.05 {
-				t.Errorf("split at %d: best %.6g vs monolithic %.6g (>5%% worse)", split, splitBest, mono.Time)
+			if split2.Time > mono.Time*1.05 {
+				t.Errorf("split at %d: best %.6g vs monolithic %.6g (>5%% worse)", split, split2.Time, mono.Time)
 			}
 		})
 	}
@@ -48,26 +57,21 @@ func TestSplitSearchProperty(t *testing.T) {
 
 func TestSnapshotRoundTripAndValidation(t *testing.T) {
 	tab := profiled(t, smallChain(t), primitives.ModeGPGPU)
-	res, snap, err := SearchCheckpointed(tab, Config{Episodes: 200, Seed: 3}, DurableOptions{Every: 64})
+	var data []byte
+	res, err := SearchCheckpointedPlanned(searchplan.Compile(tab), Config{Episodes: 200, Seed: 3},
+		DurableOptions{Every: 64, Save: marshalInto(&data)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap == nil || snap.Checkpoint.Episode != 200 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if snap.BestTime != res.Time {
-		t.Fatalf("snapshot best %v, result %v", snap.BestTime, res.Time)
-	}
-	data, err := snap.Marshal()
+	snap, err := LoadSnapshot(data, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadSnapshot(data, tab)
-	if err != nil {
-		t.Fatal(err)
+	if snap.BestTime != res.Time || snap.Checkpoint.Episode != 200 {
+		t.Fatalf("round trip: %+v (result best %v)", snap, res.Time)
 	}
-	if back.BestTime != snap.BestTime || back.Checkpoint.Episode != 200 {
-		t.Fatalf("round trip: %+v", back)
+	if again, err := snap.Marshal(); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("re-marshaled snapshot differs (err %v)", err)
 	}
 
 	// Schema validation: a best time that disagrees with the table's
@@ -100,10 +104,11 @@ func TestSnapshotRoundTripAndValidation(t *testing.T) {
 // acceptance invariant.
 func TestCheckpointedResumeIsExact(t *testing.T) {
 	tab := profiled(t, models.MustBuild("mobilenet-v1"), primitives.ModeGPGPU)
+	plan := searchplan.Compile(tab)
 	cfg := Config{Episodes: 500, Seed: 7}
 	const every = 90 // deliberately not a divisor of the budget
 
-	full, _, err := SearchCheckpointed(tab, cfg, DurableOptions{Every: every})
+	full, err := SearchCheckpointedPlanned(plan, cfg, DurableOptions{Every: every})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +117,7 @@ func TestCheckpointedResumeIsExact(t *testing.T) {
 	// crash would have left on disk.
 	var kept *Snapshot
 	saves := 0
-	_, _, err = SearchCheckpointed(tab, cfg, DurableOptions{Every: every, Save: func(s *Snapshot) error {
+	_, err = SearchCheckpointedPlanned(plan, cfg, DurableOptions{Every: every, Save: func(s *Snapshot) error {
 		saves++
 		if saves == 3 {
 			data, err := s.Marshal()
@@ -132,7 +137,8 @@ func TestCheckpointedResumeIsExact(t *testing.T) {
 		t.Fatalf("simulated crash not triggered (err %v)", err)
 	}
 
-	resumed, snap, err := SearchCheckpointed(tab, cfg, DurableOptions{Every: every, From: kept})
+	var finEp int
+	resumed, err := SearchCheckpointedPlanned(plan, cfg, DurableOptions{Every: every, From: kept, Save: finalEpisode(&finEp)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +150,8 @@ func TestCheckpointedResumeIsExact(t *testing.T) {
 			t.Fatalf("assignment diverges at layer %d", i)
 		}
 	}
-	if snap.Checkpoint.Episode != cfg.Episodes {
-		t.Errorf("final snapshot at episode %d, want %d", snap.Checkpoint.Episode, cfg.Episodes)
+	if finEp != cfg.Episodes {
+		t.Errorf("final snapshot at episode %d, want %d", finEp, cfg.Episodes)
 	}
 	if resumed.Episodes != cfg.Episodes-kept.Checkpoint.Episode {
 		t.Errorf("resumed session ran %d episodes, want %d", resumed.Episodes, cfg.Episodes-kept.Checkpoint.Episode)
@@ -154,11 +160,16 @@ func TestCheckpointedResumeIsExact(t *testing.T) {
 
 func TestSearchCheckpointedNothingToResume(t *testing.T) {
 	tab := profiled(t, smallChain(t), primitives.ModeGPGPU)
-	_, snap, err := SearchCheckpointed(tab, Config{Episodes: 100, Seed: 1}, DurableOptions{Every: 50})
+	plan := searchplan.Compile(tab)
+	var data []byte
+	if _, err := SearchCheckpointedPlanned(plan, Config{Episodes: 100, Seed: 1}, DurableOptions{Every: 50, Save: marshalInto(&data)}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := LoadSnapshot(data, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := SearchCheckpointed(tab, Config{Episodes: 100, Seed: 1}, DurableOptions{From: snap}); err == nil {
+	if _, err := SearchCheckpointedPlanned(plan, Config{Episodes: 100, Seed: 1}, DurableOptions{From: snap}); err == nil {
 		t.Error("resuming a completed run should error")
 	}
 }
@@ -168,7 +179,7 @@ func TestSearchCheckpointedNothingToResume(t *testing.T) {
 func TestSearchCheckpointedSaveFailureAborts(t *testing.T) {
 	tab := profiled(t, smallChain(t), primitives.ModeGPGPU)
 	boom := fmt.Errorf("disk full")
-	_, _, err := SearchCheckpointed(tab, Config{Episodes: 100, Seed: 1}, DurableOptions{
+	_, err := SearchCheckpointedPlanned(searchplan.Compile(tab), Config{Episodes: 100, Seed: 1}, DurableOptions{
 		Every: 10,
 		Save:  func(*Snapshot) error { return boom },
 	})

@@ -23,6 +23,24 @@ import (
 	"repro/internal/searchplan"
 )
 
+// runEpisodes is the one QS-DNN episode loop. It runs the global
+// episodes [start, start+n) on the agent state (q, replay), training
+// it in place, with the RNG seeded from cfg.Seed+start and ε indexed by
+// the global episode count, so a search split into chunks anneals like
+// a monolithic one. The result covers only these n episodes: its Best
+// column and best-so-far start afresh. cfg must already have its
+// defaults applied.
+func runEpisodes(p *searchplan.Plan, cfg Config, q *qlearn.Table, replay *qlearn.Replay, start, n int) *Result {
+	e := newEpisodeEngine(p, cfg, q, replay, newSearchRNG(cfg.Seed+int64(start)))
+	curve := make([]EpisodePoint, 0, n)
+	for ep := start; ep < start+n; ep++ {
+		eps := qlearn.EpsilonAt(cfg.Schedule, ep)
+		total := e.runEpisode(eps)
+		curve = append(curve, EpisodePoint{Episode: ep, Epsilon: eps, Time: total, Best: e.bestTime})
+	}
+	return &Result{Assignment: e.bestCopy(), Time: e.bestTime, Episodes: n, Curve: curve}
+}
+
 // episodeEngine runs QS-DNN episodes over a compiled plan.
 type episodeEngine struct {
 	plan   *searchplan.Plan
@@ -80,14 +98,6 @@ func newEpisodeEngine(p *searchplan.Plan, cfg Config, q *qlearn.Table, replay *q
 		_ = q.Shape(vocab)
 	}
 	return e
-}
-
-// seedBest primes the best-so-far with a configuration carried over
-// from a resumed snapshot.
-func (e *episodeEngine) seedBest(assignment []primitives.ID, time float64) {
-	copy(e.bestAssign, assignment)
-	e.bestTime = time
-	e.haveBest = true
 }
 
 // bestCopy returns a fresh copy of the best assignment (nil when no

@@ -31,7 +31,7 @@ import (
 	"repro/internal/lut"
 	"repro/internal/nn"
 	"repro/internal/primitives"
-	"repro/internal/qlearn"
+	"repro/internal/searchplan"
 	"repro/internal/tensor"
 )
 
@@ -91,10 +91,10 @@ type goldenResult struct {
 	// Curve rows are [episode, epsilon_bits, time_bits, best_bits].
 	Curve [][4]string `json:"curve,omitempty"`
 	// SnapshotSHA256 holds one hash per boundary snapshot's marshaled
-	// bytes (SearchCheckpointed cases only).
+	// bytes (checkpointed cases only).
 	SnapshotSHA256 []string `json:"snapshot_sha256,omitempty"`
 	// FinalCheckpointSHA256 hashes the final checkpoint's marshaled
-	// bytes (SearchResumable cases only).
+	// bytes (checkpointed cases only).
 	FinalCheckpointSHA256 string `json:"final_checkpoint_sha256,omitempty"`
 }
 
@@ -123,6 +123,7 @@ func sha(data []byte) string {
 func goldenCases(t *testing.T) map[string]func() goldenResult {
 	t.Helper()
 	chain := goldenChainTable()
+	chainPlan := searchplan.Compile(chain)
 	dag := goldenDAGTable()
 	return map[string]func() goldenResult{
 		"search_chain": func() goldenResult {
@@ -154,30 +155,37 @@ func goldenCases(t *testing.T) map[string]func() goldenResult {
 			return encodeResult(Search(chain, Config{Episodes: 200, Seed: 3, DisableReplay: true}))
 		},
 		"random_chain": func() goldenResult {
-			return encodeResult(RandomSearch(chain, 200, 5))
+			return encodeResult(RandomSearchPlanned(searchplan.Compile(chain), 200, 5))
 		},
 		"random_dag": func() goldenResult {
-			return encodeResult(RandomSearch(dag, 200, 5))
+			return encodeResult(RandomSearchPlanned(searchplan.Compile(dag), 200, 5))
 		},
 		"resumable_split": func() goldenResult {
 			// A 300-episode budget run as 120 + 180, the schedule fixed
-			// over the whole budget — the durable-search split protocol.
-			schedule := qlearn.PaperSchedule(300)
-			c1 := Config{Episodes: 120, Seed: 7, Schedule: schedule}
-			_, ck := SearchResumable(chain, c1, nil)
-			c2 := Config{Episodes: 180, Seed: 7, Schedule: schedule}
-			res, ck2 := SearchResumable(chain, c2, ck)
-			g := encodeResult(res)
-			data, err := ck2.Marshal()
+			// over the whole budget — the durable-search split protocol:
+			// stop at the first boundary, then resume in one chunk.
+			cfg := Config{Episodes: 300, Seed: 7}
+			_, first := stopAt(t, chainPlan, cfg, 120, 1)
+			var final []byte
+			res, err := SearchCheckpointedPlanned(chainPlan, cfg, DurableOptions{
+				Every: 300,
+				From:  first,
+				Save: func(s *Snapshot) (err error) {
+					final, err = s.Checkpoint.Marshal()
+					return err
+				},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			g.FinalCheckpointSHA256 = sha(data)
+			g := encodeResult(res)
+			g.FinalCheckpointSHA256 = sha(final)
 			return g
 		},
 		"checkpointed_chain": func() goldenResult {
 			var snaps []string
-			res, last, err := SearchCheckpointed(chain, Config{Episodes: 300, Seed: 7}, DurableOptions{
+			var final []byte
+			res, err := SearchCheckpointedPlanned(chainPlan, Config{Episodes: 300, Seed: 7}, DurableOptions{
 				Every: 100,
 				Save: func(s *Snapshot) error {
 					data, err := s.Marshal()
@@ -185,7 +193,8 @@ func goldenCases(t *testing.T) map[string]func() goldenResult {
 						return err
 					}
 					snaps = append(snaps, sha(data))
-					return nil
+					final, err = s.Checkpoint.Marshal()
+					return err
 				},
 			})
 			if err != nil {
@@ -193,11 +202,7 @@ func goldenCases(t *testing.T) map[string]func() goldenResult {
 			}
 			g := encodeResult(res)
 			g.SnapshotSHA256 = snaps
-			data, err := last.Checkpoint.Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			g.FinalCheckpointSHA256 = sha(data)
+			g.FinalCheckpointSHA256 = sha(final)
 			return g
 		},
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/lut"
 	"repro/internal/primitives"
+	"repro/internal/searchplan"
 )
 
 // Invariant harness for the search algorithms: on randomized chain
@@ -46,7 +47,7 @@ func containsID(ids []primitives.ID, id primitives.ID) bool {
 
 // TestSearchesNeverBeatOptimalProperty: for randomized chain tables of
 // varying depth, Search (in every ablation variant), RandomSearch and
-// Greedy all stay at or above core.Optimal's DP optimum, and each
+// Greedy all stay at or above OptimalPlanned's DP optimum, and each
 // Result.Time equals lut.Table.TotalTime(assignment) recomputed from
 // scratch.
 func TestSearchesNeverBeatOptimalProperty(t *testing.T) {
@@ -54,7 +55,7 @@ func TestSearchesNeverBeatOptimalProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		depth := int(d%8) + 2
 		tab := randomChainTable(rng, depth)
-		opt, err := Optimal(tab)
+		opt, err := OptimalPlanned(searchplan.Compile(tab))
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -70,8 +71,8 @@ func TestSearchesNeverBeatOptimalProperty(t *testing.T) {
 		for label, cfg := range variants {
 			checkResultInvariants(t, label, tab, Search(tab, cfg), opt.Time)
 		}
-		checkResultInvariants(t, "random-search", tab, RandomSearch(tab, 150, seed), opt.Time)
-		checkResultInvariants(t, "greedy", tab, Greedy(tab), opt.Time)
+		checkResultInvariants(t, "random-search", tab, RandomSearchPlanned(searchplan.Compile(tab), 150, seed), opt.Time)
+		checkResultInvariants(t, "greedy", tab, GreedyPlanned(searchplan.Compile(tab)), opt.Time)
 		return !t.Failed()
 	}
 	n := 20
@@ -83,63 +84,16 @@ func TestSearchesNeverBeatOptimalProperty(t *testing.T) {
 	}
 }
 
-// TestEnsembleMatchesIndividualSeeds: SearchEnsemble (which fans out
-// on the shared pool) must report exactly the per-seed results a
-// sequential loop produces.
-func TestEnsembleMatchesIndividualSeeds(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tab := randomChainTable(rng, 5)
-	const n = 6
-	cfg := Config{Episodes: 120, Seed: 10}
-	stats, err := SearchEnsemble(tab, cfg, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []float64
-	for i := 0; i < n; i++ {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)
-		want = append(want, Search(tab, c).Time)
-	}
-	// stats.Times is sorted; compare as multisets via sorted copies.
-	got := append([]float64(nil), stats.Times...)
-	wantSorted := append([]float64(nil), want...)
-	sortFloats(got)
-	sortFloats(wantSorted)
-	for i := range got {
-		if got[i] != wantSorted[i] {
-			t.Fatalf("ensemble times %v != sequential times %v", stats.Times, wantSorted)
-		}
-	}
-	best := math.Inf(1)
-	for _, w := range want {
-		if w < best {
-			best = w
-		}
-	}
-	if stats.Best.Time != best {
-		t.Errorf("ensemble best %v, sequential best %v", stats.Best.Time, best)
-	}
-}
-
-func sortFloats(x []float64) {
-	for i := 1; i < len(x); i++ {
-		for j := i; j > 0 && x[j] < x[j-1]; j-- {
-			x[j], x[j-1] = x[j-1], x[j]
-		}
-	}
-}
-
-// TestConcurrentSearchSharedTable: core.Search is a pure function of
-// (table, config); 8 goroutines searching one shared *lut.Table with
-// the same config must all return the result the sequential call
-// returns. Run under -race this also proves the table read path is
-// race-free.
+// TestConcurrentSearchSharedTable: SearchPlanned is a pure function of
+// (plan, config); 8 goroutines searching one shared compiled plan with
+// the same config, as the batch runner does, must all return the
+// result the sequential call returns. Run under -race this also proves
+// the plan read path is race-free.
 func TestConcurrentSearchSharedTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	tab := randomChainTable(rng, 6)
+	plan := searchplan.Compile(randomChainTable(rng, 6))
 	cfg := Config{Episodes: 200, Seed: 4}
-	want := Search(tab, cfg)
+	want := SearchPlanned(plan, cfg)
 
 	const goroutines = 8
 	results := make([]*Result, goroutines)
@@ -148,7 +102,7 @@ func TestConcurrentSearchSharedTable(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g] = Search(tab, cfg)
+			results[g] = SearchPlanned(plan, cfg)
 		}(g)
 	}
 	wg.Wait()

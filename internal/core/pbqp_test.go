@@ -7,6 +7,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/primitives"
+	"repro/internal/searchplan"
 	"repro/internal/tensor"
 )
 
@@ -16,7 +17,7 @@ func TestPBQPOptimalOnChains(t *testing.T) {
 	for _, name := range []string{"lenet5", "mobilenet-v1", "tinyyolo"} {
 		for _, mode := range []primitives.Mode{primitives.ModeCPU, primitives.ModeGPGPU} {
 			tab := profiled(t, models.MustBuild(name), mode)
-			opt, err := Optimal(tab)
+			opt, err := OptimalPlanned(searchplan.Compile(tab))
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, mode, err)
 			}
@@ -30,7 +31,7 @@ func TestPBQPOptimalOnChains(t *testing.T) {
 
 func TestPBQPOptimalOnSmallChain(t *testing.T) {
 	tab := profiled(t, smallChain(t), primitives.ModeGPGPU)
-	opt, err := Optimal(tab)
+	opt, err := OptimalPlanned(searchplan.Compile(tab))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestPBQPMatchesExhaustiveOnTinyBranch(t *testing.T) {
 	b.EltwiseAdd("add", l, r)
 	net := b.MustBuild()
 	tab := profiled(t, net, primitives.ModeGPGPU)
-	exh, err := Exhaustive(tab, 1e7)
+	exh, err := ExhaustivePlanned(searchplan.Compile(tab), 1e7)
 	if err != nil {
 		t.Fatal(err)
 	}

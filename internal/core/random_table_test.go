@@ -9,6 +9,7 @@ import (
 	"repro/internal/lut"
 	"repro/internal/nn"
 	"repro/internal/primitives"
+	"repro/internal/searchplan"
 	"repro/internal/tensor"
 )
 
@@ -66,7 +67,7 @@ func TestSolverCrossCertificationProperty(t *testing.T) {
 		depth := int(d%6) + 3
 		tab := randomChainTable(rng, depth)
 
-		opt, err := Optimal(tab)
+		opt, err := OptimalPlanned(searchplan.Compile(tab))
 		if err != nil {
 			return false
 		}
@@ -76,8 +77,8 @@ func TestSolverCrossCertificationProperty(t *testing.T) {
 			return false
 		}
 		rl := Search(tab, Config{Episodes: 400, Seed: seed})
-		rs := RandomSearch(tab, 400, seed)
-		greedy := Greedy(tab)
+		rs := RandomSearchPlanned(searchplan.Compile(tab), 400, seed)
+		greedy := GreedyPlanned(searchplan.Compile(tab))
 		for _, r := range []*Result{rl, rs, greedy} {
 			if r.Time < opt.Time-1e-9 {
 				t.Logf("seed %d: result %.9g below optimum %.9g", seed, r.Time, opt.Time)
@@ -103,11 +104,11 @@ func TestExhaustiveEqualsOptimalProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randomChainTable(rng, 3)
-		opt, err := Optimal(tab)
+		opt, err := OptimalPlanned(searchplan.Compile(tab))
 		if err != nil {
 			return false
 		}
-		exh, err := Exhaustive(tab, 1e7)
+		exh, err := ExhaustivePlanned(searchplan.Compile(tab), 1e7)
 		if err != nil {
 			return false
 		}
@@ -124,7 +125,7 @@ func TestRLFindsOptimumOnRandomChains(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab := randomChainTable(rng, 4)
-		opt, err := Optimal(tab)
+		opt, err := OptimalPlanned(searchplan.Compile(tab))
 		if err != nil {
 			t.Fatal(err)
 		}

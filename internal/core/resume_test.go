@@ -1,21 +1,25 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/models"
 	"repro/internal/primitives"
 	"repro/internal/qlearn"
+	"repro/internal/searchplan"
 )
 
 func TestResumableSearchContinuesSchedule(t *testing.T) {
-	tab := profiled(t, models.MustBuild("mobilenet-v1"), primitives.ModeGPGPU)
-	schedule := qlearn.PaperSchedule(1000)
+	plan := searchplan.Compile(profiled(t, models.MustBuild("mobilenet-v1"), primitives.ModeGPGPU))
+	cfg := Config{Episodes: 1000, Seed: 1}
 
-	// Part 1: episodes 0..499 (full exploration).
-	part1, ckpt := SearchResumable(tab, Config{Episodes: 500, Schedule: schedule, Seed: 1}, nil)
-	if ckpt.Episode != 500 {
-		t.Fatalf("checkpoint episode = %d", ckpt.Episode)
+	// Part 1: episodes 0..499 (full exploration), stopped at the first
+	// boundary.
+	part1, snap := stopAt(t, plan, cfg, 500, 1)
+	if snap.Checkpoint.Episode != 500 {
+		t.Fatalf("checkpoint episode = %d", snap.Checkpoint.Episode)
 	}
 	for _, pt := range part1.Curve {
 		if pt.Epsilon != 1 {
@@ -24,45 +28,93 @@ func TestResumableSearchContinuesSchedule(t *testing.T) {
 	}
 
 	// Part 2: episodes 500..999 resume the annealing exactly.
-	part2, ckpt2 := SearchResumable(tab, Config{Episodes: 500, Schedule: schedule, Seed: 1}, ckpt)
-	if ckpt2.Episode != 1000 {
-		t.Fatalf("final checkpoint episode = %d", ckpt2.Episode)
+	var finEp int
+	part2, err := SearchCheckpointedPlanned(plan, cfg, DurableOptions{Every: 1000, From: snap, Save: finalEpisode(&finEp)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if finEp != 1000 {
+		t.Fatalf("final checkpoint episode = %d", finEp)
 	}
 	if part2.Curve[0].Epsilon != 0.9 {
 		t.Errorf("resumed first epsilon = %v, want 0.9", part2.Curve[0].Epsilon)
 	}
-	if part2.Curve[len(part2.Curve)-1].Epsilon != 0 {
+	last := part2.Curve[len(part2.Curve)-1]
+	if last.Epsilon != 0 {
 		t.Error("resumed search should end at full exploitation")
 	}
 
-	// The resumed half exploits the carried Q-knowledge: its best must
+	// The resumed half exploits the carried Q-knowledge: its own best
+	// (the chunk's Best column, which starts afresh at the resume) must
 	// match a monolithic 1000-episode search's quality closely.
-	mono := Search(tab, Config{Episodes: 1000, Seed: 1})
-	if part2.Time > mono.Time*1.02 {
-		t.Errorf("split search %.6g more than 2%% worse than monolithic %.6g", part2.Time, mono.Time)
+	mono := SearchPlanned(plan, cfg)
+	if last.Best > mono.Time*1.02 {
+		t.Errorf("split search %.6g more than 2%% worse than monolithic %.6g", last.Best, mono.Time)
 	}
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	tab := profiled(t, smallChain(t), primitives.ModeGPGPU)
-	_, ckpt := SearchResumable(tab, Config{Episodes: 200, Seed: 3}, nil)
-	data, err := ckpt.Marshal()
+	plan := searchplan.Compile(tab)
+	cfg := Config{Episodes: 400, Seed: 3}
+	_, snap := stopAt(t, plan, cfg, 200, 1)
+	data, err := snap.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := qlearn.LoadCheckpoint(data)
+	back, err := LoadSnapshot(data, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Episode != ckpt.Episode {
-		t.Errorf("episode %d != %d", back.Episode, ckpt.Episode)
+	if back.Checkpoint.Episode != snap.Checkpoint.Episode {
+		t.Errorf("episode %d != %d", back.Checkpoint.Episode, snap.Checkpoint.Episode)
 	}
-	// Resuming from the loaded checkpoint must equal resuming from the
+	// Resuming from the loaded snapshot must equal resuming from the
 	// original (same RNG derivation, same state).
-	a, _ := SearchResumable(tab, Config{Episodes: 200, Seed: 3}, ckpt)
-	b, _ := SearchResumable(tab, Config{Episodes: 200, Seed: 3}, back)
-	if a.Time != b.Time {
-		t.Errorf("resume from serialized checkpoint differs: %.9g vs %.9g", b.Time, a.Time)
+	a, err := SearchCheckpointedPlanned(plan, cfg, DurableOptions{Every: 400, From: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := SearchCheckpointedPlanned(plan, cfg, DurableOptions{Every: 400, From: back})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("resume from serialized snapshot differs: %.9g vs %.9g", b.Time, a.Time)
+	}
+}
+
+// TestResumeLeavesSnapshotUnchanged: a resumed search trains on a copy
+// of the caller's snapshot, so resuming twice from one in-memory
+// snapshot gives identical runs and leaves its bytes untouched.
+func TestResumeLeavesSnapshotUnchanged(t *testing.T) {
+	plan := searchplan.Compile(goldenChainTable())
+	cfg := Config{Episodes: 300, Seed: 7}
+	_, snap := stopAt(t, plan, cfg, 100, 1)
+	before, err := snap.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DurableOptions{Every: 100, From: snap}
+	a, err := SearchCheckpointedPlanned(plan, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := SearchCheckpointedPlanned(plan, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a.Curve {
+		if a.Curve[i] != b.Curve[i] {
+			t.Fatalf("second resume diverges at episode %d: %+v vs %+v", a.Curve[i].Episode, b.Curve[i], a.Curve[i])
+		}
+	}
+	after, err := snap.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("resuming mutated the caller's snapshot")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package pool provides the bounded worker pool shared by the batch
-// runner (internal/runner) and the multi-seed ensembles of
-// internal/core. Centralizing the fan-out keeps every concurrent path
+// runner (internal/runner), the serve daemon, the variant tuner and the
+// parallel kernels. Centralizing the fan-out keeps every concurrent path
 // in the tree on the same, race-tested primitive instead of ad-hoc
 // goroutine spawning — including the fault-tolerance behaviors: a
 // panicking job fails that one job (with its stack captured) instead

@@ -10,6 +10,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/platform"
 	"repro/internal/primitives"
+	"repro/internal/searchplan"
 )
 
 // Fig4 runs the paper's Fig. 4 experiment: a single QS-DNN search
@@ -72,6 +73,7 @@ func Fig5(network string, pl *platform.Platform, repeats int, opts Options) ([]F
 	if err != nil {
 		return nil, err
 	}
+	plan := searchplan.Compile(tab)
 	points := make([]Fig5Point, 0, len(Fig5Budgets))
 	for _, budget := range Fig5Budgets {
 		if budget > opts.Episodes {
@@ -82,8 +84,8 @@ func Fig5(network string, pl *platform.Platform, repeats int, opts Options) ([]F
 		rs := make([]float64, repeats)
 		for r := 0; r < repeats; r++ {
 			seed := opts.Seed + int64(r)*1000 + int64(budget)
-			rl[r] = core.Search(tab, core.Config{Episodes: budget, Seed: seed}).Time
-			rs[r] = core.RandomSearch(tab, budget, seed).Time
+			rl[r] = core.SearchPlanned(plan, core.Config{Episodes: budget, Seed: seed}).Time
+			rs[r] = core.RandomSearchPlanned(plan, budget, seed).Time
 		}
 		pt.RLMean, pt.RLStd = meanStd(rl)
 		pt.RSMean, pt.RSStd = meanStd(rs)
@@ -130,8 +132,9 @@ func Fig1Demo(network string, pl *platform.Platform, opts Options) (greedy, rl f
 	if err != nil {
 		return 0, 0, err
 	}
-	g := core.Greedy(tab)
-	r := core.Search(tab, core.Config{Episodes: opts.Episodes, Seed: opts.Seed})
+	plan := searchplan.Compile(tab)
+	g := core.GreedyPlanned(plan)
+	r := core.SearchPlanned(plan, core.Config{Episodes: opts.Episodes, Seed: opts.Seed})
 	return g.Time, r.Time, nil
 }
 

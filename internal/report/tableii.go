@@ -18,6 +18,7 @@ import (
 	"repro/internal/primitives"
 	"repro/internal/profile"
 	"repro/internal/runner"
+	"repro/internal/searchplan"
 )
 
 // Options scales the experiments; zero values select the paper's
@@ -181,7 +182,7 @@ func tableIIRow(cpu, gpu *runner.JobResult, opts Options) Row {
 		}
 	}
 
-	rs := core.RandomSearch(gpuTab, opts.Episodes, opts.Seed)
+	rs := core.RandomSearchPlanned(searchplan.Compile(gpuTab), opts.Episodes, opts.Seed)
 	row.RSGPU = vanGPU / rs.Time
 	row.QSvsRSGPU = rs.Time / gpu.Best.Time
 	return row

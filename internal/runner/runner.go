@@ -7,9 +7,10 @@
 // output depends only on the jobs and their seeds, never on worker
 // count or completion order.
 //
-// The search itself (core.Search) is a pure function of (table, config)
-// and lut.Table is read-only after profiling, so arbitrarily many
-// searches may share one table concurrently; the runner exploits both.
+// The search itself (core.SearchPlanned) is a pure function of (plan,
+// config), and the table and its compiled plan are read-only after
+// profiling, so arbitrarily many searches may share one plan
+// concurrently; the runner exploits both.
 //
 // Fault tolerance: a failing profiling run fails only the jobs that
 // depend on its table (and is evicted from the cache so a later batch

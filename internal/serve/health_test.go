@@ -17,6 +17,7 @@ import (
 	"repro/internal/primitives"
 	"repro/internal/profile"
 	"repro/internal/resilience"
+	"repro/internal/searchplan"
 )
 
 // driftFaultConfig is the e2e drift schedule: no error injection, two
@@ -59,7 +60,7 @@ func driftedReference(t *testing.T, body string, fc *profile.FaultConfig, round 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := core.SearchCheckpointed(tab, core.Config{Episodes: spec.Episodes, Seed: spec.Seed}, core.DurableOptions{})
+	res, err := core.SearchCheckpointedPlanned(searchplan.Compile(tab), core.Config{Episodes: spec.Episodes, Seed: spec.Seed}, core.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +486,7 @@ func TestReplayAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := core.SearchCheckpointed(tab, core.Config{Episodes: 200, Seed: 1}, core.DurableOptions{})
+	res, err := core.SearchCheckpointedPlanned(searchplan.Compile(tab), core.Config{Episodes: 200, Seed: 1}, core.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

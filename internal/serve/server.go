@@ -1092,7 +1092,7 @@ func (s *Server) exec(j *job) {
 		s.searches.Add(1)
 		cfg := core.Config{Episodes: spec.Episodes, Seed: spec.Seed}
 		var serr error
-		res, _, serr = core.SearchCheckpointedPlanned(plan, cfg, core.DurableOptions{
+		res, serr = core.SearchCheckpointedPlanned(plan, cfg, core.DurableOptions{
 			Every: s.every,
 			From:  from,
 			Save: func(snap *core.Snapshot) error {
@@ -1391,7 +1391,7 @@ func ReferencePlan(ctx context.Context, req OptimizeRequest, every int) (*PlanRe
 	if err != nil {
 		return nil, nil, err
 	}
-	res, _, err := core.SearchCheckpointed(tab, core.Config{Episodes: spec.Episodes, Seed: spec.Seed},
+	res, err := core.SearchCheckpointedPlanned(searchplan.Compile(tab), core.Config{Episodes: spec.Episodes, Seed: spec.Seed},
 		core.DurableOptions{Every: every})
 	if err != nil {
 		return nil, nil, err

@@ -10,6 +10,7 @@ import (
 	"repro/internal/lut"
 	"repro/internal/models"
 	"repro/internal/platform"
+	"repro/internal/searchplan"
 	"repro/internal/store"
 )
 
@@ -130,7 +131,7 @@ func TestJobRecordLifecycle(t *testing.T) {
 	// Two checkpoint generations, then a torn current: loadSnapshot
 	// must fall back to the previous checkpoint, not start from zero.
 	var snaps [][]byte
-	_, _, err = core.SearchCheckpointed(tab, core.Config{Episodes: spec.Episodes, Seed: spec.Seed},
+	_, err = core.SearchCheckpointedPlanned(searchplan.Compile(tab), core.Config{Episodes: spec.Episodes, Seed: spec.Seed},
 		core.DurableOptions{Every: 100, Save: func(s *core.Snapshot) error {
 			p, err := s.Marshal()
 			if err != nil {

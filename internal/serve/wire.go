@@ -7,10 +7,10 @@
 // identical jobs plus single-flight LUT profiling via runner.Flight,
 // a persistent plan/checkpoint store built on internal/store's atomic
 // checksummed writes and last-good rotation with a warm in-memory LRU
-// in front, streaming search progress from core.SearchCheckpointed
-// cadence callbacks, and graceful drain that lets in-flight searches
-// finish — or, past the drain deadline, checkpoint durably and resume
-// on the next start.
+// in front, streaming search progress from
+// core.SearchCheckpointedPlanned cadence callbacks, and graceful drain
+// that lets in-flight searches finish — or, past the drain deadline,
+// checkpoint durably and resume on the next start.
 //
 // The JSON API:
 //

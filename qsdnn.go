@@ -36,6 +36,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/primitives"
 	"repro/internal/profile"
+	"repro/internal/searchplan"
 )
 
 // Mode selects the processors the search may use.
@@ -233,8 +234,8 @@ func OptimizeTable(net *Network, tab *Table, opts Options) (*Report, error) {
 
 // ReportForResult assembles the standard Report around an externally
 // produced search result — the hook for searches run through the
-// durable/checkpointed path (core.SearchCheckpointed), which own their
-// search loop but want the same reporting as OptimizeTable.
+// durable/checkpointed path (core.SearchCheckpointedPlanned), which
+// own their search loop but want the same reporting as OptimizeTable.
 func ReportForResult(net *Network, tab *Table, res *Result) (*Report, error) {
 	if tab.Network != net.Name {
 		return nil, fmt.Errorf("qsdnn: table is for %q, network is %q", tab.Network, net.Name)
@@ -301,16 +302,16 @@ func (r *Report) LibraryMix() map[string]int {
 
 // RandomSearch runs the RS baseline on a profiled table.
 func RandomSearch(tab *Table, episodes int, seed int64) *Result {
-	return core.RandomSearch(tab, episodes, seed)
+	return core.RandomSearchPlanned(searchplan.Compile(tab), episodes, seed)
 }
 
 // Greedy runs the per-layer-greedy baseline (fastest primitive per
 // layer, penalties ignored).
-func Greedy(tab *Table) *Result { return core.Greedy(tab) }
+func Greedy(tab *Table) *Result { return core.GreedyPlanned(searchplan.Compile(tab)) }
 
 // Optimal computes the exact optimum for chain networks via dynamic
 // programming.
-func Optimal(tab *Table) (*Result, error) { return core.Optimal(tab) }
+func Optimal(tab *Table) (*Result, error) { return core.OptimalPlanned(searchplan.Compile(tab)) }
 
 // Search runs QS-DNN over an existing table with full control of the
 // agent configuration.
