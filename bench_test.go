@@ -293,16 +293,15 @@ func BenchmarkConvKernels(b *testing.B) {
 		w[i] = rand.New(rand.NewSource(int64(i))).Float32()
 	}
 	bias := make([]float32, 32)
-	packed := func(m, n, k int, a, b, c []float32) { gemm.Parallel(m, n, k, a, b, c, 1) }
 	variants := []struct {
 		name string
 		run  func()
 	}{
 		{"direct", func() { kernels.ConvDirect(nil, in, w, bias, p, 1) }},
-		{"im2col-naive", func() { kernels.ConvIm2col(nil, in, w, bias, p, gemm.Naive, 1, 0) }},
-		{"im2col-packed", func() { kernels.ConvIm2col(nil, in, w, bias, p, packed, 1, 0) }},
-		{"im2row-packed", func() { kernels.ConvIm2row(nil, in, w, bias, p, packed, 1, 0) }},
-		{"kn2row-packed", func() { kernels.ConvKn2row(nil, in, w, bias, p, packed, 1) }},
+		{"im2col-naive", func() { kernels.ConvIm2col(nil, in, w, bias, p, kernels.Naive, 1, 0, nil) }},
+		{"im2col-packed", func() { kernels.ConvIm2col(nil, in, w, bias, p, kernels.Packed, 1, 0, nil) }},
+		{"im2row-packed", func() { kernels.ConvIm2row(nil, in, w, bias, p, kernels.Packed, 1, 0, nil) }},
+		{"kn2row-packed", func() { kernels.ConvKn2row(nil, in, w, bias, p, kernels.Packed, 1, nil) }},
 		{"winograd", func() { kernels.ConvWinograd(nil, in, w, bias, p, 1) }},
 	}
 	for _, v := range variants {
@@ -471,9 +470,7 @@ func BenchmarkConvFFTKernel(b *testing.B) {
 	})
 	b.Run("im2col", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			kernels.ConvIm2col(nil, in, w, bias, p, func(m, n, k int, a, b, c []float32) {
-				gemm.Parallel(m, n, k, a, b, c, 1)
-			}, 1, 0)
+			kernels.ConvIm2col(nil, in, w, bias, p, kernels.Packed, 1, 0, nil)
 		}
 	})
 }

@@ -271,59 +271,31 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 	}
 }
 
-// allocatedBytes returns the bytes fn allocates on the heap.
-func allocatedBytes(fn func()) int64 {
+// allocated returns the bytes and the number of heap allocations fn
+// makes.
+func allocated(fn func()) (bytes, count int64) {
 	var a, b runtime.MemStats
 	runtime.ReadMemStats(&a)
 	fn()
 	runtime.ReadMemStats(&b)
-	return int64(b.TotalAlloc - a.TotalAlloc)
-}
-
-// kernelScratch returns the bytes the program's kernels allocate for
-// themselves when their destinations are already allocated: the
-// lowering panels and weight transforms that stay inside the kernels.
-func kernelScratch(t *testing.T, e *Engine, prog *program, in *tensor.Tensor) int64 {
-	t.Helper()
-	acts := make([]*tensor.Tensor, e.Net.Len())
-	acts[0] = in
-	var scratch int64
-	for _, st := range prog.steps {
-		l := e.Net.Layers[st.layer]
-		ins := make([]*tensor.Tensor, len(st.in))
-		for k, op := range st.in {
-			ins[k] = acts[op.src].ToLayout(st.prim.Layout)
-		}
-		var dst *tensor.Tensor
-		switch {
-		case st.inPlace:
-			ins[0] = ins[0].Clone()
-			dst = ins[0]
-		case st.out.slot >= 0:
-			dst = tensor.New(st.out.shape, st.out.layout)
-		}
-		var out *tensor.Tensor
-		scratch += allocatedBytes(func() {
-			var err error
-			if out, err = e.execCfg(dst, st.layer, l, st.prim, ins, st.cfg); err != nil {
-				t.Fatalf("layer %s: %v", l.Name, err)
-			}
-		})
-		acts[st.layer] = out.Clone()
-	}
-	return scratch
+	return int64(b.TotalAlloc - a.TotalAlloc), int64(b.Mallocs - a.Mallocs)
 }
 
 // TestRunAllocationBound is the arena's allocation gate: a
 // steady-state Run of mobilenet-v1-025 allocates no more than its
-// planned slots, its kernels' own scratch and a little bookkeeping
-// (the program, the timing slices, one tensor header per step and the
-// output copy), and that is less than the bytes of all the layer
-// outputs, what allocating every activation afresh would take.
+// planned slots — activations, conversions and kernel scratch alike —
+// plus a little bookkeeping (the program, the timing slices, the
+// tensor headers and the output copy), in at most allocsPerStep
+// allocations per step, and that is less than the bytes of all the
+// layer outputs, what allocating every activation afresh would take.
 func TestRunAllocationBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
+	// A step allocates the tensor headers of its output and its
+	// conversions, and a gathering conv its packer; no step allocates
+	// a buffer of its own.
+	const allocsPerStep = 2
 	e, in := mobileNet025(t)
 	outputs := int64(0)
 	for _, l := range e.Net.Layers[1:] {
@@ -340,24 +312,28 @@ func TestRunAllocationBound(t *testing.T) {
 		for _, n := range prog.slots {
 			slots += 4 * int64(n)
 		}
-		scratch := kernelScratch(t, e, prog, in)
 		if _, err := e.Run(a, in); err != nil { // warm up
 			t.Fatal(err)
 		}
 		const runs = 3
-		got := allocatedBytes(func() {
+		bytes, count := allocated(func() {
 			for range runs {
 				if _, err := e.Run(a, in); err != nil {
 					t.Fatal(err)
 				}
 			}
-		}) / runs
-		if bound := slots + scratch + bookkeeping; got > bound {
-			t.Errorf("%s: Run allocates %d bytes, more than its %d slot bytes, %d scratch bytes and %d for bookkeeping",
-				names[j], got, slots, scratch, bookkeeping)
+		})
+		bytes, count = bytes/runs, count/runs
+		t.Logf("%s: %d bytes (%d slot bytes), %d allocations over %d steps", names[j], bytes, slots, count, len(prog.steps))
+		if bound := slots + bookkeeping; bytes > bound {
+			t.Errorf("%s: Run allocates %d bytes, more than its %d planned slot bytes and %d for bookkeeping",
+				names[j], bytes, slots, bookkeeping)
 		}
-		if got >= outputs {
-			t.Errorf("%s: Run allocates %d bytes, no less than the %d bytes of all layer outputs", names[j], got, outputs)
+		if bound := int64(allocsPerStep * len(prog.steps)); count > bound {
+			t.Errorf("%s: Run makes %d allocations, more than %d for its %d steps", names[j], count, bound, len(prog.steps))
+		}
+		if bytes >= outputs {
+			t.Errorf("%s: Run allocates %d bytes, no less than the %d bytes of all layer outputs", names[j], bytes, outputs)
 		}
 	}
 }

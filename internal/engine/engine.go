@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/gemm"
 	"repro/internal/kernels"
 	"repro/internal/nn"
 	"repro/internal/primitives"
@@ -217,8 +216,12 @@ func (e *Engine) run(assignment []primitives.ID, input *tensor.Tensor, observe f
 		case st.out.slot >= 0:
 			dst = at(st.out)
 		}
+		var scratch []float32
+		if st.scratchLen > 0 {
+			scratch = arena[offset[st.scratchSlot] : offset[st.scratchSlot]+st.scratchLen]
+		}
 		t0 := time.Now()
-		out, err := e.execCfg(dst, i, net.Layers[i], st.prim, ins, st.cfg)
+		out, err := e.execCfg(dst, i, net.Layers[i], st.prim, ins, st.cfg, scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -248,10 +251,8 @@ func checkExecutable(l *nn.Layer, p *primitives.Primitive) error {
 	if p.Tuned {
 		target = primitives.ByID(p.Base)
 	}
-	for _, c := range primitives.Candidates(l, primitives.ModeCPU) {
-		if c == target {
-			return nil
-		}
+	if primitives.CanImplement(l, primitives.ModeCPU, target) {
+		return nil
 	}
 	return fmt.Errorf("engine: primitive %s cannot implement layer %s (%v)", p.Name, l.Name, l.Kind)
 }
@@ -267,19 +268,21 @@ func (e *Engine) exec(dst *tensor.Tensor, i int, l *nn.Layer, p *primitives.Prim
 		cfg = e.tuned[tunedKey{i, p.Idx}]
 		p = primitives.ByID(p.Base)
 	}
-	return e.execCfg(dst, i, l, p, in, cfg)
+	return e.execCfg(dst, i, l, p, in, cfg, nil)
 }
 
 // execCfg executes layer i under a non-twin primitive, with cfg
 // parameterizing its conv or depth-wise kernel. dst, when non-nil, is
 // the output tensor in the layer's output shape and outLayout; it may
 // be in[0] for the kinds inPlace admits. A Dropout returns in[0].
-func (e *Engine) execCfg(dst *tensor.Tensor, i int, l *nn.Layer, p *primitives.Primitive, in []*tensor.Tensor, cfg kernels.ConvTuned) (*tensor.Tensor, error) {
+// scratch, when non-nil, is the kernel's workspace of scratchLen
+// elements; nil lets a kernel that takes one allocate it.
+func (e *Engine) execCfg(dst *tensor.Tensor, i int, l *nn.Layer, p *primitives.Primitive, in []*tensor.Tensor, cfg kernels.ConvTuned, scratch []float32) (*tensor.Tensor, error) {
 	x := in[0]
 	par := e.params[i]
 	switch l.Kind {
 	case nn.OpConv, nn.OpDepthwiseConv:
-		return e.execConv(dst, l, p, x, par, cfg)
+		return e.execConv(dst, l, p, x, par, cfg, scratch)
 	case nn.OpFullyConnected:
 		if p.Lib == primitives.Sparse {
 			return kernels.FCSparse(dst, x, par.csr, par.bias), nil
@@ -310,21 +313,113 @@ func (e *Engine) execCfg(dst *tensor.Tensor, i int, l *nn.Layer, p *primitives.P
 	return nil, fmt.Errorf("engine: layer %s has unsupported kind %v", l.Name, l.Kind)
 }
 
+// convGemm returns the GEMM and fan-out a conv runs with under p and
+// its tuned config cfg (zero for plain primitives): cfg.Workers
+// goroutines, or the engine's Parallelism when cfg.Workers is 0 or
+// less. Tuned libraries get the packed parallel GEMM (the tuned-BLAS
+// stand-in) under cfg.Block, which a zero Block makes bit-identical to
+// gemm.Parallel; ATLAS and Vanilla keep the naive one — their role in
+// the paper is the slow reference BLAS.
+func (e *Engine) convGemm(p *primitives.Primitive, cfg kernels.ConvTuned) (kernels.Gemm, int) {
+	w := cfg.Workers
+	if w <= 0 {
+		w = e.workers
+	}
+	if p.Lib == primitives.ATLAS || p.Lib == primitives.Vanilla {
+		return kernels.Naive, w
+	}
+	return kernels.Gemm{Packed: true, Block: cfg.Block}, w
+}
+
+// loweredConv is a conv kernel that takes scratch, paired with its
+// scratch size function. Both take the layer, the GEMM, the fan-out
+// and the tuned panel (which not every kernel uses).
+type loweredConv struct {
+	scratch func(l *nn.Layer, mul kernels.Gemm, w, panel int) int
+	run     func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, mul kernels.Gemm, w, panel int, scratch []float32) *tensor.Tensor
+}
+
+var (
+	sparseConv = loweredConv{
+		func(l *nn.Layer, _ kernels.Gemm, _, _ int) int { return kernels.ConvSparseScratch(l.InShape, l.Conv) },
+		func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, _ kernels.Gemm, _, _ int, scratch []float32) *tensor.Tensor {
+			return kernels.ConvSparse(dst, x, par.csr, par.bias, l.Conv, scratch)
+		},
+	}
+	im2colConv = loweredConv{
+		func(l *nn.Layer, mul kernels.Gemm, w, panel int) int {
+			return kernels.ConvIm2colScratch(l.InShape, l.Conv, mul, w, panel)
+		},
+		func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, mul kernels.Gemm, w, panel int, scratch []float32) *tensor.Tensor {
+			return kernels.ConvIm2col(dst, x, par.w, par.bias, l.Conv, mul, w, panel, scratch)
+		},
+	}
+	im2rowConv = loweredConv{
+		func(l *nn.Layer, mul kernels.Gemm, w, panel int) int {
+			return kernels.ConvIm2rowScratch(l.InShape, l.Conv, mul, w, panel)
+		},
+		func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, mul kernels.Gemm, w, panel int, scratch []float32) *tensor.Tensor {
+			return kernels.ConvIm2row(dst, x, par.w, par.bias, l.Conv, mul, w, panel, scratch)
+		},
+	}
+	kn2rowConv = loweredConv{
+		func(l *nn.Layer, mul kernels.Gemm, w, _ int) int {
+			return kernels.ConvKn2rowScratch(l.InShape, l.Conv, mul, w)
+		},
+		func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, mul kernels.Gemm, w, _ int, scratch []float32) *tensor.Tensor {
+			return kernels.ConvKn2row(dst, x, par.w, par.bias, l.Conv, mul, w, scratch)
+		},
+	}
+)
+
+// lowering returns the kernel layer l runs under p when that kernel
+// takes scratch — an ungrouped NCHW conv lowered to a matrix product,
+// by a GEMM lowering or by Sparse's im2col SpMM — and nil otherwise.
+// compile sizes a step's scratch and execConv calls the kernel through
+// this one choice, so the two cannot disagree.
+func lowering(l *nn.Layer, p *primitives.Primitive) *loweredConv {
+	if l.Kind != nn.OpConv || kernels.IsGrouped(l.Conv) || p.Lower == primitives.NoLowering || p.Layout != tensor.NCHW {
+		return nil
+	}
+	switch {
+	case p.Lib == primitives.Sparse:
+		return &sparseConv
+	case p.Lower == primitives.Im2col:
+		return &im2colConv
+	case p.Lower == primitives.Im2row:
+		return &im2rowConv
+	}
+	return &kn2rowConv
+}
+
+// scratchLen returns the workspace, in float32 elements, that layer
+// l's kernel takes under p and cfg: what the kernel's own size function
+// reports for a lowered conv (see lowering), and 0 for every other
+// kernel. A tuned twin's cfg.Block may name a micro-kernel other than
+// the dispatched one; the size follows the named one's register tile.
+func (e *Engine) scratchLen(l *nn.Layer, p *primitives.Primitive, cfg kernels.ConvTuned) int {
+	k := lowering(l, p)
+	if k == nil {
+		return 0
+	}
+	mul, w := e.convGemm(p, cfg)
+	return k.scratch(l, mul, w, cfg.Panel)
+}
+
 // execConv dispatches the convolution and depth-wise variants.
 // NCHW-native fast kernels used under an NHWC-declared primitive
 // convert internally; that cost is the primitive's own business and
 // lands in its layer time.
 //
-// cfg is the layer's tuned config, zero for plain primitives. Kernels
-// run on cfg.Workers goroutines, or on the engine's Parallelism when
-// cfg.Workers is 0 or less; Vanilla and Sparse always run on one. The
-// packed GEMM runs under cfg.Block, which a zero Block makes
-// bit-identical to gemm.Parallel. Panel applies to the im2col and
-// im2row lowerings only.
-func (e *Engine) execConv(dst *tensor.Tensor, l *nn.Layer, p *primitives.Primitive, x *tensor.Tensor, par layerParams, cfg kernels.ConvTuned) (*tensor.Tensor, error) {
-	w := cfg.Workers
-	if w <= 0 {
-		w = e.workers
+// cfg is the layer's tuned config, zero for plain primitives; see
+// convGemm for the GEMM and fan-out it selects. Vanilla and Sparse
+// always run on one goroutine. Panel applies to the im2col and im2row
+// lowerings only. The kernels lowering returns work in scratch (sized
+// by scratchLen), or allocate their workspace when it is nil.
+func (e *Engine) execConv(dst *tensor.Tensor, l *nn.Layer, p *primitives.Primitive, x *tensor.Tensor, par layerParams, cfg kernels.ConvTuned, scratch []float32) (*tensor.Tensor, error) {
+	mul, w := e.convGemm(p, cfg)
+	if k := lowering(l, p); k != nil {
+		return k.run(dst, x, l, par, mul, w, cfg.Panel, scratch), nil
 	}
 	if l.Kind == nn.OpDepthwiseConv {
 		switch {
@@ -334,15 +429,6 @@ func (e *Engine) execConv(dst *tensor.Tensor, l *nn.Layer, p *primitives.Primiti
 			return kernels.DepthwiseNHWC(dst, x, par.w, par.bias, l.Conv, w), nil
 		}
 		return kernels.DepthwiseDirect(dst, x, par.w, par.bias, l.Conv, w), nil
-	}
-	// Tuned libraries get the packed parallel GEMM (the tuned-BLAS
-	// stand-in); ATLAS and Vanilla keep the naive one — their role in
-	// the paper is the slow reference BLAS.
-	mul := kernels.Gemm(func(m, n, k int, a, b, c []float32) {
-		gemm.ParallelCfg(m, n, k, a, b, c, w, cfg.Block)
-	})
-	if p.Lib == primitives.ATLAS || p.Lib == primitives.Vanilla {
-		mul = gemm.Naive
 	}
 	if kernels.IsGrouped(l.Conv) {
 		switch p.Lib {
@@ -359,8 +445,6 @@ func (e *Engine) execConv(dst *tensor.Tensor, l *nn.Layer, p *primitives.Primiti
 	switch {
 	case p.Lib == primitives.Vanilla:
 		return kernels.ConvDirect(dst, x, par.w, par.bias, l.Conv, 1), nil
-	case p.Lib == primitives.Sparse:
-		return kernels.ConvSparse(dst, x, par.csr, par.bias, l.Conv), nil
 	case p.Algo == primitives.WinogradAlgo:
 		return viaNCHW(dst, x, p.Layout, func(dst, in *tensor.Tensor) *tensor.Tensor {
 			return kernels.ConvWinograd(dst, in, par.w, par.bias, l.Conv, w)
@@ -371,12 +455,6 @@ func (e *Engine) execConv(dst *tensor.Tensor, l *nn.Layer, p *primitives.Primiti
 		}), nil
 	case p.Layout == tensor.NHWC: // nnpack-gemm / armcl-gemm
 		return kernels.ConvDirectNHWC(dst, x, par.w, par.bias, l.Conv, w), nil
-	case p.Lower == primitives.Im2col:
-		return kernels.ConvIm2col(dst, x, par.w, par.bias, l.Conv, mul, w, cfg.Panel), nil
-	case p.Lower == primitives.Im2row:
-		return kernels.ConvIm2row(dst, x, par.w, par.bias, l.Conv, mul, w, cfg.Panel), nil
-	case p.Lower == primitives.Kn2row:
-		return kernels.ConvKn2row(dst, x, par.w, par.bias, l.Conv, mul, w), nil
 	}
 	return nil, fmt.Errorf("engine: no conv kernel for %s", p.Name)
 }

@@ -30,6 +30,11 @@ type step struct {
 	// nowhere: its output is its input.
 	out     view
 	inPlace bool
+	// scratchLen is the workspace the kernel takes, in float32
+	// elements, and scratchSlot the arena slot that backs it; the slot
+	// is the step's alone while it runs and dead once it returns. A
+	// zero scratchLen is a kernel that takes no scratch.
+	scratchSlot, scratchLen int
 }
 
 // operand is one kernel input: activation src, converted into conv
@@ -62,19 +67,35 @@ type buffer struct {
 // read per consumer input edge; a buffer's slot returns to the dead
 // list as soon as its last read has run, and a step takes the first
 // dead slot with room for its output, growing the largest dead slot
-// or opening a new one when none has. ReLU, BatchNorm and EltwiseAdd
+// or opening a new one when none has. A kernel that takes scratch
+// (see scratchLen) gets a slot of its own the same way, next to its
+// inputs and output, and the slot dies as the step ends, so a later
+// activation reuses it. ReLU, BatchNorm and EltwiseAdd
 // overwrite their first input when that is its last read. The caller's
 // input is never written; the network output is the last layer, so no
 // step comes after it to reuse its slot.
 func (e *Engine) compile(assignment []primitives.ID) (*program, error) {
 	net := e.Net
 	reads := make([]int, net.Len())
+	edges := 0
 	for _, l := range net.Layers {
 		for _, src := range l.Inputs {
 			reads[src]++
 		}
+		edges += len(l.Inputs)
 	}
 	prog := &program{steps: make([]step, 0, net.Len()-1)}
+	// The steps' operands and the buffers are cut from two slabs sized
+	// up front — a buffer per layer output and per conversion at most —
+	// so that compiling costs a handful of allocations, not a few per
+	// step. The buffer slab never grows, so its pointers stay valid.
+	operands := make([]operand, edges)
+	bufs := make([]buffer, 0, net.Len()+edges)
+	newBuffer := func(slot, reads int) *buffer {
+		bufs = append(bufs, buffer{slot: slot, reads: reads})
+		return &bufs[len(bufs)-1]
+	}
+	var ins []*buffer
 	var dead []bool
 	take := func(elems int) int {
 		best := -1
@@ -106,7 +127,7 @@ func (e *Engine) compile(assignment []primitives.ID) (*program, error) {
 	}
 	bufOf := make([]*buffer, net.Len())
 	layoutOf := make([]tensor.Layout, net.Len())
-	bufOf[0], layoutOf[0] = &buffer{slot: -1, reads: reads[0]}, tensor.NCHW
+	bufOf[0], layoutOf[0] = newBuffer(-1, reads[0]), tensor.NCHW
 
 	for i := 1; i < net.Len(); i++ {
 		l := net.Layers[i]
@@ -114,20 +135,21 @@ func (e *Engine) compile(assignment []primitives.ID) (*program, error) {
 		if err := checkExecutable(l, p); err != nil {
 			return nil, err
 		}
-		st := step{layer: i, prim: p, in: make([]operand, len(l.Inputs)), out: noView}
+		st := step{layer: i, prim: p, in: operands[:len(l.Inputs)], out: noView}
+		operands = operands[len(l.Inputs):]
 		if p.Tuned {
 			st.cfg = e.tuned[tunedKey{i, p.Idx}]
 			st.prim = primitives.ByID(p.Base)
 		}
-		ins := make([]*buffer, len(l.Inputs))
+		ins = ins[:0]
 		for k, src := range l.Inputs {
 			st.in[k] = operand{src: src, conv: noView}
-			ins[k] = bufOf[src]
+			ins = append(ins, bufOf[src])
 			if layoutOf[src] == p.Layout {
 				continue
 			}
 			shape := net.Layers[src].OutShape
-			conv := &buffer{slot: take(shape.Elems()), reads: 1}
+			conv := newBuffer(take(shape.Elems()), 1)
 			st.in[k].conv = view{conv.slot, shape, p.Layout}
 			release(ins[k]) // the conversion was src's read
 			ins[k] = conv
@@ -141,12 +163,18 @@ func (e *Engine) compile(assignment []primitives.ID) (*program, error) {
 		case inPlace(l.Kind) && ins[0].slot >= 0 && ins[0].reads == count(ins, ins[0]):
 			out, st.inPlace = ins[0], true
 		default:
-			out, fresh = &buffer{slot: take(l.OutShape.Elems())}, true
+			out, fresh = newBuffer(take(l.OutShape.Elems()), 0), true
 			st.out = view{out.slot, l.OutShape, outLayout(l, p)}
+		}
+		if n := e.scratchLen(l, st.prim, st.cfg); n > 0 {
+			st.scratchSlot, st.scratchLen = take(n), n
 		}
 		out.reads += reads[i]
 		for _, b := range ins {
 			release(b)
+		}
+		if st.scratchLen > 0 {
+			dead[st.scratchSlot] = true
 		}
 		if fresh && out.reads == 0 {
 			dead[out.slot] = true // nothing reads the output

@@ -56,7 +56,7 @@ func (s *Source) MeasureTuned(ctx context.Context, i int, base *primitives.Primi
 		inputs[k] = s.acts[src].ToLayout(base.Layout)
 	}
 	t0 := time.Now()
-	if _, err := s.eng.execCfg(nil, i, l, base, inputs, cfg); err != nil {
+	if _, err := s.eng.execCfg(nil, i, l, base, inputs, cfg, nil); err != nil {
 		return 0, fmt.Errorf("tuning %s with %s: %w", l.Name, base.Name, err)
 	}
 	return time.Since(t0).Seconds(), nil

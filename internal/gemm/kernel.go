@@ -37,10 +37,6 @@ type Kernel struct {
 	micro func(k int, ap, bp, t []float32)
 }
 
-// maxTileElems bounds MR*NR across all kernels so the per-strip tile
-// scratch can live on the stack. registerKernel enforces it.
-const maxTileElems = 128
-
 // fallbackKernel is the pure-Go kernel every build has: the 4x8
 // geometry of the original SSE micro-kernel with microTileGo as the
 // reference reduction. QSDNN_DISABLE_SIMD forces it; every SIMD
@@ -60,9 +56,6 @@ var active atomic.Pointer[Kernel]
 // registerKernel prepends a detected kernel, keeping the registration
 // order (fastest first) ahead of the fallback.
 func registerKernel(k *Kernel) {
-	if k.MR*k.NR > maxTileElems {
-		panic("gemm: kernel tile exceeds maxTileElems: " + k.Name)
-	}
 	variants = append([]*Kernel{k}, variants...)
 }
 

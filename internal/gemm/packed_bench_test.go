@@ -47,7 +47,7 @@ func BenchmarkGEMMKernelVariants(b *testing.B) {
 		for _, size := range []int{128, 512} {
 			b.Run(fmt.Sprintf("%s/%d", kn.Name, size), func(b *testing.B) {
 				benchGemm(b, size, func(m, n, k int, a, bb, c []float32) {
-					blockedKernel(kn, m, n, k, a, bb, c, 1, 0, 0)
+					blockedKernel(kn, m, n, k, a, bb, nil, c, 1, 0, 0, nil)
 				})
 			})
 		}

@@ -10,11 +10,15 @@ package gemm
 // B is packed one (KC x NC) block at a time and each block's
 // contribution is added into C before the next block is packed, so the
 // pack buffer and the C tiles it feeds stay cache-resident for shapes
-// whose full packed B would not. Cache-blocked configs are NOT bit-identical
-// to the default path (each output element accumulates one partial sum
-// per KC block instead of one full-k sum); they agree within float32
-// tolerance and are bit-identical to themselves at any worker count,
-// which is the contract the tuner's measurements rely on.
+// whose larger blocks would not. Only KC changes bits: with KC set,
+// each output element accumulates one partial sum per KC block instead
+// of one full-k sum, which agrees with the default path within float32
+// tolerance but not bit for bit. NC alone splits only the columns, and
+// every element still gets its full-k, ascending-p register sum, so an
+// NC-only config is bit-identical to the default path (which itself
+// packs B panelCols columns at a time). Every config is bit-identical
+// to itself at any worker count, which is the contract the tuner's
+// measurements rely on.
 type BlockConfig struct {
 	// Kernel names the micro-kernel variant to run ("avx2-8x8",
 	// "sse-4x8", "go-4x8", ...); "" or an unknown name selects the
@@ -25,7 +29,7 @@ type BlockConfig struct {
 	// <= 0 selects the full reduction (no k blocking).
 	KC int
 	// NC is the n-blocking width (B columns packed per block), rounded
-	// up to the kernel's NR; <= 0 selects the full width.
+	// up to the kernel's NR; <= 0 selects the default 256-column blocks.
 	NC int
 	// Workers overrides the caller's strip fan-out; <= 0 keeps it.
 	Workers int
@@ -61,10 +65,25 @@ func KernelShape(name string) (mr, nr int, ok bool) {
 // ParallelCfg computes C = A*B + C like Parallel, but through an
 // explicit BlockConfig: micro-kernel choice, optional KC/NC cache
 // blocking, and an optional worker override. A zero config is
-// bit-identical to Parallel(m, n, k, a, b, c, workers).
-func ParallelCfg(m, n, k int, a, b, c []float32, workers int, cfg BlockConfig) {
+// bit-identical to Parallel(m, n, k, a, b, c, workers). scratch is the
+// call's workspace, as dst is a kernel's output: nil allocates one,
+// otherwise it must hold ScratchLen(m, n, k, workers, cfg) elements,
+// whose contents do not matter, and the call allocates nothing on one
+// worker.
+func ParallelCfg(m, n, k int, a, b, c []float32, workers int, cfg BlockConfig, scratch []float32) {
 	if cfg.Workers > 0 {
 		workers = cfg.Workers
 	}
-	blockedKernel(kernelByName(cfg.Kernel), m, n, k, a, b, c, workers, cfg.KC, cfg.NC)
+	blockedKernel(kernelByName(cfg.Kernel), m, n, k, a, b, nil, c, workers, cfg.KC, cfg.NC, scratch)
+}
+
+// ParallelPacker is ParallelCfg with B supplied by pk, block by block,
+// instead of as a (k x n) matrix: a lowering that gathers straight into
+// the panel layout builds its patch matrix once rather than twice. The
+// result is bit-identical to ParallelCfg on the matrix pk describes.
+func ParallelPacker(m, n, k int, a []float32, pk Packer, c []float32, workers int, cfg BlockConfig, scratch []float32) {
+	if cfg.Workers > 0 {
+		workers = cfg.Workers
+	}
+	blockedKernel(kernelByName(cfg.Kernel), m, n, k, a, nil, pk, c, workers, cfg.KC, cfg.NC, scratch)
 }

@@ -19,7 +19,7 @@ func TestParallelCfgZeroBitIdentical(t *testing.T) {
 		want := append([]float32(nil), c0...)
 		Parallel(m, n, k, a, b, want, 4)
 		got := append([]float32(nil), c0...)
-		ParallelCfg(m, n, k, a, b, got, 4, BlockConfig{})
+		ParallelCfg(m, n, k, a, b, got, 4, BlockConfig{}, nil)
 		if !bitEqual(want, got) {
 			t.Errorf("%dx%dx%d: zero BlockConfig not bit-identical to Parallel", m, n, k)
 		}
@@ -38,7 +38,7 @@ func TestParallelCfgKernelDegradesToDispatch(t *testing.T) {
 	want := append([]float32(nil), c0...)
 	Parallel(m, n, k, a, b, want, 1)
 	got := append([]float32(nil), c0...)
-	ParallelCfg(m, n, k, a, b, got, 1, BlockConfig{Kernel: "no-such-kernel-9x9"})
+	ParallelCfg(m, n, k, a, b, got, 1, BlockConfig{Kernel: "no-such-kernel-9x9"}, nil)
 	if !bitEqual(want, got) {
 		t.Error("unknown kernel name did not degrade to the dispatched kernel")
 	}
@@ -67,7 +67,7 @@ func TestBlockedCfgMatchesNaive(t *testing.T) {
 		Naive(m, n, k, a, b, want)
 		for _, cfg := range blockedConfigs {
 			got := append([]float32(nil), c0...)
-			ParallelCfg(m, n, k, a, b, got, 1, cfg)
+			ParallelCfg(m, n, k, a, b, got, 1, cfg, nil)
 			if d := maxDiff(want, got); d > 1e-4 {
 				t.Errorf("%dx%dx%d cfg=%+v: differs from naive by %g", m, n, k, cfg, d)
 			}
@@ -87,10 +87,10 @@ func TestBlockedCfgWorkerInvariance(t *testing.T) {
 		c0 := randomSlice(rng, m*n)
 		for _, cfg := range blockedConfigs {
 			want := append([]float32(nil), c0...)
-			ParallelCfg(m, n, k, a, b, want, 1, cfg)
+			ParallelCfg(m, n, k, a, b, want, 1, cfg, nil)
 			for _, w := range []int{2, 3, 8} {
 				got := append([]float32(nil), c0...)
-				ParallelCfg(m, n, k, a, b, got, w, cfg)
+				ParallelCfg(m, n, k, a, b, got, w, cfg, nil)
 				if !bitEqual(want, got) {
 					t.Errorf("%dx%dx%d cfg=%+v workers=%d: not bit-identical to sequential", m, n, k, cfg, w)
 				}
@@ -114,8 +114,8 @@ func TestBlockedCfgMatchesNaiveProperty(t *testing.T) {
 		cs := append([]float32(nil), c0...)
 		cw := append([]float32(nil), c0...)
 		Naive(m, n, k, a, b, cn)
-		ParallelCfg(m, n, k, a, b, cs, 1, cfg)
-		ParallelCfg(m, n, k, a, b, cw, w, cfg)
+		ParallelCfg(m, n, k, a, b, cs, 1, cfg, nil)
+		ParallelCfg(m, n, k, a, b, cw, w, cfg, nil)
 		return maxDiff(cn, cs) <= 1e-4 && bitEqual(cs, cw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {

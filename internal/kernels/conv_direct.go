@@ -11,6 +11,14 @@
 // returns it; a nil dst allocates a fresh one. A kernel overwrites every
 // element of dst, so a reused buffer needs no clearing. Only ReLU,
 // BatchNorm and EltwiseAdd (as its first operand) accept dst == in.
+//
+// The kernels that lower a conv to a matrix product (ConvIm2col,
+// ConvIm2row, ConvKn2row, ConvSparse) also take their workspace the
+// way they take dst, as a last scratch argument: nil allocates it,
+// otherwise it must hold as many elements as the kernel's …Scratch
+// function reports, and may hold anything — the kernel writes every
+// element before reading it. A planned caller gives every call the
+// same scratch and so allocates nothing per call.
 package kernels
 
 import (

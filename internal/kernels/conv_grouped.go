@@ -112,7 +112,7 @@ func ConvGroupedIm2col(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParam
 	}
 	g := p.GroupCount()
 	if g == 1 {
-		return ConvIm2col(dst, in, w, bias, p, mul, workers, 0)
+		return ConvIm2col(dst, in, w, bias, p, mul, workers, 0, nil)
 	}
 	inPerG, outPerG := s.C/g, p.OutChannels/g
 	out := output(dst, convOutShape(s, p.OutChannels, p), tensor.NCHW)
@@ -126,7 +126,7 @@ func ConvGroupedIm2col(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParam
 		gin := sliceChannels(in, grp*inPerG, (grp+1)*inPerG)
 		gw := w[grp*outPerG*inPerG*kArea : (grp+1)*outPerG*inPerG*kArea]
 		gb := bias[grp*outPerG : (grp+1)*outPerG]
-		gout := ConvIm2col(nil, gin, gw, gb, sub, mul, 1, 0)
+		gout := ConvIm2col(nil, gin, gw, gb, sub, mul, 1, 0, nil)
 		for n := 0; n < s.N; n++ {
 			src := gout.Data()[n*outPerG*spatial:]
 			copy(out.Data()[n*os.C*spatial+grp*outPerG*spatial:][:outPerG*spatial], src[:outPerG*spatial])

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/gemm"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -52,7 +51,7 @@ func TestGroupedConvMatchesBlockDiagonal(t *testing.T) {
 		if d := tensor.MaxAbsDiff(ref, direct); d > convTol {
 			t.Errorf("groups=%d: direct max diff %g", g, d)
 		}
-		lowered := ConvGroupedIm2col(nil, in, w, bias, p, packed, 1)
+		lowered := ConvGroupedIm2col(nil, in, w, bias, p, Packed, 1)
 		if d := tensor.MaxAbsDiff(ref, lowered); d > convTol {
 			t.Errorf("groups=%d: im2col max diff %g", g, d)
 		}
@@ -90,7 +89,7 @@ func TestGroupedConvStride(t *testing.T) {
 	if d := tensor.MaxAbsDiff(ref, ConvGroupedDirect(nil, in, w, bias, p, 1)); d > convTol {
 		t.Errorf("strided grouped direct diff %g", d)
 	}
-	if d := tensor.MaxAbsDiff(ref, ConvGroupedIm2col(nil, in, w, bias, p, gemm.Naive, 1)); d > convTol {
+	if d := tensor.MaxAbsDiff(ref, ConvGroupedIm2col(nil, in, w, bias, p, Naive, 1)); d > convTol {
 		t.Errorf("strided grouped im2col diff %g", d)
 	}
 }

@@ -92,9 +92,18 @@ func (m *CSR) MulVec(x, y []float32) {
 	}
 }
 
+// ConvSparseScratch returns the scratch elements ConvSparse needs on
+// input shape s: one sample's im2col matrix.
+func ConvSparseScratch(s tensor.Shape, p nn.ConvParams) int {
+	os := convOutShape(s, p.OutChannels, p)
+	return s.C * p.KernelH * p.KernelW * os.H * os.W
+}
+
 // ConvSparse computes a dense-output convolution whose weights are a
 // CSR matrix of shape (OC x C*KH*KW): im2col the input, then SpMM.
-func ConvSparse(dst, in *tensor.Tensor, w *CSR, bias []float32, p nn.ConvParams) *tensor.Tensor {
+// scratch holds the im2col matrix: nil allocates it, otherwise it must
+// hold ConvSparseScratch elements.
+func ConvSparse(dst, in *tensor.Tensor, w *CSR, bias []float32, p nn.ConvParams, scratch []float32) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvSparse requires NCHW input")
 	}
@@ -109,7 +118,7 @@ func ConvSparse(dst, in *tensor.Tensor, w *CSR, bias []float32, p nn.ConvParams)
 	out := output(dst, convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
 	spatial := os.H * os.W
-	var cols []float32
+	cols := workspace(scratch, ConvSparseScratch(s, p))
 	for n := 0; n < s.N; n++ {
 		cols = Im2col(cols, in, n, p, os.H, os.W, 1)
 		res := sample(out, n)

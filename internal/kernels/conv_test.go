@@ -59,23 +59,23 @@ func TestConvVariantsMatchDirect(t *testing.T) {
 		run  func(in *tensor.Tensor, w, b []float32, p nn.ConvParams) *tensor.Tensor
 	}{
 		{"im2col-naive", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams) *tensor.Tensor {
-			return ConvIm2col(nil, in, w, b, p, gemm.Naive, 1, 0)
+			return ConvIm2col(nil, in, w, b, p, Naive, 1, 0, nil)
 		}},
 		{"im2col-packed", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams) *tensor.Tensor {
-			return ConvIm2col(nil, in, w, b, p, packed, 1, 0)
+			return ConvIm2col(nil, in, w, b, p, Packed, 1, 0, nil)
 		}},
 		{"im2row", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams) *tensor.Tensor {
-			return ConvIm2row(nil, in, w, b, p, packed, 1, 0)
+			return ConvIm2row(nil, in, w, b, p, Packed, 1, 0, nil)
 		}},
 		{"kn2row", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams) *tensor.Tensor {
-			return ConvKn2row(nil, in, w, b, p, packed, 1)
+			return ConvKn2row(nil, in, w, b, p, Packed, 1, nil)
 		}},
 		{"nhwc", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams) *tensor.Tensor {
 			return ConvDirectNHWC(nil, in.ToLayout(tensor.NHWC), w, b, p, 1).ToLayout(tensor.NCHW)
 		}},
 		{"sparse-dense", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams) *tensor.Tensor {
 			csr := FromDense(p.OutChannels, in.Shape().C*p.KernelH*p.KernelW, w, 0)
-			return ConvSparse(nil, in, csr, b, p)
+			return ConvSparse(nil, in, csr, b, p, nil)
 		}},
 	}
 	for _, g := range convGeometries {
@@ -145,7 +145,7 @@ func TestConvLoweringProperty(t *testing.T) {
 		}
 		x, w, b := randConv(rng, in, p)
 		ref := ConvDirect(nil, x, w, b, p, 1)
-		got := ConvIm2col(nil, x, w, b, p, gemm.Naive, 1, 0)
+		got := ConvIm2col(nil, x, w, b, p, Naive, 1, 0, nil)
 		return tensor.MaxAbsDiff(ref, got) <= convTol
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

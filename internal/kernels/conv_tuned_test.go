@@ -12,10 +12,10 @@ import (
 // runTuned runs the three lowering convs under cfg the way the engine's
 // conv dispatch does, with a fallback fan-out of 1.
 func runTuned(x *tensor.Tensor, w, b []float32, p nn.ConvParams, cfg ConvTuned) (col, row, kn *tensor.Tensor) {
-	mul, workers := refTunedGemm(cfg)
-	return ConvIm2col(nil, x, w, b, p, mul, workers, cfg.Panel),
-		ConvIm2row(nil, x, w, b, p, mul, workers, cfg.Panel),
-		ConvKn2row(nil, x, w, b, p, mul, workers)
+	mul, workers := Gemm{Packed: true, Block: cfg.Block}, max(cfg.Workers, 1)
+	return ConvIm2col(nil, x, w, b, p, mul, workers, cfg.Panel, nil),
+		ConvIm2row(nil, x, w, b, p, mul, workers, cfg.Panel, nil),
+		ConvKn2row(nil, x, w, b, p, mul, workers, nil)
 }
 
 // TestConvTunedZeroConfigBitIdentical pins the golden-safety contract:
@@ -26,9 +26,9 @@ func TestConvTunedZeroConfigBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, g := range convGeometries {
 		x, w, b := randConv(rng, g.in, g.p)
-		refCol := ConvIm2col(nil, x, w, b, g.p, packed, 1, 0)
-		refRow := ConvIm2row(nil, x, w, b, g.p, packed, 1, 0)
-		refKn := ConvKn2row(nil, x, w, b, g.p, packed, 1)
+		refCol := ConvIm2col(nil, x, w, b, g.p, Packed, 1, 0, nil)
+		refRow := ConvIm2row(nil, x, w, b, g.p, Packed, 1, 0, nil)
+		refKn := ConvKn2row(nil, x, w, b, g.p, Packed, 1, nil)
 		for _, panel := range []int{0, 1, 2, 3, 100} {
 			for _, workers := range []int{1, 3} {
 				col, row, kn := runTuned(x, w, b, g.p, ConvTuned{Panel: panel, Workers: workers})

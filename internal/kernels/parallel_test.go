@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/gemm"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -53,13 +52,13 @@ func TestParKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 			return ConvFFT(nil, in, w, b, p, workers)
 		}},
 		{"im2col", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
-			return ConvIm2col(nil, in, w, b, p, packed, workers, 0)
+			return ConvIm2col(nil, in, w, b, p, Packed, workers, 0, nil)
 		}},
 		{"im2row", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
-			return ConvIm2row(nil, in, w, b, p, packed, workers, 0)
+			return ConvIm2row(nil, in, w, b, p, Packed, workers, 0, nil)
 		}},
 		{"kn2row", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
-			return ConvKn2row(nil, in, w, b, p, packed, workers)
+			return ConvKn2row(nil, in, w, b, p, Packed, workers, nil)
 		}},
 		{"nhwc", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 			return ConvDirectNHWC(nil, in.ToLayout(tensor.NHWC), w, b, p, workers)
@@ -152,12 +151,12 @@ func TestGroupedParBitIdentical(t *testing.T) {
 		b[i] = rng.Float32()
 	}
 	seqD := ConvGroupedDirect(nil, x, w, b, p, 1)
-	seqI := ConvGroupedIm2col(nil, x, w, b, p, packed, 1)
+	seqI := ConvGroupedIm2col(nil, x, w, b, p, Packed, 1)
 	for _, workers := range parWorkerCounts {
 		if !tensorsBitEqual(seqD, ConvGroupedDirect(nil, x, w, b, p, workers)) {
 			t.Errorf("ConvGroupedDirect workers=%d: not bit-identical", workers)
 		}
-		if !tensorsBitEqual(seqI, ConvGroupedIm2col(nil, x, w, b, p, packed, workers)) {
+		if !tensorsBitEqual(seqI, ConvGroupedIm2col(nil, x, w, b, p, Packed, workers)) {
 			t.Errorf("ConvGroupedIm2col workers=%d: not bit-identical", workers)
 		}
 	}
@@ -171,9 +170,7 @@ func TestConvPackedGemmMatchesDirect(t *testing.T) {
 		x, w, b := randConv(rng, g.in, g.p)
 		ref := ConvDirect(nil, x, w, b, g.p, 1)
 		for _, workers := range []int{1, 4} {
-			got := ConvIm2col(nil, x, w, b, g.p, func(m, n, k int, a, bb, c []float32) {
-				gemm.Parallel(m, n, k, a, bb, c, workers)
-			}, workers, 0)
+			got := ConvIm2col(nil, x, w, b, g.p, Packed, workers, 0, nil)
 			rd, gd := ref.Data(), got.Data()
 			for i := range rd {
 				if d := math.Abs(float64(rd[i] - gd[i])); d > convTol {

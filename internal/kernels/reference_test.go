@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,6 +16,10 @@ import (
 // the slice-indexed kernels must match bit for bit: the same
 // expressions, in the same order, over the same elements. Do not
 // optimize them.
+
+// refGemm is the C = A*B + C multiply the frozen lowering references
+// call.
+type refGemm func(m, n, k int, a, b, c []float32)
 
 func refDepthwiseDirectPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	s := in.Shape()
@@ -332,7 +337,7 @@ func refIm2rowPar(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int
 	return m
 }
 
-func refConvIm2colPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
+func refConvIm2colPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul refGemm, workers int) *tensor.Tensor {
 	s := in.Shape()
 	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
@@ -354,7 +359,7 @@ func refConvIm2colPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul
 	return out
 }
 
-func refConvIm2rowPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
+func refConvIm2rowPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul refGemm, workers int) *tensor.Tensor {
 	s := in.Shape()
 	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
@@ -379,7 +384,7 @@ func refConvIm2rowPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul
 	return out
 }
 
-func refConvKn2rowPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int) *tensor.Tensor {
+func refConvKn2rowPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul refGemm, workers int) *tensor.Tensor {
 	s := in.Shape()
 	out := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
@@ -495,10 +500,10 @@ func refPanelRows(panel, oh int) int {
 
 // refTunedGemm returns the GEMM and fan-out a ConvTuned config runs
 // with: cfg.Workers (1 when unset) and cfg.Block on the packed GEMM.
-func refTunedGemm(cfg ConvTuned) (Gemm, int) {
+func refTunedGemm(cfg ConvTuned) (refGemm, int) {
 	workers := max(cfg.Workers, 1)
 	return func(m, n, k int, a, b, c []float32) {
-		gemm.ParallelCfg(m, n, k, a, b, c, workers, cfg.Block)
+		gemm.ParallelCfg(m, n, k, a, b, c, workers, cfg.Block, nil)
 	}, workers
 }
 
@@ -636,6 +641,36 @@ func sliceBitEqual(a, b []float32) bool {
 	return true
 }
 
+// gemmCase pairs a lowering kernel's GEMM with the multiply its frozen
+// reference calls.
+type gemmCase struct {
+	name string
+	mul  Gemm
+	ref  refGemm
+}
+
+// refGemms lists the naive GEMM and the packed one under the
+// dispatched kernel and under every registered variant by name, the
+// pure-Go fallback that QSDNN_DISABLE_SIMD selects included. Every
+// variant must reproduce the 1-worker packed reference bit for bit.
+func refGemms() []gemmCase {
+	cases := []gemmCase{{"naive", Naive, gemm.Naive}, {"packed", Packed, packed}}
+	for _, name := range gemm.KernelVariants() {
+		cases = append(cases, gemmCase{"packed-" + name, Gemm{Packed: true, Block: gemm.BlockConfig{Kernel: name}}, packed})
+	}
+	return cases
+}
+
+// nanSlice returns n NaNs: scratch a kernel that read before writing
+// would leak into its output.
+func nanSlice(n int) []float32 {
+	s := make([]float32, n)
+	for i := range s {
+		s[i] = float32(math.NaN())
+	}
+	return s
+}
+
 // checkMatchesReference runs every kernel on g against its frozen
 // At/Set loop — or, for the kernels that never had their loops
 // rewritten, against their own output into a fresh tensor — and fails
@@ -669,6 +704,17 @@ func checkMatchesReference(t *testing.T, g refGeom, seed int64) {
 		alias := in.Clone()
 		if got := run(alias, alias); got != alias || !tensorsBitEqual(want, got) {
 			fail(what, "in place")
+		}
+	}
+	// sameScratch also runs a kernel that takes scratch into a nil dst
+	// with NaN-filled scratch of exactly size elements and of more.
+	sameScratch := func(what string, want *tensor.Tensor, size int, run func(dst *tensor.Tensor, scratch []float32) *tensor.Tensor) {
+		t.Helper()
+		same(what, want, func(dst *tensor.Tensor) *tensor.Tensor { return run(dst, nil) })
+		for _, n := range []int{size, size + 13} {
+			if !tensorsBitEqual(want, run(nil, nanSlice(n))) {
+				fail(what, fmt.Sprintf("with %d NaN-filled scratch elements (%d needed)", n, size))
+			}
 		}
 	}
 	sameSlice := func(what string, want []float32, run func(dst []float32) []float32) {
@@ -727,7 +773,9 @@ func checkMatchesReference(t *testing.T, g refGeom, seed int64) {
 	os := convOutShape(s, p.OutChannels, p)
 	xh := refToLayout(x, tensor.NHWC)
 	wcsr := FromDense(p.OutChannels, s.C*p.KernelH*p.KernelW, w, 0)
-	same("ConvSparse", refConvSparse(x, wcsr, b, p), func(dst *tensor.Tensor) *tensor.Tensor { return ConvSparse(dst, x, wcsr, b, p) })
+	sameScratch("ConvSparse", refConvSparse(x, wcsr, b, p), ConvSparseScratch(s, p), func(dst *tensor.Tensor, scratch []float32) *tensor.Tensor {
+		return ConvSparse(dst, x, wcsr, b, p, scratch)
+	})
 	for _, workers := range []int{1, 3} {
 		same("Depthwise", refDepthwiseDirectPar(x, dw, db, g.p, workers), func(dst *tensor.Tensor) *tensor.Tensor {
 			return DepthwiseDirect(dst, x, dw, db, g.p, workers)
@@ -743,26 +791,33 @@ func checkMatchesReference(t *testing.T, g refGeom, seed int64) {
 				return Im2row(dst, x, n, p, os.H, os.W, workers)
 			})
 		}
-		for name, mul := range map[string]Gemm{"naive": gemm.Naive, "packed": packed} {
-			same("ConvIm2col/"+name, refConvIm2colPar(x, w, b, p, mul, workers), func(dst *tensor.Tensor) *tensor.Tensor {
-				return ConvIm2col(dst, x, w, b, p, mul, workers, 0)
+		for _, g := range refGemms() {
+			name, mul := g.name, g.mul
+			check := func(what string, want *tensor.Tensor, size int, run func(dst *tensor.Tensor, scratch []float32) *tensor.Tensor) {
+				t.Helper()
+				sameScratch(what+"/"+name, want, size, run)
+			}
+			check("ConvIm2col", refConvIm2colPar(x, w, b, p, g.ref, workers), ConvIm2colScratch(s, p, mul, workers, 0), func(dst *tensor.Tensor, scratch []float32) *tensor.Tensor {
+				return ConvIm2col(dst, x, w, b, p, mul, workers, 0, scratch)
 			})
-			same("ConvIm2row/"+name, refConvIm2rowPar(x, w, b, p, mul, workers), func(dst *tensor.Tensor) *tensor.Tensor {
-				return ConvIm2row(dst, x, w, b, p, mul, workers, 0)
+			check("ConvIm2row", refConvIm2rowPar(x, w, b, p, g.ref, workers), ConvIm2rowScratch(s, p, mul, workers, 0), func(dst *tensor.Tensor, scratch []float32) *tensor.Tensor {
+				return ConvIm2row(dst, x, w, b, p, mul, workers, 0, scratch)
 			})
-			same("ConvKn2row/"+name, refConvKn2rowPar(x, w, b, p, mul, workers), func(dst *tensor.Tensor) *tensor.Tensor {
-				return ConvKn2row(dst, x, w, b, p, mul, workers)
+			check("ConvKn2row", refConvKn2rowPar(x, w, b, p, g.ref, workers), ConvKn2rowScratch(s, p, mul, workers), func(dst *tensor.Tensor, scratch []float32) *tensor.Tensor {
+				return ConvKn2row(dst, x, w, b, p, mul, workers, scratch)
 			})
 		}
 		for _, panel := range []int{0, 2} {
-			cfg := ConvTuned{Panel: panel, Workers: workers}
-			mul, _ := refTunedGemm(cfg)
-			same("ConvIm2col/tuned", refConvIm2colTuned(x, w, b, p, cfg), func(dst *tensor.Tensor) *tensor.Tensor {
-				return ConvIm2col(dst, x, w, b, p, mul, workers, panel)
-			})
-			same("ConvIm2row/tuned", refConvIm2rowTuned(x, w, b, p, cfg), func(dst *tensor.Tensor) *tensor.Tensor {
-				return ConvIm2row(dst, x, w, b, p, mul, workers, panel)
-			})
+			for _, blk := range []gemm.BlockConfig{{}, {KC: 5, NC: 9}} {
+				cfg := ConvTuned{Panel: panel, Workers: workers, Block: blk}
+				mul := Gemm{Packed: true, Block: blk}
+				sameScratch("ConvIm2col/tuned", refConvIm2colTuned(x, w, b, p, cfg), ConvIm2colScratch(s, p, mul, workers, panel), func(dst *tensor.Tensor, scratch []float32) *tensor.Tensor {
+					return ConvIm2col(dst, x, w, b, p, mul, workers, panel, scratch)
+				})
+				sameScratch("ConvIm2row/tuned", refConvIm2rowTuned(x, w, b, p, cfg), ConvIm2rowScratch(s, p, mul, workers, panel), func(dst *tensor.Tensor, scratch []float32) *tensor.Tensor {
+					return ConvIm2row(dst, x, w, b, p, mul, workers, panel, scratch)
+				})
+			}
 		}
 		// The kernels whose loops were never rewritten are their own
 		// reference: a reused destination must not change their output.
@@ -784,7 +839,7 @@ func checkMatchesReference(t *testing.T, g refGeom, seed int64) {
 			gw, gb := randSlice(rng, pg.OutChannels*s.C/2*p.KernelH*p.KernelW), randSlice(rng, pg.OutChannels)
 			own["ConvGroupedDirect"] = func(dst *tensor.Tensor) *tensor.Tensor { return ConvGroupedDirect(dst, x, gw, gb, pg, workers) }
 			own["ConvGroupedIm2col"] = func(dst *tensor.Tensor) *tensor.Tensor {
-				return ConvGroupedIm2col(dst, x, gw, gb, pg, packed, workers)
+				return ConvGroupedIm2col(dst, x, gw, gb, pg, Packed, workers)
 			}
 		}
 		for name, run := range own {

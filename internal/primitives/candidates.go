@@ -46,17 +46,33 @@ func isFFTable(l *nn.Layer) bool {
 // layers that a DNN may use"); OpInput returns nil.
 func Candidates(l *nn.Layer, mode Mode) []*Primitive {
 	var out []*Primitive
+	eachCandidate(l, mode, func(p *Primitive) { out = append(out, p) })
+	return out
+}
+
+// CanImplement reports whether p is one of Candidates(l, mode), without
+// building the candidate slice: the engine asks it of every layer of
+// every run.
+func CanImplement(l *nn.Layer, mode Mode, p *Primitive) bool {
+	found := false
+	eachCandidate(l, mode, func(c *Primitive) { found = found || c == p })
+	return found
+}
+
+// eachCandidate calls yield with every candidate of the layer under the
+// mode, in registry order: the one definition of the candidate sets.
+func eachCandidate(l *nn.Layer, mode Mode, yield func(*Primitive)) {
 	add := func(ps ...*Primitive) {
 		for _, p := range ps {
 			if mode == ModeCPU && p.Proc == GPU {
 				continue
 			}
-			out = append(out, p)
+			yield(p)
 		}
 	}
 	switch l.Kind {
 	case nn.OpInput:
-		return nil
+		return
 	case nn.OpConv:
 		if l.Conv.GroupCount() > 1 {
 			// Grouped convolutions (AlexNet conv2/4/5): only the
@@ -96,7 +112,6 @@ func Candidates(l *nn.Layer, mode Mode) []*Primitive {
 	default:
 		add(PVanilla)
 	}
-	return out
 }
 
 // MaxCandidates returns the largest candidate-set size over the
