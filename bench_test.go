@@ -475,6 +475,55 @@ func BenchmarkConvFFTKernel(b *testing.B) {
 	})
 }
 
+// BenchmarkMemoryBoundKernels measures ReLU, BatchNorm and the 3x3
+// depth-wise conv, the three memory-bound kernels of a MobileNet block,
+// on mobilenet-v1-025's shapes: the 112x112 planes of the first
+// depth-wise layers at stride 1 and 2 and the 14x14 and 7x7 planes of
+// the last ones. Each runs under the dispatched kernel's rows
+// (gemm.ActiveKernel) from a fixed random input into a separate
+// output, and reports ns per output element.
+func BenchmarkMemoryBoundKernels(b *testing.B) {
+	shapes := []struct {
+		name   string
+		in     tensor.Shape
+		stride int
+	}{
+		{"8x112x112-s1", tensor.Shape{N: 1, C: 8, H: 112, W: 112}, 1},
+		{"16x112x112-s2", tensor.Shape{N: 1, C: 16, H: 112, W: 112}, 2},
+		{"128x14x14-s1", tensor.Shape{N: 1, C: 128, H: 14, W: 14}, 1},
+		{"256x7x7-s1", tensor.Shape{N: 1, C: 256, H: 7, W: 7}, 1},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, sh := range shapes {
+		in := tensor.New(sh.in, tensor.NCHW)
+		in.FillRandom(rng, 1)
+		out := tensor.New(sh.in, tensor.NCHW)
+		scale, shift := make([]float32, sh.in.C), make([]float32, sh.in.C)
+		for c := range scale {
+			scale[c], shift[c] = rng.Float32()+0.5, rng.Float32()-0.5
+		}
+		p := nn.ConvParams{KernelH: 3, KernelW: 3, StrideH: sh.stride, StrideW: sh.stride, PadH: 1, PadW: 1}
+		w, bias := make([]float32, sh.in.C*9), make([]float32, sh.in.C)
+		for i := range w {
+			w[i] = rng.Float32()*2 - 1
+		}
+		dwOut := kernels.DepthwiseDirect(nil, in, w, bias, p, 1)
+		run := func(name string, elems int, op func()) {
+			b.Run(name+"/"+sh.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					op()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems), "ns/elem")
+			})
+		}
+		if sh.stride == 1 {
+			run("relu", len(in.Data()), func() { kernels.ReLU(out, in) })
+			run("batchnorm", len(in.Data()), func() { kernels.BatchNorm(out, in, scale, shift) })
+		}
+		run("depthwise", len(dwOut.Data()), func() { kernels.DepthwiseDirect(dwOut, in, w, bias, p, 1) })
+	}
+}
+
 // BenchmarkAblationProfilingNoise measures robustness to measurement
 // noise: profile at increasing jitter, search on the noisy table, then
 // evaluate the found assignment against the noise-free table. The

@@ -4,7 +4,10 @@
 // float32 slices. Two GEMM variants are provided — a straightforward
 // triple loop (Naive) and a packed, register-tiled, worker-parallel
 // pipeline (Parallel, packed.go) — mirroring how a dependency-free
-// "Vanilla" engine differs from a tuned BLAS.
+// "Vanilla" engine differs from a tuned BLAS. The package also owns the
+// per-ISA dispatch (kernel.go): each dispatched micro-kernel carries
+// the vector rows of the memory-bound kernels (rows.go) that
+// internal/kernels runs for ReLU, BatchNorm and depth-wise conv.
 package gemm
 
 import "fmt"
@@ -33,7 +36,7 @@ func Naive(m, n, k int, a, b, c []float32) {
 			}
 			brow := b[p*n : p*n+n]
 			for j := range crow {
-				crow[j] += av * brow[j]
+				crow[j] += float32(av * brow[j])
 			}
 		}
 	}
@@ -50,7 +53,7 @@ func Gemv(m, n int, a, x, y []float32) {
 		arow := a[i*n : i*n+n]
 		var sum float32
 		for j, v := range arow {
-			sum += v * x[j]
+			sum += float32(v * x[j])
 		}
 		y[i] += sum
 	}

@@ -23,7 +23,9 @@ import (
 // produces byte-identical C under every Kernel, each matching the
 // pure-Go fallback exactly (pinned by the dispatch equality tests). This is why the AVX2 and NEON kernels use mul+add pairs
 // rather than FMA: FMA skips the intermediate rounding and would break
-// the contract.
+// the contract. The pure-Go kernels write each product float32(a*b)
+// for the same reason: the explicit conversion keeps the compiler from
+// fusing it into the add, which Go's arm64 backend otherwise does.
 type Kernel struct {
 	// Name identifies the variant in -version output, /statusz and the
 	// bench JSONs, e.g. "sse-4x8", "avx2-8x8", "neon-8x8", "go-4x8".
@@ -35,13 +37,16 @@ type Kernel struct {
 	// NR values per step, k*NR elements) into t[:MR*NR]. k may be 0, in
 	// which case t must be zeroed.
 	micro func(k int, ap, bp, t []float32)
+	// rows are the memory-bound kernels' lane-wise loops that ride this
+	// variant's dispatch (rows.go).
+	rows *Rows
 }
 
 // fallbackKernel is the pure-Go kernel every build has: the 4x8
 // geometry of the original SSE micro-kernel with microTileGo as the
 // reference reduction. QSDNN_DISABLE_SIMD forces it; every SIMD
 // variant must be bit-equal to it.
-var fallbackKernel = &Kernel{Name: "go-4x8", MR: 4, NR: 8, micro: microTileGo}
+var fallbackKernel = &Kernel{Name: "go-4x8", MR: 4, NR: 8, micro: microTileGo, rows: goRows}
 
 // variants lists every kernel usable on this host, fastest first, with
 // the pure-Go fallback always last. Populated by init (per GOARCH) and
@@ -130,7 +135,7 @@ func microTileGeneric(k, mr, nr int, ap, bp, t []float32) {
 		for ii, av := range a {
 			trow := t[ii*nr : ii*nr+nr : ii*nr+nr]
 			for jj, bv := range b {
-				trow[jj] += av * bv
+				trow[jj] += float32(av * bv)
 			}
 		}
 	}

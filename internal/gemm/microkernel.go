@@ -33,38 +33,38 @@ func microTileGo(k int, ap, bp, t []float32) {
 		b := bp[p*8 : p*8+8 : p*8+8]
 		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
 		b0, b1, b2, b3, b4, b5, b6, b7 := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c04 += a0 * b4
-		c05 += a0 * b5
-		c06 += a0 * b6
-		c07 += a0 * b7
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c14 += a1 * b4
-		c15 += a1 * b5
-		c16 += a1 * b6
-		c17 += a1 * b7
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c24 += a2 * b4
-		c25 += a2 * b5
-		c26 += a2 * b6
-		c27 += a2 * b7
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
-		c34 += a3 * b4
-		c35 += a3 * b5
-		c36 += a3 * b6
-		c37 += a3 * b7
+		c00 += float32(a0 * b0)
+		c01 += float32(a0 * b1)
+		c02 += float32(a0 * b2)
+		c03 += float32(a0 * b3)
+		c04 += float32(a0 * b4)
+		c05 += float32(a0 * b5)
+		c06 += float32(a0 * b6)
+		c07 += float32(a0 * b7)
+		c10 += float32(a1 * b0)
+		c11 += float32(a1 * b1)
+		c12 += float32(a1 * b2)
+		c13 += float32(a1 * b3)
+		c14 += float32(a1 * b4)
+		c15 += float32(a1 * b5)
+		c16 += float32(a1 * b6)
+		c17 += float32(a1 * b7)
+		c20 += float32(a2 * b0)
+		c21 += float32(a2 * b1)
+		c22 += float32(a2 * b2)
+		c23 += float32(a2 * b3)
+		c24 += float32(a2 * b4)
+		c25 += float32(a2 * b5)
+		c26 += float32(a2 * b6)
+		c27 += float32(a2 * b7)
+		c30 += float32(a3 * b0)
+		c31 += float32(a3 * b1)
+		c32 += float32(a3 * b2)
+		c33 += float32(a3 * b3)
+		c34 += float32(a3 * b4)
+		c35 += float32(a3 * b5)
+		c36 += float32(a3 * b6)
+		c37 += float32(a3 * b7)
 	}
 	t = t[:32:32]
 	t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7] = c00, c01, c02, c03, c04, c05, c06, c07

@@ -48,10 +48,10 @@ func microTileAVX2(k int, ap, bp, t []float32) {
 // registerArchKernels registers the amd64 kernels: SSE is baseline on
 // the architecture and always available; the wider AVX2 kernel is
 // registered ahead of it when CPUID reports both the instruction set
-// and OS support for YMM state.
+// and OS support for YMM state, and carries the AVX2 rows (rows_amd64.go).
 func registerArchKernels() {
-	registerKernel(&Kernel{Name: "sse-4x8", MR: 4, NR: 8, micro: microTileSSE})
+	registerKernel(&Kernel{Name: "sse-4x8", MR: 4, NR: 8, micro: microTileSSE, rows: goRows})
 	if hasAVX2() {
-		registerKernel(&Kernel{Name: "avx2-8x8", MR: 8, NR: 8, micro: microTileAVX2})
+		registerKernel(&Kernel{Name: "avx2-8x8", MR: 8, NR: 8, micro: microTileAVX2, rows: avx2Rows})
 	}
 }

@@ -29,5 +29,5 @@ func microTileNEON(k int, ap, bp, t []float32) {
 // NEON kernel needs no feature probe; QSDNN_DISABLE_SIMD still forces
 // the pure-Go fallback.
 func registerArchKernels() {
-	registerKernel(&Kernel{Name: "neon-8x8", MR: 8, NR: 8, micro: microTileNEON})
+	registerKernel(&Kernel{Name: "neon-8x8", MR: 8, NR: 8, micro: microTileNEON, rows: goRows})
 }

@@ -24,6 +24,7 @@ package kernels
 import (
 	"fmt"
 
+	"repro/internal/gemm"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -108,7 +109,7 @@ func ConvDirect(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, work
 							if iw < 0 || iw >= s.W {
 								continue
 							}
-							sum += w[wBase+c*kArea+r*p.KernelW+q] * in.At(n, c, ih, iw)
+							sum += float32(w[wBase+c*kArea+r*p.KernelW+q] * in.At(n, c, ih, iw))
 						}
 					}
 				}
@@ -152,7 +153,7 @@ func ConvDirectNHWC(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, 
 							continue
 						}
 						for c := 0; c < s.C; c++ {
-							sum += w[wBase+c*kArea+r*p.KernelW+q] * in.At(n, c, ih, iw)
+							sum += float32(w[wBase+c*kArea+r*p.KernelW+q] * in.At(n, c, ih, iw))
 						}
 					}
 				}
@@ -169,13 +170,18 @@ func ConvDirectNHWC(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, 
 // planes are exclusive, so results are bit-identical at any worker
 // count.
 //
-// Each plane is read and written as a slice. The valid kernel rows are
-// computed once per output row and the valid columns once per output
-// pixel, so padding costs no per-tap test; a 3x3 window that lies
-// wholly inside the input sums its nine taps unrolled. Every path adds
-// the valid taps to the bias in r-major, q-minor order, the order of
-// the textbook loop.
+// A 3x3 window with padding 1 at stride 1 or 2, MobileNet's shape, runs
+// each plane as one call of the dispatched Depthwise3x3 row
+// (gemm.Rows). Any other window reads each plane as a slice, with the
+// valid kernel rows computed once per output row and the valid columns
+// once per output pixel, so padding costs no per-tap test. Both paths
+// add the valid taps to the bias in r-major, q-minor order, the order
+// of the textbook loop.
 func DepthwiseDirect(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+	return depthwiseDirect(gemm.ActiveRows(), dst, in, w, bias, p, workers)
+}
+
+func depthwiseDirect(rows *gemm.Rows, dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: DepthwiseDirect requires NCHW input")
 	}
@@ -190,66 +196,36 @@ func DepthwiseDirect(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams,
 	out := output(dst, convOutShape(s, s.C, p), tensor.NCHW)
 	os := out.Shape()
 	plane, oplane := s.H*s.W, os.H*os.W
+	row3x3 := p.KernelH == 3 && p.KernelW == 3 && p.PadH == 1 && p.PadW == 1 &&
+		p.StrideH == p.StrideW && (p.StrideH == 1 || p.StrideH == 2)
 	parFor(s.N*s.C, workers, func(j int) {
 		c := j % s.C
 		src := in.Data()[j*plane : (j+1)*plane]
 		res := out.Data()[j*oplane : (j+1)*oplane]
 		k := w[c*kArea : (c+1)*kArea]
+		if row3x3 {
+			rows.Depthwise3x3(res, src, s.H, s.W, p.StrideH, k, bias[c])
+			return
+		}
 		for oh := 0; oh < os.H; oh++ {
 			ih0 := oh*p.StrideH - p.PadH
 			r0, r1 := validSpan(p.KernelH, 1, ih0, s.H)
 			row := res[oh*os.W : (oh+1)*os.W]
-			// Columns whose 3x3 window lies wholly inside the input.
-			lo, hi := 0, 0
-			if p.KernelH == 3 && p.KernelW == 3 && r1-r0 == 3 {
-				lo, hi = validSpan(os.W, p.StrideW, -p.PadW, s.W-2)
-				depthwise3x3Row(row[lo:hi], src[ih0*s.W:(ih0+3)*s.W], s.W, lo*p.StrideW-p.PadW, p.StrideW, k, bias[c])
-			}
-			// Every other column clips its window to the input.
-			clipped := func(from, to int) {
-				for ow := from; ow < to; ow++ {
-					iw0 := ow*p.StrideW - p.PadW
-					q0, q1 := validSpan(p.KernelW, 1, iw0, s.W)
-					sum := bias[c]
-					for r := r0; r < r1; r++ {
-						x, kr := (ih0+r)*s.W+iw0, r*p.KernelW
-						for q := q0; q < q1; q++ {
-							sum += k[kr+q] * src[x+q]
-						}
+			for ow := range row {
+				iw0 := ow*p.StrideW - p.PadW
+				q0, q1 := validSpan(p.KernelW, 1, iw0, s.W)
+				sum := bias[c]
+				for r := r0; r < r1; r++ {
+					x, kr := (ih0+r)*s.W+iw0, r*p.KernelW
+					for q := q0; q < q1; q++ {
+						sum += float32(k[kr+q] * src[x+q])
 					}
-					row[ow] = sum
 				}
+				row[ow] = sum
 			}
-			clipped(0, lo)
-			clipped(hi, os.W)
 		}
 	})
 	return out
-}
-
-// depthwise3x3Row computes dst[i] for windows that lie wholly inside
-// the input: window i's top-left tap is rows[iw+i*stride], where rows
-// holds three consecutive input rows of width w. The nine taps are
-// added to b unrolled, in the r-major, q-minor order of the general
-// loop.
-func depthwise3x3Row(dst, rows []float32, w, iw, stride int, k []float32, b float32) {
-	k0, k1, k2, k3, k4, k5, k6, k7, k8 := k[0], k[1], k[2], k[3], k[4], k[5], k[6], k[7], k[8]
-	x0, x1, x2 := rows[:w], rows[w:2*w], rows[2*w:3*w]
-	for i := range dst {
-		a, m, z := x0[iw:iw+3:iw+3], x1[iw:iw+3:iw+3], x2[iw:iw+3:iw+3]
-		sum := b
-		sum += k0 * a[0]
-		sum += k1 * a[1]
-		sum += k2 * a[2]
-		sum += k3 * m[0]
-		sum += k4 * m[1]
-		sum += k5 * m[2]
-		sum += k6 * z[0]
-		sum += k7 * z[1]
-		sum += k8 * z[2]
-		dst[i] = sum
-		iw += stride
-	}
 }
 
 // DepthwiseNHWC is DepthwiseDirect for NHWC input/output (the
@@ -285,7 +261,7 @@ func DepthwiseNHWC(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, w
 				for r := r0; r < r1; r++ {
 					x, kr := ((ih0+r)*s.W+iw0)*s.C+c, r*p.KernelW
 					for q := q0; q < q1; q++ {
-						sum += k[kr+q] * src[x+q*s.C]
+						sum += float32(k[kr+q] * src[x+q*s.C])
 					}
 				}
 				px[c] = sum

@@ -43,11 +43,11 @@ func fft(re, im []float64, inv bool) {
 			half := size / 2
 			for k := 0; k < half; k++ {
 				i, j := start+k, start+k+half
-				tr := re[j]*cr - im[j]*ci
-				ti := re[j]*ci + im[j]*cr
+				tr := float64(re[j]*cr) - float64(im[j]*ci)
+				ti := float64(re[j]*ci) + float64(im[j]*cr)
 				re[j], im[j] = re[i]-tr, im[i]-ti
 				re[i], im[i] = re[i]+tr, im[i]+ti
-				cr, ci = cr*wr-ci*wi, cr*wi+ci*wr
+				cr, ci = float64(cr*wr)-float64(ci*wi), float64(cr*wi)+float64(ci*wr)
 			}
 		}
 	}
@@ -156,8 +156,8 @@ func ConvFFT(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers
 					fft2D(kRe, kIm, n, false)
 					ir, ii := inRe[c], inIm[c]
 					for i := 0; i < grid; i++ {
-						accRe[i] += ir[i]*kRe[i] - ii[i]*kIm[i]
-						accIm[i] += ir[i]*kIm[i] + ii[i]*kRe[i]
+						accRe[i] += float64(ir[i]*kRe[i]) - float64(ii[i]*kIm[i])
+						accIm[i] += float64(ir[i]*kIm[i]) + float64(ii[i]*kRe[i])
 					}
 				}
 				fft2D(accRe, accIm, n, true)

@@ -68,7 +68,7 @@ func ConvGroupedDirect(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParam
 							if iw < 0 || iw >= s.W {
 								continue
 							}
-							sum += w[wBase+cLocal*kArea+r*p.KernelW+q] * in.At(n, c, ih, iw)
+							sum += float32(w[wBase+cLocal*kArea+r*p.KernelW+q] * in.At(n, c, ih, iw))
 						}
 					}
 				}

@@ -72,7 +72,7 @@ func (m *CSR) MulMat(n int, b, c []float32) {
 			v := m.Values[k]
 			brow := b[int(m.ColIdx[k])*n : int(m.ColIdx[k])*n+n]
 			for j := range crow {
-				crow[j] += v * brow[j]
+				crow[j] += float32(v * brow[j])
 			}
 		}
 	}
@@ -86,7 +86,7 @@ func (m *CSR) MulVec(x, y []float32) {
 	for i := 0; i < m.Rows; i++ {
 		var sum float32
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			sum += m.Values[k] * x[m.ColIdx[k]]
+			sum += float32(m.Values[k] * x[m.ColIdx[k]])
 		}
 		y[i] += sum
 	}

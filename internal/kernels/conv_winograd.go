@@ -98,7 +98,7 @@ func ConvWinograd(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, wo
 						// M += U ⊙ V
 						ub := u[(oc*s.C+c)*16:]
 						for i := 0; i < 16; i++ {
-							m[i] += ub[i] * v[i]
+							m[i] += float32(ub[i] * v[i])
 						}
 					}
 					// Y = A^T M A with A^T = [1 1 1 0; 0 1 -1 -1]

@@ -92,26 +92,30 @@ func poolWindows(in, out *tensor.Tensor, p nn.ConvParams, reduce func(x, r0, r1,
 	}
 }
 
-// ReLU applies max(0, x) element-wise, preserving layout, in one pass.
-// Only values below zero are replaced, so -0 and NaN pass through with
-// their bits unchanged. dst may be in itself.
+// ReLU applies max(0, x) element-wise, preserving layout, in one pass
+// of the dispatched ReLU row (gemm.Rows). Only values below zero are
+// replaced, so -0 and NaN pass through with their bits unchanged. dst
+// may be in itself.
 func ReLU(dst, in *tensor.Tensor) *tensor.Tensor {
+	return relu(gemm.ActiveRows(), dst, in)
+}
+
+func relu(rows *gemm.Rows, dst, in *tensor.Tensor) *tensor.Tensor {
 	out := output(dst, in.Shape(), in.Layout())
-	d := out.Data()
-	for i, v := range in.Data() {
-		if v < 0 {
-			v = 0
-		}
-		d[i] = v
-	}
+	rows.ReLU(out.Data(), in.Data())
 	return out
 }
 
 // BatchNorm applies the inference-mode affine transform
 // y = x*scale[c] + shift[c] per channel, preserving layout: one
 // channel's parameters over each NCHW plane, or every channel's over
-// each NHWC pixel. dst may be in itself.
+// each NHWC pixel. An NCHW plane is one call of the dispatched Affine
+// row (gemm.Rows). dst may be in itself.
 func BatchNorm(dst, in *tensor.Tensor, scale, shift []float32) *tensor.Tensor {
+	return batchNorm(gemm.ActiveRows(), dst, in, scale, shift)
+}
+
+func batchNorm(rows *gemm.Rows, dst, in *tensor.Tensor, scale, shift []float32) *tensor.Tensor {
 	s := in.Shape()
 	if len(scale) != s.C || len(shift) != s.C {
 		panic("kernels: batch-norm parameter size mismatch")
@@ -122,18 +126,14 @@ func BatchNorm(dst, in *tensor.Tensor, scale, shift []float32) *tensor.Tensor {
 		for i := 0; i < len(src); i += s.C {
 			y := res[i : i+s.C]
 			for c, v := range src[i : i+s.C] {
-				y[c] = v*scale[c] + shift[c]
+				y[c] = float32(v*scale[c]) + shift[c]
 			}
 		}
 		return out
 	}
 	hw := s.H * s.W
 	for j := 0; j < s.N*s.C; j++ {
-		sc, sh := scale[j%s.C], shift[j%s.C]
-		y := res[j*hw : (j+1)*hw]
-		for i, v := range src[j*hw : (j+1)*hw] {
-			y[i] = v*sc + sh
-		}
+		rows.Affine(res[j*hw:(j+1)*hw], src[j*hw:(j+1)*hw], scale[j%s.C], shift[j%s.C])
 	}
 	return out
 }
@@ -159,7 +159,7 @@ func LRN(dst, in *tensor.Tensor, size int) *tensor.Tensor {
 							continue
 						}
 						v := float64(in.At(n, j, h, w))
-						sq += v * v
+						sq += float64(v * v)
 					}
 					denom := math.Pow(k+alpha*sq/float64(size), beta)
 					out.Set(n, c, h, w, float32(float64(in.At(n, c, h, w))/denom))

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/gemm"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -92,9 +93,9 @@ func TestReLUEdgeValues(t *testing.T) {
 	}
 }
 
-// TestReLUMatchesComparison checks ReLU's branch-free form against the
-// plain "zero it if v < 0" rule on random bit patterns, which cover
-// every sign, exponent and NaN class.
+// TestReLUMatchesComparison checks ReLU against the plain "zero it if
+// v < 0" rule on random bit patterns, which cover every sign, exponent
+// and NaN class.
 func TestReLUMatchesComparison(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	in := tensor.New(tensor.Shape{N: 1, C: 4, H: 256, W: 256}, tensor.NCHW)
@@ -116,8 +117,42 @@ func TestReLUMatchesComparison(t *testing.T) {
 // TestReLUEveryBitPattern checks ReLU against the plain "zero it if
 // v < 0" rule on all 2^32 float32 bit patterns: both zeros, denormals,
 // infinities and NaNs of either sign. Under -short, and under the race
-// detector, it checks a sample of every class instead.
+// detector, it checks a sample of every class instead. Either way it
+// first runs every class's edges through every registered variant's
+// ReLU row at each start offset mod 8 and at lengths that end in a
+// partial vector.
 func TestReLUEveryBitPattern(t *testing.T) {
+	// Each class's edges with either sign: ±0, the smallest and largest
+	// denormals and normals, ±Inf, and the quiet and signalling NaNs
+	// with extreme payloads.
+	edges := []uint32{0, 1, 0x007fffff, 0x00800000, 0x3f800000, 0x7f7fffff, 0x7f800000, 0x7f800001, 0x7fbfffff, 0x7fc00000, 0x7fffffff}
+	rule := func(v float32) float32 {
+		if v < 0 {
+			return 0
+		}
+		return v
+	}
+	buf := make([]float32, 8+4*len(edges))
+	for i := range buf {
+		buf[i] = math.Float32frombits(edges[i/2%len(edges)] | uint32(i%2)<<31)
+	}
+	for _, name := range gemm.KernelVariants() {
+		rows := gemm.VariantRows(name)
+		for off := 0; off < 8; off++ {
+			for n := 1; off+n <= len(buf); n += 3 {
+				src := buf[off : off+n]
+				in := tensor.NewFrom(tensor.Shape{N: 1, C: 1, H: 1, W: n}, tensor.NCHW, src)
+				got := relu(rows, nil, in).Data()
+				for i, v := range src {
+					if want := rule(v); math.Float32bits(got[i]) != math.Float32bits(want) {
+						t.Fatalf("%s ReLU at offset %d, length %d: element %d %#08x gave %#08x, want %#08x",
+							name, off, n, i, math.Float32bits(v), math.Float32bits(got[i]), math.Float32bits(want))
+					}
+				}
+			}
+		}
+	}
+
 	const chunk = 1 << 20
 	in := tensor.New(tensor.Shape{N: 1, C: 1, H: 1, W: chunk}, tensor.NCHW)
 	out := tensor.New(in.Shape(), tensor.NCHW)
@@ -137,10 +172,7 @@ func TestReLUEveryBitPattern(t *testing.T) {
 	}
 	if testing.Short() || raceEnabled {
 		// Each class's edges with either sign, then the rest of the
-		// chunk at random: ±0, the smallest and largest denormals and
-		// normals, ±Inf, and the quiet and signalling NaNs with extreme
-		// payloads.
-		edges := []uint32{0, 1, 0x007fffff, 0x00800000, 0x3f800000, 0x7f7fffff, 0x7f800000, 0x7f800001, 0x7fbfffff, 0x7fc00000, 0x7fffffff}
+		// chunk at random.
 		rng := rand.New(rand.NewSource(8))
 		for i := range x {
 			b := rng.Uint32()

@@ -15,7 +15,9 @@ import (
 // that now indexes plane and row slices directly. They are the oracle
 // the slice-indexed kernels must match bit for bit: the same
 // expressions, in the same order, over the same elements. Do not
-// optimize them.
+// optimize them. Each product that feeds a sum is written float32(x*y)
+// so that no compiler fuses it into a multiply-add (Go's arm64 backend
+// would), which keeps the references exact on every architecture.
 
 // refGemm is the C = A*B + C multiply the frozen lowering references
 // call.
@@ -42,7 +44,7 @@ func refDepthwiseDirectPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams
 						if iw < 0 || iw >= s.W {
 							continue
 						}
-						sum += w[wBase+r*p.KernelW+q] * in.At(n, c, ih, iw)
+						sum += float32(w[wBase+r*p.KernelW+q] * in.At(n, c, ih, iw))
 					}
 				}
 				out.Set(n, c, oh, ow, sum)
@@ -73,7 +75,7 @@ func refDepthwiseNHWCPar(in *tensor.Tensor, w, bias []float32, p nn.ConvParams, 
 						if iw < 0 || iw >= s.W {
 							continue
 						}
-						sum += w[wBase+r*p.KernelW+q] * in.At(n, c, ih, iw)
+						sum += float32(w[wBase+r*p.KernelW+q] * in.At(n, c, ih, iw))
 					}
 				}
 				out.Set(n, c, oh, ow, sum)
@@ -164,7 +166,7 @@ func refBatchNorm(in *tensor.Tensor, scale, shift []float32) *tensor.Tensor {
 		for c := 0; c < s.C; c++ {
 			for h := 0; h < s.H; h++ {
 				for w := 0; w < s.W; w++ {
-					out.Set(n, c, h, w, in.At(n, c, h, w)*scale[c]+shift[c])
+					out.Set(n, c, h, w, float32(in.At(n, c, h, w)*scale[c])+shift[c])
 				}
 			}
 		}
@@ -581,11 +583,30 @@ type refGeom struct {
 }
 
 // refGeometries covers the shapes the MobileNets execute (3x3
-// depth-wise at stride 1 and 2, 1x1 pointwise) plus the edges of the
-// slice-indexed paths: windows wider than the input, rows that are
-// entirely padding, and 3x3 interiors touching the left and right
-// edge columns.
+// depth-wise at stride 1 and 2 on every plane size they run, 1x1
+// pointwise) plus the edges of the slice-indexed and vector paths:
+// windows wider than the input, rows that are entirely padding, 3x3
+// interiors touching the left and right edge columns, and ragged
+// widths whose rows end in a partial vector.
 var refGeometries = []refGeom{
+	{"mb112s1", tensor.Shape{N: 1, C: 2, H: 112, W: 112}, mbDepthwise(1)},
+	{"mb112s2", tensor.Shape{N: 1, C: 2, H: 112, W: 112}, mbDepthwise(2)},
+	{"mb56s1", tensor.Shape{N: 1, C: 2, H: 56, W: 56}, mbDepthwise(1)},
+	{"mb56s2", tensor.Shape{N: 1, C: 2, H: 56, W: 56}, mbDepthwise(2)},
+	{"mb28s1", tensor.Shape{N: 1, C: 3, H: 28, W: 28}, mbDepthwise(1)},
+	{"mb28s2", tensor.Shape{N: 1, C: 3, H: 28, W: 28}, mbDepthwise(2)},
+	{"mb14s1", tensor.Shape{N: 1, C: 4, H: 14, W: 14}, mbDepthwise(1)},
+	{"mb14s2", tensor.Shape{N: 1, C: 4, H: 14, W: 14}, mbDepthwise(2)},
+	{"mb7s1", tensor.Shape{N: 2, C: 4, H: 7, W: 7}, mbDepthwise(1)},
+	{"mb7s2", tensor.Shape{N: 2, C: 4, H: 7, W: 7}, mbDepthwise(2)},
+	{"w9s1", tensor.Shape{N: 1, C: 2, H: 5, W: 9}, mbDepthwise(1)},
+	{"w9s2", tensor.Shape{N: 1, C: 2, H: 5, W: 9}, mbDepthwise(2)},
+	{"w15s1", tensor.Shape{N: 1, C: 2, H: 4, W: 15}, mbDepthwise(1)},
+	{"w15s2", tensor.Shape{N: 1, C: 2, H: 6, W: 15}, mbDepthwise(2)},
+	{"w17s1", tensor.Shape{N: 1, C: 2, H: 3, W: 17}, mbDepthwise(1)},
+	{"w17s2", tensor.Shape{N: 1, C: 2, H: 5, W: 17}, mbDepthwise(2)},
+	{"w33s1", tensor.Shape{N: 1, C: 2, H: 2, W: 33}, mbDepthwise(1)},
+	{"w33s2", tensor.Shape{N: 1, C: 2, H: 7, W: 33}, mbDepthwise(2)},
 	{"dw3x3s1p1", tensor.Shape{N: 1, C: 4, H: 7, W: 9}, nn.ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
 	{"dw3x3s2p1", tensor.Shape{N: 2, C: 3, H: 8, W: 8}, nn.ConvParams{KernelH: 3, KernelW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}},
 	{"3x3p0edges", tensor.Shape{N: 1, C: 2, H: 5, W: 3}, nn.ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1}},
@@ -597,6 +618,11 @@ var refGeometries = []refGeom{
 	{"asym", tensor.Shape{N: 1, C: 3, H: 6, W: 10}, nn.ConvParams{KernelH: 2, KernelW: 4, StrideH: 2, StrideW: 1, PadH: 0, PadW: 2}},
 	{"wide1", tensor.Shape{N: 1, C: 2, H: 1, W: 1}, nn.ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
 	{"pool2x2s2", tensor.Shape{N: 1, C: 3, H: 6, W: 7}, nn.ConvParams{KernelH: 2, KernelW: 2, StrideH: 2, StrideW: 2}},
+}
+
+// mbDepthwise is MobileNet's depth-wise window: 3x3, padding 1.
+func mbDepthwise(stride int) nn.ConvParams {
+	return nn.ConvParams{KernelH: 3, KernelW: 3, StrideH: stride, StrideW: stride, PadH: 1, PadW: 1}
 }
 
 // specials are the values the element-wise and data-movement kernels
@@ -745,10 +771,18 @@ func checkMatchesReference(t *testing.T, g refGeom, seed int64) {
 				return tensor.Convert(dst, xsl)
 			})
 		}
-		sameInPlace("ReLU/"+ln, refReLU(xsl), xsl, ReLU)
-		sameInPlace("BatchNorm/"+ln, refBatchNorm(xsl, scale, shift), xsl, func(dst, in *tensor.Tensor) *tensor.Tensor {
-			return BatchNorm(dst, in, scale, shift)
-		})
+		// ReLU and BatchNorm under every registered variant's rows, the
+		// pure-Go ones included on a host that dispatches AVX2.
+		wantReLU, wantBN := refReLU(xsl), refBatchNorm(xsl, scale, shift)
+		for _, name := range gemm.KernelVariants() {
+			rows := gemm.VariantRows(name)
+			sameInPlace("ReLU/"+name+"/"+ln, wantReLU, xsl, func(dst, in *tensor.Tensor) *tensor.Tensor {
+				return relu(rows, dst, in)
+			})
+			sameInPlace("BatchNorm/"+name+"/"+ln, wantBN, xsl, func(dst, in *tensor.Tensor) *tensor.Tensor {
+				return batchNorm(rows, dst, in, scale, shift)
+			})
+		}
 		other := randTensor(rng, s, true) // NCHW, so the NHWC pass adds across layouts
 		sameInPlace("EltwiseAdd/"+ln, refEltwiseAdd(xsl, other), xsl, func(dst, in *tensor.Tensor) *tensor.Tensor {
 			return EltwiseAdd(dst, in, other)
@@ -777,9 +811,13 @@ func checkMatchesReference(t *testing.T, g refGeom, seed int64) {
 		return ConvSparse(dst, x, wcsr, b, p, scratch)
 	})
 	for _, workers := range []int{1, 3} {
-		same("Depthwise", refDepthwiseDirectPar(x, dw, db, g.p, workers), func(dst *tensor.Tensor) *tensor.Tensor {
-			return DepthwiseDirect(dst, x, dw, db, g.p, workers)
-		})
+		wantDW := refDepthwiseDirectPar(x, dw, db, g.p, workers)
+		for _, name := range gemm.KernelVariants() {
+			rows := gemm.VariantRows(name)
+			same("Depthwise/"+name, wantDW, func(dst *tensor.Tensor) *tensor.Tensor {
+				return depthwiseDirect(rows, dst, x, dw, db, g.p, workers)
+			})
+		}
 		same("DepthwiseNHWC", refDepthwiseNHWCPar(xh, dw, db, g.p, workers), func(dst *tensor.Tensor) *tensor.Tensor {
 			return DepthwiseNHWC(dst, xh, dw, db, g.p, workers)
 		})
@@ -859,17 +897,20 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 }
 
-// FuzzKernelsMatchReference draws N 1-2, C 1-6, H and W 1-12, kernel
+// FuzzKernelsMatchReference draws N 1-2, C 1-6, H 1-12, W 1-40, kernel
 // 1-5, stride 1-3 and padding 0-2, and checks every slice-indexed
-// kernel against its frozen reference.
+// kernel against its frozen reference. W reaches 40 so that a stride-2
+// row holds more than one full 8-lane vector.
 func FuzzKernelsMatchReference(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(6), uint8(8), uint8(2), uint8(2), uint8(0), uint8(1), int64(1))
 	f.Add(uint8(1), uint8(4), uint8(7), uint8(5), uint8(0), uint8(0), uint8(0), uint8(0), int64(2))
 	f.Add(uint8(0), uint8(2), uint8(11), uint8(2), uint8(4), uint8(3), uint8(2), uint8(2), int64(3))
 	f.Add(uint8(1), uint8(5), uint8(0), uint8(0), uint8(2), uint8(2), uint8(1), uint8(1), int64(4))
 	f.Add(uint8(0), uint8(0), uint8(9), uint8(11), uint8(1), uint8(4), uint8(1), uint8(0), int64(5))
+	f.Add(uint8(0), uint8(2), uint8(9), uint8(32), uint8(2), uint8(2), uint8(4), uint8(4), int64(6))
+	f.Add(uint8(1), uint8(1), uint8(6), uint8(20), uint8(2), uint8(2), uint8(0), uint8(4), int64(7))
 	f.Fuzz(func(t *testing.T, nb, cc, hh, ww, kh, kw, stride, pad uint8, seed int64) {
-		s := tensor.Shape{N: int(nb%2) + 1, C: int(cc%6) + 1, H: int(hh%12) + 1, W: int(ww%12) + 1}
+		s := tensor.Shape{N: int(nb%2) + 1, C: int(cc%6) + 1, H: int(hh%12) + 1, W: int(ww%40) + 1}
 		p := nn.ConvParams{
 			KernelH: int(kh%5) + 1, KernelW: int(kw%5) + 1,
 			StrideH: int(stride%3) + 1, StrideW: int(stride/3%3) + 1,

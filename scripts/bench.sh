@@ -104,10 +104,11 @@ go test -run '^$' \
 emit_json "$RAW" "$OUT"
 
 # Kernel-layer benchmarks: packed/parallel GEMM backends, the conv
-# kernels they feed, real end-to-end engine inference, and the batch
-# orchestrator's sequential-bypass guard.
+# kernels they feed, the memory-bound ReLU/BatchNorm/depth-wise rows on
+# mobilenet-v1-025's shapes, real end-to-end engine inference, and the
+# batch orchestrator's sequential-bypass guard.
 go test -run '^$' \
-    -bench 'BenchmarkGEMMBackends|BenchmarkGemm$|BenchmarkConvKernels|BenchmarkConvFFTKernel|BenchmarkEngineInference|BenchmarkProfilePhase|BenchmarkOptimizeBatch|BenchmarkRunBatch' \
+    -bench 'BenchmarkGEMMBackends|BenchmarkGemm$|BenchmarkConvKernels|BenchmarkConvFFTKernel|BenchmarkMemoryBoundKernels|BenchmarkEngineInference|BenchmarkProfilePhase|BenchmarkOptimizeBatch|BenchmarkRunBatch' \
     -benchtime "$BENCHTIME" -count "$COUNT" \
     . ./internal/gemm/ ./internal/runner/ | tee "$KRAW"
 emit_json "$KRAW" "$KOUT"
