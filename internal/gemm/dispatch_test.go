@@ -1,6 +1,7 @@
 package gemm
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"regexp"
@@ -10,22 +11,90 @@ import (
 	"testing"
 )
 
+// specialValues are the float32 classes a kernel could round, order or
+// propagate differently: signed zeros, infinities, NaN and subnormals.
+var specialValues = []float32{
+	float32(math.Copysign(0, -1)), 0,
+	float32(math.Inf(1)), float32(math.Inf(-1)),
+	float32(math.NaN()),
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+	math.Float32frombits(0x007fffff), // largest subnormal
+}
+
+// sameBits reports whether two slices carry identical IEEE-754 bit
+// patterns, except that any NaN matches any NaN. Which operand's NaN a
+// multiply or add returns depends on operand order, which Go's compiler
+// does not fix even for its own scalar code (the two pure-Go kernels
+// already disagree on the sign of a NaN made from 0 * Inf), so a NaN
+// result is pinned as a class only. Every other value, -0 and
+// subnormals included, must match bit for bit.
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) && (a[i] == a[i] || b[i] == b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// specialSlice returns n random values in [-1, 1) with about one in
+// eight replaced by a special value.
+func specialSlice(rng *rand.Rand, n int) []float32 {
+	s := randomSlice(rng, n)
+	for i := range s {
+		if rng.Intn(8) == 0 {
+			s[i] = specialValues[rng.Intn(len(specialValues))]
+		}
+	}
+	return s
+}
+
 // TestMicroKernelVariantsMatchGeneric pins every dispatched
 // micro-kernel against the shape-generic pure-Go reduction, bit for
-// bit, tile for tile — including k=0 (tile must be zeroed) and k
-// values that would expose accumulation-order or FMA differences.
+// bit, tile for tile, under every stride the GEMM hands it: A rows at
+// lda = k or k+3, B read as a packed panel (ldb = NR) or in place in a
+// wider matrix (ldb = n), the tile written to a tile buffer (ldc = NR)
+// or into a wider C (ldc = n), stored or added. Inputs and C mix in
+// -0, ±Inf, NaN and subnormals; k covers 0 (all sums +0) and depths
+// that would expose accumulation-order or FMA differences. Elements of
+// C outside the tile must come back untouched. NaN results match as a
+// class (see sameBits). A packing kernel (Kernel.packs) gets A packed
+// and B as a panel only.
 func TestMicroKernelVariantsMatchGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, kn := range variants {
+		mr, nr := kn.MR, kn.NR
+		n := 2*nr + 5
 		for _, k := range []int{0, 1, 2, 3, 7, 64, 513} {
-			ap := randomSlice(rng, max(1, k*kn.MR))
-			bp := randomSlice(rng, max(1, k*kn.NR))
-			got := make([]float32, kn.MR*kn.NR)
-			want := make([]float32, kn.MR*kn.NR)
-			kn.micro(k, ap, bp, got)
-			microTileGeneric(k, kn.MR, kn.NR, ap, bp, want)
-			if !bitEqual(got, want) {
-				t.Errorf("%s k=%d: micro-kernel not bit-identical to generic Go:\n got %v\nwant %v", kn.Name, k, got, want)
+			for _, lda := range []int{k, k + 3} {
+				a := specialSlice(rng, (mr-1)*lda+k)
+				ak := a
+				if kn.packs {
+					ak = make([]float32, k*mr)
+					packStripABlock(mr, lda, 0, mr, 0, k, a, ak)
+				}
+				for _, ldb := range []int{nr, n} {
+					if kn.packs && ldb != nr {
+						continue
+					}
+					b := specialSlice(rng, max(0, (k-1)*ldb+nr))
+					for _, ldc := range []int{nr, n} {
+						c0 := specialSlice(rng, (mr-1)*ldc+nr)
+						for _, add := range []bool{false, true} {
+							got := append([]float32(nil), c0...)
+							want := append([]float32(nil), c0...)
+							kn.micro(k, ak, lda, b, ldb, got, ldc, add)
+							microTileGeneric(k, mr, nr, a, lda, b, ldb, want, ldc, add)
+							if !sameBits(got, want) {
+								t.Errorf("%s k=%d lda=%d ldb=%d ldc=%d add=%v: not bit-identical to generic Go:\n got %v\nwant %v",
+									kn.Name, k, lda, ldb, ldc, add, got, want)
+							}
+						}
+					}
+				}
 			}
 		}
 	}
@@ -53,6 +122,50 @@ func TestDispatchVariantsBitEqual(t *testing.T) {
 				if !bitEqual(want, got) {
 					t.Errorf("%s %dx%dx%d workers=%d: not bit-identical to pure-Go fallback", kn.Name, m, n, k, w)
 				}
+			}
+		}
+	}
+}
+
+// packedGo8x8 is a pure-Go kernel with neon-8x8's operand contract:
+// it reads packed strips and panels only (Kernel.packs). It runs the
+// packing path of the GEMM loop on hosts without NEON.
+var packedGo8x8 = &Kernel{Name: "packed-go-8x8", MR: 8, NR: 8, packs: true, rows: goRows,
+	micro: func(k int, a []float32, _ int, b []float32, _ int, c []float32, ldc int, add bool) {
+		var t [64]float32
+		for ii := 0; ii < 8; ii++ {
+			for jj := 0; jj < 8; jj++ {
+				var s float32
+				for p := 0; p < k; p++ {
+					s += float32(a[p*8+ii] * b[p*8+jj])
+				}
+				t[ii*8+jj] = s
+			}
+		}
+		storeTile(8, 8, 8, t[:], c, ldc, add)
+	}}
+
+// TestPackingKernelPathBitEqual runs the GEMM loop's packing path
+// (every strip and panel packed, as neon-8x8 needs) on the edge shapes,
+// from a matrix and through a Packer, at 1 and 3 workers, and requires
+// the pure-Go fallback's bits.
+func TestPackingKernelPathBitEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for _, dims := range edgeShapes {
+		m, n, k := dims[0], dims[1], dims[2]
+		a, b, c0 := randomSlice(rng, m*k), randomSlice(rng, k*n), randomSlice(rng, m*n)
+		want := append([]float32(nil), c0...)
+		blockedKernel(fallbackKernel, m, n, k, a, b, nil, want, 1, 0, 0, nil)
+		for _, w := range []int{1, 3} {
+			got := append([]float32(nil), c0...)
+			blockedKernel(packedGo8x8, m, n, k, a, b, nil, got, w, 0, 0, nil)
+			if !bitEqual(want, got) {
+				t.Errorf("%dx%dx%d workers=%d: packing path differs from the fallback", m, n, k, w)
+			}
+			got = append(got[:0], c0...)
+			blockedKernel(packedGo8x8, m, n, k, a, nil, matrixPacker{n, b}, got, w, 0, 0, nil)
+			if !bitEqual(want, got) {
+				t.Errorf("%dx%dx%d workers=%d: packing path through a Packer differs from the fallback", m, n, k, w)
 			}
 		}
 	}

@@ -5,38 +5,49 @@ import (
 	"sync/atomic"
 )
 
-// Kernel describes one register micro-kernel and the pack-buffer
+// Kernel describes one register micro-kernel and the operand
 // geometry it consumes. The packed GEMM is generic over this
-// descriptor: packBBlock lays B out in NR-wide panels, packStripABlock
-// packs MR-row strips of A, and the micro func reduces one MR x NR tile.
-// Dispatch picks one Kernel per process at init (see initKernel); the
-// whole pack/strip pipeline reads the geometry from the descriptor, so
-// no per-call ISA branching happens anywhere in the hot path.
+// descriptor: blockedKernel walks MR-row strips of A and NR-wide panels
+// of B, and the micro func reduces one MR x NR tile. Dispatch picks one
+// Kernel per process at init (see initKernel); the whole strip/panel
+// pipeline reads the geometry from the descriptor, so no per-call ISA
+// branching happens anywhere in the hot path.
 //
-// Bit-equality contract: every micro-kernel — any ISA, any geometry —
-// accumulates each output element t[ii*NR+jj] as
+// Bit-equality contract: every micro-kernel — any ISA, any geometry,
+// any operand stride — accumulates each tile element as
 //
-//	sum over p ascending of one float32 multiply then one float32 add
+//	sum over p ascending of one float32 multiply then one float32 add,
+//	starting from +0,
 //
-// with no fused multiply-add and no reassociation. Per-element
-// rounding therefore never depends on the tile shape, so Parallel
-// produces byte-identical C under every Kernel, each matching the
-// pure-Go fallback exactly (pinned by the dispatch equality tests). This is why the AVX2 and NEON kernels use mul+add pairs
-// rather than FMA: FMA skips the intermediate rounding and would break
-// the contract. The pure-Go kernels write each product float32(a*b)
-// for the same reason: the explicit conversion keeps the compiler from
-// fusing it into the add, which Go's arm64 backend otherwise does.
+// with no fused multiply-add and no reassociation, and then either
+// stores that sum or adds it to C once, as c = c + sum. Per-element
+// rounding therefore never depends on the tile shape or on whether an
+// operand is read in place or from a packed copy, so Parallel produces
+// byte-identical C under every Kernel, each matching the pure-Go
+// fallback exactly (pinned by the dispatch equality tests; a NaN
+// result is pinned as a class, since its sign and payload follow an
+// operand order Go's compiler does not fix). This is why the AVX2 and
+// NEON kernels use mul+add pairs rather than FMA: FMA skips the
+// intermediate rounding and would break the contract. The pure-Go
+// kernels write each product float32(a*b) for the same reason: the
+// explicit conversion keeps the compiler from fusing it into the add,
+// which Go's arm64 backend otherwise does.
 type Kernel struct {
 	// Name identifies the variant in -version output, /statusz and the
 	// bench JSONs, e.g. "sse-4x8", "avx2-8x8", "neon-8x8", "go-4x8".
 	Name string
 	// MR x NR is the register tile: MR rows of A by NR columns of B.
 	MR, NR int
-	// micro computes the MR x NR tile from a packed A strip (p-major,
-	// MR values per step, k*MR elements) and a packed B panel (p-major,
-	// NR values per step, k*NR elements) into t[:MR*NR]. k may be 0, in
-	// which case t must be zeroed.
-	micro func(k int, ap, bp, t []float32)
+	// micro reduces one MR x NR tile over k steps. It reads A row ii,
+	// step p at a[ii*lda+p] and B step p, column jj at b[p*ldb+jj], and
+	// writes tile row ii to c[ii*ldc:]: with add it sets c = c + sum,
+	// otherwise c = sum. k may be 0, when every sum is +0.
+	micro func(k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, add bool)
+	// packs marks a micro that reads packed operands only: A as a
+	// p-major strip of MR values per step (lda unused) and B as an
+	// NR-wide panel (ldb = NR). The GEMM then packs every strip and
+	// panel, as neon-8x8's kernel needs.
+	packs bool
 	// rows are the memory-bound kernels' lane-wise loops that ride this
 	// variant's dispatch (rows.go).
 	rows *Rows
@@ -122,27 +133,21 @@ func setKernelForTest(k *Kernel) func() {
 
 // microTileGeneric is the shape-generic pure-Go reduction: the
 // reference every specialized micro-kernel (any geometry, any ISA) is
-// tested against tile-for-tile. Each element accumulates in ascending
-// p order with separate multiply and add, exactly the contract above.
-func microTileGeneric(k, mr, nr int, ap, bp, t []float32) {
-	t = t[:mr*nr]
-	for i := range t {
-		t[i] = 0
-	}
-	for p := 0; p < k; p++ {
-		a := ap[p*mr : p*mr+mr : p*mr+mr]
-		b := bp[p*nr : p*nr+nr : p*nr+nr]
-		for ii, av := range a {
-			trow := t[ii*nr : ii*nr+nr : ii*nr+nr]
-			for jj, bv := range b {
-				trow[jj] += float32(av * bv)
+// tested against tile for tile. Each element accumulates from +0 in
+// ascending p order with separate multiply and add, then is stored or
+// added to C once, exactly the contract above.
+func microTileGeneric(k, mr, nr int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, add bool) {
+	for ii := 0; ii < mr; ii++ {
+		for jj := 0; jj < nr; jj++ {
+			var s float32
+			for p := 0; p < k; p++ {
+				s += float32(a[ii*lda+p] * b[p*ldb+jj])
+			}
+			if add {
+				c[ii*ldc+jj] += s
+			} else {
+				c[ii*ldc+jj] = s
 			}
 		}
 	}
-}
-
-// microTileGo8x8 is the pure-Go 8x8 reduction the AVX2 and NEON
-// kernels are pinned against.
-func microTileGo8x8(k int, ap, bp, t []float32) {
-	microTileGeneric(k, 8, 8, ap, bp, t)
 }

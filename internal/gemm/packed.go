@@ -3,39 +3,51 @@ package gemm
 import "repro/internal/pool"
 
 // Parallel / ParallelCfg — the tuned-BLAS stand-in. The classic
-// three-level GEMM structure (Goto & van de Geijn): B is packed into
-// NR-wide column panels, each MR-row strip of A is packed into a
-// contiguous column-major panel, and an MR x NR register-tiled
-// micro-kernel walks the two packed panels with unit stride, keeping
+// three-level GEMM structure (Goto & van de Geijn): B is cut into
+// NR-wide column panels and A into MR-row strips, and an MR x NR
+// register-tiled micro-kernel walks one strip and one panel, keeping
 // the full output tile in registers across the whole k reduction (no
-// loads or stores of C inside the loop). Packing plus register tiling
-// is where the speedup over Naive comes from; the worker count only
-// changes who packs and computes which part of C (see split).
+// loads or stores of C inside the loop). Register tiling is where the
+// speedup over Naive comes from; the worker count only changes who
+// computes which part of C (see split).
 //
-// One loop (blockedKernel) serves every call. By default it packs B in
+// The micro-kernel reads both operands through strides (Kernel.micro),
+// so only what is not already in its layout gets copied:
+//
+//   - A strips are read in place from row-major A (lda = k). Only the
+//     last strip, when m is not a multiple of MR, is copied into a
+//     zero-padded buffer first.
+//   - A row-major B is read in place too (ldb = n). Only the last
+//     panel, when n is not a multiple of NR, is packed zero-padded. B
+//     supplied by a Packer — a conv lowering gathering its patch
+//     matrix without materialising it (ParallelPacker) — is packed
+//     block by block into NR-wide panels (ldb = NR).
+//   - A full MR x NR tile is added straight into C (ldc = n). An edge
+//     tile goes to a tile buffer and only its in-range corner is added.
+//
+// A variant whose kernel reads packed operands only (Kernel.packs,
+// neon-8x8) has every strip and panel packed instead.
+//
+// One loop (blockedKernel) serves every call. By default it walks B in
 // full-k n-blocks of at most panelCols columns; a tuned BlockConfig may
-// set its own (KC x NC) cache blocks instead (see tuned.go). B may be a
-// row-major matrix or a Packer that writes each block straight into the
-// panel layout, the way a conv lowering gathers its patch matrix
-// without materialising it (ParallelPacker). Every buffer the loop
-// works in comes from one caller-sized scratch slice (ScratchLen).
+// set its own (KC x NC) cache blocks instead (see tuned.go). Every
+// buffer the loop works in comes from one caller-sized scratch slice
+// (ScratchLen). The tile geometry (MR, NR) is not fixed here: it comes
+// from the dispatched Kernel descriptor (kernel.go), so the SSE 4x8,
+// AVX2 8x8, NEON 8x8 and pure-Go kernels all flow through this one
+// pipeline with no per-call ISA branching.
 //
-// The pack geometry (MR, NR) is not fixed here: it comes from the
-// dispatched Kernel descriptor (kernel.go), so the SSE 4x8, AVX2 8x8,
-// NEON 8x8 and pure-Go kernels all flow through this one pipeline with
-// no per-call ISA branching — the descriptor is read once per GEMM
-// call.
-//
-// Correctness contract: with B packed in full-k blocks, every output
-// element C[i,j] is accumulated in strictly ascending p order into a
-// single register, then added to C[i,j] once; which n-block holds
-// column j changes nothing about that sum. Each MR-row strip of each
-// block is computed by the same strip function with the same packed
-// inputs regardless of the worker count, and the workers own disjoint
-// parts of C, so Parallel's output is bit-identical at any worker
-// count — and, because per-element rounding never depends on the tile
-// geometry (see Kernel), identical across every dispatched kernel too.
-// It differs from Naive only by float32 rounding of the deferred C
+// Correctness contract: with full-k blocks, every output element
+// C[i,j] is accumulated in strictly ascending p order into a single
+// register from +0, then added to C[i,j] once; which n-block holds
+// column j, and whether its operands were read in place or from a
+// copy, changes nothing about that sum. Each MR-row strip of each block
+// is computed by the same strip function with the same inputs
+// regardless of the worker count, and the workers own disjoint parts
+// of C, so Parallel's output is bit-identical at any worker count —
+// and, because per-element rounding never depends on the tile geometry
+// (see Kernel), identical across every dispatched kernel too. It
+// differs from Naive only by float32 rounding of the deferred C
 // addition.
 
 // packBBlock packs the (kcb x ncb) block of row-major B (k x n) rooted
@@ -60,7 +72,8 @@ func packBBlock(n, p0, kcb, j0, ncb, nr int, b, dst []float32) {
 
 // packStripABlock packs rows [i0, i0+mr) x cols [p0, p0+kcb) of
 // row-major A (m x k) column-major: dst[p*mr+ii] = A[i0+ii][p0+p],
-// zero-padded past row m. dst must have kcb*mr elements.
+// zero-padded past row m, for kernels that read packed strips
+// (Kernel.packs). dst must have kcb*mr elements.
 func packStripABlock(m, k, i0, mr, p0, kcb int, a, dst []float32) {
 	rows := min(mr, m-i0)
 	for ii := 0; ii < rows; ii++ {
@@ -76,33 +89,59 @@ func packStripABlock(m, k, i0, mr, p0, kcb int, a, dst []float32) {
 	}
 }
 
+// copyStripA copies rows [i0, m) x cols [p0, p0+kcb) of row-major A
+// (m x k) row-major into dst (row stride kcb) and zeroes the rows up to
+// mr, so a strided kernel can read the last, ragged strip as a full
+// one. dst must have kcb*mr elements.
+func copyStripA(m, k, i0, mr, p0, kcb int, a, dst []float32) {
+	rows := m - i0
+	for ii := 0; ii < rows; ii++ {
+		copy(dst[ii*kcb:(ii+1)*kcb], a[(i0+ii)*k+p0:])
+	}
+	clear(dst[rows*kcb : mr*kcb])
+}
+
 // stripBlock computes the contribution of the (p0, kcb) x (j0, ncb)
-// block to the MR-row strips [lo, hi) of C: for each strip it packs the
-// A strip block into the front of ws (kcb*MR elements), reduces each
-// tile into the back of ws (MR*NR elements) and adds one partial sum
-// per output element. This is the one unit of work the workers
-// partition; every worker count runs exactly this code on exactly
-// these inputs, which is what makes the output worker-count-invariant.
-// ws is the worker's slice of the caller's scratch: a stack tile would
-// escape, because micro is a func value.
-func stripBlock(kn *Kernel, m, n, k, lo, hi, p0, kcb, j0, ncb int, a, bpk, c, ws []float32) {
+// block to the MR-row strips [lo, hi) of C. Each strip of A is read in
+// place, or from the front of ws when it must be copied (the last,
+// ragged strip, or every strip for a packing kernel). Each full panel
+// of a row-major B (b non-nil) is read in place, any other from its
+// slot in bpk (see packB). A full tile is added straight into C; an
+// edge tile is reduced into the back of ws (MR*NR elements) and its
+// in-range corner added into C. This is the one unit of work the
+// workers partition; every worker count runs exactly this code on
+// exactly these inputs, which is what makes the output
+// worker-count-invariant. The edge tile lives in ws, not on the stack:
+// micro is a func value, so a stack tile would escape.
+func stripBlock(kn *Kernel, m, n, k, lo, hi, p0, kcb, j0, ncb int, a, b, bpk, c, ws []float32) {
 	mr, nr := kn.MR, kn.NR
 	apk, t := ws[:kcb*mr], ws[len(ws)-mr*nr:]
 	np := (ncb + nr - 1) / nr
+	inPlace := b != nil && !kn.packs
 	for i0 := lo * mr; i0 < hi*mr; i0 += mr {
-		packStripABlock(m, k, i0, mr, p0, kcb, a, apk)
 		rows := min(mr, m-i0)
+		as, lda := a[i0*k+p0:], k
+		switch {
+		case kn.packs:
+			packStripABlock(m, k, i0, mr, p0, kcb, a, apk)
+			as = apk
+		case rows < mr:
+			copyStripA(m, k, i0, mr, p0, kcb, a, apk)
+			as, lda = apk, kcb
+		}
 		for pj := 0; pj < np; pj++ {
-			kn.micro(kcb, apk, bpk[pj*kcb*nr:(pj+1)*kcb*nr], t)
 			c0 := j0 + pj*nr
 			cols := min(nr, j0+ncb-c0)
-			for ii := 0; ii < rows; ii++ {
-				crow := c[(i0+ii)*n+c0 : (i0+ii)*n+c0+cols]
-				trow := t[ii*nr : ii*nr+cols]
-				for jj := range crow {
-					crow[jj] += trow[jj]
-				}
+			bs, ldb := bpk[pj*kcb*nr:], nr
+			if inPlace && cols == nr {
+				bs, ldb = b[p0*n+c0:], n
 			}
+			if rows == mr && cols == nr {
+				kn.micro(kcb, as, lda, bs, ldb, c[i0*n+c0:], n, true)
+				continue
+			}
+			kn.micro(kcb, as, lda, bs, ldb, t, nr, false)
+			storeTile(rows, cols, nr, t, c[i0*n+c0:], n, true)
 		}
 	}
 }
@@ -308,46 +347,54 @@ func blockedKernel(kn *Kernel, m, n, k int, a, b []float32, pk Packer, c []float
 			ncb := min(nc, n-j0)
 			for p0 := 0; p0 < k; p0 += kc {
 				kcb := min(kc, k-p0)
-				packB(n, p0, kcb, j0, ncb, kn.NR, b, pk, bpk)
-				fanOut(kn, m, n, k, strips, workers, p0, kcb, j0, ncb, a, bpk, c, ws)
+				packB(kn, n, p0, kcb, j0, ncb, b, pk, bpk)
+				fanOut(kn, m, n, k, strips, workers, p0, kcb, j0, ncb, a, b, bpk, c, ws)
 			}
 		}
 	}
 }
 
-// columns multiplies the output columns [j0, j1) on one goroutine: each
-// (nc, kc) block of B in them is packed into bpk and multiplied into
-// every MR-row strip of C, working in ws (one A strip and one tile).
+// columns multiplies the output columns [j0, j1) on one goroutine: for
+// each (nc, kc) block of B in them it packs what is not read in place
+// into bpk and multiplies the block into every MR-row strip of C,
+// working in ws (one A strip and one tile).
 func columns(kn *Kernel, m, n, k, j0, j1, kc, nc int, a, b []float32, pk Packer, c, bpk, ws []float32) {
 	strips := (m + kn.MR - 1) / kn.MR
 	for ; j0 < j1; j0 += nc {
 		ncb := min(nc, j1-j0)
 		for p0 := 0; p0 < k; p0 += kc {
 			kcb := min(kc, k-p0)
-			packB(n, p0, kcb, j0, ncb, kn.NR, b, pk, bpk)
-			stripBlock(kn, m, n, k, 0, strips, p0, kcb, j0, ncb, a, bpk, c, ws)
+			packB(kn, n, p0, kcb, j0, ncb, b, pk, bpk)
+			stripBlock(kn, m, n, k, 0, strips, p0, kcb, j0, ncb, a, b, bpk, c, ws)
 		}
 	}
 }
 
-// packB packs one block of B into bpk: through pk when it is non-nil,
-// else from the row-major matrix b.
-func packB(n, p0, kcb, j0, ncb, nr int, b []float32, pk Packer, bpk []float32) {
-	if pk != nil {
+// packB fills the panels of one block of B that stripBlock does not
+// read in place, each in its slot of bpk: every panel through pk when
+// it is non-nil, every panel of the row-major matrix b for a packing
+// kernel, else only b's last panel, when it is ragged.
+func packB(kn *Kernel, n, p0, kcb, j0, ncb int, b []float32, pk Packer, bpk []float32) {
+	nr := kn.NR
+	switch tail := ncb % nr; {
+	case pk != nil:
 		pk.PackB(p0, kcb, j0, ncb, nr, bpk)
-		return
+	case kn.packs:
+		packBBlock(n, p0, kcb, j0, ncb, nr, b, bpk)
+	case tail > 0:
+		full := ncb - tail
+		packBBlock(n, p0, kcb, j0+full, tail, nr, b, bpk[full*kcb:])
 	}
-	packBBlock(n, p0, kcb, j0, ncb, nr, b, bpk)
 }
 
-// fanOut runs one packed block's strips as one pool job per worker,
-// each claiming a contiguous chunk: chunk boundaries depend only on
+// fanOut runs one block's strips as one pool job per worker, each
+// claiming a contiguous chunk: chunk boundaries depend only on
 // (strips, workers), never on scheduling, and worker w works in its own
 // per-worker slice of ws.
-func fanOut(kn *Kernel, m, n, k, strips, workers, p0, kcb, j0, ncb int, a, bpk, c, ws []float32) {
+func fanOut(kn *Kernel, m, n, k, strips, workers, p0, kcb, j0, ncb int, a, b, bpk, c, ws []float32) {
 	per := len(ws) / workers
 	pool.Run(workers, workers, func(w int) {
 		lo, hi := w*strips/workers, (w+1)*strips/workers
-		stripBlock(kn, m, n, k, lo, hi, p0, kcb, j0, ncb, a, bpk, c, ws[w*per:(w+1)*per])
+		stripBlock(kn, m, n, k, lo, hi, p0, kcb, j0, ncb, a, b, bpk, c, ws[w*per:(w+1)*per])
 	})
 }

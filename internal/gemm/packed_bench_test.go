@@ -22,8 +22,8 @@ func benchGemm(b *testing.B, size int, f func(m, n, k int, a, bb, c []float32)) 
 // packed is the 1-worker packed GEMM the "packed/N" rows measure.
 func packed(m, n, k int, a, b, c []float32) { Parallel(m, n, k, a, b, c, 1) }
 
-// BenchmarkGEMMBackends compares the GEMM backends at the 512-cube the
-// ISSUE targets and at a conv-lowering-like 128 cube. Sub-benchmark
+// BenchmarkGEMMBackends compares the GEMM backends at a 512 cube and at
+// a conv-lowering-like 128 cube. Sub-benchmark
 // names use "/" (not "-<size>") so the bench.sh JSON reducer, which
 // strips the trailing -GOMAXPROCS suffix, never confuses a size for a
 // CPU count.
@@ -63,6 +63,39 @@ func BenchmarkGEMMParallelCrossover(b *testing.B) {
 		b.Run(fmt.Sprintf("packed/%d", size), func(b *testing.B) { benchGemm(b, size, packed) })
 		b.Run(fmt.Sprintf("parallel8/%d", size), func(b *testing.B) {
 			benchGemm(b, size, func(m, n, k int, a, bb, c []float32) { Parallel(m, n, k, a, bb, c, 8) })
+		})
+	}
+}
+
+// pointwiseShapes are the (m, n, k) products the frozen MobileNet-v1
+// plans hand the packed GEMM: 1x1 convs lowered by im2col or kn2row
+// (OC x HW x C, B the input sample read in place), one im2row product
+// (HW x OC x C, B the transposed weights), and the widest -100 layer.
+var pointwiseShapes = [][3]int{
+	{32, 3136, 16},
+	{32, 3136, 32},
+	{64, 784, 32},
+	{128, 196, 128},
+	{256, 49, 256},
+	{196, 128, 64},
+	{1024, 49, 1024},
+}
+
+// BenchmarkGEMMPointwise reports the packed GEMM's GFLOP/s at one
+// worker, with its scratch supplied, on the pointwise shapes: the
+// products whose A strips and B panels it reads in place.
+func BenchmarkGEMMPointwise(b *testing.B) {
+	for _, d := range pointwiseShapes {
+		m, n, k := d[0], d[1], d[2]
+		b.Run(fmt.Sprintf("%dx%dx%d", m, n, k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			a, bb, c := randomSlice(rng, m*k), randomSlice(rng, k*n), make([]float32, m*n)
+			scratch := make([]float32, ScratchLen(m, n, k, 1, BlockConfig{}))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ParallelCfg(m, n, k, a, bb, c, 1, BlockConfig{}, scratch)
+			}
+			b.ReportMetric(2*float64(m*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
 	}
 }

@@ -75,6 +75,44 @@ func (p matrixPacker) PackB(p0, kcb, j0, ncb, nr int, dst []float32) {
 	packBBlock(p.n, p0, kcb, j0, ncb, nr, p.b, dst)
 }
 
+// TestPackerMatchesMatrixRagged: ParallelPacker (every panel packed)
+// must reproduce ParallelCfg (full panels read in place, the ragged
+// last one packed) bit for bit, under every variant, on shapes whose
+// m and n leave 1 to 7 rows and columns past the last full tile, with
+// and without KC/NC blocking, at 1 and 4 workers. The wide shapes are
+// above the flop floor, so at 4 workers they split by columns (default
+// and KC/NC configs) or by strips of one shared block (NC covering n).
+func TestPackerMatchesMatrixRagged(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(44))
+	var shapes [][3]int
+	for r := 1; r <= 7; r++ {
+		for _, k := range []int{1, 8, 27} {
+			shapes = append(shapes, [3]int{16 + r, 16 + r, k})
+		}
+	}
+	shapes = append(shapes, [3]int{167, 4*panelCols + 1, 27})
+	for _, dims := range shapes {
+		m, n, k := dims[0], dims[1], dims[2]
+		a := specialSlice(rng, m*k)
+		b := specialSlice(rng, k*n)
+		c0 := randomSlice(rng, m*n)
+		for _, name := range KernelVariants() {
+			for _, cfg := range []BlockConfig{{Kernel: name}, {Kernel: name, KC: 5, NC: 16}, {Kernel: name, NC: 1 << 20}} {
+				for _, w := range []int{1, 4} {
+					want := append([]float32(nil), c0...)
+					ParallelCfg(m, n, k, a, b, want, w, cfg, nanSlice(ScratchLen(m, n, k, w, cfg)))
+					got := append([]float32(nil), c0...)
+					ParallelPacker(m, n, k, a, matrixPacker{n, b}, got, w, cfg, nanSlice(ScratchLen(m, n, k, w, cfg)))
+					if !sameBits(want, got) {
+						t.Errorf("%dx%dx%d cfg=%+v workers=%d: ParallelPacker differs from ParallelCfg", m, n, k, cfg, w)
+					}
+				}
+			}
+		}
+	}
+}
+
 // nanSlice returns n NaNs: scratch that a kernel relying on zeroed
 // memory would leak into its result.
 func nanSlice(n int) []float32 {

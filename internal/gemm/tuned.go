@@ -2,21 +2,22 @@ package gemm
 
 // BlockConfig parameterizes the packed GEMM pipeline for the per-layer
 // autotuner (internal/tune). The zero value selects exactly the default
-// pipeline: the runtime-dispatched micro-kernel, B packed whole, every
-// output tile accumulated across the full k reduction in registers —
-// ParallelCfg with a zero BlockConfig is bit-identical to Parallel.
+// pipeline: the runtime-dispatched micro-kernel, B walked in full-k
+// blocks of panelCols (256) columns, every output tile accumulated
+// across the full k reduction in registers — ParallelCfg with a zero
+// BlockConfig is bit-identical to Parallel.
 //
 // Non-zero KC/NC select the cache-blocked Goto loop structure instead:
-// B is packed one (KC x NC) block at a time and each block's
-// contribution is added into C before the next block is packed, so the
-// pack buffer and the C tiles it feeds stay cache-resident for shapes
-// whose larger blocks would not. Only KC changes bits: with KC set,
+// B is walked one (KC x NC) block at a time and each block's
+// contribution is added into C before the next block starts, so the
+// block and the C tiles it feeds stay cache-resident for shapes whose
+// larger blocks would not. Only KC changes bits: with KC set,
 // each output element accumulates one partial sum per KC block instead
 // of one full-k sum, which agrees with the default path within float32
 // tolerance but not bit for bit. NC alone splits only the columns, and
 // every element still gets its full-k, ascending-p register sum, so an
 // NC-only config is bit-identical to the default path (which itself
-// packs B panelCols columns at a time). Every config is bit-identical
+// walks B panelCols columns at a time). Every config is bit-identical
 // to itself at any worker count, which is the contract the tuner's
 // measurements rely on.
 type BlockConfig struct {

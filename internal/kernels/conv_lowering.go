@@ -310,10 +310,10 @@ func ConvIm2colScratch(s tensor.Shape, p nn.ConvParams, mul Gemm, workers, panel
 // With the packed GEMM the matrix is never materialised: the GEMM packs
 // B block by block and the lowering gathers each block straight from
 // the input (im2colPacker). A pointwise conv's matrix is the input
-// sample itself, packed as is. The panel, when it splits the output
-// rows, becomes the GEMM's n-block width (panelBlock); splitting n
-// leaves every output element's full-k reduction whole, so the result
-// does not depend on panel.
+// sample itself, which the GEMM reads in place. The panel, when it
+// splits the output rows, becomes the GEMM's n-block width
+// (panelBlock); splitting n leaves every output element's full-k
+// reduction whole, so the result does not depend on panel.
 //
 // With the naive GEMM the matrix is gathered across column blocks
 // (Im2col) and multiplied whole; panel does not apply. A pointwise

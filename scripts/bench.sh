@@ -103,12 +103,13 @@ go test -run '^$' \
     -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$RAW"
 emit_json "$RAW" "$OUT"
 
-# Kernel-layer benchmarks: packed/parallel GEMM backends, the conv
+# Kernel-layer benchmarks: packed/parallel GEMM backends, the packed
+# GEMM's GFLOP/s on the frozen plans' pointwise shapes, the conv
 # kernels they feed, the memory-bound ReLU/BatchNorm/depth-wise rows on
 # mobilenet-v1-025's shapes, real end-to-end engine inference, and the
 # batch orchestrator's sequential-bypass guard.
 go test -run '^$' \
-    -bench 'BenchmarkGEMMBackends|BenchmarkGemm$|BenchmarkConvKernels|BenchmarkConvFFTKernel|BenchmarkMemoryBoundKernels|BenchmarkEngineInference|BenchmarkProfilePhase|BenchmarkOptimizeBatch|BenchmarkRunBatch' \
+    -bench 'BenchmarkGEMMBackends|BenchmarkGEMMPointwise|BenchmarkGemm$|BenchmarkConvKernels|BenchmarkConvFFTKernel|BenchmarkMemoryBoundKernels|BenchmarkEngineInference|BenchmarkProfilePhase|BenchmarkOptimizeBatch|BenchmarkRunBatch' \
     -benchtime "$BENCHTIME" -count "$COUNT" \
     . ./internal/gemm/ ./internal/runner/ | tee "$KRAW"
 emit_json "$KRAW" "$KOUT"
