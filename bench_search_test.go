@@ -16,33 +16,26 @@ import (
 
 // BenchmarkSearchEpisodes runs the paper's full 1000-episode QS-DNN
 // search on the AlexNet GPGPU table once per iteration — the
-// episodes/sec headline of the zero-alloc engine work. The default
-// sub-benchmark is the byte-identical serial replay; batched flips
-// qlearn.Config.BatchedReplay, trading the serial ordering for the
-// wave scheme (deterministic, own goldens, ~2x the episode rate).
+// episodes/sec headline of the zero-alloc engine work.
 func BenchmarkSearchEpisodes(b *testing.B) {
 	tab := benchTable(b, "alexnet", primitives.ModeGPGPU)
-	for _, bc := range []struct {
-		name    string
-		batched bool
-	}{{"default", false}, {"batched", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			cfg := core.Config{Episodes: 1000, Seed: 1}
-			cfg.Agent.BatchedReplay = bc.batched
-			b.ReportAllocs()
-			b.ResetTimer()
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				res = core.Search(tab, cfg)
-			}
-			b.StopTimer()
-			sec := b.Elapsed().Seconds()
-			if sec > 0 {
-				b.ReportMetric(float64(b.N)*float64(cfg.Episodes)/sec, "episodes/s")
-			}
-			b.ReportMetric(res.Time*1e3, "ms_best")
-		})
-	}
+	// The "default" sub-benchmark name pairs with bench/baseline.txt
+	// under benchstat.
+	b.Run("default", func(b *testing.B) {
+		cfg := core.Config{Episodes: 1000, Seed: 1}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var res *core.Result
+		for i := 0; i < b.N; i++ {
+			res = core.Search(tab, cfg)
+		}
+		b.StopTimer()
+		sec := b.Elapsed().Seconds()
+		if sec > 0 {
+			b.ReportMetric(float64(b.N)*float64(cfg.Episodes)/sec, "episodes/s")
+		}
+		b.ReportMetric(res.Time*1e3, "ms_best")
+	})
 }
 
 // BenchmarkReplayInto measures the replay loop in isolation: one full
@@ -72,20 +65,15 @@ func BenchmarkReplayInto(b *testing.B) {
 		}
 		replay.Add(traj)
 	}
-	for _, bc := range []struct {
-		name    string
-		batched bool
-	}{{"default", false}, {"batched", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			cfg := cfg
-			cfg.BatchedReplay = bc.batched
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				replay.ReplayInto(q, cfg, capacity, rng)
-			}
-		})
-	}
+	// The "default" sub-benchmark name pairs with bench/baseline.txt
+	// under benchstat.
+	b.Run("default", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			replay.ReplayInto(q, cfg, capacity, rng)
+		}
+	})
 }
 
 // BenchmarkPlanTotalTime measures one full-assignment evaluation on

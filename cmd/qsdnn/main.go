@@ -37,7 +37,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/primitives"
 	"repro/internal/profile"
-	"repro/internal/qlearn"
 	"repro/internal/resilience"
 	"repro/internal/sched"
 	"repro/internal/searchplan"
@@ -89,7 +88,6 @@ func main() {
 	driftBand := fs.Float64("drift-band", 4, "serve: drift threshold in MAD-scaled band widths — a canary measurement further than this from its stored baseline counts as drifted")
 	planTTL := fs.Int64("plan-ttl", 0, "serve: profile epochs a cached plan stays fresh; older plans are served marked revalidating (0 = no TTL)")
 	noHeal := fs.Bool("no-heal", false, "serve: disable self-healing re-optimization; quarantined plans stay cached and are served marked revalidating")
-	batched := fs.Bool("batched-replay", false, "search: wave-ordered batched Bellman replay — deterministic and measurably faster, but the replay update ordering differs from the paper-faithful serial default")
 	autotune := fs.Bool("autotune", false, "profile/search: run the per-layer kernel autotuner on the real engine (requires -engine -mode cpu); tuned variants join the LUT as extra candidates")
 	tunerBudget := fs.Int("tuner-budget", 16, "autotune: real measurements per (layer, primitive) pair; the surrogate model shortlists this many variants out of the full space")
 	tunerCache := fs.String("tuner-cache", "", "durable tuned-variant cache file: reused when it matches the network/mode/budget, written after a fresh -autotune run; serve feeds it into every matching table")
@@ -106,7 +104,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	batchedReplay = *batched
 	tunerCfg = tunerFlags{autotune: *autotune, budget: *tunerBudget, cache: *tunerCache}
 	ft := faultFlags{robust: *robust, retries: *retries, sampleTimeout: *sampleTimeout, faultSeed: *faultSeed}
 	df := durableFlags{manifest: *manifestDir, checkpoint: *checkpointDir, resume: *resume, every: *checkpointEvery}
@@ -248,19 +245,6 @@ type serveFlags struct {
 	tunerCache      string
 }
 
-// batchedReplay mirrors the -batched-replay flag: search commands set
-// Agent.BatchedReplay from it. A package variable (not a runCtx
-// parameter) so the many positional test call sites stay put; tests
-// that want it set it directly.
-var batchedReplay bool
-
-// agentConfig returns the agent configuration the CLI search paths
-// share: paper hyper-parameters, with the replay ordering chosen by
-// -batched-replay.
-func agentConfig() qlearn.Config {
-	return qlearn.Config{BatchedReplay: batchedReplay}
-}
-
 // engineFlags bundles the real-engine profiling CLI flags.
 type engineFlags struct {
 	real    bool
@@ -338,10 +322,6 @@ commands:
 
 flags: -net NAME -mode cpu|gpgpu -platform NAME -episodes N -samples N -seed N -lut FILE
        -parallel N -seeds K (bench-all)
-       -batched-replay                          search: wave-ordered batched Bellman
-                                                replay (deterministic, faster; update
-                                                ordering differs from the serial
-                                                paper-faithful default)
        -engine -kernel-workers N                profile on the real host-CPU engine
                                                 (-mode cpu) with N kernel goroutines
                                                 (0 = one per CPU); kernel outputs are
@@ -886,7 +866,7 @@ func runCtx(ctx context.Context, cmd, netName, modeStr string, episodes, samples
 		}
 		var rep *qsdnn.Report
 		if df.checkpoint != "" {
-			res, err := searchDurable(tab, core.Config{Episodes: episodes, Seed: seed, Agent: agentConfig()}, df)
+			res, err := searchDurable(tab, core.Config{Episodes: episodes, Seed: seed}, df)
 			if err != nil {
 				return err
 			}
@@ -897,7 +877,6 @@ func runCtx(ctx context.Context, cmd, netName, modeStr string, episodes, samples
 		} else {
 			rep, err = qsdnn.OptimizeTable(net, tab, qsdnn.Options{
 				Mode: mode, Episodes: episodes, Samples: samples, Seed: seed,
-				Search: qsdnn.SearchConfig{Agent: agentConfig()},
 			})
 			if err != nil {
 				return err

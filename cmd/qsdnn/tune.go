@@ -13,9 +13,9 @@ import (
 	"repro/internal/tune"
 )
 
-// tunerFlags bundles the kernel-autotuner CLI flags. Like
-// batchedReplay, a package variable keeps the many positional runCtx
-// test call sites unchanged; main() sets it from the parsed flags.
+// tunerFlags bundles the kernel-autotuner CLI flags. A package
+// variable keeps the many positional runCtx test call sites unchanged;
+// main() sets it from the parsed flags.
 type tunerFlags struct {
 	// autotune runs the variant search when no usable cache exists.
 	autotune bool

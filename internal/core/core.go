@@ -49,12 +49,8 @@ func (c Config) withDefaults() Config {
 	if c.Episodes == 0 {
 		c.Episodes = 1000
 	}
-	// BatchedReplay is a pure replay-ordering switch, not a
-	// hyper-parameter: setting it alone still gets the paper's α/γ/size.
-	if c.Agent == (qlearn.Config{BatchedReplay: c.Agent.BatchedReplay}) {
-		batched := c.Agent.BatchedReplay
+	if c.Agent == (qlearn.Config{}) {
 		c.Agent = qlearn.PaperConfig()
-		c.Agent.BatchedReplay = batched
 	}
 	if c.Schedule == nil {
 		c.Schedule = qlearn.PaperSchedule(c.Episodes)

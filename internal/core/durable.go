@@ -169,17 +169,21 @@ func SearchCheckpointedPlanned(plan *searchplan.Plan, cfg Config, opts DurableOp
 	best := &Result{Time: math.Inf(1)}
 	var state *qlearn.Checkpoint
 	if opts.From == nil {
-		state = &qlearn.Checkpoint{Table: qlearn.NewTable(plan.NumLayers(), primitives.Count())}
+		state = &qlearn.Checkpoint{
+			Table:  qlearn.NewTable(plan.NumLayers(), primitives.Count()),
+			Replay: qlearn.NewReplay(cfg.Agent.ReplaySize),
+		}
 	} else {
 		from := opts.From.Checkpoint
-		state = qlearn.Snapshot(from.Table, from.Replay, from.Episode)
+		state = qlearn.Snapshot(from.Table, nil, from.Episode)
+		// A snapshot stores the episodes, not the capacity: one taken
+		// before the buffer filled restores fewer than ReplaySize, and
+		// the run keeps the configured capacity.
+		state.Replay = from.Replay.Clone(cfg.Agent.ReplaySize)
 		if len(opts.From.BestAssignment) > 0 {
 			best.Time = opts.From.BestTime
 			best.Assignment = append([]primitives.ID(nil), opts.From.BestAssignment...)
 		}
-	}
-	if state.Replay == nil {
-		state.Replay = qlearn.NewReplay(cfg.Agent.ReplaySize)
 	}
 	start := state.Episode
 	if start >= total {

@@ -97,64 +97,77 @@ func TestSnapshotRoundTripAndValidation(t *testing.T) {
 	}
 }
 
-// TestCheckpointedResumeIsExact: kill a checkpointed search at an
-// arbitrary snapshot boundary and resume from the saved snapshot; the
-// final best time and assignment must be byte-identical to an
-// uninterrupted run at the same cadence — the durable-search
-// acceptance invariant.
+// TestCheckpointedResumeIsExact: kill a checkpointed search at each
+// snapshot boundary in turn and resume from the saved snapshot; the
+// final best and the final agent checkpoint's bytes must be identical
+// to an uninterrupted run at the same cadence — the durable-search
+// acceptance invariant. Boundary 1 is taken before the 128-episode
+// replay buffer fills, so it also checks that a resume keeps the
+// configured replay capacity.
 func TestCheckpointedResumeIsExact(t *testing.T) {
 	tab := profiled(t, models.MustBuild("mobilenet-v1"), primitives.ModeGPGPU)
 	plan := searchplan.Compile(tab)
 	cfg := Config{Episodes: 500, Seed: 7}
 	const every = 90 // deliberately not a divisor of the budget
 
-	full, err := SearchCheckpointedPlanned(plan, cfg, DurableOptions{Every: every})
+	// finalCheckpoint records the agent checkpoint of every boundary,
+	// so after the run it holds the last one's bytes.
+	finalCheckpoint := func(data *[]byte) func(*Snapshot) error {
+		return func(s *Snapshot) (err error) {
+			*data, err = s.Checkpoint.Marshal()
+			return err
+		}
+	}
+	var fullCk []byte
+	full, err := SearchCheckpointedPlanned(plan, cfg, DurableOptions{Every: every, Save: finalCheckpoint(&fullCk)})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Interrupt after the third snapshot: keep only the snapshot a
-	// crash would have left on disk.
-	var kept *Snapshot
-	saves := 0
-	_, err = SearchCheckpointedPlanned(plan, cfg, DurableOptions{Every: every, Save: func(s *Snapshot) error {
-		saves++
-		if saves == 3 {
-			data, err := s.Marshal()
-			if err != nil {
-				return err
+	for kill := 1; kill <= 5; kill++ {
+		// Interrupt after snapshot kill: keep only the snapshot a crash
+		// would have left on disk.
+		var kept *Snapshot
+		saves := 0
+		_, err = SearchCheckpointedPlanned(plan, cfg, DurableOptions{Every: every, Save: func(s *Snapshot) error {
+			saves++
+			if saves == kill {
+				data, err := s.Marshal()
+				if err != nil {
+					return err
+				}
+				back, err := LoadSnapshot(data, tab)
+				if err != nil {
+					return err
+				}
+				kept = back
+				return fmt.Errorf("simulated crash")
 			}
-			back, err := LoadSnapshot(data, tab)
-			if err != nil {
-				return err
-			}
-			kept = back
-			return fmt.Errorf("simulated crash")
+			return nil
+		}})
+		if err == nil || kept == nil {
+			t.Fatalf("kill %d: simulated crash not triggered (err %v)", kill, err)
 		}
-		return nil
-	}})
-	if err == nil || kept == nil {
-		t.Fatalf("simulated crash not triggered (err %v)", err)
-	}
 
-	var finEp int
-	resumed, err := SearchCheckpointedPlanned(plan, cfg, DurableOptions{Every: every, From: kept, Save: finalEpisode(&finEp)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Time != full.Time {
-		t.Errorf("resumed best %.9g, uninterrupted %.9g", resumed.Time, full.Time)
-	}
-	for i := range full.Assignment {
-		if resumed.Assignment[i] != full.Assignment[i] {
-			t.Fatalf("assignment diverges at layer %d", i)
+		var resumedCk []byte
+		resumed, err := SearchCheckpointedPlanned(plan, cfg, DurableOptions{Every: every, From: kept, Save: finalCheckpoint(&resumedCk)})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if finEp != cfg.Episodes {
-		t.Errorf("final snapshot at episode %d, want %d", finEp, cfg.Episodes)
-	}
-	if resumed.Episodes != cfg.Episodes-kept.Checkpoint.Episode {
-		t.Errorf("resumed session ran %d episodes, want %d", resumed.Episodes, cfg.Episodes-kept.Checkpoint.Episode)
+		if resumed.Time != full.Time {
+			t.Errorf("kill %d: resumed best %.9g, uninterrupted %.9g", kill, resumed.Time, full.Time)
+		}
+		for i := range full.Assignment {
+			if resumed.Assignment[i] != full.Assignment[i] {
+				t.Fatalf("kill %d: assignment diverges at layer %d", kill, i)
+			}
+		}
+		if !bytes.Equal(resumedCk, fullCk) {
+			t.Errorf("kill %d: final checkpoint bytes differ from the uninterrupted run's", kill)
+		}
+		if want := cfg.Episodes - kept.Checkpoint.Episode; resumed.Episodes != want {
+			t.Errorf("kill %d: resumed session ran %d episodes, want %d", kill, resumed.Episodes, want)
+		}
 	}
 }
 

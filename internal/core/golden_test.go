@@ -132,22 +132,6 @@ func goldenCases(t *testing.T) map[string]func() goldenResult {
 		"search_dag": func() goldenResult {
 			return encodeResult(Search(dag, Config{Episodes: 300, Seed: 11}))
 		},
-		"search_chain_batched": func() goldenResult {
-			// Same instance and seed as search_chain with the batched
-			// wave-ordered replay: deterministic, but a different update
-			// ordering than serial replay, so it gets its own golden
-			// (chains run the collapsed fast path).
-			cfg := Config{Episodes: 300, Seed: 7}
-			cfg.Agent.BatchedReplay = true
-			return encodeResult(Search(chain, cfg))
-		},
-		"search_dag_batched": func() goldenResult {
-			// DAG incoming-edge penalties make rewards impure, which pins
-			// the batched generic (uncollapsed) path.
-			cfg := Config{Episodes: 300, Seed: 11}
-			cfg.Agent.BatchedReplay = true
-			return encodeResult(Search(dag, cfg))
-		},
 		"search_noshaping": func() goldenResult {
 			return encodeResult(Search(chain, Config{Episodes: 200, Seed: 3, DisableShaping: true}))
 		},

@@ -222,10 +222,7 @@ func Snapshot(t *Table, r *Replay, episode int) *Checkpoint {
 	t.canonicalQ(ct.q)
 	var cr *Replay
 	if r != nil {
-		cr = NewReplay(r.cap)
-		for _, traj := range r.buf {
-			cr.Add(traj)
-		}
+		cr = r.Clone(r.cap)
 	}
 	return &Checkpoint{Table: ct, Replay: cr, Episode: episode}
 }

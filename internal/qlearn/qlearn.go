@@ -21,18 +21,6 @@ type Config struct {
 	Gamma float64
 	// ReplaySize is the experience-replay buffer capacity (episodes).
 	ReplaySize int
-	// BatchedReplay switches Replay.ReplayInto to the wave-ordered
-	// batched Bellman scheme: all sampled episodes advance through the
-	// trajectory together, one position per wave, with targets computed
-	// for the whole wave before any update lands. This shortens the
-	// store→load dependent chain from samples×length to length and is
-	// measurably faster, but the update ORDER differs from the serial
-	// default — a sample's target sees every sample's later-position
-	// updates and no sample's earlier-position ones — so learned values
-	// are deterministic yet not byte-identical to serial replay. Off by
-	// default; the serial path stays pinned by the original goldens and
-	// the batched path by its own.
-	BatchedReplay bool
 }
 
 // PaperConfig returns the hyper-parameters used throughout the paper.
@@ -476,90 +464,18 @@ type Replay struct {
 	// at all. cok marks slots that live in the slab; cuse marks slots
 	// the compiled path may replay (slab-resident and, when shaped,
 	// vocabulary-identical); cdirty marks slots whose arrays are
-	// stale. cnp, ctab and cgen pin the dimensions, table and layout
-	// generation the compilation is valid for.
-	// cuseN and calgN count the true entries of cuse and calg so the
-	// batched path can skip its per-draw membership checks with one
-	// compare when every slot qualifies (the steady state).
+	// stale and cdl lists them. cnp, ctab and cgen pin the dimensions,
+	// table and layout generation the compilation is valid for.
 	cks    []int32
 	crows  [][]float64
 	crw    []float64
 	cok    []bool
 	cuse   []bool
-	cuseN  int
 	cdirty []bool
 	cdl    []int32
-	cnd    int
 	cnp    int
 	ctab   *Table
 	cgen   int
-	// Compiled tables for the batched fast path. calg marks canonical
-	// slots: every transition sits at its own trajectory position
-	// (Step == i) and only the last is terminal — true for every
-	// engine-built episode. Canonical slots give the guarantees the
-	// fast path builds on: a wave's reads (position-i+1 rows) and
-	// writes (position-i entries) are disjoint, the successor width is
-	// wave-constant, and the flat Q index decomposes as
-	// k = i·np² + kk with kk = prim·np + permuted-action the
-	// position-local transition id.
-	//
-	// The fast path's per-transition tables use DENSE ids: at position
-	// i a canonical transition's state primitive lies in the step-(i-1)
-	// vocabulary (w₍i₋₁₎ wide; one fixed primitive at i = 0) and its
-	// permuted action in the step-i vocabulary (wᵢ wide), so the live
-	// transitions occupy a w₍i₋₁₎×wᵢ subgrid of the np×np plane —
-	// typically a few dozen entries, not np². cdoff[i] is the dense
-	// offset of position i's subgrid (cdoff[epLen] the total size D),
-	// cds the per-(slot, position) local dense id (slot-major), and,
-	// indexed by global dense id: ckof the flat Q index, cbase the
-	// successor row base, crwt the reward. Everything the hot loops
-	// touch is a few KB — L1-resident — instead of np²-sized planes.
-	//
-	// Bases and flat indices are pure geometry; rewards are checked:
-	// crwset marks written entries and any conflicting rewrite (a DAG
-	// skip edge making the reward depend on a third layer's choice)
-	// clears crwPure, which sends batched replay to the generic path.
-	// A canonical slot that doesn't fit the dense grid (foreign
-	// primitive outside the vocabulary) is demoted to calg = false;
-	// cdok gates the whole mapping (vocabulary subgrids too large for
-	// int16 local ids). The dense tables only ever carry canonical
-	// slots' data, so they never see misaligned indices.
-	calg    []bool
-	calgN   int
-	cdok    bool
-	cdp0    int
-	cdoff   []int32
-	cds     []int16
-	ckof    []int32
-	cbase   []int32
-	crwt    []float64
-	crwset  []bool
-	crwPure bool
-	// Scratch for the batched replay path (Config.BatchedReplay),
-	// reused across calls so steady-state replay stays allocation-free:
-	// bidx holds the drawn sample slots, bslots the distinct ones in
-	// ascending order with bsc packing each one's compiled column
-	// offset (high 32 bits) and draw multiplicity (low 32) — one
-	// sequential load per record in the hottest loop — btgt one wave
-	// target per distinct slot, bpow/bgeo the collapsed-update
-	// coefficient tables indexed by multiplicity (cached across passes
-	// keyed on α — balpha/bplen), bkp/bag the same coefficients
-	// re-indexed by distinct slot for the generic path's inner loop.
-	// bmult accumulates the drawn multiplicity per dense transition id
-	// (zeroed back by the apply loop, so it stays all-zero between
-	// passes).
-	bidx   []int
-	bslots []int
-	bsc    []int64
-	bcnt   []int32
-	btgt   []float64
-	bpow   []float64
-	bgeo   []float64
-	balpha float64
-	bplen  int
-	bkp    []float64
-	bag    []float64
-	bmult  []int32
 }
 
 // NewReplay allocates a buffer with the given capacity (episodes).
@@ -572,6 +488,19 @@ func NewReplay(capacity int) *Replay {
 
 // Len returns the number of stored episodes.
 func (r *Replay) Len() int { return len(r.buf) }
+
+// Clone copies the stored episodes, in slot order, into a new buffer
+// of the given capacity; once more than capacity are copied, the
+// later ones evict the earlier. A nil receiver yields an empty buffer.
+func (r *Replay) Clone(capacity int) *Replay {
+	c := NewReplay(capacity)
+	if r != nil {
+		for _, traj := range r.buf {
+			c.Add(traj)
+		}
+	}
+	return c
+}
 
 // Add stores a copy of the trajectory, evicting the oldest once full.
 // The caller may reuse traj's backing array immediately.
@@ -592,16 +521,10 @@ func (r *Replay) Add(traj []Transition) {
 		cp = r.slab[slot*r.epLen : (slot+1)*r.epLen : (slot+1)*r.epLen]
 		copy(cp, traj)
 		r.cok[slot] = true
-		// Not usable until the next compile refreshes it; cuseN must
-		// track every flip or the batched path's one-compare membership
-		// check goes stale.
-		if r.cuse[slot] {
-			r.cuse[slot] = false
-			r.cuseN--
-		}
+		// Not usable until the next compile refreshes it.
+		r.cuse[slot] = false
 		if !r.cdirty[slot] {
 			r.cdirty[slot] = true
-			r.cnd++
 			r.cdl = append(r.cdl, int32(slot))
 		}
 	} else {
@@ -609,14 +532,8 @@ func (r *Replay) Add(traj []Transition) {
 		copy(cp, traj)
 		if r.cok != nil {
 			r.cok[slot] = false
-			if r.cuse[slot] {
-				r.cuse[slot] = false
-				r.cuseN--
-			}
-			if r.cdirty[slot] {
-				r.cdirty[slot] = false
-				r.cnd--
-			}
+			r.cuse[slot] = false
+			r.cdirty[slot] = false
 		}
 	}
 	if len(r.buf) < r.cap {
@@ -642,66 +559,7 @@ func (r *Replay) compile(t *Table) {
 		r.cnp = -1
 		return
 	}
-	full := false
-	if r.cks == nil || r.cnp != np || r.ctab != t || r.cgen != t.gen {
-		if r.cks == nil {
-			n := r.cap * r.epLen
-			r.cks = make([]int32, n)
-			r.crows = make([][]float64, n)
-			r.crw = make([]float64, n)
-			r.calg = make([]bool, r.cap)
-		}
-		// Dense transition-space geometry (fast-path tables). Wave i's
-		// subgrid is rows×cols with rows the step-(i-1) vocabulary width
-		// (1 at i = 0) and cols the step-i width; positions beyond the
-		// shaped steps, oversized subgrids, or an unshaped table disable
-		// the mapping (cdok) and with it the batched fast path.
-		r.cdok = false
-		if t.perm != nil && r.epLen <= t.steps {
-			if len(r.cdoff) < r.epLen+1 {
-				r.cdoff = make([]int32, r.epLen+1)
-			}
-			d, ok := 0, true
-			for i := 0; i < r.epLen; i++ {
-				r.cdoff[i] = int32(d)
-				rows := 1
-				if i > 0 {
-					rows = int(t.shapedW[i-1])
-				}
-				d += rows * int(t.shapedW[i])
-				// cds holds global dense ids as int16.
-				if d > math.MaxInt16 {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				r.cdoff[r.epLen] = int32(d)
-				r.cdok = true
-				if len(r.cbase) < d {
-					r.cbase = make([]int32, d)
-					r.crwt = make([]float64, d)
-					r.crwset = make([]bool, d)
-					r.ckof = make([]int32, d)
-				} else {
-					clear(r.crwset[:d])
-				}
-				if r.cds == nil {
-					r.cds = make([]int16, r.cap*r.epLen)
-				}
-			}
-		}
-		r.cdp0 = -1
-		r.crwPure = true
-		r.cnp = np
-		r.ctab = t
-		r.cgen = t.gen
-		full = true
-	}
-	if !full && r.cnd == 0 {
-		return
-	}
-	if !full {
+	if r.cks != nil && r.cnp == np && r.ctab == t && r.cgen == t.gen {
 		// Only the slots dirtied since the last pass (one per episode
 		// in the steady state) — no flag scan over the whole buffer.
 		for _, j32 := range r.cdl {
@@ -712,6 +570,15 @@ func (r *Replay) compile(t *Table) {
 		r.cdl = r.cdl[:0]
 		return
 	}
+	if r.cks == nil {
+		n := r.cap * r.epLen
+		r.cks = make([]int32, n)
+		r.crows = make([][]float64, n)
+		r.crw = make([]float64, n)
+	}
+	r.cnp = np
+	r.ctab = t
+	r.cgen = t.gen
 	for j := range r.buf {
 		if r.cok[j] {
 			r.compileSlot(t, np, stride, j)
@@ -725,18 +592,8 @@ func (r *Replay) compileSlot(t *Table, np, stride, j int) {
 	off := j * r.epLen
 	traj := r.buf[j]
 	usable := true
-	canonical := true
 	for i := range traj {
 		tr := &traj[i]
-		if tr.Step != i || (len(tr.NextAllowed) == 0) != (i == len(traj)-1) {
-			canonical = false
-			break
-		}
-	}
-	dense := canonical && r.cdok
-	for i := range traj {
-		tr := &traj[i]
-		pa := -1
 		k := tr.Step*stride + tr.Prim*np + tr.Action
 		if t.perm != nil {
 			if tr.Step < 0 || tr.Step >= t.steps || tr.Action < 0 || tr.Action >= np ||
@@ -744,13 +601,11 @@ func (r *Replay) compileSlot(t *Table, np, stride, j int) {
 				usable = false
 				break
 			}
-			pa = int(t.perm[tr.Step*np+tr.Action])
-			k = tr.Step*stride + tr.Prim*np + pa
+			k = tr.Step*stride + tr.Prim*np + int(t.perm[tr.Step*np+tr.Action])
 		}
 		r.cks[off+i] = int32(k)
-		var b int
 		if na := tr.NextAllowed; len(na) > 0 {
-			b = (tr.Step+1)*stride + tr.Action*np
+			b := (tr.Step+1)*stride + tr.Action*np
 			if t.perm != nil {
 				// The contiguous-prefix scan is valid only for the
 				// vocabulary the table was shaped with; anything else
@@ -768,74 +623,9 @@ func (r *Replay) compileSlot(t *Table, np, stride, j int) {
 			r.crows[off+i] = nil
 		}
 		r.crw[off+i] = tr.Reward
-		if dense {
-			// Map the transition into wave i's dense subgrid: row =
-			// the state primitive's position in the step-(i-1)
-			// vocabulary (the one fixed start primitive at i = 0,
-			// pinned by cdp0), column = the permuted action. A
-			// transition outside the grid — a primitive foreign to
-			// the vocabulary — demotes the slot to the generic path
-			// (calg = false); already-written entries stay valid,
-			// they describe real transitions. A transition's flat
-			// index and base are pure geometry; its reward is shared
-			// by every episode that carries it only on chain-shaped
-			// reward structure — any conflicting rewrite (a DAG skip
-			// edge) drops the whole replay to the generic path via
-			// crwPure. Entries from since-evicted slots are never
-			// invalidated, so a stale conflict can clear crwPure
-			// spuriously — that only costs speed, never correctness,
-			// and a table reshape resets it.
-			pp := 0
-			cols := int(t.shapedW[i])
-			if i > 0 {
-				pp = int(t.perm[(i-1)*np+tr.Prim])
-				if pp >= int(t.shapedW[i-1]) {
-					pp = -1
-				}
-			} else if r.cdp0 < 0 {
-				r.cdp0 = tr.Prim
-			} else if r.cdp0 != tr.Prim {
-				pp = -1
-			}
-			if pp < 0 || pa >= cols {
-				dense = false
-				canonical = false
-			} else {
-				o := int(r.cdoff[i]) + pp*cols + pa
-				r.cds[off+i] = int16(o)
-				if r.crwset[o] {
-					if r.crwt[o] != tr.Reward {
-						r.crwPure = false
-					}
-				} else {
-					r.crwset[o] = true
-					r.crwt[o] = tr.Reward
-					r.cbase[o] = int32(b)
-					r.ckof[o] = int32(k)
-				}
-			}
-		}
 	}
-	if r.cuse[j] != usable {
-		r.cuse[j] = usable
-		if usable {
-			r.cuseN++
-		} else {
-			r.cuseN--
-		}
-	}
-	if r.calg[j] != canonical {
-		r.calg[j] = canonical
-		if canonical {
-			r.calgN++
-		} else {
-			r.calgN--
-		}
-	}
-	if r.cdirty[j] {
-		r.cdirty[j] = false
-		r.cnd--
-	}
+	r.cuse[j] = usable
+	r.cdirty[j] = false
 }
 
 // ReplayInto re-applies up to n uniformly sampled stored episodes to
@@ -852,10 +642,6 @@ func (r *Replay) ReplayInto(t *Table, cfg Config, n int, rng *rand.Rand) {
 		return
 	}
 	r.compile(t)
-	if cfg.BatchedReplay {
-		r.replayBatched(t, cfg, n, rng)
-		return
-	}
 	q, np := t.q, t.prims
 	keep := 1 - cfg.Alpha
 	alpha, gamma := cfg.Alpha, cfg.Gamma
@@ -909,334 +695,5 @@ func (r *Replay) ReplayInto(t *Table, cfg Config, n int, rng *rand.Rand) {
 			k := ks[i]
 			q[k] = q[k]*keep + alpha*target
 		}
-	}
-}
-
-// replayBatched is the wave-ordered replay scheme behind
-// Config.BatchedReplay. The serial path above replays whole episodes
-// one after another; within each episode, transition i's successor max
-// reads the very row transition i+1 just wrote (the successor state's
-// primitive IS the action just taken), so the entire pass is one
-// store→load dependent chain of samples×length Bellman updates — the
-// dominant cost of the whole search.
-//
-// The batched scheme regroups the same updates by trajectory position.
-// All n sample slots are drawn upfront (the identical rng.Intn call
-// sequence as the serial path, so sampling statistics and downstream
-// RNG state match exactly), their multiplicities counted, and the
-// distinct slots listed in ascending order. Then, for position i from
-// the end of the trajectory down to 0, one wave computes the Bellman
-// target of every distinct slot's position-i transition — all
-// successor-row reads see the table exactly as wave i+1 left it — and
-// lands the updates in ascending slot order. The dependent chain is
-// one wave after another: length, not samples×length, serial steps.
-//
-// A slot drawn c times contributes the same transition with the same
-// target c times in a row under this grouping, so its c updates are
-// collapsed into the closed form
-//
-//	q' = q·keepᶜ + target·α·(1 + keep + … + keepᶜ⁻¹)
-//
-// with the coefficient tables built once per pass by the same
-// recurrences (bpow, bgeo below). This removes both the duplicate
-// successor scans and the duplicate read-modify-write chains on the
-// same table entry — the one remaining intra-wave serial dependency.
-//
-// Semantics: deterministic for a given RNG stream, but NOT
-// byte-identical to serial replay — in a wave, every target sees ALL
-// samples' later-position updates (serial: only earlier samples' plus
-// its own), no position-≤i updates, updates land in ascending slot
-// order rather than draw order, and collapsed duplicates round once
-// instead of c times. The batched goldens in internal/core pin the
-// resulting curves; the default serial goldens are untouched.
-//
-// When every sampled slot is step-aligned (Step == position, true for
-// all engine-built episodes) and maps into the dense transition space
-// (cdok/cds — the per-position vocabulary subgrids), and rewards are a
-// pure function of the transition (crwPure — always true on chain
-// networks), the pass reduces to per-transition accounting: one
-// sequential walk over each distinct slot's dense-id column
-// accumulates draw multiplicities into bmult, noting each wave's
-// touched ids; then each wave applies exactly one successor scan and
-// one collapsed update per distinct transition, reading the shared
-// flat index, reward and successor base from ckof/crwt/cbase. The
-// per-sample work drops to one add on an L1-resident array; the
-// Bellman arithmetic runs only once per distinct transition per wave.
-//
-// Any drawn slot that the compiled arrays cannot serve (foreign
-// trajectories, vocabulary drift) forfeits the wave ordering: the
-// whole pass falls back to replaying the drawn slots serially, which
-// keeps the fallback's learning dynamics identical to the default
-// path rather than inventing a third ordering.
-func (r *Replay) replayBatched(t *Table, cfg Config, n int, rng *rand.Rand) {
-	if cap(r.bidx) < n {
-		r.bidx = make([]int, n)
-	}
-	idx := r.bidx[:n]
-	nb := len(r.buf)
-	if len(r.bcnt) < r.cap {
-		r.bcnt = make([]int32, r.cap)
-		r.btgt = make([]float64, r.cap)
-		r.bkp = make([]float64, r.cap)
-		r.bag = make([]float64, r.cap)
-	}
-	cnt := r.bcnt
-	for s := range idx {
-		j := rng.Intn(nb)
-		idx[s] = j
-		cnt[j]++
-	}
-	// In the steady state every slot is compiled-usable (cuseN == nb)
-	// and canonical (calgN == nb), so both membership checks are one
-	// integer compare instead of n scattered byte loads.
-	usable := r.cnp == t.prims
-	if usable && r.cuseN != nb {
-		for _, j := range idx {
-			if !r.cuse[j] {
-				usable = false
-				break
-			}
-		}
-	}
-	if !usable {
-		for _, j := range idx {
-			cnt[j] = 0
-			r.replaySlotSerial(t, cfg, j)
-		}
-		return
-	}
-	canonical := r.calgN == nb
-	if !canonical && r.calgN > 0 {
-		canonical = true
-		for _, j := range idx {
-			if !r.calg[j] {
-				canonical = false
-				break
-			}
-		}
-	}
-	if cap(r.bslots) < n+1 {
-		// One spare entry: the compaction loop below stores before it
-		// knows whether the index advances, so the write cursor can sit
-		// one past the final count.
-		r.bslots = make([]int, 0, n+1)
-		r.bsc = make([]int64, n+1)
-	}
-	// Compact the distinct drawn slots (ascending, for a deterministic
-	// wave order) into parallel sequential arrays: slot index, packed
-	// cks column offset + draw multiplicity. Unconditional stores +
-	// conditional-move advance; the taken rate (~2/3 at n = capacity)
-	// would mispredict as a branch.
-	slots := r.bslots[:cap(r.bslots)]
-	sc := r.bsc
-	epLen := r.epLen
-	m := 0
-	for j := 0; j < nb; j++ {
-		c := cnt[j]
-		slots[m] = j
-		sc[m] = int64(j*epLen)<<32 | int64(c)
-		cnt[j] = 0
-		if c > 0 {
-			m++
-		}
-	}
-	slots = slots[:m]
-	r.bslots = slots[:0]
-	// bpow[c] = keepᶜ; bgeo[c] = α·(1 + keep + … + keepᶜ⁻¹), built by
-	// q_c = q_{c-1}·keep + α·target so that c=1 reproduces the serial
-	// single-update arithmetic exactly. The fast path sums
-	// multiplicities across slots sharing a transition, so the tables
-	// go up to n; bkp/bag re-index them by slot for the generic path.
-	keep := 1 - cfg.Alpha
-	alpha, gamma := cfg.Alpha, cfg.Gamma
-	if r.bplen < n+1 || r.balpha != alpha {
-		// The coefficient tables depend only on α, so they survive
-		// across passes; a pass only rebuilds them after a α change (or
-		// a larger n than ever seen).
-		if len(r.bpow) < n+1 {
-			r.bpow = make([]float64, n+1)
-			r.bgeo = make([]float64, n+1)
-		}
-		pw, ge := r.bpow, r.bgeo
-		pw[0], ge[0] = 1, 0
-		for c := 1; c <= n; c++ {
-			pw[c] = pw[c-1] * keep
-			ge[c] = ge[c-1]*keep + alpha
-		}
-		r.balpha = alpha
-		r.bplen = n + 1
-	}
-	pow, geo := r.bpow, r.bgeo
-	q := t.q
-	if canonical && r.cdok && r.crwPure {
-		// Fast path: every slot is canonical and dense-mapped, the
-		// table is shaped, and rewards are transition-pure. Each wave
-		// (descending position) gathers the distinct slots' position-i
-		// dense transition ids, accumulating draw multiplicities into
-		// bmult and the first-touched ids into the wave list tb
-		// (ascending-slot first-occurrence order, one entry per
-		// distinct slot at most); it then does one successor scan and
-		// one collapsed update per distinct transition, translating the
-		// dense id back to its flat Q index through ckof. Every array
-		// the loops touch — cds columns, bmult, tb, ckof, cbase, crwt —
-		// is sized by the dense transition space (a few hundred entries
-		// on real networks), so the whole pass runs out of L1 except
-		// the Q-rows themselves. bmult stays all-zero between passes:
-		// the apply half resets every entry it consumes.
-		nd := int(r.cdoff[epLen])
-		if len(r.bmult) < nd {
-			r.bmult = make([]int32, nd)
-		}
-		mult := r.bmult
-		cds := r.cds
-		ckof, cbase, crwt := r.ckof, r.cbase, r.crwt
-		// Accumulate first, for ALL waves in one pass: dense ids of
-		// different positions occupy disjoint ranges, so the wave
-		// structure only matters for the apply half. This makes the
-		// per-sample work a single sequential walk over the slot's
-		// dense-id column — load, add, nothing else.
-		for s := 0; s < m; s++ {
-			v := sc[s]
-			c := int32(v)
-			for _, o16 := range cds[int(v>>32) : int(v>>32)+epLen] {
-				mult[int(o16)] += c
-			}
-		}
-		// Apply in descending waves by scanning each wave's dense range
-		// and skipping undrawn transitions. In the steady state the
-		// draws saturate the small subgrids, so the skip branch is
-		// mostly taken and the scan visits little beyond the touched
-		// set; zeroing every entry consumed keeps bmult all-zero
-		// between passes. Within a wave the order is irrelevant to the
-		// values: updates land on distinct flat indices and every read
-		// goes to position-(i+1) rows finalized by the previous wave.
-		doff := r.cdoff
-		for i := epLen - 1; i >= 0; i-- {
-			lo, hi := int(doff[i]), int(doff[i+1])
-			w := 0
-			if i < epLen-1 {
-				w = int(t.shapedW[i+1])
-			}
-			if w > 0 {
-				for o := lo; o < hi; o++ {
-					c := int(mult[o])
-					if c == 0 {
-						continue
-					}
-					mult[o] = 0
-					b := int(cbase[o])
-					row := q[b : b+w]
-					maxNext := row[0]
-					for _, v := range row[1:] {
-						if v > maxNext {
-							maxNext = v
-						}
-					}
-					target := crwt[o] + gamma*maxNext
-					k := int(ckof[o])
-					q[k] = q[k]*pow[c] + target*geo[c]
-				}
-			} else {
-				for o := lo; o < hi; o++ {
-					c := int(mult[o])
-					if c == 0 {
-						continue
-					}
-					mult[o] = 0
-					k := int(ckof[o])
-					q[k] = q[k]*pow[c] + crwt[o]*geo[c]
-				}
-			}
-		}
-	} else {
-		kp, ag := r.bkp, r.bag
-		for s := 0; s < m; s++ {
-			c := int(int32(sc[s]))
-			kp[s] = pow[c]
-			ag[s] = geo[c]
-		}
-		shaped := t.perm != nil
-		for i := epLen - 1; i >= 0; i-- {
-			// Targets for the whole wave first: non-canonical transitions
-			// may write rows other slots read, so no update lands before
-			// every read of the wave is done.
-			for s, j := range slots {
-				o := j*epLen + i
-				var maxNext float64
-				if row := r.crows[o]; len(row) > 0 {
-					if shaped {
-						maxNext = row[0]
-						for _, v := range row[1:] {
-							if v > maxNext {
-								maxNext = v
-							}
-						}
-					} else {
-						na := r.buf[j][i].NextAllowed
-						maxNext = row[na[0]]
-						for _, a := range na[1:] {
-							if v := row[a]; v > maxNext {
-								maxNext = v
-							}
-						}
-					}
-				}
-				r.btgt[s] = r.crw[o] + gamma*maxNext
-			}
-			for s, j := range slots {
-				k := r.cks[j*epLen+i]
-				q[k] = q[k]*kp[s] + r.btgt[s]*ag[s]
-			}
-		}
-	}
-}
-
-// replaySlotSerial replays one drawn slot exactly as the serial
-// ReplayInto loop body would; the batched path uses it when a drawn
-// slot cannot go through the compiled arrays.
-func (r *Replay) replaySlotSerial(t *Table, cfg Config, j int) {
-	if r.cnp != t.prims || !r.cuse[j] {
-		t.UpdateEpisode(r.buf[j], cfg)
-		return
-	}
-	q := t.q
-	keep := 1 - cfg.Alpha
-	alpha, gamma := cfg.Alpha, cfg.Gamma
-	off := j * r.epLen
-	ks := r.cks[off : off+r.epLen]
-	rows := r.crows[off : off+r.epLen]
-	rw := r.crw[off : off+r.epLen]
-	if t.perm != nil {
-		for i := len(rows) - 1; i >= 0; i-- {
-			var maxNext float64
-			if row := rows[i]; len(row) > 0 {
-				maxNext = row[0]
-				for _, v := range row[1:] {
-					if v > maxNext {
-						maxNext = v
-					}
-				}
-			}
-			target := rw[i] + gamma*maxNext
-			k := ks[i]
-			q[k] = q[k]*keep + alpha*target
-		}
-		return
-	}
-	traj := r.buf[j]
-	for i := r.epLen - 1; i >= 0; i-- {
-		var maxNext float64
-		if row := rows[i]; row != nil {
-			na := traj[i].NextAllowed
-			maxNext = row[na[0]]
-			for _, a := range na[1:] {
-				if v := row[a]; v > maxNext {
-					maxNext = v
-				}
-			}
-		}
-		target := rw[i] + gamma*maxNext
-		k := ks[i]
-		q[k] = q[k]*keep + alpha*target
 	}
 }

@@ -211,47 +211,127 @@ func TestShapedCheckpointCanonicalBytes(t *testing.T) {
 }
 
 // The compiled replay must keep producing UpdateEpisode's exact values
-// after the ring wraps and slots are overwritten in place.
+// after the ring wraps and slots are overwritten in place, and after
+// anything that invalidates the compiled arrays: a layout change of
+// the table (Shape, Unshape, re-Shape with another vocabulary) or a
+// replay into a different table. Every case is checked bit-for-bit
+// against unshaped UpdateEpisode oracles after every pass.
 func TestReplayCompiledRingWrapEquivalence(t *testing.T) {
-	const steps, prims, capacity, epLen = 6, 8, 4, 5
+	const steps, prims, capacity, epLen, draws = 6, 8, 4, 5, 6
 	seedRng := rand.New(rand.NewSource(31))
-	allowed := randomVocab(seedRng, steps, prims)
-
-	compiled := NewTable(steps, prims)
-	if err := compiled.Shape(allowed); err != nil {
-		t.Fatalf("Shape: %v", err)
+	v1 := randomVocab(seedRng, steps, prims)
+	v2 := randomVocab(seedRng, steps, prims)
+	// A phase first re-lays-out its table (Shape with layout, or
+	// Unshape), then adds episodes drawn over vocab, replaying after
+	// each into that table.
+	type phase struct {
+		table    int
+		layout   [][]int
+		unshape  bool
+		vocab    [][]int
+		episodes int
 	}
-	naive := NewTable(steps, prims)
-	rc := NewReplay(capacity)
-	var naiveBuf [][]Transition
-	next := 0
-	cfg := PaperConfig()
-	rngC := rand.New(rand.NewSource(8))
-	rngN := rand.New(rand.NewSource(8))
-	trajRng := rand.New(rand.NewSource(44))
-
-	for ep := 0; ep < 5*capacity; ep++ {
-		traj := randomEpisode(trajRng, allowed, epLen)
-		rc.Add(traj)
-		cp := append([]Transition(nil), traj...)
-		if len(naiveBuf) < capacity {
-			naiveBuf = append(naiveBuf, cp)
-		} else {
-			naiveBuf[next] = cp
-			next = (next + 1) % capacity
-		}
-		rc.ReplayInto(compiled, cfg, 6, rngC)
-		for s := 0; s < 6; s++ {
-			naive.UpdateEpisode(naiveBuf[rngN.Intn(len(naiveBuf))], cfg)
-		}
+	alternate := []phase{
+		{table: 0, layout: v1, vocab: v1, episodes: 1},
+		{table: 1, layout: v1, vocab: v1, episodes: 1},
 	}
+	for k := 0; k < 3*capacity; k++ {
+		alternate = append(alternate, phase{table: k % 2, vocab: v1, episodes: 1})
+	}
+	for _, tc := range []struct {
+		name   string
+		phases []phase
+	}{
+		{"shaped", []phase{{layout: v1, vocab: v1, episodes: 5 * capacity}}},
+		{"unshaped", []phase{{vocab: v1, episodes: 5 * capacity}}},
+		{"shape-unshape-reshape", []phase{
+			{layout: v1, vocab: v1, episodes: 2 * capacity},
+			{unshape: true, vocab: v1, episodes: 2 * capacity},
+			{layout: v2, vocab: v2, episodes: 2 * capacity},
+		}},
+		{"two-tables", alternate},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tabs := []*Table{NewTable(steps, prims), NewTable(steps, prims)}
+			naive := []*Table{NewTable(steps, prims), NewTable(steps, prims)}
+			rc := NewReplay(capacity)
+			var naiveBuf [][]Transition
+			next := 0
+			cfg := PaperConfig()
+			rngC := rand.New(rand.NewSource(8))
+			rngN := rand.New(rand.NewSource(8))
+			trajRng := rand.New(rand.NewSource(44))
+			canon := make([]float64, steps*prims*prims)
+			pass := 0
+			for _, ph := range tc.phases {
+				tab := tabs[ph.table]
+				switch {
+				case ph.layout != nil:
+					if err := tab.Shape(ph.layout); err != nil {
+						t.Fatalf("Shape: %v", err)
+					}
+				case ph.unshape:
+					tab.Unshape()
+				}
+				for ep := 0; ep < ph.episodes; ep++ {
+					traj := randomEpisode(trajRng, ph.vocab, epLen)
+					rc.Add(traj)
+					cp := append([]Transition(nil), traj...)
+					if len(naiveBuf) < capacity {
+						naiveBuf = append(naiveBuf, cp)
+					} else {
+						naiveBuf[next] = cp
+						next = (next + 1) % capacity
+					}
+					rc.ReplayInto(tab, cfg, draws, rngC)
+					for s := 0; s < draws; s++ {
+						naive[ph.table].UpdateEpisode(naiveBuf[rngN.Intn(len(naiveBuf))], cfg)
+					}
+					pass++
+					tab.canonicalQ(canon)
+					for i, want := range naive[ph.table].q {
+						if math.Float64bits(canon[i]) != math.Float64bits(want) {
+							t.Fatalf("pass %d, table %d: q[%d] compiled %x != naive %x", pass, ph.table, i,
+								math.Float64bits(canon[i]), math.Float64bits(want))
+						}
+					}
+				}
+			}
+		})
+	}
+}
 
-	canon := make([]float64, len(compiled.q))
-	compiled.canonicalQ(canon)
-	for i := range naive.q {
-		if math.Float64bits(naive.q[i]) != math.Float64bits(canon[i]) {
-			t.Fatalf("q[%d]: compiled %x != naive %x", i,
-				math.Float64bits(canon[i]), math.Float64bits(naive.q[i]))
+// Steady-state replay allocates nothing, into a shaped table (the
+// QS-DNN search) and into an unshaped one (SearchMulti and Pareto).
+func TestReplayIntoZeroAllocSteadyState(t *testing.T) {
+	const steps, prims, capacity, draws = 7, 9, 8, 16
+	allowed := randomVocab(rand.New(rand.NewSource(17)), steps, prims)
+	for _, shaped := range []bool{true, false} {
+		tab := NewTable(steps, prims)
+		if shaped {
+			if err := tab.Shape(allowed); err != nil {
+				t.Fatalf("Shape: %v", err)
+			}
+		}
+		r := NewReplay(capacity)
+		cfg := PaperConfig()
+		rng := rand.New(rand.NewSource(23))
+		traj := randomEpisode(rand.New(rand.NewSource(5)), allowed, steps-1)
+		for ep := 0; ep < 2*capacity; ep++ {
+			r.Add(traj)
+			r.ReplayInto(tab, cfg, draws, rng)
+		}
+		for j := range r.buf {
+			if !r.cuse[j] {
+				t.Fatalf("shaped=%v: slot %d replays through the UpdateEpisode fallback", shaped, j)
+			}
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			r.Add(traj)
+			r.ReplayInto(tab, cfg, draws, rng)
+		})
+		if allocs != 0 {
+			t.Errorf("shaped=%v: steady-state replay allocates %v times per episode", shaped, allocs)
 		}
 	}
 }
