@@ -396,40 +396,17 @@ func BenchmarkPBQPvsRL(b *testing.B) {
 	}
 }
 
-// BenchmarkApproxVsTabular compares the linear value-function
-// approximation agent (the paper's scalability direction) against the
-// tabular agent at a small episode budget on a deep network.
-func BenchmarkApproxVsTabular(b *testing.B) {
-	tab := benchTable(b, "resnet50", primitives.ModeGPGPU)
-	net := models.MustBuild("resnet50")
-	const budget = 100
-	b.Run("tabular", func(b *testing.B) {
-		var res *core.Result
-		for i := 0; i < b.N; i++ {
-			res = core.Search(tab, core.Config{Episodes: budget, Seed: 1})
-		}
-		b.ReportMetric(res.Time*1e3, "ms_solution")
-	})
-	b.Run("approx", func(b *testing.B) {
-		var res *core.Result
-		for i := 0; i < b.N; i++ {
-			var err error
-			res, err = core.SearchApprox(tab, net, core.ApproxConfig{Config: core.Config{Episodes: budget, Seed: 1}})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(res.Time*1e3, "ms_solution")
-	})
-}
-
 // BenchmarkParetoFront sweeps the latency/energy trade-off (future-
 // work extension) and reports the corners of the front.
 func BenchmarkParetoFront(b *testing.B) {
 	net := models.MustBuild("squeezenet")
 	pl := platform.JetsonTX2Like()
-	tt, et, err := profile.RunWithEnergy(net, profile.NewSimSource(net, pl),
-		profile.Options{Mode: primitives.ModeGPGPU, Samples: 20})
+	opts := profile.Options{Mode: primitives.ModeGPGPU, Samples: 20}
+	tt, err := profile.Run(net, profile.NewSimSource(net, pl), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	et, err := profile.Run(net, profile.NewSimEnergySource(net, pl), opts)
 	if err != nil {
 		b.Fatal(err)
 	}

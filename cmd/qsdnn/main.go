@@ -38,7 +38,6 @@ import (
 	"repro/internal/primitives"
 	"repro/internal/profile"
 	"repro/internal/resilience"
-	"repro/internal/sched"
 	"repro/internal/searchplan"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -528,8 +527,7 @@ func profileTable(ctx context.Context, ft faultFlags, ef engineFlags, net *qsdnn
 		// the candidate bounds.
 		primitives.EnableTunedVariants()
 	}
-	var base profile.Source
-	var src profile.FallibleSource
+	var src profile.Source
 	var es *engine.Source
 	if ef.real {
 		if mode != primitives.ModeCPU {
@@ -543,15 +541,32 @@ func profileTable(ctx context.Context, ft faultFlags, ef engineFlags, net *qsdnn
 		if err != nil {
 			return nil, err
 		}
-		base, src = es, es
+		src = es
 	} else {
-		sim := profile.NewSimSource(net, board)
-		base, src = sim, profile.AsFallible(sim)
+		src = profile.NewSimSource(net, board)
 	}
+	tab, err := profileSource(ctx, ft, net, src, mode, samples)
+	if err != nil {
+		return nil, err
+	}
+	if tunerCfg.enabled() {
+		if err := applyTuning(ctx, ft, net, tab, es, ef.seed); err != nil {
+			return nil, err
+		}
+	}
+	return tab, nil
+}
+
+// profileSource runs the inference phase over one measurement source
+// under the fault flags: the -fault-seed schedule wraps the source and
+// the -robust policy measures it. It prints the degradation report
+// when anything fired.
+func profileSource(ctx context.Context, ft faultFlags, net *qsdnn.Network, src profile.Source, mode primitives.Mode, samples int) (*lut.Table, error) {
+	fsrc := profile.AsFallible(src)
 	if f := ft.faults(); f != nil {
-		src = profile.NewFaultSource(base, *f)
+		fsrc = profile.NewFaultSource(src, *f)
 	}
-	tab, rep, err := profile.RunFallible(ctx, net, src, profile.Options{
+	tab, rep, err := profile.RunFallible(ctx, net, fsrc, profile.Options{
 		Mode: mode, Samples: samples, Robust: ft.policy(),
 	})
 	if err != nil {
@@ -560,12 +575,20 @@ func profileTable(ctx context.Context, ft faultFlags, ef engineFlags, net *qsdnn
 	if rep != nil && (rep.Flaky() || rep.Degraded()) {
 		fmt.Print(rep.Render())
 	}
-	if tunerCfg.enabled() {
-		if err := applyTuning(ctx, ft, net, tab, es, ef.seed); err != nil {
-			return nil, err
-		}
-	}
 	return tab, nil
+}
+
+// paretoTables profiles the latency and the energy table that
+// `qsdnn pareto` sweeps, both on the board simulator under the same
+// fault flags.
+func paretoTables(ctx context.Context, ft faultFlags, net *qsdnn.Network, board *platform.Platform, mode primitives.Mode, samples int) (tt, et *lut.Table, err error) {
+	if tt, err = profileSource(ctx, ft, net, profile.NewSimSource(net, board), mode, samples); err != nil {
+		return nil, nil, err
+	}
+	if et, err = profileSource(ctx, ft, net, profile.NewSimEnergySource(net, board), mode, samples); err != nil {
+		return nil, nil, err
+	}
+	return tt, et, nil
 }
 
 func runCtx(ctx context.Context, cmd, netName, modeStr string, episodes, samples int, seed int64, lutFile, platName string, parallel, seeds int, ft faultFlags, df durableFlags, ef engineFlags, sf serveFlags) error {
@@ -765,7 +788,7 @@ func runCtx(ctx context.Context, cmd, netName, modeStr string, episodes, samples
 			return err
 		}
 		fmt.Println()
-		fmt.Print(sched.Analyze(p).Render())
+		fmt.Print(plan.Analyze(p).Render())
 
 		if mode == primitives.ModeGPGPU {
 			fmt.Println()
@@ -786,8 +809,7 @@ func runCtx(ctx context.Context, cmd, netName, modeStr string, episodes, samples
 		if err != nil {
 			return err
 		}
-		tt, et, err := profile.RunWithEnergyContext(ctx, net, profile.NewSimSource(net, board),
-			profile.Options{Mode: mode, Samples: samples, Robust: ft.policy()})
+		tt, et, err := paretoTables(ctx, ft, net, board, mode, samples)
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/lut"
+	"repro/internal/models"
+	"repro/internal/platform"
+	"repro/internal/primitives"
 )
 
 // capture runs f with stdout redirected and returns what it printed.
@@ -153,6 +159,46 @@ func TestParetoCommand(t *testing.T) {
 	}
 	if !strings.Contains(out, "Pareto front") || !strings.Contains(out, "mJ") {
 		t.Errorf("pareto output: %s", out)
+	}
+}
+
+// TestParetoFaultSeedDegrades: -fault-seed reaches both profiling
+// passes of `qsdnn pareto` (latency and energy), each pass reports its
+// degradation, and every front point uses only primitives that both
+// degraded tables kept.
+func TestParetoFaultSeedDegrades(t *testing.T) {
+	ctx := context.Background()
+	ft := faultFlags{faultSeed: 42}
+	const samples = 5
+	out, err := capture(t, func() error {
+		return runCtx(ctx, "pareto", "lenet5", "gpgpu", fastEpisodes, samples, 1, "", "tx2-like", 1, 1,
+			ft, durableFlags{}, engineFlags{}, serveFlags{})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(out, "profiling lenet5"); n != 2 || !strings.Contains(out, "dropped ") {
+		t.Fatalf("want a degradation report from each of the 2 passes, got %d:\n%s", n, out)
+	}
+	net := models.MustBuild("lenet5")
+	var tt, et *lut.Table
+	if _, err := capture(t, func() (err error) {
+		tt, et, err = paretoTables(ctx, ft, net, platform.JetsonTX2Like(), primitives.ModeGPGPU, samples)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	front, err := core.ParetoFront(tt, et, nil, core.Config{Episodes: fastEpisodes, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range front {
+		for i, id := range p.Assignment {
+			if !tt.IsCandidate(i, id) || !et.IsCandidate(i, id) {
+				t.Errorf("lambda %g: layer %d uses %s, dropped by a profiling pass",
+					p.Lambda, i, primitives.ByID(id).Name)
+			}
+		}
 	}
 }
 

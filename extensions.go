@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/nn"
 	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/profile"
@@ -15,7 +14,6 @@ import (
 //
 //   - multi-objective (latency + energy) search and Pareto sweeps,
 //   - a PBQP solver (the Anderson & Gregg comparator),
-//   - linear value-function approximation for very deep networks,
 //   - additional heterogeneous board presets.
 
 // MultiResult is a multi-objective search outcome.
@@ -43,14 +41,21 @@ func NewPlatform(name string) (*Platform, error) {
 	return p, nil
 }
 
-// ProfileWithEnergy runs the inference phase measuring both latency
-// (seconds) and energy (joules), returning one table per objective.
+// ProfileWithEnergy runs the inference phase twice, measuring latency
+// (seconds) and energy (joules) with the same protocol, and returns
+// one table per objective.
 func ProfileWithEnergy(net *Network, pl *Platform, mode Mode, samples int) (timeTab, energyTab *Table, err error) {
 	if samples == 0 {
 		samples = 50
 	}
-	return profile.RunWithEnergy(net, profile.NewSimSource(net, pl),
-		profile.Options{Mode: mode, Samples: samples})
+	if timeTab, err = Profile(net, pl, mode, samples); err != nil {
+		return nil, nil, err
+	}
+	energyTab, err = profile.Run(net, profile.NewSimEnergySource(net, pl), profile.Options{Mode: mode, Samples: samples})
+	if err != nil {
+		return nil, nil, err
+	}
+	return timeTab, energyTab, nil
 }
 
 // OptimizeMulti searches with the scalarized objective
@@ -71,16 +76,9 @@ func Pareto(timeTab, energyTab *Table, lambdas []float64, cfg SearchConfig) ([]P
 // the prior-art comparator from Anderson & Gregg.
 func PBQP(tab *Table) *Result { return core.PBQP(tab) }
 
-// SearchApprox runs the linear value-function-approximation agent —
-// the scalable alternative to the tabular Q-table for very deep
-// networks. The network is needed to build layer-kind features.
-func SearchApprox(tab *Table, net *nn.Network, cfg SearchConfig) (*Result, error) {
-	return core.SearchApprox(tab, net, core.ApproxConfig{Config: cfg})
-}
-
 // EnergyOf evaluates an assignment's joules against an energy table.
 func EnergyOf(energyTab *Table, r *Result) float64 {
-	return core.EnergyOf(energyTab, r.Assignment)
+	return energyTab.TotalTime(r.Assignment)
 }
 
 // Plan is a deployment artifact: the explicit step sequence (compute,

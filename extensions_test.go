@@ -59,21 +59,6 @@ func TestPBQPExposed(t *testing.T) {
 	}
 }
 
-func TestSearchApproxExposed(t *testing.T) {
-	net := MustModel("lenet5")
-	tab, err := Profile(net, NewTX2Platform(), ModeGPGPU, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SearchApprox(tab, net, SearchConfig{Episodes: 200, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Time <= 0 || math.IsInf(res.Time, 0) {
-		t.Fatalf("approx time %v", res.Time)
-	}
-}
-
 func TestEnergyOfExposed(t *testing.T) {
 	net := MustModel("lenet5")
 	tt, et, err := ProfileWithEnergy(net, NewTX2Platform(), ModeCPU, 2)

@@ -90,7 +90,7 @@ func LoadSnapshot(data []byte, tab *lut.Table) (*Snapshot, error) {
 		ids := make([]primitives.ID, L)
 		for i, a := range in.BestAssignment {
 			id := primitives.ID(a)
-			if int(id) != a || !isCandidateOf(tab, i, id) {
+			if int(id) != a || !tab.IsCandidate(i, id) {
 				return nil, fmt.Errorf("core: snapshot best assignment layer %d: primitive %d is not a candidate", i, a)
 			}
 			ids[i] = id
@@ -102,16 +102,6 @@ func LoadSnapshot(data []byte, tab *lut.Table) (*Snapshot, error) {
 		s.BestTime = in.BestTime
 	}
 	return s, nil
-}
-
-// isCandidateOf reports whether id is in layer i's candidate set.
-func isCandidateOf(tab *lut.Table, i int, id primitives.ID) bool {
-	for _, c := range tab.Candidates(i) {
-		if c == id {
-			return true
-		}
-	}
-	return false
 }
 
 // DurableOptions configures SearchCheckpointedPlanned.

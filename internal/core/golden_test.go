@@ -8,7 +8,9 @@ package core
 // point and every checkpoint byte *exactly* — bit-for-bit float
 // equality, not tolerance comparison. This is the contract that lets
 // the engine swap in under every caller (batch runner, durable
-// checkpointing, CLI) without invalidating any recorded result.
+// checkpointing, CLI) without invalidating any recorded result. The
+// pareto cases were recorded from the multi-objective search's own
+// ε-greedy walk, before that search moved onto the scalarized table.
 //
 // Regenerate with:
 //
@@ -29,6 +31,7 @@ import (
 	"testing"
 
 	"repro/internal/lut"
+	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/primitives"
 	"repro/internal/searchplan"
@@ -96,6 +99,20 @@ type goldenResult struct {
 	// FinalCheckpointSHA256 hashes the final checkpoint's marshaled
 	// bytes (checkpointed cases only).
 	FinalCheckpointSHA256 string `json:"final_checkpoint_sha256,omitempty"`
+	// Multi holds one latency/energy search per lambda of the default
+	// sweep (Pareto cases only).
+	Multi []goldenMulti `json:"multi,omitempty"`
+	// Front rows are [lambda_bits, seconds_bits, joules_bits] of the
+	// non-dominated points (Pareto cases only).
+	Front [][3]string `json:"front,omitempty"`
+}
+
+// goldenMulti is one scalarized search of a Pareto sweep.
+type goldenMulti struct {
+	LambdaBits  string `json:"lambda_bits"`
+	Assignment  []int  `json:"assignment"`
+	SecondsBits string `json:"seconds_bits"`
+	JoulesBits  string `json:"joules_bits"`
 }
 
 func bits(v float64) string { return strconv.FormatUint(math.Float64bits(v), 16) }
@@ -116,6 +133,35 @@ func encodeResult(r *Result) goldenResult {
 func sha(data []byte) string {
 	h := sha256.Sum256(data)
 	return hex.EncodeToString(h[:])
+}
+
+// goldenLambdas is ParetoFront's default sweep.
+var goldenLambdas = []float64{0, 0.5, 1, 2, 5, 10, 50}
+
+// encodePareto runs the default lambda sweep on a latency/energy
+// table pair and records every search plus the resulting front.
+func encodePareto(t *testing.T, tt, et *lut.Table, cfg Config) goldenResult {
+	t.Helper()
+	var g goldenResult
+	for _, lam := range goldenLambdas {
+		r, err := SearchMulti(tt, et, lam, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := goldenMulti{LambdaBits: bits(lam), SecondsBits: bits(r.Seconds), JoulesBits: bits(r.Joules)}
+		for _, id := range r.Assignment {
+			m.Assignment = append(m.Assignment, int(id))
+		}
+		g.Multi = append(g.Multi, m)
+	}
+	front, err := ParetoFront(tt, et, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range front {
+		g.Front = append(g.Front, [3]string{bits(p.Lambda), bits(p.Seconds), bits(p.Joules)})
+	}
+	return g
 }
 
 // goldenCases enumerates every pinned scenario. Each case returns its
@@ -165,6 +211,14 @@ func goldenCases(t *testing.T) map[string]func() goldenResult {
 			g := encodeResult(res)
 			g.FinalCheckpointSHA256 = sha(final)
 			return g
+		},
+		"pareto_chain": func() goldenResult {
+			tt, et := energyTables(t, models.MustBuild("lenet5"), primitives.ModeCPU, 20)
+			return encodePareto(t, tt, et, Config{Episodes: 600, Seed: 1})
+		},
+		"pareto_dag": func() goldenResult {
+			tt, et := energyTables(t, models.MustBuild("squeezenet"), primitives.ModeGPGPU, 20)
+			return encodePareto(t, tt, et, Config{Episodes: 600, Seed: 1})
 		},
 		"checkpointed_chain": func() goldenResult {
 			var snaps []string
@@ -259,5 +313,11 @@ func diffGolden(t *testing.T, got, want goldenResult) {
 	}
 	if got.FinalCheckpointSHA256 != want.FinalCheckpointSHA256 {
 		t.Errorf("final checkpoint hash: got %s want %s", got.FinalCheckpointSHA256, want.FinalCheckpointSHA256)
+	}
+	if !reflect.DeepEqual(got.Multi, want.Multi) {
+		t.Errorf("lambda sweep: got %v want %v", got.Multi, want.Multi)
+	}
+	if !reflect.DeepEqual(got.Front, want.Front) {
+		t.Errorf("front: got %v want %v", got.Front, want.Front)
 	}
 }

@@ -1,12 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/lut"
 	"repro/internal/primitives"
-	"repro/internal/qlearn"
+	"repro/internal/searchplan"
 )
 
 // Multi-objective search — the paper's §VII future work: "we envision
@@ -29,96 +28,31 @@ type MultiResult struct {
 	Lambda float64
 }
 
-// checkCompatibleTables verifies that the two objective tables were
-// built for the same network structure.
-func checkCompatibleTables(timeTab, energyTab *lut.Table) error {
-	if timeTab.NumLayers() != energyTab.NumLayers() ||
-		timeTab.Network != energyTab.Network ||
-		timeTab.Mode != energyTab.Mode {
-		return fmt.Errorf("core: objective tables disagree (%s/%v %d layers vs %s/%v %d layers)",
-			timeTab.Network, timeTab.Mode, timeTab.NumLayers(),
-			energyTab.Network, energyTab.Mode, energyTab.NumLayers())
-	}
-	return nil
-}
-
-// SearchMulti runs the QS-DNN agent with the scalarized reward
-// r = -(latency + λ·energy). λ = 0 reduces exactly to Search; large λ
-// approaches the energy-optimal mapping.
+// SearchMulti runs QS-DNN on the scalarized cost t + λ·e: it folds
+// the two tables into one with lut.Scalarize and searches that on the
+// one episode path. λ = 0 reduces exactly to Search on the time table;
+// large λ approaches the energy-optimal mapping. The result reports
+// the chosen assignment's seconds and joules on each table.
 func SearchMulti(timeTab, energyTab *lut.Table, lambda float64, cfg Config) (*MultiResult, error) {
-	if err := checkCompatibleTables(timeTab, energyTab); err != nil {
+	tab, err := lut.Scalarize(timeTab, energyTab, lambda)
+	if err != nil {
 		return nil, err
 	}
-	if lambda < 0 {
-		return nil, fmt.Errorf("core: negative lambda %v", lambda)
+	r := SearchPlanned(searchplan.Compile(tab), cfg)
+	if r.Assignment == nil {
+		return &MultiResult{Seconds: math.Inf(1), Joules: math.Inf(1), Lambda: lambda}, nil
 	}
-	cfg = cfg.withDefaults()
-	rng := newSearchRNG(cfg.Seed)
-	L := timeTab.NumLayers()
-	q := qlearn.NewTable(L, primitives.Count())
-	replay := qlearn.NewReplay(cfg.Agent.ReplaySize)
-
-	allowed := make([][]int, L)
-	for i := 1; i < L; i++ {
-		ids := timeTab.Candidates(i)
-		acts := make([]int, len(ids))
-		for k, id := range ids {
-			acts[k] = int(id)
-		}
-		allowed[i] = acts
-	}
-
-	assignment := make([]primitives.ID, L)
-	assignment[0] = timeTab.Candidates(0)[0]
-	best := &MultiResult{Seconds: math.Inf(1), Joules: math.Inf(1), Lambda: lambda}
-	bestCost := math.Inf(1)
-
-	for ep := 0; ep < cfg.Episodes; ep++ {
-		eps := qlearn.EpsilonAt(cfg.Schedule, ep)
-		traj := make([]qlearn.Transition, 0, L-1)
-		for i := 1; i < L; i++ {
-			prev := int(assignment[i-1])
-			var action int
-			if rng.Float64() < eps {
-				action = allowed[i][rng.Intn(len(allowed[i]))]
-			} else {
-				action = q.Best(i-1, prev, allowed[i], rng)
-			}
-			assignment[i] = primitives.ID(action)
-			cost := timeTab.LayerCost(i, assignment[i], assignment) +
-				lambda*energyTab.LayerCost(i, assignment[i], assignment)
-			var next []int
-			if i+1 < L {
-				next = allowed[i+1]
-			}
-			traj = append(traj, qlearn.Transition{
-				Step: i - 1, Prim: prev, Action: action,
-				Reward: -cost, NextAllowed: next,
-			})
-		}
-		t := timeTab.TotalTime(assignment)
-		e := energyTab.TotalTime(assignment)
-		q.UpdateEpisode(traj, cfg.Agent)
-		if !cfg.DisableReplay {
-			replay.Add(traj)
-			replay.ReplayInto(q, cfg.Agent, cfg.ReplayUpdates, rng)
-		}
-		if c := t + lambda*e; c < bestCost {
-			bestCost = c
-			best.Seconds, best.Joules = t, e
-			best.Assignment = append([]primitives.ID(nil), assignment...)
-		}
-	}
-	return best, nil
+	return &MultiResult{
+		Assignment: r.Assignment,
+		Seconds:    timeTab.TotalTime(r.Assignment),
+		Joules:     energyTab.TotalTime(r.Assignment),
+		Lambda:     lambda,
+	}, nil
 }
 
-// ParetoPoint is one point of the latency/energy front.
-type ParetoPoint struct {
-	// Lambda is the weight that produced the point.
-	Lambda float64
-	// Seconds / Joules are the point's objectives.
-	Seconds, Joules float64
-}
+// ParetoPoint is one point of the latency/energy front: the search
+// result of the weight that produced it.
+type ParetoPoint = MultiResult
 
 // ParetoFront sweeps the trade-off weight and returns the
 // non-dominated (latency, energy) points found, ordered by ascending
@@ -133,7 +67,7 @@ func ParetoFront(timeTab, energyTab *lut.Table, lambdas []float64, cfg Config) (
 		if err != nil {
 			return nil, err
 		}
-		points = append(points, ParetoPoint{Lambda: lam, Seconds: r.Seconds, Joules: r.Joules})
+		points = append(points, *r)
 	}
 	// Filter dominated points (another point is <= in both objectives
 	// and < in one) and collapse duplicates: several lambdas often
@@ -162,10 +96,4 @@ func ParetoFront(timeTab, energyTab *lut.Table, lambdas []float64, cfg Config) (
 		}
 	}
 	return front, nil
-}
-
-// EnergyOf evaluates an existing assignment against an energy table —
-// e.g. to ask how many joules the latency-optimal mapping burns.
-func EnergyOf(energyTab *lut.Table, assignment []primitives.ID) float64 {
-	return energyTab.TotalTime(assignment)
 }

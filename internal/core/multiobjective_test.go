@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/lut"
@@ -10,33 +11,47 @@ import (
 	"repro/internal/platform"
 	"repro/internal/primitives"
 	"repro/internal/profile"
+	"repro/internal/searchplan"
 )
 
-// profiledBoth builds latency and energy tables for a network.
-func profiledBoth(t *testing.T, net *nn.Network, mode primitives.Mode) (*lut.Table, *lut.Table) {
+// energyTables profiles a network's latency and energy tables on the
+// tx2-like board under the strict protocol.
+func energyTables(t *testing.T, net *nn.Network, mode primitives.Mode, samples int) (*lut.Table, *lut.Table) {
 	t.Helper()
 	pl := platform.JetsonTX2Like()
-	tt, et, err := profile.RunWithEnergy(net, profile.NewSimSource(net, pl),
-		profile.Options{Mode: mode, Samples: 3})
+	opts := profile.Options{Mode: mode, Samples: samples}
+	tt, err := profile.Run(net, profile.NewSimSource(net, pl), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	et, err := profile.Run(net, profile.NewSimEnergySource(net, pl), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tt, et
 }
 
+// At λ = 0 the scalarized table is the time table entry for entry, so
+// the front's first point is the plain latency search, bit for bit.
 func TestSearchMultiLambdaZeroMatchesLatencySearch(t *testing.T) {
-	net := smallChain(t)
-	tt, et := profiledBoth(t, net, primitives.ModeGPGPU)
-	mono := Search(tt, Config{Episodes: 600, Seed: 3})
-	multi, err := SearchMulti(tt, et, 0, Config{Episodes: 600, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mono.Time-multi.Seconds) > 1e-12 {
-		t.Errorf("lambda=0 multi (%v) should equal plain search (%v)", multi.Seconds, mono.Time)
-	}
-	if multi.Joules <= 0 {
-		t.Errorf("energy = %v", multi.Joules)
+	for _, name := range []string{"lenet5", "squeezenet"} {
+		net := models.MustBuild(name)
+		tt, et := energyTables(t, net, primitives.ModeGPGPU, 3)
+		cfg := Config{Episodes: 600, Seed: 3}
+		mono := SearchPlanned(searchplan.Compile(tt), cfg)
+		front, err := ParetoFront(tt, et, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := front[0]
+		if first.Lambda != 0 || !reflect.DeepEqual(first.Assignment, mono.Assignment) ||
+			math.Float64bits(first.Seconds) != math.Float64bits(mono.Time) {
+			t.Errorf("%s: lambda=0 point %v s %v differs from plain search %v s %v",
+				name, first.Seconds, first.Assignment, mono.Time, mono.Assignment)
+		}
+		if first.Joules != et.TotalTime(mono.Assignment) || first.Joules <= 0 {
+			t.Errorf("%s: lambda=0 energy = %v", name, first.Joules)
+		}
 	}
 }
 
@@ -44,7 +59,7 @@ func TestSearchMultiTradesLatencyForEnergy(t *testing.T) {
 	// A GPU-heavy network: high lambda should push work off the
 	// power-hungry GPU, lowering joules at a latency cost.
 	net := models.MustBuild("squeezenet")
-	tt, et := profiledBoth(t, net, primitives.ModeGPGPU)
+	tt, et := energyTables(t, net, primitives.ModeGPGPU, 3)
 	fast, err := SearchMulti(tt, et, 0, Config{Episodes: 800, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +84,7 @@ func TestSearchMultiTradesLatencyForEnergy(t *testing.T) {
 
 func TestSearchMultiValidation(t *testing.T) {
 	net := smallChain(t)
-	tt, et := profiledBoth(t, net, primitives.ModeGPGPU)
+	tt, et := energyTables(t, net, primitives.ModeGPGPU, 3)
 	if _, err := SearchMulti(tt, et, -1, Config{Episodes: 10}); err == nil {
 		t.Error("negative lambda should error")
 	}
@@ -81,7 +96,7 @@ func TestSearchMultiValidation(t *testing.T) {
 
 func TestParetoFront(t *testing.T) {
 	net := models.MustBuild("squeezenet")
-	tt, et := profiledBoth(t, net, primitives.ModeGPGPU)
+	tt, et := energyTables(t, net, primitives.ModeGPGPU, 3)
 	front, err := ParetoFront(tt, et, []float64{0, 1, 10, 1000}, Config{Episodes: 500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +120,7 @@ func TestParetoFront(t *testing.T) {
 
 func TestParetoFrontDefaultLambdas(t *testing.T) {
 	net := smallChain(t)
-	tt, et := profiledBoth(t, net, primitives.ModeCPU)
+	tt, et := energyTables(t, net, primitives.ModeCPU, 3)
 	front, err := ParetoFront(tt, et, nil, Config{Episodes: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -115,27 +130,23 @@ func TestParetoFrontDefaultLambdas(t *testing.T) {
 	}
 }
 
+// The energy of an assignment is its total on the energy table.
 func TestEnergyOf(t *testing.T) {
 	net := smallChain(t)
-	tt, et := profiledBoth(t, net, primitives.ModeGPGPU)
+	tt, et := energyTables(t, net, primitives.ModeGPGPU, 3)
 	res := Search(tt, Config{Episodes: 300, Seed: 1})
-	e := EnergyOf(et, res.Assignment)
-	if e <= 0 || math.IsInf(e, 0) {
-		t.Errorf("EnergyOf = %v", e)
+	if e := et.TotalTime(res.Assignment); e <= 0 || math.IsInf(e, 0) {
+		t.Errorf("energy of the latency-optimal mapping = %v", e)
 	}
-	// Vanilla (CPU, slow) burns more CPU-seconds than the optimized
-	// mix burns total; on the default power model vanilla should cost
-	// more joules than the latency-optimal mapping... not necessarily,
-	// so only assert both are finite and vanilla's is positive.
 	van := SingleLibrary(tt, primitives.Vanilla)
-	if ev := EnergyOf(et, van.Assignment); ev <= 0 {
+	if ev := et.TotalTime(van.Assignment); ev <= 0 || math.IsInf(ev, 0) {
 		t.Errorf("vanilla energy = %v", ev)
 	}
 }
 
 func TestEnergyTablesStructure(t *testing.T) {
 	net := smallChain(t)
-	_, et := profiledBoth(t, net, primitives.ModeGPGPU)
+	_, et := energyTables(t, net, primitives.ModeGPGPU, 3)
 	for i := 1; i < et.NumLayers(); i++ {
 		for _, p := range et.Candidates(i) {
 			if v := et.Time(i, p); v <= 0 || math.IsInf(v, 0) {

@@ -175,9 +175,9 @@ func (t *Table) edgeIndex(from, to int) int {
 	panic(fmt.Sprintf("lut: no edge %d->%d", from, to))
 }
 
-// isCandidate reports whether primitive id is in layer i's candidate
+// IsCandidate reports whether primitive id is in layer i's candidate
 // set.
-func (t *Table) isCandidate(i int, id primitives.ID) bool {
+func (t *Table) IsCandidate(i int, id primitives.ID) bool {
 	for _, c := range t.candidates[i] {
 		if c == id {
 			return true
@@ -259,7 +259,7 @@ func (t *Table) AddCandidate(i int, id primitives.ID) bool {
 	if int(id) < 0 || int(id) >= t.numPrims {
 		return false
 	}
-	if t.isCandidate(i, id) {
+	if t.IsCandidate(i, id) {
 		return false
 	}
 	t.candidates[i] = append(t.candidates[i], id)
@@ -333,6 +333,79 @@ func (t *Table) TotalTime(assignment []primitives.ID) float64 {
 	}
 	total += t.OutputPenalty(assignment[t.output])
 	return total
+}
+
+// Scalarize folds a latency table and an energy table of the same
+// network and mode into one table of cost = t + λ·e, entry by entry:
+// every layer time, every penalty pair and every output penalty. It
+// is how a multi-objective search runs on the one search path: any
+// table-taking solver searches the result unchanged. The structure
+// comes from timeTab; a layer's candidates are those both tables
+// kept, in timeTab's order. An entry that is +Inf (unset) in either
+// table stays +Inf, so 0·Inf never yields a NaN.
+func Scalarize(timeTab, energyTab *Table, lambda float64) (*Table, error) {
+	if timeTab.numLayers != energyTab.numLayers || timeTab.numPrims != energyTab.numPrims ||
+		len(timeTab.edges) != len(energyTab.edges) ||
+		timeTab.Network != energyTab.Network || timeTab.Mode != energyTab.Mode {
+		return nil, fmt.Errorf("lut: objective tables disagree (%s/%v %d layers vs %s/%v %d layers)",
+			timeTab.Network, timeTab.Mode, timeTab.numLayers,
+			energyTab.Network, energyTab.Mode, energyTab.numLayers)
+	}
+	if !ValidSeconds(lambda) {
+		return nil, fmt.Errorf("lut: trade-off weight %v must be finite and >= 0", lambda)
+	}
+	np := timeTab.numPrims
+	s := &Table{
+		Network:    timeTab.Network,
+		Mode:       timeTab.Mode,
+		numLayers:  timeTab.numLayers,
+		numPrims:   np,
+		output:     timeTab.output,
+		candidates: make([][]primitives.ID, timeTab.numLayers),
+		times:      unset(len(timeTab.times)),
+		edges:      timeTab.edges,
+		incoming:   timeTab.incoming,
+		penalties:  make([][]float64, len(timeTab.penalties)),
+		outputPen:  unset(np),
+	}
+	mix := func(t, e float64) float64 {
+		if math.IsInf(t, 1) || math.IsInf(e, 1) {
+			return math.Inf(1)
+		}
+		return t + lambda*e
+	}
+	for i, cands := range timeTab.candidates {
+		for _, id := range cands {
+			if energyTab.IsCandidate(i, id) {
+				s.candidates[i] = append(s.candidates[i], id)
+				k := i*np + int(id)
+				s.times[k] = mix(timeTab.times[k], energyTab.times[k])
+			}
+		}
+	}
+	for e, ed := range s.edges {
+		pen := unset(np * np)
+		for _, fp := range s.candidates[ed.From] {
+			for _, tp := range s.candidates[ed.To] {
+				k := int(fp)*np + int(tp)
+				pen[k] = mix(timeTab.penalties[e][k], energyTab.penalties[e][k])
+			}
+		}
+		s.penalties[e] = pen
+	}
+	for _, id := range s.candidates[s.output] {
+		s.outputPen[id] = mix(timeTab.outputPen[id], energyTab.outputPen[id])
+	}
+	return s, nil
+}
+
+// unset returns n unmeasured (+Inf) entries.
+func unset(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = math.Inf(1)
+	}
+	return v
 }
 
 // tableJSON is the serialization form: entries are emitted sparsely
@@ -478,7 +551,7 @@ func Load(data []byte, net *nn.Network) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				if !t.isCandidate(i, id) {
+				if !t.IsCandidate(i, id) {
 					// A tuned twin (added by the autotuner via
 					// AddCandidate) is acceptable exactly when its base
 					// primitive is a real candidate of the layer; any
@@ -487,7 +560,7 @@ func Load(data []byte, net *nn.Network) (*Table, error) {
 					// EnableTunedVariants, so the default path still
 					// rejects tuned tables outright.
 					p := primitives.ByID(id)
-					if !p.Tuned || !t.isCandidate(i, p.Base) || !t.AddCandidate(i, id) {
+					if !p.Tuned || !t.IsCandidate(i, p.Base) || !t.AddCandidate(i, id) {
 						return nil, fmt.Errorf("lut: %q is not a candidate of layer %d", name, i)
 					}
 				}
@@ -512,7 +585,7 @@ func Load(data []byte, net *nn.Network) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !t.isCandidate(lt.Layer, id) {
+			if !t.IsCandidate(lt.Layer, id) {
 				return nil, fmt.Errorf("lut: %q is not a candidate of layer %d", pt.Prim, lt.Layer)
 			}
 			if err := checkSec(fmt.Sprintf("layer %d/%s", lt.Layer, pt.Prim), pt.Sec); err != nil {
@@ -535,7 +608,7 @@ func Load(data []byte, net *nn.Network) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !t.isCandidate(ep.From, fp) || !t.isCandidate(ep.To, tp) {
+			if !t.IsCandidate(ep.From, fp) || !t.IsCandidate(ep.To, tp) {
 				return nil, fmt.Errorf("lut: edge %d->%d pair (%s, %s) is not a candidate pair",
 					ep.From, ep.To, pr.FromPrim, pr.ToPrim)
 			}
@@ -550,7 +623,7 @@ func Load(data []byte, net *nn.Network) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !t.isCandidate(t.output, id) {
+		if !t.IsCandidate(t.output, id) {
 			return nil, fmt.Errorf("lut: output penalty for non-candidate %q", pt.Prim)
 		}
 		if err := checkSec(fmt.Sprintf("output penalty %s", pt.Prim), pt.Sec); err != nil {

@@ -1,28 +1,28 @@
-// Package sched analyzes deployment plans for streaming workloads.
-// The paper optimizes single-image latency (batch 1, the edge-
-// inference setting); this package answers the follow-on deployment
-// question: what throughput does the chosen mapping sustain when
-// images stream in and the CPU, the GPU and the interconnect can each
-// work on a *different* image concurrently (double buffering)? The
-// steady-state rate is set by the busiest resource, and a discrete
-// simulation gives exact makespans for finite batches.
-package sched
+package plan
+
+// Streaming analysis of deployment plans. The paper optimizes
+// single-image latency (batch 1, the edge-inference setting); Analyze
+// and Makespan answer the follow-on deployment question: what
+// throughput does the chosen mapping sustain when images stream in and
+// the CPU, the GPU and the interconnect can each work on a *different*
+// image concurrently (double buffering)? The steady-state rate is set
+// by the busiest resource, and a discrete simulation gives exact
+// makespans for finite batches.
 
 import (
 	"fmt"
-
-	"repro/internal/plan"
+	"sort"
 )
 
 // resourceOf maps a plan step to the hardware resource it occupies.
-func resourceOf(s plan.Step) string {
+func resourceOf(s Step) string {
 	switch s.Kind {
-	case plan.Compat:
+	case Compat:
 		if s.Transfer {
 			return "interconnect"
 		}
 		return s.Proc
-	case plan.Return:
+	case Return:
 		if s.Transfer {
 			return "interconnect"
 		}
@@ -52,14 +52,14 @@ type Analysis struct {
 }
 
 // Analyze computes the steady-state analysis of a plan.
-func Analyze(p *plan.Plan) *Analysis {
+func Analyze(p *Plan) *Analysis {
 	a := &Analysis{PerResourceSeconds: map[string]float64{}}
 	for _, s := range p.Steps {
 		a.LatencySeconds += s.Seconds
 		a.PerResourceSeconds[resourceOf(s)] += s.Seconds
 	}
-	for res, busy := range a.PerResourceSeconds {
-		if busy > a.PerResourceSeconds[a.Bottleneck] || a.Bottleneck == "" {
+	for _, res := range a.resources() {
+		if busy := a.PerResourceSeconds[res]; busy > a.PerResourceSeconds[a.Bottleneck] || a.Bottleneck == "" {
 			a.Bottleneck = res
 		}
 	}
@@ -72,7 +72,7 @@ func Analyze(p *plan.Plan) *Analysis {
 
 // AchievedThroughput simulates a FIFO pipeline over n images and
 // returns the sustained rate (images/second).
-func AchievedThroughput(p *plan.Plan, n int) (float64, error) {
+func AchievedThroughput(p *Plan, n int) (float64, error) {
 	ms, err := Makespan(p, n)
 	if err != nil {
 		return 0, err
@@ -84,9 +84,9 @@ func AchievedThroughput(p *plan.Plan, n int) (float64, error) {
 // per-resource pipelining: each image executes its steps in order,
 // and each resource serves images FIFO. Returns the total time until
 // the last image completes.
-func Makespan(p *plan.Plan, images int) (float64, error) {
+func Makespan(p *Plan, images int) (float64, error) {
 	if images <= 0 {
-		return 0, fmt.Errorf("sched: images must be positive, got %d", images)
+		return 0, fmt.Errorf("plan: images must be positive, got %d", images)
 	}
 	resourceFree := map[string]float64{}
 	prevDone := 0.0 // finish time of the current image's previous step
@@ -108,11 +108,24 @@ func Makespan(p *plan.Plan, images int) (float64, error) {
 	return last, nil
 }
 
-// Render formats the analysis for terminal output.
+// resources returns the busy resources' names in sorted order, so the
+// bottleneck tie-break and the rendering never depend on map order.
+func (a *Analysis) resources() []string {
+	names := make([]string, 0, len(a.PerResourceSeconds))
+	for res := range a.PerResourceSeconds {
+		names = append(names, res)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Render formats the analysis for terminal output, one line per
+// resource in name order.
 func (a *Analysis) Render() string {
 	out := fmt.Sprintf("latency %.3f ms, pipelined rate <= %.1f img/s (max speedup %.2fx)\n",
 		a.LatencySeconds*1e3, a.ThroughputUpperBound, a.MaxPipelineSpeedup)
-	for res, busy := range a.PerResourceSeconds {
+	for _, res := range a.resources() {
+		busy := a.PerResourceSeconds[res]
 		mark := ""
 		if res == a.Bottleneck {
 			mark = "  <- bottleneck"

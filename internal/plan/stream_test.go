@@ -1,19 +1,19 @@
-package sched
+package plan
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/models"
-	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/primitives"
 	"repro/internal/profile"
 )
 
-func mobilenetPlan(t *testing.T) *plan.Plan {
+func mobilenetPlan(t *testing.T) *Plan {
 	t.Helper()
 	net := models.MustBuild("mobilenet-v1")
 	pl := platform.JetsonTX2Like()
@@ -23,7 +23,7 @@ func mobilenetPlan(t *testing.T) *plan.Plan {
 		t.Fatal(err)
 	}
 	res := core.Search(tab, core.Config{Episodes: 600, Seed: 1})
-	p, err := plan.Build(net, tab, res.Assignment)
+	p, err := Build(net, tab, res.Assignment)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,5 +127,14 @@ func TestRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
+	}
+	// One line per resource, in name order: the output must not depend
+	// on map iteration order.
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n")[1:] {
+		names = append(names, strings.Fields(line)[0])
+	}
+	if len(names) != len(a.PerResourceSeconds) || !sort.StringsAreSorted(names) {
+		t.Errorf("resource lines %v, want all %d resources sorted", names, len(a.PerResourceSeconds))
 	}
 }

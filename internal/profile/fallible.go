@@ -31,21 +31,6 @@ type FallibleSource interface {
 	MeasureOutputPenalty(ctx context.Context, output int, p *primitives.Primitive) (float64, error)
 }
 
-// FallibleEnergySource extends FallibleSource with error-aware energy
-// measurements.
-type FallibleEnergySource interface {
-	FallibleSource
-	// MeasureSampleEnergy returns one energy observation (joules) of
-	// layer i under primitive p.
-	MeasureSampleEnergy(ctx context.Context, i int, p *primitives.Primitive, sample int) (float64, error)
-	// MeasureEdgeEnergyPenalty returns the joules of the edge's
-	// compatibility work.
-	MeasureEdgeEnergyPenalty(ctx context.Context, producer int, fp, tp *primitives.Primitive) (float64, error)
-	// MeasureOutputEnergyPenalty returns the joules of the host-return
-	// work.
-	MeasureOutputEnergyPenalty(ctx context.Context, output int, p *primitives.Primitive) (float64, error)
-}
-
 // ValidObservation reports whether v is a physically meaningful
 // measurement: finite and non-negative — the invariant lut.Table
 // enforces at write time. The robust measurement layer rejects (and

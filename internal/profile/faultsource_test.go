@@ -63,7 +63,7 @@ func TestFaultInjectionEndToEnd(t *testing.T) {
 		if !ok {
 			t.Fatalf("exclusion names unknown primitive %q", e.Primitive)
 		}
-		if isCandidateOf(tab, e.Layer, p.Idx) {
+		if tab.IsCandidate(e.Layer, p.Idx) {
 			t.Errorf("excluded %s still candidate of layer %d", e.Primitive, e.Layer)
 		}
 	}

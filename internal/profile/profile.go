@@ -213,16 +213,6 @@ func RunFallible(ctx context.Context, net *nn.Network, src FallibleSource, opts 
 	return t, rep, nil
 }
 
-// isCandidateOf reports whether id is in layer i's candidate set of t.
-func isCandidateOf(t *lut.Table, i int, id primitives.ID) bool {
-	for _, c := range t.Candidates(i) {
-		if c == id {
-			return true
-		}
-	}
-	return false
-}
-
 // supports reports whether p is a candidate for layer l under mode.
 func supports(l *nn.Layer, p *primitives.Primitive, mode primitives.Mode) bool {
 	for _, c := range primitives.Candidates(l, mode) {
@@ -231,94 +221,6 @@ func supports(l *nn.Layer, p *primitives.Primitive, mode primitives.Mode) bool {
 		}
 	}
 	return false
-}
-
-// EnergySource supplies per-step energy measurements; sources that
-// implement it (the simulator does) enable the multi-objective search
-// of the paper's future-work section.
-type EnergySource interface {
-	Source
-	// SampleEnergy returns one energy observation (joules) of layer i
-	// under primitive p.
-	SampleEnergy(i int, p *primitives.Primitive, sample int) float64
-	// EdgeEnergyPenalty returns the joules of the edge's
-	// compatibility work.
-	EdgeEnergyPenalty(producer int, fp, tp *primitives.Primitive) float64
-	// OutputEnergyPenalty returns the joules of the host-return work.
-	OutputEnergyPenalty(output int, p *primitives.Primitive) float64
-}
-
-// RunWithEnergy executes the protocol measuring both objectives and
-// returns a latency table (seconds) and an energy table (joules) with
-// identical structure — lut.Table is objective-agnostic, so the same
-// machinery evaluates either.
-func RunWithEnergy(net *nn.Network, src EnergySource, opts Options) (timeTab, energyTab *lut.Table, err error) {
-	return RunWithEnergyContext(context.Background(), net, src, opts)
-}
-
-// RunWithEnergyContext is RunWithEnergy under a context: cancellation
-// is observed between measurements, and invalid energy observations
-// (NaN, +/-Inf, negative) are rejected at the source boundary with an
-// error instead of silently entering the table.
-func RunWithEnergyContext(ctx context.Context, net *nn.Network, src EnergySource, opts Options) (timeTab, energyTab *lut.Table, err error) {
-	timeTab, _, err = RunContext(ctx, net, src, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	checkJ := func(what string, v float64) error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("profile: %w", err)
-		}
-		if !ValidObservation(v) {
-			return fmt.Errorf("profile: %s: invalid energy observation %v", what, v)
-		}
-		return nil
-	}
-	energyTab = lut.New(net, opts.Mode)
-	for i, l := range net.Layers {
-		if i == 0 {
-			continue
-		}
-		// Mirror any degradation of the latency table: both objectives
-		// must expose identical candidate sets to the search.
-		for _, id := range append([]primitives.ID(nil), energyTab.Candidates(i)...) {
-			if !isCandidateOf(timeTab, i, id) {
-				energyTab.DropCandidate(i, id)
-			}
-		}
-		for _, id := range energyTab.Candidates(i) {
-			p := primitives.ByID(id)
-			var sum float64
-			for s := 0; s < opts.Samples; s++ {
-				v := src.SampleEnergy(i, p, s)
-				if err := checkJ(fmt.Sprintf("layer %d (%s) with %s", i, l.Name, p.Name), v); err != nil {
-					return nil, nil, err
-				}
-				sum += v
-			}
-			energyTab.SetTime(i, id, sum/float64(opts.Samples))
-		}
-	}
-	for _, ed := range energyTab.Edges() {
-		for _, fp := range energyTab.Candidates(ed.From) {
-			for _, tp := range energyTab.Candidates(ed.To) {
-				pen := src.EdgeEnergyPenalty(ed.From, primitives.ByID(fp), primitives.ByID(tp))
-				if err := checkJ(fmt.Sprintf("edge %d->%d", ed.From, ed.To), pen); err != nil {
-					return nil, nil, err
-				}
-				energyTab.SetPenalty(ed.From, ed.To, fp, tp, pen)
-			}
-		}
-	}
-	out := energyTab.OutputLayer()
-	for _, p := range energyTab.Candidates(out) {
-		pen := src.OutputEnergyPenalty(out, primitives.ByID(p))
-		if err := checkJ("output penalty", pen); err != nil {
-			return nil, nil, err
-		}
-		energyTab.SetOutputPenalty(p, pen)
-	}
-	return timeTab, energyTab, nil
 }
 
 // SimSource adapts the platform cost model to the Source interface.
@@ -347,19 +249,28 @@ func (s *SimSource) OutputPenalty(output int, p *primitives.Primitive) float64 {
 	return compat.OutputPenalty(s.Platform, s.Net.Layers[output], p)
 }
 
-// SampleEnergy returns one noisy simulated energy measurement.
-func (s *SimSource) SampleEnergy(i int, p *primitives.Primitive, sample int) float64 {
+// SimEnergySource is SimSource measuring joules instead of seconds:
+// the platform's energy model behind the plain Source contract, so an
+// energy table is profiled by the same protocol, options and Robust
+// policy as the latency table.
+type SimEnergySource SimSource
+
+// NewSimEnergySource wires a network to a platform's energy model.
+func NewSimEnergySource(net *nn.Network, pl *platform.Platform) *SimEnergySource {
+	return &SimEnergySource{Net: net, Platform: pl}
+}
+
+// Sample returns one noisy simulated energy measurement.
+func (s *SimEnergySource) Sample(i int, p *primitives.Primitive, sample int) float64 {
 	return s.Platform.SampleEnergy(s.Net.Layers[i], p, sample)
 }
 
-// EdgeEnergyPenalty returns the simulated compatibility energy.
-func (s *SimSource) EdgeEnergyPenalty(producer int, fp, tp *primitives.Primitive) float64 {
+// EdgePenalty returns the simulated compatibility energy.
+func (s *SimEnergySource) EdgePenalty(producer int, fp, tp *primitives.Primitive) float64 {
 	return compat.EnergyPenalty(s.Platform, s.Net.Layers[producer], fp, tp)
 }
 
-// OutputEnergyPenalty returns the simulated host-return energy.
-func (s *SimSource) OutputEnergyPenalty(output int, p *primitives.Primitive) float64 {
+// OutputPenalty returns the simulated host-return energy.
+func (s *SimEnergySource) OutputPenalty(output int, p *primitives.Primitive) float64 {
 	return compat.OutputEnergyPenalty(s.Platform, s.Net.Layers[output], p)
 }
-
-var _ EnergySource = (*SimSource)(nil)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -196,7 +197,7 @@ func TestDegradationDropsPersistentlyFailingPrimitive(t *testing.T) {
 			t.Error("victim still a candidate of layer 1")
 		}
 	}
-	if !isCandidateOf(tab, 1, primitives.PVanilla.Idx) {
+	if !tab.IsCandidate(1, primitives.PVanilla.Idx) {
 		t.Error("Vanilla fallback missing from layer 1")
 	}
 	// The reduced table is fully valid: serialize and reload.
@@ -328,37 +329,33 @@ func TestStrictModeRejectsInvalidObservation(t *testing.T) {
 	}
 }
 
-// TestRunWithEnergyErrorPaths covers the energy protocol's failure
-// modes: invalid observations and cancellation.
-func TestRunWithEnergyErrorPaths(t *testing.T) {
+// TestEnergyProfileDegradesLikeTime profiles joules through the same
+// fault schedule and Robust policy as seconds: the schedule keys on
+// the measurement identity, not its value, so both tables drop the
+// same primitives and the energy pass reports its own degradation.
+func TestEnergyProfileDegradesLikeTime(t *testing.T) {
 	net := smallNet(t)
 	pl := platform.JetsonTX2Like()
-
-	t.Run("canceled", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, _, err := RunWithEnergyContext(ctx, net, NewSimSource(net, pl), Options{Mode: primitives.ModeCPU, Samples: 2})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("err = %v, want context.Canceled", err)
+	cfg := DefaultFaults(42)
+	cfg.PermanentRate = 0.2
+	opts := Options{Mode: primitives.ModeGPGPU, Samples: 5, Robust: robustFast()}
+	tt, trep, err := RunFallible(context.Background(), net, NewFaultSource(NewSimSource(net, pl), cfg), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	et, erep, err := RunFallible(context.Background(), net, NewFaultSource(NewSimEnergySource(net, pl), cfg), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !erep.Degraded() {
+		t.Fatal("energy profile under permanent faults reports no degradation")
+	}
+	if !reflect.DeepEqual(trep.Excluded, erep.Excluded) {
+		t.Errorf("exclusions differ:\ntime   %+v\nenergy %+v", trep.Excluded, erep.Excluded)
+	}
+	for i := 0; i < tt.NumLayers(); i++ {
+		if !reflect.DeepEqual(tt.Candidates(i), et.Candidates(i)) {
+			t.Errorf("layer %d: candidates %v (time) vs %v (energy)", i, tt.Candidates(i), et.Candidates(i))
 		}
-	})
-	t.Run("invalid energy", func(t *testing.T) {
-		src := &badEnergySource{EnergySource: NewSimSource(net, pl)}
-		_, _, err := RunWithEnergyContext(context.Background(), net, src, Options{Mode: primitives.ModeCPU, Samples: 2})
-		if err == nil || !strings.Contains(err.Error(), "invalid energy observation") {
-			t.Errorf("err = %v, want invalid-energy error", err)
-		}
-	})
-	t.Run("zero samples", func(t *testing.T) {
-		if _, _, err := RunWithEnergyContext(context.Background(), net, NewSimSource(net, pl), Options{Mode: primitives.ModeCPU}); err == nil {
-			t.Error("zero samples should error")
-		}
-	})
-}
-
-// badEnergySource returns NaN joules for every energy sample.
-type badEnergySource struct{ EnergySource }
-
-func (b *badEnergySource) SampleEnergy(i int, p *primitives.Primitive, sample int) float64 {
-	return math.NaN()
+	}
 }

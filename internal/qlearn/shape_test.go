@@ -301,8 +301,9 @@ func TestReplayCompiledRingWrapEquivalence(t *testing.T) {
 	}
 }
 
-// Steady-state replay allocates nothing, into a shaped table (the
-// QS-DNN search) and into an unshaped one (SearchMulti and Pareto).
+// Steady-state replay allocates nothing, into a shaped table (every
+// QS-DNN search, multi-objective included) and into an unshaped one
+// (no search replays into one today; ReplayInto still supports it).
 func TestReplayIntoZeroAllocSteadyState(t *testing.T) {
 	const steps, prims, capacity, draws = 7, 9, 8, 16
 	allowed := randomVocab(rand.New(rand.NewSource(17)), steps, prims)
