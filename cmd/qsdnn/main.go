@@ -562,11 +562,10 @@ func profileTable(ctx context.Context, ft faultFlags, ef engineFlags, net *qsdnn
 // the -robust policy measures it. It prints the degradation report
 // when anything fired.
 func profileSource(ctx context.Context, ft faultFlags, net *qsdnn.Network, src profile.Source, mode primitives.Mode, samples int) (*lut.Table, error) {
-	fsrc := profile.AsFallible(src)
 	if f := ft.faults(); f != nil {
-		fsrc = profile.NewFaultSource(src, *f)
+		src = profile.NewFaultSource(src, *f)
 	}
-	tab, rep, err := profile.RunFallible(ctx, net, fsrc, profile.Options{
+	tab, rep, err := profile.RunContext(ctx, net, src, profile.Options{
 		Mode: mode, Samples: samples, Robust: ft.policy(),
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	qsdnn "repro"
 )
@@ -31,7 +32,13 @@ func main() {
 	// 4. Read the results.
 	fmt.Print(rep.Summary())
 	fmt.Println("\nlearned library mix:")
-	for lib, n := range rep.LibraryMix() {
-		fmt.Printf("  %-10s %d layers\n", lib, n)
+	mix := rep.LibraryMix()
+	libs := make([]string, 0, len(mix))
+	for lib := range mix {
+		libs = append(libs, lib)
+	}
+	sort.Strings(libs)
+	for _, lib := range libs {
+		fmt.Printf("  %-10s %d layers\n", lib, mix[lib])
 	}
 }

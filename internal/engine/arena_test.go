@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/kernels"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/primitives"
@@ -64,7 +65,7 @@ func replay(t *testing.T, e *Engine, a []primitives.ID, in *tensor.Tensor) *tens
 		for k, src := range l.Inputs {
 			inputs[k] = acts[src].ToLayout(p.Layout)
 		}
-		out, err := e.exec(nil, i, l, p, inputs)
+		out, err := e.execCfg(nil, i, l, p, inputs, kernels.ConvTuned{}, nil)
 		if err != nil {
 			t.Fatalf("layer %s: %v", l.Name, err)
 		}

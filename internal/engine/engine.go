@@ -257,20 +257,6 @@ func checkExecutable(l *nn.Layer, p *primitives.Primitive) error {
 	return fmt.Errorf("engine: primitive %s cannot implement layer %s (%v)", p.Name, l.Name, l.Kind)
 }
 
-// exec dispatches one layer to the kernel implementing the primitive,
-// writing into dst (a fresh tensor when dst is nil). Inputs are already
-// in p.Layout. A tuned twin runs as its base under the config recorded
-// for it (the zero config when none was), so plain layers and twins
-// share one dispatch.
-func (e *Engine) exec(dst *tensor.Tensor, i int, l *nn.Layer, p *primitives.Primitive, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	var cfg kernels.ConvTuned
-	if p.Tuned {
-		cfg = e.tuned[tunedKey{i, p.Idx}]
-		p = primitives.ByID(p.Base)
-	}
-	return e.execCfg(dst, i, l, p, in, cfg, nil)
-}
-
 // execCfg executes layer i under a non-twin primitive, with cfg
 // parameterizing its conv or depth-wise kernel. dst, when non-nil, is
 // the output tensor in the layer's output shape and outLayout; it may

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -165,10 +166,8 @@ func TestWeightsSeedDeterminism(t *testing.T) {
 
 func e0(net *nn.Network, seed int64) *Engine { return New(net, seed, 1.0) }
 
-// The engine source must satisfy the error-aware profiling contract so
-// AsFallible preserves its genuine error reporting instead of wrapping
-// the panicking legacy methods.
-var _ profile.FallibleSource = (*Source)(nil)
+// The engine source implements the profiling contract directly.
+var _ profile.Source = (*Source)(nil)
 
 // End-to-end on real measurements: profile with the engine source,
 // search, and execute the found assignment — it must be valid and
@@ -206,16 +205,17 @@ func TestSourcePenalties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	ci := net.LayerIndex("conv1")
-	if got := src.EdgePenalty(ci, primitives.PVanilla, primitives.PAtlasIm2col); got != 0 {
-		t.Errorf("same-layout penalty = %v, want 0", got)
+	if got, err := src.MeasureEdgePenalty(ctx, ci, primitives.PVanilla, primitives.PAtlasIm2col); got != 0 || err != nil {
+		t.Errorf("same-layout penalty = %v, %v, want 0", got, err)
 	}
-	if got := src.EdgePenalty(ci, primitives.PVanilla, primitives.PArmCLGemm); got <= 0 {
-		t.Errorf("layout-change penalty = %v, want > 0", got)
+	if got, err := src.MeasureEdgePenalty(ctx, ci, primitives.PVanilla, primitives.PArmCLGemm); got <= 0 || err != nil {
+		t.Errorf("layout-change penalty = %v, %v, want > 0", got, err)
 	}
 	out := net.OutputLayer()
-	if got := src.OutputPenalty(out, primitives.PVanilla); got != 0 {
-		t.Errorf("NCHW output penalty = %v, want 0", got)
+	if got, err := src.MeasureOutputPenalty(ctx, out, primitives.PVanilla); got != 0 || err != nil {
+		t.Errorf("NCHW output penalty = %v, %v, want 0", got, err)
 	}
 }
 

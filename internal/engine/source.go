@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/kernels"
 	"repro/internal/primitives"
 	"repro/internal/tensor"
 )
@@ -13,8 +14,8 @@ import (
 // whole QS-DNN pipeline can run on genuinely measured host-CPU
 // latencies instead of the platform model. A canonical all-Vanilla
 // inference is run once to cache every layer's input activations;
-// Sample then times individual (layer, primitive) executions on that
-// cached data, which is equivalent to the paper's whole-network
+// MeasureSample then times individual (layer, primitive) executions on
+// that cached data, which is equivalent to the paper's whole-network
 // substitution runs but avoids re-executing unrelated layers.
 type Source struct {
 	eng  *Engine
@@ -36,7 +37,7 @@ func NewSource(e *Engine, input *tensor.Tensor) (*Source, error) {
 		for k, src := range l.Inputs {
 			inputs[k] = s.acts[src].ToLayout(tensor.NCHW)
 		}
-		out, err := e.exec(nil, i, l, primitives.PVanilla, inputs)
+		out, err := e.execCfg(nil, i, l, primitives.PVanilla, inputs, kernels.ConvTuned{}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -49,24 +50,26 @@ func NewSource(e *Engine, input *tensor.Tensor) (*Source, error) {
 // needs it to install tuned-variant configs after measuring.
 func (s *Source) Engine() *Engine { return s.eng }
 
-// Sample times one execution of layer i under primitive p on the
-// cached activations. The sample index is accepted for interface
-// compatibility; real time naturally varies between calls. Execution
-// failures panic — prefer MeasureSample, which reports them as errors
-// the fault-tolerant profiling layer can retry or degrade on.
-func (s *Source) Sample(i int, p *primitives.Primitive, sample int) float64 {
-	v, err := s.MeasureSample(context.Background(), i, p, sample)
-	if err != nil {
-		panic(fmt.Sprintf("engine: %v", err))
+// MeasureSample times one execution of layer i under primitive p on
+// the cached activations; a tuned twin runs as its base under the
+// config SetTuned recorded for it. The sample index is accepted for
+// interface compatibility; real time naturally varies between calls. A
+// primitive that cannot execute the layer yields an error, which lets
+// profile.RunContext retry it or drop it from the candidate set.
+func (s *Source) MeasureSample(ctx context.Context, i int, p *primitives.Primitive, sample int) (float64, error) {
+	var cfg kernels.ConvTuned
+	if p.Tuned {
+		cfg = s.eng.tuned[tunedKey{i, p.Idx}]
+		p = primitives.ByID(p.Base)
 	}
-	return v
+	return s.measure(ctx, "profiling", i, p, cfg)
 }
 
-// MeasureSample is the fallible twin of Sample: a primitive that
-// cannot execute the layer yields an error instead of a panic, which
-// lets profile.RunFallible retry it or drop it from the candidate set.
-func (s *Source) MeasureSample(ctx context.Context, i int, p *primitives.Primitive, sample int) (float64, error) {
-	_ = sample
+// measure is the one timed body behind MeasureSample and MeasureTuned:
+// convert layer i's cached inputs to p's layout, then time one
+// execution of the non-twin p under cfg. verb names the caller in
+// errors.
+func (s *Source) measure(ctx context.Context, verb string, i int, p *primitives.Primitive, cfg kernels.ConvTuned) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -76,53 +79,42 @@ func (s *Source) MeasureSample(ctx context.Context, i int, p *primitives.Primiti
 		inputs[k] = s.acts[src].ToLayout(p.Layout)
 	}
 	t0 := time.Now()
-	if _, err := s.eng.exec(nil, i, l, p, inputs); err != nil {
-		return 0, fmt.Errorf("profiling %s with %s: %w", l.Name, p.Name, err)
+	if _, err := s.eng.execCfg(nil, i, l, p, inputs, cfg, nil); err != nil {
+		return 0, fmt.Errorf("%s %s with %s: %w", verb, l.Name, p.Name, err)
 	}
 	return time.Since(t0).Seconds(), nil
 }
 
-// MeasureEdgePenalty is the fallible, cancellable twin of EdgePenalty.
+// MeasureEdgePenalty times the real layout conversion between the
+// producer's output under fp and the consumer's required layout under
+// tp. Both primitives run on the CPU here, so no transfer cost exists.
 func (s *Source) MeasureEdgePenalty(ctx context.Context, producer int, fp, tp *primitives.Primitive) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return s.EdgePenalty(producer, fp, tp), nil
-}
-
-// MeasureOutputPenalty is the fallible, cancellable twin of
-// OutputPenalty.
-func (s *Source) MeasureOutputPenalty(ctx context.Context, output int, p *primitives.Primitive) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return s.OutputPenalty(output, p), nil
-}
-
-// EdgePenalty times the real layout conversion between the producer's
-// output under fp and the consumer's required layout under tp. Both
-// primitives run on the CPU here, so no transfer cost exists.
-func (s *Source) EdgePenalty(producer int, fp, tp *primitives.Primitive) float64 {
 	if fp.Layout == tp.Layout {
-		return 0
+		return 0, nil
 	}
 	src := s.acts[producer].ToLayout(fp.Layout)
 	t0 := time.Now()
 	src.ToLayout(tp.Layout)
-	return time.Since(t0).Seconds()
+	return time.Since(t0).Seconds(), nil
 }
 
-// The fallible methods satisfy profile.FallibleSource structurally;
-// engine_test asserts it without adding a package dependency here.
-
-// OutputPenalty times the conversion of the output layer's activation
-// back to the host NCHW format.
-func (s *Source) OutputPenalty(output int, p *primitives.Primitive) float64 {
+// MeasureOutputPenalty times the conversion of the output layer's
+// activation back to the host NCHW format.
+func (s *Source) MeasureOutputPenalty(ctx context.Context, output int, p *primitives.Primitive) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	if p.Layout == tensor.NCHW {
-		return 0
+		return 0, nil
 	}
 	src := s.acts[output].ToLayout(p.Layout)
 	t0 := time.Now()
 	src.ToLayout(tensor.NCHW)
-	return time.Since(t0).Seconds()
+	return time.Since(t0).Seconds(), nil
 }
+
+// The Measure* methods satisfy profile.Source structurally;
+// engine_test asserts it without adding a package dependency here.

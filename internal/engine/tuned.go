@@ -3,11 +3,9 @@ package engine
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/kernels"
 	"repro/internal/primitives"
-	"repro/internal/tensor"
 )
 
 // tunedKey addresses one tuned-variant assignment: configs are
@@ -44,20 +42,8 @@ func (e *Engine) TunedConfig(i int, id primitives.ID) (kernels.ConvTuned, bool) 
 // tuned-config map, so concurrent measurement fan-outs with different
 // configs are race-free.
 func (s *Source) MeasureTuned(ctx context.Context, i int, base *primitives.Primitive, cfg kernels.ConvTuned) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	l := s.eng.Net.Layers[i]
 	if base.Tuned {
-		return 0, fmt.Errorf("tuning %s: base %s is itself tuned", l.Name, base.Name)
+		return 0, fmt.Errorf("tuning %s: base %s is itself tuned", s.eng.Net.Layers[i].Name, base.Name)
 	}
-	inputs := make([]*tensor.Tensor, len(l.Inputs))
-	for k, src := range l.Inputs {
-		inputs[k] = s.acts[src].ToLayout(base.Layout)
-	}
-	t0 := time.Now()
-	if _, err := s.eng.execCfg(nil, i, l, base, inputs, cfg, nil); err != nil {
-		return 0, fmt.Errorf("tuning %s with %s: %w", l.Name, base.Name, err)
-	}
-	return time.Since(t0).Seconds(), nil
+	return s.measure(ctx, "tuning", i, base, cfg)
 }

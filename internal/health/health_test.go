@@ -38,7 +38,7 @@ func TestFingerprintsDeterministicAndSorted(t *testing.T) {
 	board, _ := platform.Preset("tx2-like")
 	build := func() []Fingerprint {
 		sim := profile.NewSimSource(net, board)
-		tab, _, err := profile.RunFallible(context.Background(), net, profile.AsFallible(sim),
+		tab, _, err := profile.RunContext(context.Background(), net, sim,
 			profile.Options{Mode: primitives.ModeCPU, Samples: 3})
 		if err != nil {
 			t.Fatal(err)

@@ -26,10 +26,10 @@ func driftFaults(seed int64) FaultConfig {
 
 // measureAll profiles lenet5 (cpu mode) through src and returns the
 // marshaled table bytes.
-func driftTable(t *testing.T, src FallibleSource) []byte {
+func driftTable(t *testing.T, src Source) []byte {
 	t.Helper()
 	net := models.MustBuild("lenet5")
-	tab, _, err := RunFallible(context.Background(), net, src, Options{
+	tab, _, err := RunContext(context.Background(), net, src, Options{
 		Mode: primitives.ModeCPU, Samples: 3,
 	})
 	if err != nil {
@@ -94,7 +94,7 @@ func TestDriftedTablesReproducible(t *testing.T) {
 		return driftTable(t, src)
 	}
 	clean := at(0)
-	cleanRef := driftTable(t, AsFallible(NewSimSource(net, board)))
+	cleanRef := driftTable(t, NewSimSource(net, board))
 	if string(clean) != string(cleanRef) {
 		t.Fatal("round-0 drift source changed the table vs the plain simulator")
 	}
@@ -146,7 +146,7 @@ func TestFaultLibrariesTargeting(t *testing.T) {
 	}
 	src := NewFaultSource(NewSimSource(net, board), cfg)
 	pol := DefaultRobust()
-	tab, rep, err := RunFallible(context.Background(), net, src, Options{
+	tab, rep, err := RunContext(context.Background(), net, src, Options{
 		Mode: primitives.ModeCPU, Samples: 3, Robust: pol,
 	})
 	if err != nil {
@@ -157,7 +157,7 @@ func TestFaultLibrariesTargeting(t *testing.T) {
 	}
 	// The reference must aggregate under the same robust policy — the
 	// comparison isolates the fault targeting, not the aggregation.
-	cleanTab, _, err := RunFallible(context.Background(), net, AsFallible(NewSimSource(net, board)), Options{
+	cleanTab, _, err := RunContext(context.Background(), net, NewSimSource(net, board), Options{
 		Mode: primitives.ModeCPU, Samples: 3, Robust: DefaultRobust(),
 	})
 	if err != nil {
@@ -186,7 +186,7 @@ func TestRemeasureSampleMatchesProfile(t *testing.T) {
 	const samples = 5
 	sim := NewSimSource(net, board)
 	pol := DefaultRobust()
-	tab, _, err := RunFallible(context.Background(), net, AsFallible(sim), Options{
+	tab, _, err := RunContext(context.Background(), net, sim, Options{
 		Mode: primitives.ModeCPU, Samples: samples, Robust: pol,
 	})
 	if err != nil {
@@ -195,7 +195,7 @@ func TestRemeasureSampleMatchesProfile(t *testing.T) {
 	for i := 1; i < net.Len(); i++ {
 		for _, p := range primitives.Candidates(net.Layers[i], primitives.ModeCPU) {
 			want := tab.Time(i, p.Idx)
-			got, err := RemeasureSample(context.Background(), AsFallible(sim), pol, i, p, samples)
+			got, err := RemeasureSample(context.Background(), sim, pol, i, p, samples)
 			if err != nil {
 				t.Fatalf("layer %d %s: %v", i, p.Name, err)
 			}
@@ -204,7 +204,7 @@ func TestRemeasureSampleMatchesProfile(t *testing.T) {
 			}
 		}
 	}
-	if _, err := RemeasureSample(context.Background(), AsFallible(sim), pol, 1, primitives.PVanilla, 0); err == nil {
+	if _, err := RemeasureSample(context.Background(), sim, pol, 1, primitives.PVanilla, 0); err == nil {
 		t.Error("samples=0 did not error")
 	}
 }

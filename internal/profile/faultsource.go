@@ -92,14 +92,14 @@ type ErrInjected struct{ What string }
 
 func (e *ErrInjected) Error() string { return "injected fault: " + e.What }
 
-// FaultSource decorates any Source (or FallibleSource) with the fault
-// schedule — the test harness for the entire fault-tolerance stack.
-// It tracks per-measurement attempt counts (its only state), so
-// transient faults clear after their burst while permanent faults
-// never do. Safe for concurrent use.
+// FaultSource decorates any Source with the fault schedule — the test
+// harness for the entire fault-tolerance stack. It tracks
+// per-measurement attempt counts (its only state), so transient faults
+// clear after their burst while permanent faults never do. Safe for
+// concurrent use.
 type FaultSource struct {
 	cfg FaultConfig
-	src FallibleSource
+	src Source
 
 	// round is the drift round counter. Like everything else in the
 	// schedule it is not wall-clock: the harness advances it
@@ -111,11 +111,13 @@ type FaultSource struct {
 	attempts map[string]int
 }
 
-// NewFaultSource wraps src in the fault schedule. Each FaultSource
+// NewFaultSource wraps src in the fault schedule: injected errors and
+// stalls come before src is asked, poisoning and drift apply to what
+// it returns, and src's own errors pass through. Each FaultSource
 // starts with fresh attempt counters; construct one per profiling run
 // to keep runs independent and deterministic.
 func NewFaultSource(src Source, cfg FaultConfig) *FaultSource {
-	return &FaultSource{cfg: cfg, src: AsFallible(src), attempts: map[string]int{}}
+	return &FaultSource{cfg: cfg, src: src, attempts: map[string]int{}}
 }
 
 // AdvanceDrift advances the drift round counter by one and returns
@@ -220,6 +222,9 @@ func (f *FaultSource) stall(ctx context.Context) error {
 // error, whether to poison the observation with NaN, and a multiplier
 // for valid observations.
 func (f *FaultSource) inject(ctx context.Context, kind string, permanentOK bool, nums ...int) (poison bool, factor float64, err error) {
+	if err := ctx.Err(); err != nil {
+		return false, 1, err
+	}
 	attempt := f.nextAttempt(fmt.Sprintf("%s|%v", kind, nums))
 
 	if permanentOK && f.cfg.PermanentRate > 0 && f.roll(kind+"|perm", nums[0], nums[1]) < f.cfg.PermanentRate {
@@ -323,4 +328,4 @@ func (f *FaultSource) MeasureOutputPenalty(ctx context.Context, output int, p *p
 	return v, nil
 }
 
-var _ FallibleSource = (*FaultSource)(nil)
+var _ Source = (*FaultSource)(nil)

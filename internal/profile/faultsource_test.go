@@ -33,7 +33,7 @@ func runFaulty(t *testing.T, seed int64) (*lut.Table, *Report) {
 	src := NewFaultSource(NewSimSource(net, platform.JetsonTX2Like()), testFaults(seed))
 	pol := robustFast()
 	pol.SampleTimeout = 5 * time.Millisecond // faster than the stall
-	tab, rep, err := RunFallible(context.Background(), net, src, Options{
+	tab, rep, err := RunContext(context.Background(), net, src, Options{
 		Mode: primitives.ModeGPGPU, Samples: 5, Robust: pol,
 	})
 	if err != nil {

@@ -28,22 +28,37 @@ import (
 	"repro/internal/primitives"
 )
 
-// Source supplies raw measurements: one per-layer latency sample under
-// a given primitive, and the compatibility costs. The platform
-// simulator and the real engine both implement it.
+// Source is the measurement contract of the inference phase: one
+// per-layer latency sample under a given primitive, and the
+// compatibility costs. The platform simulator, its energy model, the
+// real engine and the fault-injection harness all implement it.
+//
+// Real boards are not the simulator: a primitive can crash, a kernel
+// launch can hang, a timer can return garbage, so every measurement
+// may fail, and every measurement observes a context so a hung board
+// cannot wedge the pipeline. Implementations must return ctx.Err() once ctx
+// is done; the robust measurement layer relies on this for its
+// per-sample timeout and for graceful shutdown. A value returned
+// beside a non-nil error is meaningless.
 type Source interface {
-	// Sample returns one latency observation (seconds) of running
-	// layer i of the network with primitive p; sample indexes the
-	// input image for reproducibility.
-	Sample(i int, p *primitives.Primitive, sample int) float64
-	// EdgePenalty returns the compatibility cost of feeding the
+	// MeasureSample returns one latency observation (seconds) of
+	// running layer i of the network with primitive p; sample indexes
+	// the input image for reproducibility.
+	MeasureSample(ctx context.Context, i int, p *primitives.Primitive, sample int) (float64, error)
+	// MeasureEdgePenalty returns the compatibility cost of feeding the
 	// producer layer's output, computed by fp, into a consumer using
 	// tp.
-	EdgePenalty(producer int, fp, tp *primitives.Primitive) float64
-	// OutputPenalty returns the cost of returning the output layer's
-	// result to the host when computed by p.
-	OutputPenalty(output int, p *primitives.Primitive) float64
+	MeasureEdgePenalty(ctx context.Context, producer int, fp, tp *primitives.Primitive) (float64, error)
+	// MeasureOutputPenalty returns the cost of returning the output
+	// layer's result to the host when computed by p.
+	MeasureOutputPenalty(ctx context.Context, output int, p *primitives.Primitive) (float64, error)
 }
+
+// ValidObservation reports whether v is a physically meaningful
+// measurement: finite and non-negative, the invariant lut.Table
+// enforces at write time. The robust measurement layer rejects (and
+// retries) observations that fail it at the source boundary.
+func ValidObservation(v float64) bool { return lut.ValidSeconds(v) }
 
 // Options configures a profiling run.
 type Options struct {
@@ -68,24 +83,17 @@ func DefaultOptions(mode primitives.Mode) Options {
 }
 
 // Run executes the two-phase protocol and returns the populated table.
-// It is the non-cancellable strict entry point kept for existing
-// callers; RunContext adds cancellation and the degradation report.
+// It is the strict, non-cancellable entry point; RunContext adds
+// cancellation and the degradation report.
 func Run(net *nn.Network, src Source, opts Options) (*lut.Table, error) {
 	t, _, err := RunContext(context.Background(), net, src, opts)
 	return t, err
 }
 
 // RunContext executes the protocol under a context. With Options.Robust
-// set, the run is fault-tolerant and the returned Report records every
-// retry, rejection and exclusion; with Robust nil the report only
-// carries identification fields. The report is non-nil whenever the
-// run got past argument validation, even on error.
-func RunContext(ctx context.Context, net *nn.Network, src Source, opts Options) (*lut.Table, *Report, error) {
-	return RunFallible(ctx, net, AsFallible(src), opts)
-}
-
-// RunFallible is RunContext for sources that report measurement
-// errors. It implements the fault-tolerance tentpole:
+// nil any failed or invalid observation is an immediate error and the
+// report only carries identification fields. With Robust set the run
+// is fault-tolerant:
 //
 //   - every measurement goes through the Robust policy (timeout, retry
 //     with backoff, validity checking at the source boundary);
@@ -94,7 +102,10 @@ func RunContext(ctx context.Context, net *nn.Network, src Source, opts Options) 
 //     the Report — the search proceeds on a reduced-but-valid table;
 //   - the run errors only when a layer has no surviving candidate, an
 //     edge has no measurable pair, or the context is canceled.
-func RunFallible(ctx context.Context, net *nn.Network, src FallibleSource, opts Options) (*lut.Table, *Report, error) {
+//
+// The report is non-nil whenever the run got past argument validation,
+// even on error.
+func RunContext(ctx context.Context, net *nn.Network, src Source, opts Options) (*lut.Table, *Report, error) {
 	if opts.Samples <= 0 {
 		return nil, nil, fmt.Errorf("profile: Samples must be positive, got %d", opts.Samples)
 	}
@@ -224,6 +235,7 @@ func supports(l *nn.Layer, p *primitives.Primitive, mode primitives.Mode) bool {
 }
 
 // SimSource adapts the platform cost model to the Source interface.
+// The model never fails, so a measurement errs only on a done context.
 type SimSource struct {
 	Net      *nn.Network
 	Platform *platform.Platform
@@ -234,23 +246,23 @@ func NewSimSource(net *nn.Network, pl *platform.Platform) *SimSource {
 	return &SimSource{Net: net, Platform: pl}
 }
 
-// Sample returns one noisy simulated measurement.
-func (s *SimSource) Sample(i int, p *primitives.Primitive, sample int) float64 {
-	return s.Platform.Sample(s.Net.Layers[i], p, sample)
+// MeasureSample returns one noisy simulated measurement.
+func (s *SimSource) MeasureSample(ctx context.Context, i int, p *primitives.Primitive, sample int) (float64, error) {
+	return s.Platform.Sample(s.Net.Layers[i], p, sample), ctx.Err()
 }
 
-// EdgePenalty returns the simulated compatibility cost.
-func (s *SimSource) EdgePenalty(producer int, fp, tp *primitives.Primitive) float64 {
-	return compat.Penalty(s.Platform, s.Net.Layers[producer], fp, tp)
+// MeasureEdgePenalty returns the simulated compatibility cost.
+func (s *SimSource) MeasureEdgePenalty(ctx context.Context, producer int, fp, tp *primitives.Primitive) (float64, error) {
+	return compat.Penalty(s.Platform, s.Net.Layers[producer], fp, tp), ctx.Err()
 }
 
-// OutputPenalty returns the simulated host-return cost.
-func (s *SimSource) OutputPenalty(output int, p *primitives.Primitive) float64 {
-	return compat.OutputPenalty(s.Platform, s.Net.Layers[output], p)
+// MeasureOutputPenalty returns the simulated host-return cost.
+func (s *SimSource) MeasureOutputPenalty(ctx context.Context, output int, p *primitives.Primitive) (float64, error) {
+	return compat.OutputPenalty(s.Platform, s.Net.Layers[output], p), ctx.Err()
 }
 
 // SimEnergySource is SimSource measuring joules instead of seconds:
-// the platform's energy model behind the plain Source contract, so an
+// the platform's energy model behind the same Source contract, so an
 // energy table is profiled by the same protocol, options and Robust
 // policy as the latency table.
 type SimEnergySource SimSource
@@ -260,17 +272,17 @@ func NewSimEnergySource(net *nn.Network, pl *platform.Platform) *SimEnergySource
 	return &SimEnergySource{Net: net, Platform: pl}
 }
 
-// Sample returns one noisy simulated energy measurement.
-func (s *SimEnergySource) Sample(i int, p *primitives.Primitive, sample int) float64 {
-	return s.Platform.SampleEnergy(s.Net.Layers[i], p, sample)
+// MeasureSample returns one noisy simulated energy measurement.
+func (s *SimEnergySource) MeasureSample(ctx context.Context, i int, p *primitives.Primitive, sample int) (float64, error) {
+	return s.Platform.SampleEnergy(s.Net.Layers[i], p, sample), ctx.Err()
 }
 
-// EdgePenalty returns the simulated compatibility energy.
-func (s *SimEnergySource) EdgePenalty(producer int, fp, tp *primitives.Primitive) float64 {
-	return compat.EnergyPenalty(s.Platform, s.Net.Layers[producer], fp, tp)
+// MeasureEdgePenalty returns the simulated compatibility energy.
+func (s *SimEnergySource) MeasureEdgePenalty(ctx context.Context, producer int, fp, tp *primitives.Primitive) (float64, error) {
+	return compat.EnergyPenalty(s.Platform, s.Net.Layers[producer], fp, tp), ctx.Err()
 }
 
-// OutputPenalty returns the simulated host-return energy.
-func (s *SimEnergySource) OutputPenalty(output int, p *primitives.Primitive) float64 {
-	return compat.OutputEnergyPenalty(s.Platform, s.Net.Layers[output], p)
+// MeasureOutputPenalty returns the simulated host-return energy.
+func (s *SimEnergySource) MeasureOutputPenalty(ctx context.Context, output int, p *primitives.Primitive) (float64, error) {
+	return compat.OutputEnergyPenalty(s.Platform, s.Net.Layers[output], p), ctx.Err()
 }

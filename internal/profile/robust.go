@@ -68,6 +68,17 @@ func DefaultRobust() *Robust {
 	}
 }
 
+// RobustFor returns the policy a run measures under: pol, or
+// DefaultRobust when pol is nil and faults are injected. Injected
+// faults without a recovery policy would just fail the run, so a
+// fault-injected run always takes the robust path.
+func RobustFor(pol *Robust, faults *FaultConfig) *Robust {
+	if pol == nil && faults != nil {
+		return DefaultRobust()
+	}
+	return pol
+}
+
 // minValid returns the number of valid samples required out of n.
 func (r *Robust) minValid(n int) int {
 	frac := r.MinValidFrac

@@ -16,12 +16,12 @@ import (
 	"repro/internal/primitives"
 )
 
-// scriptedSource is a FallibleSource with per-call programmable
-// behavior, layered over the simulator for realistic clean values.
+// scriptedSource is a Source with per-call programmable behavior,
+// layered over the simulator for realistic clean values.
 // The attempt counter is mutex-protected: a timed-out attempt's
 // goroutine may still be touching the map when the retry starts.
 type scriptedSource struct {
-	clean FallibleSource
+	clean Source
 	// sample intercepts MeasureSample; nil passes through.
 	sample func(ctx context.Context, i int, p *primitives.Primitive, s, attempt int) (float64, bool, error)
 	mu     sync.Mutex
@@ -32,7 +32,7 @@ func newScripted(t *testing.T, f func(ctx context.Context, i int, p *primitives.
 	t.Helper()
 	net := smallNet(t)
 	return &scriptedSource{
-		clean:  AsFallible(NewSimSource(net, platform.JetsonTX2Like())),
+		clean:  NewSimSource(net, platform.JetsonTX2Like()),
 		sample: f,
 		calls:  map[string]int{},
 	}
@@ -81,7 +81,7 @@ func TestRetryAbsorbsTransientErrors(t *testing.T) {
 		}
 		return 0, false, nil
 	})
-	tab, rep, err := RunFallible(context.Background(), net, src, Options{
+	tab, rep, err := RunContext(context.Background(), net, src, Options{
 		Mode: primitives.ModeCPU, Samples: 3, Robust: robustFast(),
 	})
 	if err != nil {
@@ -111,7 +111,7 @@ func TestInvalidObservationsRejectedAndRetried(t *testing.T) {
 		}
 		return 0, false, nil
 	})
-	tab, rep, err := RunFallible(context.Background(), net, src, Options{
+	tab, rep, err := RunContext(context.Background(), net, src, Options{
 		Mode: primitives.ModeCPU, Samples: 4, Robust: robustFast(),
 	})
 	if err != nil {
@@ -143,7 +143,7 @@ func TestTimeoutBoundsStalledMeasurement(t *testing.T) {
 	pol := robustFast()
 	pol.SampleTimeout = 20 * time.Millisecond
 	start := time.Now()
-	_, rep, err := RunFallible(context.Background(), net, src, Options{
+	_, rep, err := RunContext(context.Background(), net, src, Options{
 		Mode: primitives.ModeCPU, Samples: 2, Robust: pol,
 	})
 	if err != nil {
@@ -179,7 +179,7 @@ func TestDegradationDropsPersistentlyFailingPrimitive(t *testing.T) {
 		}
 		return 0, false, nil
 	})
-	tab, rep, err := RunFallible(context.Background(), net, src, Options{
+	tab, rep, err := RunContext(context.Background(), net, src, Options{
 		Mode: primitives.ModeCPU, Samples: 3, Robust: robustFast(),
 	})
 	if err != nil {
@@ -221,7 +221,7 @@ func TestNoSurvivingCandidateErrors(t *testing.T) {
 		}
 		return 0, false, nil
 	})
-	_, rep, err := RunFallible(context.Background(), net, src, Options{
+	_, rep, err := RunContext(context.Background(), net, src, Options{
 		Mode: primitives.ModeCPU, Samples: 2, Robust: robustFast(),
 	})
 	if err == nil || !strings.Contains(err.Error(), "no surviving primitive") {
@@ -243,7 +243,7 @@ func TestRobustAggregationRejectsSpikes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := AsFallible(NewSimSource(net, noiseless))
+	clean := NewSimSource(net, noiseless)
 	spiky := newScripted(t, nil)
 	spiky.clean = clean
 	spiky.sample = func(ctx context.Context, i int, p *primitives.Primitive, s, attempt int) (float64, bool, error) {
@@ -253,7 +253,7 @@ func TestRobustAggregationRejectsSpikes(t *testing.T) {
 		}
 		return v, true, err
 	}
-	tab, rep, err := RunFallible(context.Background(), net, spiky, Options{
+	tab, rep, err := RunContext(context.Background(), net, spiky, Options{
 		Mode: primitives.ModeCPU, Samples: 20, Robust: robustFast(),
 	})
 	if err != nil {
@@ -272,9 +272,9 @@ func TestRobustAggregationRejectsSpikes(t *testing.T) {
 	}
 }
 
-// TestRunFallibleCancellation: a canceled context aborts promptly with
+// TestRunContextCancellation: a canceled context aborts promptly with
 // the context error rather than degrading.
-func TestRunFallibleCancellation(t *testing.T) {
+func TestRunContextCancellation(t *testing.T) {
 	net := smallNet(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
@@ -285,7 +285,7 @@ func TestRunFallibleCancellation(t *testing.T) {
 		}
 		return 0, false, nil
 	})
-	_, _, err := RunFallible(ctx, net, src, Options{
+	_, _, err := RunContext(ctx, net, src, Options{
 		Mode: primitives.ModeCPU, Samples: 3, Robust: robustFast(),
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -323,7 +323,7 @@ func TestStrictModeRejectsInvalidObservation(t *testing.T) {
 		}
 		return 0, false, nil
 	})
-	_, _, err := RunFallible(context.Background(), net, src, Options{Mode: primitives.ModeCPU, Samples: 2})
+	_, _, err := RunContext(context.Background(), net, src, Options{Mode: primitives.ModeCPU, Samples: 2})
 	if err == nil || !strings.Contains(err.Error(), "invalid observation") {
 		t.Fatalf("err = %v, want invalid-observation error", err)
 	}
@@ -339,11 +339,11 @@ func TestEnergyProfileDegradesLikeTime(t *testing.T) {
 	cfg := DefaultFaults(42)
 	cfg.PermanentRate = 0.2
 	opts := Options{Mode: primitives.ModeGPGPU, Samples: 5, Robust: robustFast()}
-	tt, trep, err := RunFallible(context.Background(), net, NewFaultSource(NewSimSource(net, pl), cfg), opts)
+	tt, trep, err := RunContext(context.Background(), net, NewFaultSource(NewSimSource(net, pl), cfg), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	et, erep, err := RunFallible(context.Background(), net, NewFaultSource(NewSimEnergySource(net, pl), cfg), opts)
+	et, erep, err := RunContext(context.Background(), net, NewFaultSource(NewSimEnergySource(net, pl), cfg), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,9 @@
 // drive it with a fake clock instead of sleeping.
 //
 // The pieces compose with the fault-tolerant profiling pipeline from
-// internal/profile: GuardSource wraps a profile.FallibleSource so that
-// an open breaker fast-fails measurements with a NoRetry error, which
-// profile.Robust treats as non-retryable and profile.RunFallible turns
+// internal/profile: GuardSource wraps a profile.Source so that an open
+// breaker fast-fails measurements with a NoRetry error, which
+// profile.Robust treats as non-retryable and profile.RunContext turns
 // into lut.DropCandidate degradation — the tripped library's candidates
 // drop out of the search space instead of pinning the job.
 package resilience

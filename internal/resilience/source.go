@@ -7,23 +7,23 @@ import (
 	"repro/internal/profile"
 )
 
-// GuardSource wraps a FallibleSource with per-library circuit breakers
+// GuardSource wraps a profile.Source with per-library circuit breakers
 // from set. Each measurement first consults the breaker(s) for the
 // libraries it touches: if any is open the measurement fast-fails with
 // an *OpenError (NoRetry, so profile.Robust does not retry it and
-// profile.RunFallible degrades the candidate via lut.DropCandidate).
+// profile.RunContext degrades the candidate via lut.DropCandidate).
 // Otherwise the measurement runs and its outcome is recorded — except
 // when the caller's context was the cause of the failure, which is
 // reported to no breaker: the caller giving up is not evidence about
 // the source.
-func GuardSource(set *BreakerSet, platform string, src profile.FallibleSource) profile.FallibleSource {
+func GuardSource(set *BreakerSet, platform string, src profile.Source) profile.Source {
 	return &guardedSource{set: set, platform: platform, src: src}
 }
 
 type guardedSource struct {
 	set      *BreakerSet
 	platform string
-	src      profile.FallibleSource
+	src      profile.Source
 }
 
 // measure runs f under the breakers for libs (deduplicated: an edge
@@ -81,10 +81,10 @@ func (g *guardedSource) MeasureOutputPenalty(ctx context.Context, output int, p 
 	})
 }
 
-// WithHeartbeat wraps a FallibleSource so every completed measurement
+// WithHeartbeat wraps a profile.Source so every completed measurement
 // beats hb — the watchdog's signal that the profiling loop is making
 // progress. A hb of nil returns src unchanged.
-func WithHeartbeat(hb *Heartbeat, src profile.FallibleSource) profile.FallibleSource {
+func WithHeartbeat(hb *Heartbeat, src profile.Source) profile.Source {
 	if hb == nil {
 		return src
 	}
@@ -93,7 +93,7 @@ func WithHeartbeat(hb *Heartbeat, src profile.FallibleSource) profile.FallibleSo
 
 type beatingSource struct {
 	hb  *Heartbeat
-	src profile.FallibleSource
+	src profile.Source
 }
 
 func (b *beatingSource) MeasureSample(ctx context.Context, i int, p *primitives.Primitive, sample int) (float64, error) {

@@ -13,12 +13,12 @@ import (
 	"repro/internal/profile"
 )
 
-// failingLibSource decorates a FallibleSource so every sample
+// failingLibSource decorates a Source so every sample
 // measurement of one library fails — the "driver for this backend is
 // broken" scenario the breakers exist for. Calls are counted per
 // library so tests can prove fast-fails skipped the source entirely.
 type failingLibSource struct {
-	src   profile.FallibleSource
+	src   profile.Source
 	lib   primitives.Library
 	calls atomic.Int64 // measurements attempted against the broken lib
 }
@@ -44,7 +44,7 @@ func (f *failingLibSource) MeasureOutputPenalty(ctx context.Context, output int,
 // TestGuardSourceDegradation is the breaker ↔ profiling integration
 // check: a library whose every measurement fails trips its breaker,
 // later candidates of that library fast-fail without touching the
-// source (NoRetry, no retry burn), and RunFallible degrades by
+// source (NoRetry, no retry burn), and RunContext degrades by
 // dropping the candidates instead of aborting the run.
 func TestGuardSourceDegradation(t *testing.T) {
 	net, err := models.Build("lenet5")
@@ -53,7 +53,7 @@ func TestGuardSourceDegradation(t *testing.T) {
 	}
 	board, _ := platform.Preset("tx2-like")
 	sim := profile.NewSimSource(net, board)
-	failing := &failingLibSource{src: profile.AsFallible(sim), lib: primitives.NNPACK}
+	failing := &failingLibSource{src: sim, lib: primitives.NNPACK}
 
 	// The long cooldown keeps the breaker open for the whole run: after
 	// the trip every further NNPACK measurement must fast-fail (with a
@@ -67,13 +67,13 @@ func TestGuardSourceDegradation(t *testing.T) {
 	})
 	src := GuardSource(set, board.Name, failing)
 
-	tab, rep, err := profile.RunFallible(context.Background(), net, src, profile.Options{
+	tab, rep, err := profile.RunContext(context.Background(), net, src, profile.Options{
 		Mode:    primitives.ModeCPU,
 		Samples: 3,
 		Robust:  &profile.Robust{MaxRetries: 2},
 	})
 	if err != nil {
-		t.Fatalf("RunFallible should degrade, not fail: %v", err)
+		t.Fatalf("RunContext should degrade, not fail: %v", err)
 	}
 	if tab == nil {
 		t.Fatal("no table")

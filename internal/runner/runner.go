@@ -429,17 +429,12 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) (*BatchResult, er
 // simulator, optionally through the fault injector and the robust
 // measurement policy.
 func simProfile(pl *platform.Platform, robust *profile.Robust, faults *profile.FaultConfig) ProfileFunc {
+	robust = profile.RobustFor(robust, faults)
 	return func(ctx context.Context, net *nn.Network, mode primitives.Mode, samples int) (*lut.Table, *profile.Report, error) {
-		sim := profile.NewSimSource(net, pl)
-		var src profile.FallibleSource = profile.AsFallible(sim)
+		var src profile.Source = profile.NewSimSource(net, pl)
 		if faults != nil {
-			src = profile.NewFaultSource(sim, *faults)
-			if robust == nil {
-				// Injected faults without a recovery policy would just
-				// fail; a fault-injected run implies the robust path.
-				robust = profile.DefaultRobust()
-			}
+			src = profile.NewFaultSource(src, *faults)
 		}
-		return profile.RunFallible(ctx, net, src, profile.Options{Mode: mode, Samples: samples, Robust: robust})
+		return profile.RunContext(ctx, net, src, profile.Options{Mode: mode, Samples: samples, Robust: robust})
 	}
 }

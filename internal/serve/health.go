@@ -120,12 +120,12 @@ func (s *Server) lutStateFor(lutKey string) (stale bool, epoch int64, ok bool) {
 // one per build) is what lets injected drift persist across
 // re-profiles and be observed by canaries: the environment drifts,
 // not the run.
-func (s *Server) faultSource(lutKey string, sim profile.Source) *profile.FaultSource {
+func (s *Server) faultSource(lutKey string, src profile.Source) *profile.FaultSource {
 	s.faultMu.Lock()
 	defer s.faultMu.Unlock()
 	fs := s.faultSrcs[lutKey]
 	if fs == nil {
-		fs = profile.NewFaultSource(sim, *s.cfg.Faults)
+		fs = profile.NewFaultSource(src, *s.cfg.Faults)
 		fs.SetDriftRound(s.driftRound)
 		s.faultSrcs[lutKey] = fs
 	}
@@ -146,31 +146,23 @@ func (s *Server) AdvanceDrift() int64 {
 	return s.driftRound
 }
 
-// canarySource composes the measurement stack a canary re-measurement
-// runs through: the same simulator + fault injector + breaker guard a
-// real profiling run uses, so canaries observe exactly what a
-// re-profile would — including breaker fast-fails, whose half-open
-// probes the canaries double as.
-func (s *Server) canarySource(li *lutInfo) profile.FallibleSource {
-	sim := profile.NewSimSource(li.net, li.board)
-	var src profile.FallibleSource = profile.AsFallible(sim)
+// measureSource composes the measurement stack a profiling run and a
+// canary re-measurement share: the simulator, then the key's fault
+// injector, then the circuit breakers. Canaries thus observe exactly
+// what a re-profile would, including breaker fast-fails, whose
+// half-open probes the canaries double as.
+func (s *Server) measureSource(net *nn.Network, board *platform.Platform, lutKey, plat string) profile.Source {
+	var src profile.Source = profile.NewSimSource(net, board)
 	if s.cfg.Faults != nil {
-		src = s.faultSource(li.lutKey, sim)
+		// One injector per profiling key, shared across re-profiles and
+		// canary measurements: the (injected) environment drifts, not
+		// the individual run.
+		src = s.faultSource(lutKey, src)
 	}
 	if s.breakers != nil {
-		src = resilience.GuardSource(s.breakers, li.platform, src)
+		src = resilience.GuardSource(s.breakers, plat, src)
 	}
 	return src
-}
-
-// canaryPolicy mirrors profileJob's robust-policy selection so canary
-// estimates aggregate exactly like the baselines they are compared to.
-func (s *Server) canaryPolicy() *profile.Robust {
-	robust := s.cfg.Robust
-	if s.cfg.Faults != nil && robust == nil {
-		robust = profile.DefaultRobust()
-	}
-	return robust
 }
 
 // canaryEntry is one (layer, primitive) cell of a LUT's full candidate
@@ -220,8 +212,8 @@ func (s *Server) CanaryTick(ctx context.Context) health.TickStats {
 		s.lutMu.Unlock()
 		entries := canaryEntries(li)
 		idxs := health.CanaryIndices(s.hcfg.Seed, round, len(entries), s.hcfg.Size())
-		src := s.canarySource(li)
-		pol := s.canaryPolicy()
+		src := s.measureSource(li.net, li.board, li.lutKey, li.platform)
+		pol := profile.RobustFor(s.cfg.Robust, s.cfg.Faults)
 		for _, ix := range idxs {
 			if ctx.Err() != nil {
 				return st

@@ -55,7 +55,7 @@ func driftedReference(t *testing.T, body string, fc *profile.FaultConfig, round 
 	src.SetDriftRound(round)
 	// The server defaults to the robust policy whenever faults are
 	// configured; the reference must aggregate identically.
-	tab, _, err := profile.RunFallible(context.Background(), net, src,
+	tab, _, err := profile.RunContext(context.Background(), net, src,
 		profile.Options{Mode: spec.Mode, Samples: spec.Samples, Robust: profile.DefaultRobust()})
 	if err != nil {
 		t.Fatal(err)
@@ -480,8 +480,8 @@ func TestPlanTTLRevalidation(t *testing.T) {
 func TestReplayAssignment(t *testing.T) {
 	net := models.MustBuild("lenet5")
 	board, _ := platform.Preset("tx2-like")
-	tab, _, err := profile.RunFallible(context.Background(), net,
-		profile.AsFallible(profile.NewSimSource(net, board)),
+	tab, _, err := profile.RunContext(context.Background(), net,
+		profile.NewSimSource(net, board),
 		profile.Options{Mode: primitives.ModeCPU, Samples: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -222,14 +222,10 @@ type Server struct {
 	degradedEvicted atomic.Int64
 }
 
-// defaultProfile profiles on the platform simulator, optionally under
-// the robust measurement policy.
-func defaultProfile(robust *profile.Robust) ProfileFunc {
-	return func(ctx context.Context, net *nn.Network, board *platform.Platform, mode primitives.Mode, samples int) (*lut.Table, *profile.Report, error) {
-		sim := profile.NewSimSource(net, board)
-		return profile.RunFallible(ctx, net, profile.AsFallible(sim),
-			profile.Options{Mode: mode, Samples: samples, Robust: robust})
-	}
+// defaultProfile profiles on the platform simulator under the strict
+// protocol.
+func defaultProfile(ctx context.Context, net *nn.Network, board *platform.Platform, mode primitives.Mode, samples int) (*lut.Table, *profile.Report, error) {
+	return profile.RunContext(ctx, net, profile.NewSimSource(net, board), profile.Options{Mode: mode, Samples: samples})
 }
 
 // New builds a Server, reopens its durable store, re-admits every job
@@ -291,7 +287,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Breaker != nil {
 		bcfg := *cfg.Breaker
 		if bcfg.Exempt == nil {
-			// Vanilla is the degradation floor: RunFallible can drop any
+			// Vanilla is the degradation floor: RunContext can drop any
 			// other library's candidates, but an unmeasurable Vanilla
 			// fails the whole table, so its breaker never trips.
 			bcfg.Exempt = []string{primitives.Vanilla.String()}
@@ -1200,23 +1196,10 @@ func (s *Server) profileJobInner(j *job, hb *resilience.Heartbeat, net *nn.Netwo
 	if s.profileFn != nil {
 		return s.profileFn(j.ctx, net, board, spec.Mode, spec.Samples)
 	}
-	sim := profile.NewSimSource(net, board)
-	robust := s.cfg.Robust
-	var src profile.FallibleSource = profile.AsFallible(sim)
-	if s.cfg.Faults != nil {
-		// One injector per profiling key, shared across re-profiles and
-		// canary measurements: the (injected) environment drifts, not
-		// the individual run.
-		src = s.faultSource(spec.lutKey(), sim)
-		if robust == nil {
-			robust = profile.DefaultRobust()
-		}
-	}
-	if s.breakers != nil {
-		src = resilience.GuardSource(s.breakers, spec.Platform, src)
-	}
-	src = resilience.WithHeartbeat(hb, src)
-	return profile.RunFallible(j.ctx, net, src, profile.Options{Mode: spec.Mode, Samples: spec.Samples, Robust: robust})
+	src := resilience.WithHeartbeat(hb, s.measureSource(net, board, spec.lutKey(), spec.Platform))
+	return profile.RunContext(j.ctx, net, src, profile.Options{
+		Mode: spec.Mode, Samples: spec.Samples, Robust: profile.RobustFor(s.cfg.Robust, s.cfg.Faults),
+	})
 }
 
 // finishBestEffort completes a budget-exhausted job with its
@@ -1387,7 +1370,7 @@ func ReferencePlan(ctx context.Context, req OptimizeRequest, every int) (*PlanRe
 		return nil, nil, err
 	}
 	board, _ := platform.Preset(spec.Platform)
-	tab, _, err := defaultProfile(nil)(ctx, net, board, spec.Mode, spec.Samples)
+	tab, _, err := defaultProfile(ctx, net, board, spec.Mode, spec.Samples)
 	if err != nil {
 		return nil, nil, err
 	}

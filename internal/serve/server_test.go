@@ -57,7 +57,7 @@ func (c *countingProfile) fn() ProfileFunc {
 				return nil, nil, ctx.Err()
 			}
 		}
-		return defaultProfile(nil)(ctx, net, board, mode, samples)
+		return defaultProfile(ctx, net, board, mode, samples)
 	}
 }
 

@@ -96,7 +96,7 @@ func testTable(t *testing.T) (*jobSpec, *lut.Table) {
 	}
 	net := models.MustBuild(spec.Network)
 	board, _ := platform.Preset(spec.Platform)
-	tab, _, err := defaultProfile(nil)(context.Background(), net, board, spec.Mode, spec.Samples)
+	tab, _, err := defaultProfile(context.Background(), net, board, spec.Mode, spec.Samples)
 	if err != nil {
 		t.Fatal(err)
 	}

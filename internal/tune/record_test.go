@@ -80,7 +80,7 @@ func TestTunerRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	tab, _, err := profile.RunFallible(ctx, net, src, profile.Options{
+	tab, _, err := profile.RunContext(ctx, net, src, profile.Options{
 		Mode: primitives.ModeCPU, Samples: 3,
 	})
 	if err != nil {
