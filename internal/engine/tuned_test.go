@@ -130,3 +130,55 @@ func TestMeasureTuned(t *testing.T) {
 		t.Error("cancelled MeasureTuned should fail")
 	}
 }
+
+// TestMeasureSampleRunsTunedConfig pins that profiling a tuned twin
+// times the config SetTuned recorded for it, not the defaults. The
+// config is observed through what the timed execution allocates: the
+// source hands the kernel no scratch, so ConvIm2row allocates its
+// ConvIm2rowScratch workspace, which a one-row panel makes far smaller
+// than the default whole-matrix one.
+func TestMeasureSampleRunsTunedConfig(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	primitives.EnableTunedVariants()
+	net := testNet(t)
+	e := New(net, 1, 1.0)
+	src, err := NewSource(e, testInput(net, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := primitives.POpenIm2row
+	twinID, ok := primitives.TunedOf(base.Idx)
+	if !ok {
+		t.Fatal("no tuned twin for openblas-gemm-im2row")
+	}
+	i := net.LayerIndex("conv1")
+	cfg := kernels.ConvTuned{Panel: 1}
+	e.SetTuned(i, twinID, cfg)
+	ctx := context.Background()
+	// bytes returns the fewest bytes one of three measurements allocates.
+	bytes := func(measure func() (float64, error)) int64 {
+		least := int64(-1)
+		for r := 0; r < 3; r++ {
+			b, _ := allocated(func() {
+				if _, err := measure(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if least < 0 || b < least {
+				least = b
+			}
+		}
+		return least
+	}
+	twin := bytes(func() (float64, error) { return src.MeasureSample(ctx, i, primitives.ByID(twinID), 0) })
+	tuned := bytes(func() (float64, error) { return src.MeasureTuned(ctx, i, base, cfg) })
+	plain := bytes(func() (float64, error) { return src.MeasureTuned(ctx, i, base, kernels.ConvTuned{}) })
+	if tuned >= plain {
+		t.Fatalf("the one-row panel allocates %d bytes, the default %d: the config is not observable", tuned, plain)
+	}
+	if twin != tuned {
+		t.Errorf("profiling the twin allocated %d bytes, its recorded config %d and the default %d: the twin did not run its config", twin, tuned, plain)
+	}
+}

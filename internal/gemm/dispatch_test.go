@@ -57,17 +57,20 @@ func specialSlice(rng *rand.Rand, n int) []float32 {
 // bit, tile for tile, under every stride the GEMM hands it: A rows at
 // lda = k or k+3, B read as a packed panel (ldb = NR) or in place in a
 // wider matrix (ldb = n), the tile written to a tile buffer (ldc = NR)
-// or into a wider C (ldc = n), stored or added. Inputs and C mix in
-// -0, ±Inf, NaN and subnormals; k covers 0 (all sums +0) and depths
-// that would expose accumulation-order or FMA differences. Elements of
-// C outside the tile must come back untouched. NaN results match as a
-// class (see sameBits). A packing kernel (Kernel.packs) gets A packed
-// and B as a panel only.
+// or into a wider C (ldc = n), under every start: stored bare, added to
+// C, or added to a row bias (broadcast per row) or a column bias (one
+// vector for every row). Inputs, C and the biases mix in -0, ±Inf, NaN
+// and subnormals; k covers 0 (all sums +0) and depths that would
+// expose accumulation-order or FMA differences. Elements of C outside
+// the tile must come back untouched. NaN results match as a class (see
+// sameBits). A packing kernel (Kernel.packs) gets A packed and B as a
+// panel only.
 func TestMicroKernelVariantsMatchGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, kn := range variants {
 		mr, nr := kn.MR, kn.NR
 		n := 2*nr + 5
+		rowBias, colBias := specialSlice(rng, mr), specialSlice(rng, nr)
 		for _, k := range []int{0, 1, 2, 3, 7, 64, 513} {
 			for _, lda := range []int{k, k + 3} {
 				a := specialSlice(rng, (mr-1)*lda+k)
@@ -83,14 +86,15 @@ func TestMicroKernelVariantsMatchGeneric(t *testing.T) {
 					b := specialSlice(rng, max(0, (k-1)*ldb+nr))
 					for _, ldc := range []int{nr, n} {
 						c0 := specialSlice(rng, (mr-1)*ldc+nr)
-						for _, add := range []bool{false, true} {
+						for _, how := range []string{"bare", "C", "row bias", "column bias"} {
 							got := append([]float32(nil), c0...)
 							want := append([]float32(nil), c0...)
-							kn.micro(k, ak, lda, b, ldb, got, ldc, add)
-							microTileGeneric(k, mr, nr, a, lda, b, ldb, want, ldc, add)
+							gotSt, wantSt := tileStart(how, got, ldc, rowBias, colBias), tileStart(how, want, ldc, rowBias, colBias)
+							kn.micro(k, ak, lda, b, ldb, got, ldc, gotSt)
+							microTileGeneric(k, mr, nr, a, lda, b, ldb, want, ldc, wantSt)
 							if !sameBits(got, want) {
-								t.Errorf("%s k=%d lda=%d ldb=%d ldc=%d add=%v: not bit-identical to generic Go:\n got %v\nwant %v",
-									kn.Name, k, lda, ldb, ldc, add, got, want)
+								t.Errorf("%s k=%d lda=%d ldb=%d ldc=%d start=%s: not bit-identical to generic Go:\n got %v\nwant %v",
+									kn.Name, k, lda, ldb, ldc, how, got, want)
 							}
 						}
 					}
@@ -98,6 +102,21 @@ func TestMicroKernelVariantsMatchGeneric(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tileStart returns the start the GEMM hands a micro-kernel for the
+// named case: none, the tile's own C (row stride ldc), or a row or
+// column bias.
+func tileStart(how string, c []float32, ldc int, rowBias, colBias []float32) start {
+	switch how {
+	case "C":
+		return start{v: c, rs: ldc, cs: 1}
+	case "row bias":
+		return start{v: rowBias, rs: 1}
+	case "column bias":
+		return start{v: colBias, cs: 1}
+	}
+	return start{}
 }
 
 // TestDispatchVariantsBitEqual is the cross-ISA contract: for every
@@ -114,11 +133,11 @@ func TestDispatchVariantsBitEqual(t *testing.T) {
 		b := randomSlice(rng, k*n)
 		c0 := randomSlice(rng, m*n)
 		want := append([]float32(nil), c0...)
-		blockedKernel(fallbackKernel, m, n, k, a, b, nil, want, 1, 0, 0, nil)
+		blockedKernel(fallbackKernel, m, n, k, a, b, nil, want, Bias{}, 1, 0, 0, nil)
 		for _, kn := range variants {
 			for _, w := range []int{1, 3, 8} {
 				got := append([]float32(nil), c0...)
-				blockedKernel(kn, m, n, k, a, b, nil, got, w, 0, 0, nil)
+				blockedKernel(kn, m, n, k, a, b, nil, got, Bias{}, w, 0, 0, nil)
 				if !bitEqual(want, got) {
 					t.Errorf("%s %dx%dx%d workers=%d: not bit-identical to pure-Go fallback", kn.Name, m, n, k, w)
 				}
@@ -131,7 +150,7 @@ func TestDispatchVariantsBitEqual(t *testing.T) {
 // it reads packed strips and panels only (Kernel.packs). It runs the
 // packing path of the GEMM loop on hosts without NEON.
 var packedGo8x8 = &Kernel{Name: "packed-go-8x8", MR: 8, NR: 8, packs: true, rows: goRows,
-	micro: func(k int, a []float32, _ int, b []float32, _ int, c []float32, ldc int, add bool) {
+	micro: func(k int, a []float32, _ int, b []float32, _ int, c []float32, ldc int, st start) {
 		var t [64]float32
 		for ii := 0; ii < 8; ii++ {
 			for jj := 0; jj < 8; jj++ {
@@ -142,7 +161,7 @@ var packedGo8x8 = &Kernel{Name: "packed-go-8x8", MR: 8, NR: 8, packs: true, rows
 				t[ii*8+jj] = s
 			}
 		}
-		storeTile(8, 8, 8, t[:], c, ldc, add)
+		storeTile(8, 8, 8, t[:], c, ldc, st)
 	}}
 
 // TestPackingKernelPathBitEqual runs the GEMM loop's packing path
@@ -155,15 +174,15 @@ func TestPackingKernelPathBitEqual(t *testing.T) {
 		m, n, k := dims[0], dims[1], dims[2]
 		a, b, c0 := randomSlice(rng, m*k), randomSlice(rng, k*n), randomSlice(rng, m*n)
 		want := append([]float32(nil), c0...)
-		blockedKernel(fallbackKernel, m, n, k, a, b, nil, want, 1, 0, 0, nil)
+		blockedKernel(fallbackKernel, m, n, k, a, b, nil, want, Bias{}, 1, 0, 0, nil)
 		for _, w := range []int{1, 3} {
 			got := append([]float32(nil), c0...)
-			blockedKernel(packedGo8x8, m, n, k, a, b, nil, got, w, 0, 0, nil)
+			blockedKernel(packedGo8x8, m, n, k, a, b, nil, got, Bias{}, w, 0, 0, nil)
 			if !bitEqual(want, got) {
 				t.Errorf("%dx%dx%d workers=%d: packing path differs from the fallback", m, n, k, w)
 			}
 			got = append(got[:0], c0...)
-			blockedKernel(packedGo8x8, m, n, k, a, nil, matrixPacker{n, b}, got, w, 0, 0, nil)
+			blockedKernel(packedGo8x8, m, n, k, a, nil, matrixPacker{n, b}, got, Bias{}, w, 0, 0, nil)
 			if !bitEqual(want, got) {
 				t.Errorf("%dx%dx%d workers=%d: packing path through a Packer differs from the fallback", m, n, k, w)
 			}
@@ -184,10 +203,10 @@ func FuzzDispatchKernelsBitEqual(f *testing.F) {
 		b := randomSlice(rng, k*n)
 		c0 := randomSlice(rng, m*n)
 		want := append([]float32(nil), c0...)
-		blockedKernel(fallbackKernel, m, n, k, a, b, nil, want, 1, 0, 0, nil)
+		blockedKernel(fallbackKernel, m, n, k, a, b, nil, want, Bias{}, 1, 0, 0, nil)
 		for _, kn := range variants {
 			got := append([]float32(nil), c0...)
-			blockedKernel(kn, m, n, k, a, b, nil, got, 4, 0, 0, nil)
+			blockedKernel(kn, m, n, k, a, b, nil, got, Bias{}, 4, 0, 0, nil)
 			if !bitEqual(want, got) {
 				t.Fatalf("%s %dx%dx%d: not bit-identical to pure-Go fallback", kn.Name, m, n, k)
 			}
@@ -236,7 +255,7 @@ func TestDisableSIMDKnob(t *testing.T) {
 	Parallel(m, n, k, a, b, want, 4) // fallback active
 	for _, kn := range variants {
 		got := append([]float32(nil), c0...)
-		blockedKernel(kn, m, n, k, a, b, nil, got, 4, 0, 0, nil)
+		blockedKernel(kn, m, n, k, a, b, nil, got, Bias{}, 4, 0, 0, nil)
 		if !bitEqual(want, got) {
 			t.Errorf("%s: disabled-SIMD result not bit-identical to %s", kn.Name, ActiveKernel())
 		}

@@ -19,15 +19,18 @@ import (
 //	sum over p ascending of one float32 multiply then one float32 add,
 //	starting from +0,
 //
-// with no fused multiply-add and no reassociation, and then either
-// stores that sum or adds it to C once, as c = c + sum. Per-element
-// rounding therefore never depends on the tile shape or on whether an
-// operand is read in place or from a packed copy, so Parallel produces
-// byte-identical C under every Kernel, each matching the pure-Go
-// fallback exactly (pinned by the dispatch equality tests; a NaN
-// result is pinned as a class, since its sign and payload follow an
-// operand order Go's compiler does not fix). This is why the AVX2 and
-// NEON kernels use mul+add pairs rather than FMA: FMA skips the
+// with no fused multiply-add and no reassociation, and then stores it
+// once, either bare (c = sum) or added to its start value as
+// c = start + sum (see start): C itself when the tile accumulates, or a
+// row or column bias on a tile's first k-block. A bias start therefore
+// rounds exactly as filling C with the bias and then adding the sum
+// does. Per-element rounding never depends on the tile shape or on
+// whether an operand is read in place or from a packed copy, so
+// Parallel produces byte-identical C under every Kernel, each matching
+// the pure-Go fallback exactly (pinned by the dispatch equality tests;
+// a NaN result is pinned as a class, since its sign and payload follow
+// an operand order Go's compiler does not fix). This is why the AVX2
+// and NEON kernels use mul+add pairs rather than FMA: FMA skips the
 // intermediate rounding and would break the contract. The pure-Go
 // kernels write each product float32(a*b) for the same reason: the
 // explicit conversion keeps the compiler from fusing it into the add,
@@ -40,9 +43,9 @@ type Kernel struct {
 	MR, NR int
 	// micro reduces one MR x NR tile over k steps. It reads A row ii,
 	// step p at a[ii*lda+p] and B step p, column jj at b[p*ldb+jj], and
-	// writes tile row ii to c[ii*ldc:]: with add it sets c = c + sum,
-	// otherwise c = sum. k may be 0, when every sum is +0.
-	micro func(k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, add bool)
+	// writes tile row ii to c[ii*ldc:] as st + sum (see start). k may be
+	// 0, when every sum is +0.
+	micro func(k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, st start)
 	// packs marks a micro that reads packed operands only: A as a
 	// p-major strip of MR values per step (lda unused) and B as an
 	// NR-wide panel (ldb = NR). The GEMM then packs every strip and
@@ -131,23 +134,35 @@ func setKernelForTest(k *Kernel) func() {
 	return func() { active.Store(prev) }
 }
 
+// start is the value a micro-kernel adds each tile sum to as it stores
+// it: element (ii, jj) is stored as v[ii*rs+jj*cs] + sum, or as the
+// bare sum when v is nil. The GEMM passes C itself (rs = ldc, cs = 1)
+// to accumulate into C, a row bias (rs = 1, cs = 0) or a column bias
+// (rs = 0, cs = 1) on a tile's first k-block, and no start for a tile
+// buffer. cs is 0 or 1, which is what lets the asm kernels broadcast a
+// row start or load a vector of column starts. This is the tile-store
+// hook: the one place a tile's sums meet anything but each other.
+type start struct {
+	v      []float32
+	rs, cs int
+}
+
 // microTileGeneric is the shape-generic pure-Go reduction: the
 // reference every specialized micro-kernel (any geometry, any ISA) is
 // tested against tile for tile. Each element accumulates from +0 in
-// ascending p order with separate multiply and add, then is stored or
-// added to C once, exactly the contract above.
-func microTileGeneric(k, mr, nr int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, add bool) {
+// ascending p order with separate multiply and add, then is stored
+// once, bare or added to its start, exactly the contract above.
+func microTileGeneric(k, mr, nr int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, st start) {
 	for ii := 0; ii < mr; ii++ {
 		for jj := 0; jj < nr; jj++ {
 			var s float32
 			for p := 0; p < k; p++ {
 				s += float32(a[ii*lda+p] * b[p*ldb+jj])
 			}
-			if add {
-				c[ii*ldc+jj] += s
-			} else {
-				c[ii*ldc+jj] = s
+			if st.v != nil {
+				s = st.v[ii*st.rs+jj*st.cs] + s
 			}
+			c[ii*ldc+jj] = s
 		}
 	}
 }

@@ -4,10 +4,11 @@ package gemm
 // rows of A and one NR-wide panel of B, each read through a stride:
 // element (ii, jj) accumulates sum_p a[ii*lda+p] * b[p*ldb+jj] in
 // strictly ascending p order, one multiply and one separate add per
-// step, from +0, and is then stored to c[ii*ldc+jj] or added to it
-// once — the bit-equality contract stated on Kernel. The strides let
-// the GEMM hand a kernel a strip of A and a panel of a row-major B
-// where they already sit, and let a full tile land in C directly.
+// step, from +0, and is then stored to c[ii*ldc+jj] once, bare or added
+// to its start value (C itself, or a row or column bias) — the
+// bit-equality contract stated on Kernel. The strides let the GEMM hand
+// a kernel a strip of A and a panel of a row-major B where they already
+// sit, and let a full tile land in C directly.
 //
 // Per architecture, hand-written implementations register themselves
 // behind the dispatch layer (see kernel.go): SSE and AVX2 versions on
@@ -21,17 +22,19 @@ package gemm
 // tile for tile, TestDispatchVariantsBitEqual end to end).
 
 // storeTile writes the rows x cols corner of tile t (row stride nr)
-// to c (row stride ldc): c = c + t when add is set, else c = t.
-func storeTile(rows, cols, nr int, t, c []float32, ldc int, add bool) {
+// to c (row stride ldc), each element added to its start: c = st + t,
+// or c = t when st has no values.
+func storeTile(rows, cols, nr int, t, c []float32, ldc int, st start) {
 	for ii := 0; ii < rows; ii++ {
 		crow := c[ii*ldc : ii*ldc+cols]
 		trow := t[ii*nr : ii*nr+cols]
-		if !add {
+		if st.v == nil {
 			copy(crow, trow)
 			continue
 		}
+		v := st.v[ii*st.rs:]
 		for jj := range crow {
-			crow[jj] += trow[jj]
+			crow[jj] = v[jj*st.cs] + trow[jj]
 		}
 	}
 }
@@ -40,7 +43,7 @@ func storeTile(rows, cols, nr int, t, c []float32, ldc int, add bool) {
 // dispatch uses (QSDNN_DISABLE_SIMD, non-SIMD builds) and the
 // reference the SSE kernel is tested against. It takes the strides of
 // the Kernel.micro contract.
-func microTileGo(k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, add bool) {
+func microTileGo(k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, st start) {
 	var c00, c01, c02, c03, c04, c05, c06, c07 float32
 	var c10, c11, c12, c13, c14, c15, c16, c17 float32
 	var c20, c21, c22, c23, c24, c25, c26, c27 float32
@@ -92,5 +95,5 @@ func microTileGo(k int, a []float32, lda int, b []float32, ldb int, c []float32,
 		c20, c21, c22, c23, c24, c25, c26, c27,
 		c30, c31, c32, c33, c34, c35, c36, c37,
 	}
-	storeTile(4, 8, 8, t[:], c, ldc, add)
+	storeTile(4, 8, 8, t[:], c, ldc, st)
 }

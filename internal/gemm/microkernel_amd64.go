@@ -6,11 +6,11 @@ import "unsafe"
 
 // microKernelSSE is implemented in microkernel_amd64.s. It computes a
 // 4x8 tile sum_p a[ii*lda+p]*b[p*ldb+jj] with SSE packed single ops
-// and stores it to, or adds it into, c[ii*ldc+jj], bit-identical to
-// microTileGo (see microkernel.go).
+// and stores it to c[ii*ldc+jj] under the store mode (see storeMode),
+// bit-identical to microTileGo (see microkernel.go).
 //
 //go:noescape
-func microKernelSSE(k int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, add bool)
+func microKernelSSE(k int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, v *float32, rs int, mode int)
 
 // microKernelAVX2 is implemented in microkernel_amd64.s. It computes
 // an 8x8 tile with YMM mul+add pairs (no FMA — the bit-equality
@@ -18,7 +18,32 @@ func microKernelSSE(k int, a *float32, lda int, b *float32, ldb int, c *float32,
 // to microTileGeneric.
 //
 //go:noescape
-func microKernelAVX2(k int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, add bool)
+func microKernelAVX2(k int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, v *float32, rs int, mode int)
+
+// The asm kernels' store modes: the bare sum; st.v row ii (rs elements
+// apart, a vector of column starts) plus the sum; or st.v[ii*rs]
+// broadcast across the row plus the sum.
+const (
+	storeSum = iota
+	storeVector
+	storeBroadcast
+)
+
+// storeMode resolves st for an mr x nr asm tile, bounds-checking the
+// last start value it reads.
+func storeMode(mr, nr int, st start) (v *float32, rs, mode int) {
+	switch {
+	case st.v == nil:
+		return nil, 0, storeSum
+	case st.cs == 0:
+		_ = st.v[(mr-1)*st.rs]
+		return &st.v[0], st.rs, storeBroadcast
+	case st.cs == 1:
+		_ = st.v[(mr-1)*st.rs+nr-1]
+		return &st.v[0], st.rs, storeVector
+	}
+	panic("gemm: tile start column stride must be 0 or 1")
+}
 
 // checkTile panics unless the mr x nr tile over k steps lies inside a,
 // b and c under their strides: the asm kernels index unchecked. With
@@ -32,15 +57,17 @@ func checkTile(k, mr, nr int, a []float32, lda int, b []float32, ldb int, c []fl
 }
 
 // microTileSSE adapts the SSE asm kernel to the dispatch signature.
-func microTileSSE(k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, add bool) {
+func microTileSSE(k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, st start) {
 	checkTile(k, 4, 8, a, lda, b, ldb, c, ldc)
-	microKernelSSE(k, unsafe.SliceData(a), lda, unsafe.SliceData(b), ldb, &c[0], ldc, add)
+	v, rs, mode := storeMode(4, 8, st)
+	microKernelSSE(k, unsafe.SliceData(a), lda, unsafe.SliceData(b), ldb, &c[0], ldc, v, rs, mode)
 }
 
 // microTileAVX2 adapts the AVX2 asm kernel to the dispatch signature.
-func microTileAVX2(k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, add bool) {
+func microTileAVX2(k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, st start) {
 	checkTile(k, 8, 8, a, lda, b, ldb, c, ldc)
-	microKernelAVX2(k, unsafe.SliceData(a), lda, unsafe.SliceData(b), ldb, &c[0], ldc, add)
+	v, rs, mode := storeMode(8, 8, st)
+	microKernelAVX2(k, unsafe.SliceData(a), lda, unsafe.SliceData(b), ldb, &c[0], ldc, v, rs, mode)
 }
 
 // registerArchKernels registers the amd64 kernels: SSE is baseline on

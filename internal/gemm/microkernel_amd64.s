@@ -3,14 +3,17 @@
 #include "textflag.h"
 
 // Both kernels read A row ii, step p at a[ii*lda+p] and B step p at
-// b[p*ldb:], and write tile row ii to c[ii*ldc:]: with add set they
-// load that row of C and store C + tile, otherwise they store the tile.
-// Strides arrive in elements and are scaled to bytes on entry. The C
-// row is loaded into a register first so the add computes C + tile,
-// the operand order of the Go code's c += t, which decides whose NaN
-// a NaN result carries.
+// b[p*ldb:], and write tile row ii to c[ii*ldc:] under the store mode
+// (storeMode in microkernel_amd64.go): 0 stores the tile; 1 loads row
+// ii of the start, v[ii*rs:], and stores start + tile; 2 broadcasts
+// v[ii*rs] across the row and stores start + tile. Mode 1 with v = c
+// and rs = ldc accumulates into C; mode 1 with rs = 0 adds a column
+// bias, mode 2 with rs = 1 a row bias. Strides arrive in elements and
+// are scaled to bytes on entry. The start is loaded into a register
+// first so the add computes start + tile, the operand order of the Go
+// code's c = start + t, which decides whose NaN a NaN result carries.
 
-// func microKernelSSE(k int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, add bool)
+// func microKernelSSE(k int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, v *float32, rs int, mode int)
 //
 // SSE 4x8 micro-kernel. Eight XMM accumulators hold the 4x8 tile
 // (X0/X1 = row 0 cols 0-3/4-7, ..., X6/X7 = row 3). Per k step: load
@@ -20,19 +23,22 @@
 // order — the same operation sequence as microTileGo, so the results
 // are bit-identical (MULPS/ADDPS are lane-wise IEEE single ops).
 // SSE is baseline on amd64, so no feature detection is needed.
-TEXT ·microKernelSSE(SB), NOSPLIT, $0-57
-	MOVQ    k+0(FP), CX
-	MOVQ    a+8(FP), SI
-	MOVQ    lda+16(FP), R8
-	MOVQ    b+24(FP), DI
-	MOVQ    ldb+32(FP), R11
-	MOVQ    c+40(FP), DX
-	MOVQ    ldc+48(FP), R12
-	MOVBLZX add+56(FP), AX
-	SHLQ    $2, R8
-	LEAQ    (R8)(R8*2), R9 // 3*lda bytes: row 3
-	SHLQ    $2, R11
-	SHLQ    $2, R12
+TEXT ·microKernelSSE(SB), NOSPLIT, $0-80
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R8
+	MOVQ b+24(FP), DI
+	MOVQ ldb+32(FP), R11
+	MOVQ c+40(FP), DX
+	MOVQ ldc+48(FP), R12
+	MOVQ v+56(FP), BX
+	MOVQ rs+64(FP), R13
+	MOVQ mode+72(FP), AX
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R9 // 3*lda bytes: row 3
+	SHLQ $2, R11
+	SHLQ $2, R12
+	SHLQ $2, R13
 
 	XORPS X0, X0
 	XORPS X1, X1
@@ -88,38 +94,10 @@ loop:
 	JNZ  loop
 
 store:
-	TESTQ AX, AX
-	JZ    storeonly
-	MOVUPS (DX), X8
-	ADDPS  X0, X8
-	MOVUPS 16(DX), X9
-	ADDPS  X1, X9
-	MOVUPS X8, (DX)
-	MOVUPS X9, 16(DX)
-	ADDQ   R12, DX
-	MOVUPS (DX), X8
-	ADDPS  X2, X8
-	MOVUPS 16(DX), X9
-	ADDPS  X3, X9
-	MOVUPS X8, (DX)
-	MOVUPS X9, 16(DX)
-	ADDQ   R12, DX
-	MOVUPS (DX), X8
-	ADDPS  X4, X8
-	MOVUPS 16(DX), X9
-	ADDPS  X5, X9
-	MOVUPS X8, (DX)
-	MOVUPS X9, 16(DX)
-	ADDQ   R12, DX
-	MOVUPS (DX), X8
-	ADDPS  X6, X8
-	MOVUPS 16(DX), X9
-	ADDPS  X7, X9
-	MOVUPS X8, (DX)
-	MOVUPS X9, 16(DX)
-	RET
+	CMPQ AX, $1
+	JEQ  storevector
+	JGT  storebcast
 
-storeonly:
 	MOVUPS X0, (DX)
 	MOVUPS X1, 16(DX)
 	ADDQ   R12, DX
@@ -133,7 +111,77 @@ storeonly:
 	MOVUPS X7, 16(DX)
 	RET
 
-// func microKernelAVX2(k int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, add bool)
+storevector:
+	MOVUPS (BX), X8
+	ADDPS  X0, X8
+	MOVUPS 16(BX), X9
+	ADDPS  X1, X9
+	MOVUPS X8, (DX)
+	MOVUPS X9, 16(DX)
+	ADDQ   R12, DX
+	ADDQ   R13, BX
+	MOVUPS (BX), X8
+	ADDPS  X2, X8
+	MOVUPS 16(BX), X9
+	ADDPS  X3, X9
+	MOVUPS X8, (DX)
+	MOVUPS X9, 16(DX)
+	ADDQ   R12, DX
+	ADDQ   R13, BX
+	MOVUPS (BX), X8
+	ADDPS  X4, X8
+	MOVUPS 16(BX), X9
+	ADDPS  X5, X9
+	MOVUPS X8, (DX)
+	MOVUPS X9, 16(DX)
+	ADDQ   R12, DX
+	ADDQ   R13, BX
+	MOVUPS (BX), X8
+	ADDPS  X6, X8
+	MOVUPS 16(BX), X9
+	ADDPS  X7, X9
+	MOVUPS X8, (DX)
+	MOVUPS X9, 16(DX)
+	RET
+
+storebcast:
+	MOVSS  (BX), X8
+	SHUFPS $0x00, X8, X8
+	MOVAPS X8, X9
+	ADDPS  X0, X8
+	ADDPS  X1, X9
+	MOVUPS X8, (DX)
+	MOVUPS X9, 16(DX)
+	ADDQ   R12, DX
+	ADDQ   R13, BX
+	MOVSS  (BX), X8
+	SHUFPS $0x00, X8, X8
+	MOVAPS X8, X9
+	ADDPS  X2, X8
+	ADDPS  X3, X9
+	MOVUPS X8, (DX)
+	MOVUPS X9, 16(DX)
+	ADDQ   R12, DX
+	ADDQ   R13, BX
+	MOVSS  (BX), X8
+	SHUFPS $0x00, X8, X8
+	MOVAPS X8, X9
+	ADDPS  X4, X8
+	ADDPS  X5, X9
+	MOVUPS X8, (DX)
+	MOVUPS X9, 16(DX)
+	ADDQ   R12, DX
+	ADDQ   R13, BX
+	MOVSS  (BX), X8
+	SHUFPS $0x00, X8, X8
+	MOVAPS X8, X9
+	ADDPS  X6, X8
+	ADDPS  X7, X9
+	MOVUPS X8, (DX)
+	MOVUPS X9, 16(DX)
+	RET
+
+// func microKernelAVX2(k int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, v *float32, rs int, mode int)
 //
 // AVX2 8x8 micro-kernel. Eight YMM accumulators hold the 8x8 tile
 // (Y0 = row 0, ..., Y7 = row 7, eight floats per register). Per k
@@ -147,20 +195,23 @@ storeonly:
 // multiply-add skips the intermediate rounding and would break the
 // cross-kernel bit-equality contract (kernel.go). Callers gate on
 // hasAVX2 (CPUID + XGETBV), so no runtime check here.
-TEXT ·microKernelAVX2(SB), NOSPLIT, $0-57
-	MOVQ    k+0(FP), CX
-	MOVQ    a+8(FP), SI
-	MOVQ    lda+16(FP), R8
-	MOVQ    b+24(FP), DI
-	MOVQ    ldb+32(FP), R11
-	MOVQ    c+40(FP), DX
-	MOVQ    ldc+48(FP), R12
-	MOVBLZX add+56(FP), AX
-	SHLQ    $2, R8
-	LEAQ    (R8)(R8*2), R9  // 3*lda bytes
-	LEAQ    (SI)(R8*4), R10 // row 4
-	SHLQ    $2, R11
-	SHLQ    $2, R12
+TEXT ·microKernelAVX2(SB), NOSPLIT, $0-80
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R8
+	MOVQ b+24(FP), DI
+	MOVQ ldb+32(FP), R11
+	MOVQ c+40(FP), DX
+	MOVQ ldc+48(FP), R12
+	MOVQ v+56(FP), BX
+	MOVQ rs+64(FP), R13
+	MOVQ mode+72(FP), AX
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R9  // 3*lda bytes
+	LEAQ (SI)(R8*4), R10 // row 4
+	SHLQ $2, R11
+	SHLQ $2, R12
+	SHLQ $2, R13
 
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
@@ -209,46 +260,77 @@ avx2loop:
 	JNZ  avx2loop
 
 avx2store:
-	LEAQ  (R12)(R12*2), R9 // 3*ldc bytes
-	LEAQ  (DX)(R12*4), R10 // row 4 of C
-	TESTQ AX, AX
-	JZ    avx2storeonly
+	LEAQ (R12)(R12*2), R9 // 3*ldc bytes
+	LEAQ (DX)(R12*4), R10 // row 4 of C
+	LEAQ (R13)(R13*2), R8 // 3*rs bytes
+	LEAQ (BX)(R13*4), R11 // row 4 of the start
+	CMPQ AX, $1
+	JEQ  avx2vector
+	JGT  avx2bcast
 
-	VMOVUPS (DX), Y8
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y1, (DX)(R12*1)
+	VMOVUPS Y2, (DX)(R12*2)
+	VMOVUPS Y3, (DX)(R9*1)
+	VMOVUPS Y4, (R10)
+	VMOVUPS Y5, (R10)(R12*1)
+	VMOVUPS Y6, (R10)(R12*2)
+	VMOVUPS Y7, (R10)(R9*1)
+	VZEROUPPER
+	RET
+
+avx2vector:
+	VMOVUPS (BX), Y8
 	VADDPS  Y0, Y8, Y0
 	VMOVUPS Y0, (DX)
-	VMOVUPS (DX)(R12*1), Y8
+	VMOVUPS (BX)(R13*1), Y8
 	VADDPS  Y1, Y8, Y1
 	VMOVUPS Y1, (DX)(R12*1)
-	VMOVUPS (DX)(R12*2), Y8
+	VMOVUPS (BX)(R13*2), Y8
 	VADDPS  Y2, Y8, Y2
 	VMOVUPS Y2, (DX)(R12*2)
-	VMOVUPS (DX)(R9*1), Y8
+	VMOVUPS (BX)(R8*1), Y8
 	VADDPS  Y3, Y8, Y3
 	VMOVUPS Y3, (DX)(R9*1)
-	VMOVUPS (R10), Y8
+	VMOVUPS (R11), Y8
 	VADDPS  Y4, Y8, Y4
 	VMOVUPS Y4, (R10)
-	VMOVUPS (R10)(R12*1), Y8
+	VMOVUPS (R11)(R13*1), Y8
 	VADDPS  Y5, Y8, Y5
 	VMOVUPS Y5, (R10)(R12*1)
-	VMOVUPS (R10)(R12*2), Y8
+	VMOVUPS (R11)(R13*2), Y8
 	VADDPS  Y6, Y8, Y6
 	VMOVUPS Y6, (R10)(R12*2)
-	VMOVUPS (R10)(R9*1), Y8
+	VMOVUPS (R11)(R8*1), Y8
 	VADDPS  Y7, Y8, Y7
 	VMOVUPS Y7, (R10)(R9*1)
 	VZEROUPPER
 	RET
 
-avx2storeonly:
-	VMOVUPS Y0, (DX)
-	VMOVUPS Y1, (DX)(R12*1)
-	VMOVUPS Y2, (DX)(R12*2)
-	VMOVUPS Y3, (DX)(R9*1)
-	VMOVUPS Y4, (R10)
-	VMOVUPS Y5, (R10)(R12*1)
-	VMOVUPS Y6, (R10)(R12*2)
-	VMOVUPS Y7, (R10)(R9*1)
+avx2bcast:
+	VBROADCASTSS (BX), Y8
+	VADDPS       Y0, Y8, Y0
+	VMOVUPS      Y0, (DX)
+	VBROADCASTSS (BX)(R13*1), Y8
+	VADDPS       Y1, Y8, Y1
+	VMOVUPS      Y1, (DX)(R12*1)
+	VBROADCASTSS (BX)(R13*2), Y8
+	VADDPS       Y2, Y8, Y2
+	VMOVUPS      Y2, (DX)(R12*2)
+	VBROADCASTSS (BX)(R8*1), Y8
+	VADDPS       Y3, Y8, Y3
+	VMOVUPS      Y3, (DX)(R9*1)
+	VBROADCASTSS (R11), Y8
+	VADDPS       Y4, Y8, Y4
+	VMOVUPS      Y4, (R10)
+	VBROADCASTSS (R11)(R13*1), Y8
+	VADDPS       Y5, Y8, Y5
+	VMOVUPS      Y5, (R10)(R12*1)
+	VBROADCASTSS (R11)(R13*2), Y8
+	VADDPS       Y6, Y8, Y6
+	VMOVUPS      Y6, (R10)(R12*2)
+	VBROADCASTSS (R11)(R8*1), Y8
+	VADDPS       Y7, Y8, Y7
+	VMOVUPS      Y7, (R10)(R9*1)
 	VZEROUPPER
 	RET

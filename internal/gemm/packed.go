@@ -24,6 +24,10 @@ import "repro/internal/pool"
 //     block by block into NR-wide panels (ldb = NR).
 //   - A full MR x NR tile is added straight into C (ldc = n). An edge
 //     tile goes to a tile buffer and only its in-range corner is added.
+//   - A bias (see Bias) is never written into C first: a tile's first
+//     k-block stores bias + sum, read from the bias where it sits (one
+//     value per row, or a vector per column), and later k-blocks add
+//     into C as usual.
 //
 // A variant whose kernel reads packed operands only (Kernel.packs,
 // neon-8x8) has every strip and panel packed instead.
@@ -39,7 +43,9 @@ import "repro/internal/pool"
 //
 // Correctness contract: with full-k blocks, every output element
 // C[i,j] is accumulated in strictly ascending p order into a single
-// register from +0, then added to C[i,j] once; which n-block holds
+// register from +0, then added to its start once — C[i,j] itself, or
+// the bias, in one add, exactly as when the bias is first copied into
+// C and the sum added to it; which n-block holds
 // column j, and whether its operands were read in place or from a
 // copy, changes nothing about that sum. Each MR-row strip of each block
 // is computed by the same strip function with the same inputs
@@ -106,18 +112,21 @@ func copyStripA(m, k, i0, mr, p0, kcb int, a, dst []float32) {
 // place, or from the front of ws when it must be copied (the last,
 // ragged strip, or every strip for a packing kernel). Each full panel
 // of a row-major B (b non-nil) is read in place, any other from its
-// slot in bpk (see packB). A full tile is added straight into C; an
+// slot in bpk (see packB). A full tile is stored straight into C; an
 // edge tile is reduced into the back of ws (MR*NR elements) and its
-// in-range corner added into C. This is the one unit of work the
-// workers partition; every worker count runs exactly this code on
-// exactly these inputs, which is what makes the output
-// worker-count-invariant. The edge tile lives in ws, not on the stack:
-// micro is a func value, so a stack tile would escape.
-func stripBlock(kn *Kernel, m, n, k, lo, hi, p0, kcb, j0, ncb int, a, b, bpk, c, ws []float32) {
+// in-range corner stored into C. Either store adds the tile to its
+// start: the bias on the first k-block (p0 == 0) when there is one, C
+// itself otherwise. This is the one unit of work the workers
+// partition; every worker count runs exactly this code on exactly
+// these inputs, which is what makes the output worker-count-invariant.
+// The edge tile lives in ws, not on the stack: micro is a func value,
+// so a stack tile would escape.
+func stripBlock(kn *Kernel, m, n, k, lo, hi, p0, kcb, j0, ncb int, a, b, bpk, c []float32, bias Bias, ws []float32) {
 	mr, nr := kn.MR, kn.NR
 	apk, t := ws[:kcb*mr], ws[len(ws)-mr*nr:]
 	np := (ncb + nr - 1) / nr
 	inPlace := b != nil && !kn.packs
+	biased := p0 == 0 && bias.V != nil
 	for i0 := lo * mr; i0 < hi*mr; i0 += mr {
 		rows := min(mr, m-i0)
 		as, lda := a[i0*k+p0:], k
@@ -136,12 +145,20 @@ func stripBlock(kn *Kernel, m, n, k, lo, hi, p0, kcb, j0, ncb int, a, b, bpk, c,
 			if inPlace && cols == nr {
 				bs, ldb = b[p0*n+c0:], n
 			}
+			ct := c[i0*n+c0:]
+			st := start{v: ct, rs: n, cs: 1}
+			switch {
+			case biased && bias.PerColumn:
+				st = start{v: bias.V[c0:], cs: 1}
+			case biased:
+				st = start{v: bias.V[i0:], rs: 1}
+			}
 			if rows == mr && cols == nr {
-				kn.micro(kcb, as, lda, bs, ldb, c[i0*n+c0:], n, true)
+				kn.micro(kcb, as, lda, bs, ldb, ct, n, st)
 				continue
 			}
-			kn.micro(kcb, as, lda, bs, ldb, t, nr, false)
-			storeTile(rows, cols, nr, t, c[i0*n+c0:], n, true)
+			kn.micro(kcb, as, lda, bs, ldb, t, nr, start{})
+			storeTile(rows, cols, nr, t, ct, n, st)
 		}
 	}
 }
@@ -217,6 +234,41 @@ type Packer interface {
 	PackB(p0, kcb, j0, ncb, nr int, dst []float32)
 }
 
+// Bias is the value a packed GEMM's output starts from. The zero value
+// starts from C: C = A*B + C. With V set the call computes
+// C = bias + A*B, C's prior contents unread: element (i, j) starts from
+// V[i], one value per row of C, or from V[j] when PerColumn is set, one
+// per column. Each element gets the bias in one add to its full sum (to
+// its first k-block's sum under KC blocking), so the result is
+// bit-identical to filling C with the bias and calling with a zero Bias.
+type Bias struct {
+	V         []float32
+	PerColumn bool
+}
+
+// size is the number of values the bias of an m x n C holds.
+func (b Bias) size(m, n int) int {
+	if b.PerColumn {
+		return n
+	}
+	return m
+}
+
+// fill sets the m x n matrix c to the bias alone: the product of an
+// empty reduction.
+func (b Bias) fill(m, n int, c []float32) {
+	for i := 0; i < m; i++ {
+		row := c[i*n : (i+1)*n]
+		if b.PerColumn {
+			copy(row, b.V[:n])
+			continue
+		}
+		for j := range row {
+			row[j] = b.V[i]
+		}
+	}
+}
+
 // Parallel computes C = A*B + C for row-major A (m x k), B (k x n),
 // C (m x n) with the packed, register-tiled algorithm, on at most
 // workers goroutines from a bounded pool. B is packed one
@@ -231,7 +283,7 @@ type Packer interface {
 // block, are clamped (see effectiveWorkers) — over-subscription only
 // adds latency.
 func Parallel(m, n, k int, a, b, c []float32, workers int) {
-	blockedKernel(activeKernel(), m, n, k, a, b, nil, c, workers, 0, 0, nil)
+	blockedKernel(activeKernel(), m, n, k, a, b, nil, c, Bias{}, workers, 0, 0, nil)
 }
 
 // blocking resolves the (kc, nc) block shape blockedKernel packs B in
@@ -311,16 +363,22 @@ func ScratchLen(m, n, k, workers int, cfg BlockConfig) int {
 // columns, or by strips of one shared block, with a completion barrier
 // per block. The result is bit-identical at every worker setting.
 // Splitting n alone keeps it bit-identical to one block; a split
-// reduction (kc < k) is not. scratch, when nil, is allocated; otherwise
-// it must hold the ScratchLen elements of the call and may hold
-// anything.
-func blockedKernel(kn *Kernel, m, n, k int, a, b []float32, pk Packer, c []float32, workers, kc, nc int, scratch []float32) {
+// reduction (kc < k) is not. A bias starts each element's first
+// block (see Bias). scratch, when nil, is allocated; otherwise it must
+// hold the ScratchLen elements of the call and may hold anything.
+func blockedKernel(kn *Kernel, m, n, k int, a, b []float32, pk Packer, c []float32, bias Bias, workers, kc, nc int, scratch []float32) {
 	checkDims("A", a, m*k)
 	if pk == nil {
 		checkDims("B", b, k*n)
 	}
 	checkDims("C", c, m*n)
+	if bias.V != nil {
+		checkDims("bias", bias.V, bias.size(m, n))
+	}
 	if m == 0 || n == 0 || k == 0 {
+		if bias.V != nil {
+			bias.fill(m, n, c) // an empty reduction leaves the bias
+		}
 		return // C += A*B adds nothing when the reduction is empty
 	}
 	kc, nc = blocking(kn, n, k, kc, nc)
@@ -334,13 +392,13 @@ func blockedKernel(kn *Kernel, m, n, k int, a, b []float32, pk Packer, c []float
 	strips := (m + kn.MR - 1) / kn.MR
 	switch {
 	case workers == 1:
-		columns(kn, m, n, k, 0, n, kc, nc, a, b, pk, c, bpk, ws)
+		columns(kn, m, n, k, 0, n, kc, nc, a, b, pk, c, bias, bpk, ws)
 	case byCols:
 		panels := (n + kn.NR - 1) / kn.NR
 		pool.Run(workers, workers, func(w int) {
 			j0, j1 := w*panels/workers*kn.NR, min((w+1)*panels/workers*kn.NR, n)
 			own := ws[w*per : (w+1)*per]
-			columns(kn, m, n, k, j0, j1, kc, nc, a, b, pk, c, own[:kc*nc], own[kc*nc:])
+			columns(kn, m, n, k, j0, j1, kc, nc, a, b, pk, c, bias, own[:kc*nc], own[kc*nc:])
 		})
 	default:
 		for j0 := 0; j0 < n; j0 += nc {
@@ -348,7 +406,7 @@ func blockedKernel(kn *Kernel, m, n, k int, a, b []float32, pk Packer, c []float
 			for p0 := 0; p0 < k; p0 += kc {
 				kcb := min(kc, k-p0)
 				packB(kn, n, p0, kcb, j0, ncb, b, pk, bpk)
-				fanOut(kn, m, n, k, strips, workers, p0, kcb, j0, ncb, a, b, bpk, c, ws)
+				fanOut(kn, m, n, k, strips, workers, p0, kcb, j0, ncb, a, b, bpk, c, bias, ws)
 			}
 		}
 	}
@@ -358,14 +416,14 @@ func blockedKernel(kn *Kernel, m, n, k int, a, b []float32, pk Packer, c []float
 // each (nc, kc) block of B in them it packs what is not read in place
 // into bpk and multiplies the block into every MR-row strip of C,
 // working in ws (one A strip and one tile).
-func columns(kn *Kernel, m, n, k, j0, j1, kc, nc int, a, b []float32, pk Packer, c, bpk, ws []float32) {
+func columns(kn *Kernel, m, n, k, j0, j1, kc, nc int, a, b []float32, pk Packer, c []float32, bias Bias, bpk, ws []float32) {
 	strips := (m + kn.MR - 1) / kn.MR
 	for ; j0 < j1; j0 += nc {
 		ncb := min(nc, j1-j0)
 		for p0 := 0; p0 < k; p0 += kc {
 			kcb := min(kc, k-p0)
 			packB(kn, n, p0, kcb, j0, ncb, b, pk, bpk)
-			stripBlock(kn, m, n, k, 0, strips, p0, kcb, j0, ncb, a, b, bpk, c, ws)
+			stripBlock(kn, m, n, k, 0, strips, p0, kcb, j0, ncb, a, b, bpk, c, bias, ws)
 		}
 	}
 }
@@ -391,10 +449,10 @@ func packB(kn *Kernel, n, p0, kcb, j0, ncb int, b []float32, pk Packer, bpk []fl
 // claiming a contiguous chunk: chunk boundaries depend only on
 // (strips, workers), never on scheduling, and worker w works in its own
 // per-worker slice of ws.
-func fanOut(kn *Kernel, m, n, k, strips, workers, p0, kcb, j0, ncb int, a, b, bpk, c, ws []float32) {
+func fanOut(kn *Kernel, m, n, k, strips, workers, p0, kcb, j0, ncb int, a, b, bpk, c []float32, bias Bias, ws []float32) {
 	per := len(ws) / workers
 	pool.Run(workers, workers, func(w int) {
 		lo, hi := w*strips/workers, (w+1)*strips/workers
-		stripBlock(kn, m, n, k, lo, hi, p0, kcb, j0, ncb, a, b, bpk, c, ws[w*per:(w+1)*per])
+		stripBlock(kn, m, n, k, lo, hi, p0, kcb, j0, ncb, a, b, bpk, c, bias, ws[w*per:(w+1)*per])
 	})
 }

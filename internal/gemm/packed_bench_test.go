@@ -3,7 +3,9 @@ package gemm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 )
 
 // benchGemm measures one GEMM backend at the given cube size.
@@ -47,7 +49,7 @@ func BenchmarkGEMMKernelVariants(b *testing.B) {
 		for _, size := range []int{128, 512} {
 			b.Run(fmt.Sprintf("%s/%d", kn.Name, size), func(b *testing.B) {
 				benchGemm(b, size, func(m, n, k int, a, bb, c []float32) {
-					blockedKernel(kn, m, n, k, a, bb, nil, c, 1, 0, 0, nil)
+					blockedKernel(kn, m, n, k, a, bb, nil, c, Bias{}, 1, 0, 0, nil)
 				})
 			})
 		}
@@ -65,6 +67,42 @@ func BenchmarkGEMMParallelCrossover(b *testing.B) {
 			benchGemm(b, size, func(m, n, k int, a, bb, c []float32) { Parallel(m, n, k, a, bb, c, 8) })
 		})
 	}
+}
+
+// BenchmarkParallelVsPacked times Parallel at the 512 cube with 8
+// requested workers against one worker, in alternating rounds that swap
+// which side runs first, and reports the ratio of their medians
+// (parallel8/packed). Report only: the fan-out rules that keep the
+// ratio near 1 on a small host are asserted deterministically by
+// TestParallelNotSlowerThanPackedGuard.
+func BenchmarkParallelVsPacked(b *testing.B) {
+	const size = 512
+	rng := rand.New(rand.NewSource(31))
+	a, bb, c := randomSlice(rng, size*size), randomSlice(rng, size*size), make([]float32, size*size)
+	timeOne := func(workers int) time.Duration {
+		start := time.Now()
+		Parallel(size, size, size, a, bb, c, workers)
+		return time.Since(start)
+	}
+	timeOne(1) // warm caches and the worker pool
+	timeOne(8)
+	packed, parallel := make([]time.Duration, 0, b.N), make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			packed = append(packed, timeOne(1))
+			parallel = append(parallel, timeOne(8))
+		} else {
+			parallel = append(parallel, timeOne(8))
+			packed = append(packed, timeOne(1))
+		}
+	}
+	slices.Sort(packed)
+	slices.Sort(parallel)
+	pk, pl := packed[b.N/2], parallel[b.N/2]
+	b.ReportMetric(float64(pk.Nanoseconds()), "packed-ns")
+	b.ReportMetric(float64(pl.Nanoseconds()), "parallel8-ns")
+	b.ReportMetric(float64(pl)/float64(pk), "parallel8/packed")
 }
 
 // pointwiseShapes are the (m, n, k) products the frozen MobileNet-v1
@@ -93,7 +131,7 @@ func BenchmarkGEMMPointwise(b *testing.B) {
 			scratch := make([]float32, ScratchLen(m, n, k, 1, BlockConfig{}))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ParallelCfg(m, n, k, a, bb, c, 1, BlockConfig{}, scratch)
+				ParallelCfg(m, n, k, a, bb, c, Bias{}, 1, BlockConfig{}, scratch)
 			}
 			b.ReportMetric(2*float64(m*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})

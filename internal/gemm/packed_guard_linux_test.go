@@ -49,9 +49,9 @@ func TestPackedGEMMStaysInsideItsOperands(t *testing.T) {
 						copy(b, b0)
 						what := fmt.Sprintf("%dx%dx%d cfg=%+v workers=%d atEnd=%v", m, n, k, cfg, w, atEnd)
 						copy(c, c0)
-						guarded(t, "ParallelCfg "+what, func() { ParallelCfg(m, n, k, a, b, c, w, cfg, scratch) })
+						guarded(t, "ParallelCfg "+what, func() { ParallelCfg(m, n, k, a, b, c, Bias{}, w, cfg, scratch) })
 						copy(c, c0)
-						guarded(t, "ParallelPacker "+what, func() { ParallelPacker(m, n, k, a, matrixPacker{n, b}, c, w, cfg, scratch) })
+						guarded(t, "ParallelPacker "+what, func() { ParallelPacker(m, n, k, a, matrixPacker{n, b}, c, Bias{}, w, cfg, scratch) })
 					}
 				}
 			}

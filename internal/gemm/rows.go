@@ -2,7 +2,9 @@ package gemm
 
 // Rows are the lane-wise loops of the memory-bound kernels that ride
 // the micro-kernel dispatch: ReLU, the per-channel BatchNorm affine of
-// an NCHW plane, and the pad-1 3x3 depth-wise plane. Each Kernel
+// an NCHW plane, the pad-1 3x3 depth-wise plane, and the stride-2
+// gather that lowers a strided conv's patch rows into the packed
+// GEMM's panels. Each Kernel
 // carries one Rows value, so the CPUID probe, QSDNN_DISABLE_SIMD and
 // ActiveKernel cover them exactly as they cover the GEMM tile: avx2-8x8
 // carries AVX2 rows, every other variant the pure-Go rows below, which
@@ -18,6 +20,8 @@ package gemm
 //   - Affine computes v*scale, rounds it, then adds shift. No FMA.
 //   - Depthwise3x3 starts from the bias and adds each valid tap in
 //     r-major, q-minor order as a rounded product then an add. No FMA.
+//   - Gather2 only moves values, so every bit pattern, signalling NaNs
+//     included, arrives unchanged.
 //
 // Every product that feeds a sum is written float32(x*y): an explicit
 // conversion forbids the compiler from fusing it into a multiply-add,
@@ -34,11 +38,18 @@ type Rows struct {
 	// ((w-1)/stride+1), k holds the nine taps row-major and b is the
 	// bias. dst must not overlap src.
 	Depthwise3x3 func(dst, src []float32, h, w, stride int, k []float32, b float32)
+	// Gather2 stores src[2*i] for every i < n into the nr-wide panels of
+	// a packed GEMM block, which start next elements apart (the layout a
+	// Packer fills): output i lands in column o+i, at
+	// dst[(o+i)/nr*next+(o+i)%nr]. It gathers the in-bounds run of a
+	// stride-2 patch row in one call. src must hold 2*n-1 elements, and
+	// dst must not overlap src.
+	Gather2 func(dst []float32, o, nr, next int, src []float32, n int)
 }
 
 // goRows are the pure-Go rows: the fallback every build has and the
 // reference every vector implementation is tested against.
-var goRows = &Rows{ReLU: reluGo, Affine: affineGo, Depthwise3x3: depthwise3x3Go}
+var goRows = &Rows{ReLU: reluGo, Affine: affineGo, Depthwise3x3: depthwise3x3Go, Gather2: gather2Go}
 
 // ActiveRows returns the dispatched kernel's rows.
 func ActiveRows() *Rows { return activeKernel().rows }
@@ -116,5 +127,23 @@ func depthwise3x3RowGo(dst, rows []float32, w, stride int, k []float32, b float3
 			}
 		}
 		dst[x] = sum
+	}
+}
+
+// gather2Go fills one panel's run of the row at a time.
+func gather2Go(dst []float32, o, nr, next int, src []float32, n int) {
+	if n == 0 {
+		return
+	}
+	dst, o = dst[o/nr*next:], o%nr
+	for n > 0 {
+		w := min(n, nr-o)
+		seg := dst[o : o+w]
+		for i := range seg {
+			seg[i] = src[2*i]
+		}
+		if n -= w; n > 0 {
+			dst, src, o = dst[next:], src[2*w:], 0
+		}
 	}
 }

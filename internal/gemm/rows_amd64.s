@@ -353,3 +353,30 @@ s2right:
 s2done:
 	VZEROUPPER
 	RET
+
+// func gather2RowAVX2(dst *float32, next int, src *float32, chunks int)
+//
+// chunks is positive. Per chunk: two loads take src[0:8] and src[8:16];
+// VSHUFPS picks lanes 0 and 2 of each 128-bit half of both, giving
+// s0 s2 s8 s10 | s4 s6 s12 s14, and VPERMPD puts the 64-bit pairs in
+// order, s0 s2 s4 s6 s8 s10 s12 s14. Only moves, so every bit pattern
+// survives.
+TEXT ·gather2RowAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ next+8(FP), DX
+	MOVQ src+16(FP), SI
+	MOVQ chunks+24(FP), CX
+	SHLQ $2, DX
+
+gather2loop:
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VSHUFPS $0x88, Y1, Y0, Y2
+	VPERMPD $0xd8, Y2, Y2
+	VMOVUPS Y2, (DI)
+	ADDQ    $64, SI
+	ADDQ    DX, DI
+	DECQ    CX
+	JNZ     gather2loop
+	VZEROUPPER
+	RET

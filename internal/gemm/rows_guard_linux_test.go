@@ -66,7 +66,9 @@ func guarded(t *testing.T, what string, f func()) {
 }
 
 // TestRowsStayInsideTheirPlane runs every variant's rows with source
-// and destination flush against an inaccessible page, at either end:
+// and destination flush against an inaccessible page, at either end
+// (Gather2 with its source exactly 2n-1 long and its panels ending at
+// the last output):
 // a row that reads or writes even one element outside its slices
 // faults, and the fault fails the test.
 func TestRowsStayInsideTheirPlane(t *testing.T) {
@@ -82,6 +84,17 @@ func TestRowsStayInsideTheirPlane(t *testing.T) {
 				copy(src, randomSlice(rng, n))
 				guarded(t, fmt.Sprintf("%s ReLU n=%d atEnd=%v", name, n, atEnd), func() { rows.ReLU(dst, src) })
 				guarded(t, fmt.Sprintf("%s Affine n=%d atEnd=%v", name, n, atEnd), func() { rows.Affine(dst, src, 0.5, 1) })
+			}
+			for n := 0; n <= 80; n++ {
+				for o := 0; o < 16; o++ {
+					for _, next := range []int{8, 40} {
+						src, dst := a.slice(0, max(0, 2*n-1), atEnd), a.slice(1, gather2Len(o, 8, next, n), atEnd)
+						copy(src, randomSlice(rng, len(src)))
+						guarded(t, fmt.Sprintf("%s Gather2 n=%d o=%d next=%d atEnd=%v", name, n, o, next, atEnd), func() {
+							rows.Gather2(dst, o, 8, next, src, n)
+						})
+					}
+				}
 			}
 			for h := 1; h <= 40; h += 3 {
 				for w := 1; w <= 40; w++ {

@@ -30,7 +30,8 @@ func edgeSlice(rng *rand.Rand, n int) []float32 {
 // AVX2 ones included when this host has them, against the pure-Go rows:
 // ReLU and Affine at every length up to 80 and every start offset mod
 // 8, in place and out of place; Depthwise3x3 at stride 1 and 2 on
-// every plane up to 20x20 and the MobileNet plane widths.
+// every plane up to 20x20 and the MobileNet plane widths; Gather2
+// against its defining formula (see TestGather2BitEqual).
 // TestRowsStayInsideTheirPlane checks that none reads or writes outside
 // its slices.
 func TestRowVariantsBitEqual(t *testing.T) {
@@ -80,6 +81,55 @@ func TestRowVariantsBitEqual(t *testing.T) {
 					rows.Depthwise3x3(got, src, h, w, stride, k, b)
 					if !bitEqual(want, got) {
 						t.Fatalf("%s Depthwise3x3 %dx%d stride %d: not bit-identical to the pure-Go row", name, h, w, stride)
+					}
+				}
+			}
+		}
+	}
+}
+
+// gather2Want is Gather2 by its definition, one output at a time.
+func gather2Want(dst []float32, o, nr, next int, src []float32, n int) {
+	for i := 0; i < n; i++ {
+		dst[(o+i)/nr*next+(o+i)%nr] = src[2*i]
+	}
+}
+
+// gather2Len is the dst length a Gather2 call reaches: one past its
+// last output.
+func gather2Len(o, nr, next, n int) int {
+	if n == 0 {
+		return 0
+	}
+	return (o+n-1)/nr*next + (o+n-1)%nr + 1
+}
+
+// TestGather2BitEqual runs every variant's Gather2, the AVX2 row
+// included when this host has it, against the defining formula: every
+// run length up to 80, every start column within the first two panels,
+// panels 8 apart and further, 4-wide panels (which the AVX2 row hands
+// to the Go row), source runs exactly 2n-1 long and longer, and values
+// of every float32 class. Elements of dst between the panels' rows must
+// come back untouched.
+func TestGather2BitEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, name := range KernelVariants() {
+		rows := VariantRows(name)
+		for _, nr := range []int{8, 4} {
+			for _, next := range []int{nr, 3 * nr, 27 * nr} {
+				for n := 0; n <= 80; n++ {
+					for o := 0; o < 2*nr; o++ {
+						for _, extra := range []int{0, 1, 9} {
+							src := edgeSlice(rng, max(0, 2*n-1)+extra)
+							stale := edgeSlice(rng, gather2Len(o, nr, next, n)+extra)
+							want := append([]float32(nil), stale...)
+							gather2Want(want, o, nr, next, src, n)
+							got := append([]float32(nil), stale...)
+							rows.Gather2(got, o, nr, next, src, n)
+							if !bitEqual(want, got) {
+								t.Fatalf("%s Gather2 n=%d o=%d nr=%d next=%d extra=%d: not bit-identical to its definition", name, n, o, nr, next, extra)
+							}
+						}
 					}
 				}
 			}

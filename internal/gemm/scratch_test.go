@@ -23,7 +23,7 @@ func ncOnlyBitIdentical(m, n, k, nc int, seed int64) string {
 	for _, name := range KernelVariants() {
 		for _, w := range []int{1, 2} {
 			got := append([]float32(nil), c0...)
-			ParallelCfg(m, n, k, a, b, got, w, BlockConfig{Kernel: name, NC: nc}, nil)
+			ParallelCfg(m, n, k, a, b, got, Bias{}, w, BlockConfig{Kernel: name, NC: nc}, nil)
 			if !bitEqual(want, got) {
 				return fmt.Sprintf("%s at %d workers", name, w)
 			}
@@ -101,9 +101,9 @@ func TestPackerMatchesMatrixRagged(t *testing.T) {
 			for _, cfg := range []BlockConfig{{Kernel: name}, {Kernel: name, KC: 5, NC: 16}, {Kernel: name, NC: 1 << 20}} {
 				for _, w := range []int{1, 4} {
 					want := append([]float32(nil), c0...)
-					ParallelCfg(m, n, k, a, b, want, w, cfg, nanSlice(ScratchLen(m, n, k, w, cfg)))
+					ParallelCfg(m, n, k, a, b, want, Bias{}, w, cfg, nanSlice(ScratchLen(m, n, k, w, cfg)))
 					got := append([]float32(nil), c0...)
-					ParallelPacker(m, n, k, a, matrixPacker{n, b}, got, w, cfg, nanSlice(ScratchLen(m, n, k, w, cfg)))
+					ParallelPacker(m, n, k, a, matrixPacker{n, b}, got, Bias{}, w, cfg, nanSlice(ScratchLen(m, n, k, w, cfg)))
 					if !sameBits(want, got) {
 						t.Errorf("%dx%dx%d cfg=%+v workers=%d: ParallelPacker differs from ParallelCfg", m, n, k, cfg, w)
 					}
@@ -138,16 +138,16 @@ func TestScratchIsWorkspaceOnly(t *testing.T) {
 		for _, cfg := range cfgs {
 			for _, w := range []int{1, 2} {
 				want := append([]float32(nil), c0...)
-				ParallelCfg(m, n, k, a, b, want, w, cfg, nil)
+				ParallelCfg(m, n, k, a, b, want, Bias{}, w, cfg, nil)
 				size := ScratchLen(m, n, k, w, cfg)
 				for _, scratch := range [][]float32{nanSlice(size), nanSlice(size + 37)} {
 					got := append([]float32(nil), c0...)
-					ParallelCfg(m, n, k, a, b, got, w, cfg, scratch)
+					ParallelCfg(m, n, k, a, b, got, Bias{}, w, cfg, scratch)
 					if !bitEqual(want, got) {
 						t.Errorf("%dx%dx%d cfg=%+v workers=%d scratch %d: ParallelCfg differs from nil scratch", m, n, k, cfg, w, len(scratch))
 					}
 					got = append(got[:0], c0...)
-					ParallelPacker(m, n, k, a, matrixPacker{n, b}, got, w, cfg, nanSlice(len(scratch)))
+					ParallelPacker(m, n, k, a, matrixPacker{n, b}, got, Bias{}, w, cfg, nanSlice(len(scratch)))
 					if !bitEqual(want, got) {
 						t.Errorf("%dx%dx%d cfg=%+v workers=%d scratch %d: ParallelPacker differs from ParallelCfg", m, n, k, cfg, w, len(scratch))
 					}
@@ -166,7 +166,7 @@ func TestShortScratchPanics(t *testing.T) {
 			t.Errorf("short scratch: recovered %v, want a scratch panic", r)
 		}
 	}()
-	ParallelCfg(m, n, k, make([]float32, m*k), make([]float32, k*n), make([]float32, m*n), 1, BlockConfig{},
+	ParallelCfg(m, n, k, make([]float32, m*k), make([]float32, k*n), make([]float32, m*n), Bias{}, 1, BlockConfig{},
 		make([]float32, ScratchLen(m, n, k, 1, BlockConfig{})-1))
 }
 
@@ -204,7 +204,7 @@ func TestParallelCfgScratchAllocatesNothing(t *testing.T) {
 	for _, cfg := range []BlockConfig{{}, {KC: 8, NC: 16}} {
 		scratch := make([]float32, ScratchLen(m, n, k, 1, cfg))
 		if allocs := testing.AllocsPerRun(20, func() {
-			ParallelCfg(m, n, k, a, b, c, 1, cfg, scratch)
+			ParallelCfg(m, n, k, a, b, c, Bias{}, 1, cfg, scratch)
 		}); allocs != 0 {
 			t.Errorf("cfg=%+v: %v allocations per call, want 0", cfg, allocs)
 		}
@@ -253,7 +253,7 @@ func TestColumnSplitBitIdentical(t *testing.T) {
 		c0 := randomSlice(rng, m*n)
 		for _, cfg := range []BlockConfig{{}, {NC: 100}, {KC: 16, NC: 64}} {
 			want := append([]float32(nil), c0...)
-			ParallelCfg(m, n, k, a, b, want, 1, cfg, nil)
+			ParallelCfg(m, n, k, a, b, want, Bias{}, 1, cfg, nil)
 			for _, w := range []int{2, 3} {
 				kn := kernelByName(cfg.Kernel)
 				_, nc := blocking(kn, n, k, cfg.KC, cfg.NC)
@@ -261,12 +261,12 @@ func TestColumnSplitBitIdentical(t *testing.T) {
 					t.Fatalf("%dx%dx%d cfg=%+v: split gives (%d, %v), not %d column runs", m, n, k, cfg, got, byCols, w)
 				}
 				got := append([]float32(nil), c0...)
-				ParallelCfg(m, n, k, a, b, got, w, cfg, nanSlice(ScratchLen(m, n, k, w, cfg)))
+				ParallelCfg(m, n, k, a, b, got, Bias{}, w, cfg, nanSlice(ScratchLen(m, n, k, w, cfg)))
 				if !bitEqual(want, got) {
 					t.Errorf("%dx%dx%d cfg=%+v workers=%d: ParallelCfg differs from 1 worker", m, n, k, cfg, w)
 				}
 				got = append(got[:0], c0...)
-				ParallelPacker(m, n, k, a, matrixPacker{n, b}, got, w, cfg, nanSlice(ScratchLen(m, n, k, w, cfg)))
+				ParallelPacker(m, n, k, a, matrixPacker{n, b}, got, Bias{}, w, cfg, nanSlice(ScratchLen(m, n, k, w, cfg)))
 				if !bitEqual(want, got) {
 					t.Errorf("%dx%dx%d cfg=%+v workers=%d: ParallelPacker differs from 1 worker", m, n, k, cfg, w)
 				}

@@ -63,28 +63,28 @@ func KernelShape(name string) (mr, nr int, ok bool) {
 	return 0, 0, false
 }
 
-// ParallelCfg computes C = A*B + C like Parallel, but through an
-// explicit BlockConfig: micro-kernel choice, optional KC/NC cache
-// blocking, and an optional worker override. A zero config is
-// bit-identical to Parallel(m, n, k, a, b, c, workers). scratch is the
-// call's workspace, as dst is a kernel's output: nil allocates one,
-// otherwise it must hold ScratchLen(m, n, k, workers, cfg) elements,
-// whose contents do not matter, and the call allocates nothing on one
-// worker.
-func ParallelCfg(m, n, k int, a, b, c []float32, workers int, cfg BlockConfig, scratch []float32) {
+// ParallelCfg computes C = A*B + C like Parallel, or C = bias + A*B
+// under a non-zero bias (see Bias), through an explicit BlockConfig:
+// micro-kernel choice, optional KC/NC cache blocking, and an optional
+// worker override. A zero config and a zero Bias are bit-identical to
+// Parallel(m, n, k, a, b, c, workers). scratch is the call's workspace,
+// as dst is a kernel's output: nil allocates one, otherwise it must
+// hold ScratchLen(m, n, k, workers, cfg) elements, whose contents do
+// not matter, and the call allocates nothing on one worker.
+func ParallelCfg(m, n, k int, a, b, c []float32, bias Bias, workers int, cfg BlockConfig, scratch []float32) {
 	if cfg.Workers > 0 {
 		workers = cfg.Workers
 	}
-	blockedKernel(kernelByName(cfg.Kernel), m, n, k, a, b, nil, c, workers, cfg.KC, cfg.NC, scratch)
+	blockedKernel(kernelByName(cfg.Kernel), m, n, k, a, b, nil, c, bias, workers, cfg.KC, cfg.NC, scratch)
 }
 
 // ParallelPacker is ParallelCfg with B supplied by pk, block by block,
 // instead of as a (k x n) matrix: a lowering that gathers straight into
 // the panel layout builds its patch matrix once rather than twice. The
 // result is bit-identical to ParallelCfg on the matrix pk describes.
-func ParallelPacker(m, n, k int, a []float32, pk Packer, c []float32, workers int, cfg BlockConfig, scratch []float32) {
+func ParallelPacker(m, n, k int, a []float32, pk Packer, c []float32, bias Bias, workers int, cfg BlockConfig, scratch []float32) {
 	if cfg.Workers > 0 {
 		workers = cfg.Workers
 	}
-	blockedKernel(kernelByName(cfg.Kernel), m, n, k, a, nil, pk, c, workers, cfg.KC, cfg.NC, scratch)
+	blockedKernel(kernelByName(cfg.Kernel), m, n, k, a, nil, pk, c, bias, workers, cfg.KC, cfg.NC, scratch)
 }

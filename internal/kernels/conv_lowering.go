@@ -96,10 +96,18 @@ func im2colRows(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int, 
 // m: a ((y1-y0)*ow) x (C*KH*KW) matrix, patch y*ow+x at row
 // (y-y0)*ow+x. Each patch's KW-wide kernel rows are gathered from input
 // row slices. Every entry is written, so the buffer reuses cleanly.
+// A pointwise conv's whole matrix is the transpose of the input sample
+// (C x H*W), built by one gemm.Transpose; a panel of its rows is a
+// column block of the sample, which Transpose does not take, so it is
+// gathered like any other.
 func im2rowRows(in *tensor.Tensor, n int, p nn.ConvParams, ow, y0, y1, workers int, m []float32) {
 	s := in.Shape()
 	ckk := s.C * p.KernelH * p.KernelW
 	src := sample(in, n)
+	if isPointwise(p) && y0 == 0 && y1 == s.H {
+		gemm.Transpose(s.C, s.H*s.W, src, m)
+		return
+	}
 	parFor(y1-y0, workers, func(yy int) {
 		y := y0 + yy
 		for x := 0; x < ow; x++ {
@@ -155,13 +163,20 @@ func isPointwise(p nn.ConvParams) bool {
 	return p.KernelH == 1 && p.KernelW == 1 && p.StrideH == 1 && p.StrideW == 1 && p.PadH == 0 && p.PadW == 0
 }
 
-// fillBias sets row oc of the OC x n matrix dst to bias[oc]: the
-// starting value the GEMM accumulates onto.
-func fillBias(dst, bias []float32, n int) {
-	for oc, b := range bias {
-		row := dst[oc*n : (oc+1)*n]
-		for i := range row {
-			row[i] = b
+// fillBias sets the m x n matrix dst to the values bias starts it
+// from: row i to bias.V[i], or every row to bias.V when the bias is per
+// column. It is the accumulator's start where the multiply takes none,
+// gemm.Naive and the sparse SpMM; the packed GEMM starts its tiles from
+// the bias itself.
+func fillBias(dst []float32, m, n int, bias gemm.Bias) {
+	for i := 0; i < m; i++ {
+		row := dst[i*n : (i+1)*n]
+		if bias.PerColumn {
+			copy(row, bias.V)
+			continue
+		}
+		for j := range row {
+			row[j] = bias.V[i]
 		}
 	}
 }
@@ -193,13 +208,17 @@ func (g Gemm) scratchLen(m, n, k, workers int) int {
 	return gemm.ScratchLen(m, n, k, workers, g.Block)
 }
 
-// mul computes C = A*B + C, working in scratch (scratchLen elements).
-func (g Gemm) mul(m, n, k int, a, b, c []float32, workers int, scratch []float32) {
+// mul computes C = A*B + C, or C = bias + A*B under a non-zero bias
+// (see gemm.Bias), working in scratch (scratchLen elements).
+func (g Gemm) mul(m, n, k int, a, b, c []float32, bias gemm.Bias, workers int, scratch []float32) {
 	if !g.Packed {
+		if bias.V != nil {
+			fillBias(c, m, n, bias)
+		}
 		gemm.Naive(m, n, k, a, b, c)
 		return
 	}
-	gemm.ParallelCfg(m, n, k, a, b, c, workers, g.Block, scratch)
+	gemm.ParallelCfg(m, n, k, a, b, c, bias, workers, g.Block, scratch)
 }
 
 // im2colPacker gathers one sample's im2col matrix (see Im2col) straight
@@ -219,11 +238,14 @@ type im2colPacker struct {
 // columns cover, finds the input row and tap offset once per output
 // row, and copies that row's taps into the nr-wide panels in chunks of
 // at most nr. A chunk whose taps all land inside the input row is a
-// strided copy; any other goes through gatherRow.
+// strided copy; any other goes through gatherRow. At stride 2 the first
+// such chunk instead starts one Gather2 row (gemm.Rows) over the rest of
+// the output row's in-bounds taps, across as many panels as they span.
 func (g *im2colPacker) PackB(p0, kcb, j0, ncb, nr int, dst []float32) {
 	p := g.p
 	kk := p.KernelH * p.KernelW
 	next := kcb * nr // from one panel to the next
+	gather2 := gemm.ActiveRows().Gather2
 	c, r, q := p0/kk, p0%kk/p.KernelW, p0%p.KernelW
 	for pp := 0; pp < kcb; pp++ {
 		plane := g.src[c*g.h*g.w : (c+1)*g.h*g.w]
@@ -240,6 +262,12 @@ func (g *im2colPacker) PackB(p0, kcb, j0, ncb, nr int, dst []float32) {
 					gatherRow(seg, row, p.StrideW, off)
 				case p.StrideW == 1:
 					copy(seg, row[off:])
+				case p.StrideW == 2:
+					n := min(end-j, (g.w-off+1)/2) // taps up to the row's end
+					gather2(dst[base:], jj, nr, next, row[off:], n)
+					j, off = j+n, off+2*n
+					base, jj = (j-j0)/nr*next+pp*nr, (j-j0)%nr
+					continue
 				default:
 					for i := range seg {
 						seg[i] = row[off+i*p.StrideW]
@@ -303,7 +331,8 @@ func ConvIm2colScratch(s tensor.Shape, p nn.ConvParams, mul Gemm, workers, panel
 }
 
 // ConvIm2col computes a dense convolution as W (OC x CKK) times the
-// im2col matrix (CKK x OHOW), using the selected GEMM, accumulating
+// im2col matrix (CKK x OHOW), using the selected GEMM, starting from
+// the bias of each output channel (one per GEMM row) and accumulating
 // straight into the output sample. Results are bit-identical at any
 // worker count.
 //
@@ -334,19 +363,19 @@ func ConvIm2col(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul 
 	ncols, ngemm := im2colParts(s, p, mul, workers, panel)
 	ws := workspace(scratch, ncols+ngemm)
 	cfg := panelBlock(mul.Block, panel, os.H, os.W)
+	start := gemm.Bias{V: bias}
 	for n := 0; n < s.N; n++ {
 		res := sample(out, n)
-		fillBias(res, bias, spatial)
 		switch {
 		case !mul.Packed && isPointwise(p):
-			gemm.Naive(p.OutChannels, spatial, ckk, w, sample(in, n), res)
+			mul.mul(p.OutChannels, spatial, ckk, w, sample(in, n), res, start, workers, nil)
 		case !mul.Packed:
 			im2colRows(in, n, p, os.H, os.W, workers, ws)
-			gemm.Naive(p.OutChannels, spatial, ckk, w, ws, res)
+			mul.mul(p.OutChannels, spatial, ckk, w, ws, res, start, workers, nil)
 		case isPointwise(p):
-			gemm.ParallelCfg(p.OutChannels, spatial, ckk, w, sample(in, n), res, workers, cfg, ws)
+			gemm.ParallelCfg(p.OutChannels, spatial, ckk, w, sample(in, n), res, start, workers, cfg, ws)
 		default:
-			gemm.ParallelPacker(p.OutChannels, spatial, ckk, w, packer(in, n, p, os.W), res, workers, cfg, ws)
+			gemm.ParallelPacker(p.OutChannels, spatial, ckk, w, packer(in, n, p, os.W), res, start, workers, cfg, ws)
 		}
 	}
 	return out
@@ -373,7 +402,8 @@ func ConvIm2rowScratch(s tensor.Shape, p nn.ConvParams, mul Gemm, workers, panel
 }
 
 // ConvIm2row computes a dense convolution as the im2row matrix
-// (OHOW x CKK) times W-transposed (CKK x OC), then transposes the
+// (OHOW x CKK) times W-transposed (CKK x OC), starting from the bias of
+// each output channel (one per GEMM column), then transposes the
 // result back into NCHW. The lowering is parallelized across patch-row
 // blocks (Im2row); results are bit-identical at any worker count. The
 // lowering and GEMM run over blocks of panel output rows (panel <= 0 or
@@ -404,10 +434,7 @@ func ConvIm2row(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul 
 			y1 := min(y0+panel, os.H)
 			prows := (y1 - y0) * os.W
 			im2rowRows(in, n, p, os.W, y0, y1, workers, rows)
-			for i := 0; i < prows; i++ {
-				copy(pres[i*p.OutChannels:(i+1)*p.OutChannels], bias)
-			}
-			mul.mul(prows, p.OutChannels, ckk, rows, wt, pres, workers, ws)
+			mul.mul(prows, p.OutChannels, ckk, rows, wt, pres, gemm.Bias{V: bias, PerColumn: true}, workers, ws)
 			for i := 0; i < prows; i++ {
 				for oc := 0; oc < p.OutChannels; oc++ {
 					res[oc*spatial+y0*os.W+i] = pres[i*p.OutChannels+oc]
@@ -451,7 +478,8 @@ func ConvKn2rowScratch(s tensor.Shape, p nn.ConvParams, mul Gemm, workers int) i
 // parallel across input channels (each channel writes an exclusive
 // plane). Results are bit-identical at any worker count. The lowering
 // is already a sequence of rank-C GEMMs, so it takes no panel. The
-// GEMMs accumulate straight into the output sample. A 1x1 kernel needs
+// GEMMs accumulate straight into the output sample, the first one
+// starting from the bias of each output channel. A 1x1 kernel needs
 // no weight regroup (its one OC x C block is w), and a pointwise conv's
 // shifted view is the input sample itself. scratch is the kernel's
 // workspace: nil allocates it, otherwise it must hold
@@ -485,19 +513,22 @@ func ConvKn2row(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul 
 	shift := carve(&ws, nshift)
 	for n := 0; n < s.N; n++ {
 		res := sample(out, n)
-		fillBias(res, bias, spatial)
 		src := sample(in, n)
 		for r := 0; r < p.KernelH; r++ {
 			for q := 0; q < p.KernelW; q++ {
 				a := sub[(r*p.KernelW+q)*block : (r*p.KernelW+q+1)*block]
+				var start gemm.Bias // later offsets add into res
+				if r == 0 && q == 0 {
+					start.V = bias
+				}
 				if isPointwise(p) {
-					mul.mul(p.OutChannels, spatial, s.C, a, src, res, workers, ws)
+					mul.mul(p.OutChannels, spatial, s.C, a, src, res, start, workers, ws)
 					continue
 				}
 				view := p
 				view.KernelH, view.KernelW, view.PadH, view.PadW = 1, 1, p.PadH-r, p.PadW-q
 				if mul.Packed {
-					gemm.ParallelPacker(p.OutChannels, spatial, s.C, a, packer(in, n, view, os.W), res, workers, mul.Block, ws)
+					gemm.ParallelPacker(p.OutChannels, spatial, s.C, a, packer(in, n, view, os.W), res, start, workers, mul.Block, ws)
 					continue
 				}
 				parFor(s.C, workers, func(c int) {
@@ -507,7 +538,7 @@ func ConvKn2row(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul 
 						gatherRow(shift[c*spatial+y*os.W:c*spatial+(y+1)*os.W], x, view.StrideW, -view.PadW)
 					}
 				})
-				gemm.Naive(p.OutChannels, spatial, s.C, a, shift, res)
+				mul.mul(p.OutChannels, spatial, s.C, a, shift, res, start, workers, nil)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 
+	"repro/internal/gemm"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -122,7 +123,7 @@ func ConvSparse(dst, in *tensor.Tensor, w *CSR, bias []float32, p nn.ConvParams,
 	for n := 0; n < s.N; n++ {
 		cols = Im2col(cols, in, n, p, os.H, os.W, 1)
 		res := sample(out, n)
-		fillBias(res, bias, spatial)
+		fillBias(res, p.OutChannels, spatial, gemm.Bias{V: bias})
 		w.MulMat(spatial, cols, res)
 	}
 	return out

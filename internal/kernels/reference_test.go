@@ -505,7 +505,7 @@ func refPanelRows(panel, oh int) int {
 func refTunedGemm(cfg ConvTuned) (refGemm, int) {
 	workers := max(cfg.Workers, 1)
 	return func(m, n, k int, a, b, c []float32) {
-		gemm.ParallelCfg(m, n, k, a, b, c, workers, cfg.Block, nil)
+		gemm.ParallelCfg(m, n, k, a, b, c, gemm.Bias{}, workers, cfg.Block, nil)
 	}, workers
 }
 
@@ -909,6 +909,12 @@ func FuzzKernelsMatchReference(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(9), uint8(11), uint8(1), uint8(4), uint8(1), uint8(0), int64(5))
 	f.Add(uint8(0), uint8(2), uint8(9), uint8(32), uint8(2), uint8(2), uint8(4), uint8(4), int64(6))
 	f.Add(uint8(1), uint8(1), uint8(6), uint8(20), uint8(2), uint8(2), uint8(0), uint8(4), int64(7))
+	// Stride-2 3x3 windows on odd widths: the packed lowering's stride-2
+	// gather row starts mid-panel, crosses panels and ends on a partial
+	// one, under padding 1, 0 and 2.
+	f.Add(uint8(0), uint8(2), uint8(11), uint8(38), uint8(2), uint8(2), uint8(4), uint8(4), int64(8))
+	f.Add(uint8(1), uint8(0), uint8(6), uint8(16), uint8(2), uint8(2), uint8(4), uint8(0), int64(9))
+	f.Add(uint8(0), uint8(3), uint8(4), uint8(24), uint8(2), uint8(2), uint8(4), uint8(8), int64(10))
 	f.Fuzz(func(t *testing.T, nb, cc, hh, ww, kh, kw, stride, pad uint8, seed int64) {
 		s := tensor.Shape{N: int(nb%2) + 1, C: int(cc%6) + 1, H: int(hh%12) + 1, W: int(ww%40) + 1}
 		p := nn.ConvParams{

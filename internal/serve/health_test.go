@@ -355,6 +355,13 @@ func TestBreakerDegradedLUTEviction(t *testing.T) {
 	// breaker admits a probe, and each probe burns one single-shot
 	// transient until a full round passes clean and the breaker closes
 	// — at which point the degraded table is evicted and healed.
+	//
+	// The heal the eviction tick enqueues re-profiles asynchronously and
+	// may re-trip a breaker mid-build (see below), so breakers read while
+	// it runs race it. Heals stay off until the breakers are checked,
+	// and the held-back heal is enqueued then, as the tick would have:
+	// only CanaryTick reads NoHeal, and it runs on this goroutine.
+	srv.hcfg.NoHeal = true
 	ctx := context.Background()
 	for i := 0; i < 100 && srv.Status().DegradedLUTEvic == 0; i++ {
 		advance(2 * time.Hour)
@@ -369,6 +376,8 @@ func TestBreakerDegradedLUTEviction(t *testing.T) {
 			t.Fatalf("breaker %s/%s not closed after recovery: %+v", b.Platform, b.Library, b)
 		}
 	}
+	srv.hcfg.NoHeal = false
+	srv.healStale()
 	if st.Quarantines != 0 {
 		t.Fatalf("breaker recovery misattributed to drift quarantine: %+v", st)
 	}
