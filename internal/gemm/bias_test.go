@@ -58,12 +58,13 @@ func checkBiasStart(t *testing.T, m, n, k int, cfg BlockConfig, seed int64) {
 	}
 }
 
-// biasShapes are the bias-start cases: ragged m and n against both the
-// 4x8 and 8x8 tiles, an empty reduction (C must come out as the bias
-// itself), and two shapes past parallelFloorFlops, one split by strips
-// of a shared block (n <= 256) and one by column runs, so 8 workers
-// really fan out where GOMAXPROCS allows.
-var biasShapes = [][3]int{{1, 1, 1}, {3, 7, 5}, {9, 17, 0}, {13, 19, 21}, {17, 23, 31}, {203, 131, 161}, {67, 300, 211}}
+// biasShapes are the bias-start cases: ragged m and n against the 4x8,
+// 8x8 and 8x16 tiles, an empty reduction (C must come out as the bias
+// itself), two shapes past parallelFloorFlops, one split by strips of a
+// shared block (n <= 256) and one by column runs, so 8 workers really
+// fan out where GOMAXPROCS allows, and whole 8x16 tiles only (a column
+// bias read 16 wide, the last tile ending at the bias's last value).
+var biasShapes = [][3]int{{1, 1, 1}, {3, 7, 5}, {9, 17, 0}, {13, 19, 21}, {17, 23, 31}, {203, 131, 161}, {67, 300, 211}, {16, 32, 9}}
 
 // TestBiasStartBitEqual is the tile-store hook's contract: a GEMM that
 // starts each element from a row or column bias equals filling C with

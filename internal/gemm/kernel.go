@@ -29,15 +29,16 @@ import (
 // Parallel produces byte-identical C under every Kernel, each matching
 // the pure-Go fallback exactly (pinned by the dispatch equality tests;
 // a NaN result is pinned as a class, since its sign and payload follow
-// an operand order Go's compiler does not fix). This is why the AVX2
-// and NEON kernels use mul+add pairs rather than FMA: FMA skips the
-// intermediate rounding and would break the contract. The pure-Go
-// kernels write each product float32(a*b) for the same reason: the
-// explicit conversion keeps the compiler from fusing it into the add,
-// which Go's arm64 backend otherwise does.
+// an operand order Go's compiler does not fix). This is why the AVX2,
+// AVX-512 and NEON kernels use mul+add pairs rather than FMA: FMA
+// skips the intermediate rounding and would break the contract. The
+// pure-Go kernels write each product float32(a*b) for the same reason:
+// the explicit conversion keeps the compiler from fusing it into the
+// add, which Go's arm64 backend otherwise does.
 type Kernel struct {
 	// Name identifies the variant in -version output, /statusz and the
-	// bench JSONs, e.g. "sse-4x8", "avx2-8x8", "neon-8x8", "go-4x8".
+	// bench JSONs, e.g. "sse-4x8", "avx2-8x8", "avx512-8x16", "neon-8x8",
+	// "go-4x8".
 	Name string
 	// MR x NR is the register tile: MR rows of A by NR columns of B.
 	MR, NR int
@@ -109,7 +110,7 @@ func init() {
 }
 
 // ActiveKernel reports the name of the dispatched micro-kernel, e.g.
-// "avx2-8x8". Surfaced through `qsdnn version` and the serve /statusz
+// "avx512-8x16". Surfaced through `qsdnn version` and the serve /statusz
 // payload so recorded benchmarks say which ISA produced them.
 func ActiveKernel() string { return active.Load().Name }
 

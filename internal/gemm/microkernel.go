@@ -11,8 +11,8 @@ package gemm
 // sit, and let a full tile land in C directly.
 //
 // Per architecture, hand-written implementations register themselves
-// behind the dispatch layer (see kernel.go): SSE and AVX2 versions on
-// amd64 (microkernel_amd64.s), a NEON version on arm64
+// behind the dispatch layer (see kernel.go): SSE, AVX2 and AVX-512
+// versions on amd64 (microkernel_amd64.s), a NEON version on arm64
 // (microkernel_arm64.s, which still reads packed operands). Packed
 // lane-wise MULPS/ADDPS — and their VEX/NEON counterparts — perform the
 // same IEEE-754 single-precision operations per lane as Go's scalar

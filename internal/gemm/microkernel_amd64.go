@@ -20,6 +20,13 @@ func microKernelSSE(k int, a *float32, lda int, b *float32, ldb int, c *float32,
 //go:noescape
 func microKernelAVX2(k int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, v *float32, rs int, mode int)
 
+// microKernelAVX512 is implemented in microkernel_amd64.s. It computes
+// an 8x16 tile with ZMM mul+add pairs (no FMA, as for AVX2),
+// bit-identical to microTileGeneric.
+//
+//go:noescape
+func microKernelAVX512(k int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, v *float32, rs int, mode int)
+
 // The asm kernels' store modes: the bare sum; st.v row ii (rs elements
 // apart, a vector of column starts) plus the sum; or st.v[ii*rs]
 // broadcast across the row plus the sum.
@@ -70,13 +77,28 @@ func microTileAVX2(k int, a []float32, lda int, b []float32, ldb int, c []float3
 	microKernelAVX2(k, unsafe.SliceData(a), lda, unsafe.SliceData(b), ldb, &c[0], ldc, v, rs, mode)
 }
 
+// microTileAVX512 adapts the AVX-512 asm kernel to the dispatch
+// signature.
+func microTileAVX512(k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, st start) {
+	checkTile(k, 8, 16, a, lda, b, ldb, c, ldc)
+	v, rs, mode := storeMode(8, 16, st)
+	microKernelAVX512(k, unsafe.SliceData(a), lda, unsafe.SliceData(b), ldb, &c[0], ldc, v, rs, mode)
+}
+
 // registerArchKernels registers the amd64 kernels: SSE is baseline on
 // the architecture and always available; the wider AVX2 kernel is
 // registered ahead of it when CPUID reports both the instruction set
-// and OS support for YMM state, and carries the AVX2 rows (rows_amd64.go).
+// and OS support for YMM state, and the AVX-512 kernel ahead of both
+// when it also reports AVX-512F and OS support for opmask and ZMM state
+// (see simdSupport). Both vector kernels carry the AVX2 rows
+// (rows_amd64.go).
 func registerArchKernels() {
 	registerKernel(&Kernel{Name: "sse-4x8", MR: 4, NR: 8, micro: microTileSSE, rows: goRows})
-	if hasAVX2() {
+	avx2, avx512 := probeSIMD()
+	if avx2 {
 		registerKernel(&Kernel{Name: "avx2-8x8", MR: 8, NR: 8, micro: microTileAVX2, rows: avx2Rows})
+	}
+	if avx512 {
+		registerKernel(&Kernel{Name: "avx512-8x16", MR: 8, NR: 16, micro: microTileAVX512, rows: avx2Rows})
 	}
 }

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// Both kernels read A row ii, step p at a[ii*lda+p] and B step p at
+// All three kernels read A row ii, step p at a[ii*lda+p] and B step p at
 // b[p*ldb:], and write tile row ii to c[ii*ldc:] under the store mode
 // (storeMode in microkernel_amd64.go): 0 stores the tile; 1 loads row
 // ii of the start, v[ii*rs:], and stores start + tile; 2 broadcasts
@@ -332,5 +332,153 @@ avx2bcast:
 	VBROADCASTSS (R11)(R8*1), Y8
 	VADDPS       Y7, Y8, Y7
 	VMOVUPS      Y7, (R10)(R9*1)
+	VZEROUPPER
+	RET
+
+// func microKernelAVX512(k int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, v *float32, rs int, mode int)
+//
+// AVX-512 8x16 micro-kernel: the AVX2 kernel at twice the width. Eight
+// ZMM accumulators hold the 8x16 tile (Z0 = row 0, ..., Z7 = row 7,
+// sixteen floats per register). Per k step: load the nr=16 B values
+// once into Z8, then per row multiply them by the A value broadcast
+// from memory (VMULPS.BCST) and add the product into the row's
+// accumulator with a separate VADDPS. Rows are addressed as in the
+// AVX2 kernel. Each output element sees exactly one IEEE-754 single
+// multiply and one separate add per step, in ascending p order, so the
+// results are bit-identical to microTileGeneric; no VFMADD*, as for
+// AVX2. The product is b*a rather than a*b, which only decides whose
+// NaN a 0*Inf or NaN*NaN product carries (pinned as a class). Only
+// AVX-512F instructions are used (VPXORD, not the AVX512DQ VXORPS, to
+// zero), and only Z0-Z9, so the closing VZEROUPPER leaves no dirty
+// upper state. Callers gate on simdSupport (CPUID + XGETBV).
+TEXT ·microKernelAVX512(SB), NOSPLIT, $0-80
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R8
+	MOVQ b+24(FP), DI
+	MOVQ ldb+32(FP), R11
+	MOVQ c+40(FP), DX
+	MOVQ ldc+48(FP), R12
+	MOVQ v+56(FP), BX
+	MOVQ rs+64(FP), R13
+	MOVQ mode+72(FP), AX
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R9  // 3*lda bytes
+	LEAQ (SI)(R8*4), R10 // row 4
+	SHLQ $2, R11
+	SHLQ $2, R12
+	SHLQ $2, R13
+
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+
+	TESTQ CX, CX
+	JZ    avx512store
+
+avx512loop:
+	VMOVUPS (DI), Z8 // b[0:16]
+
+	VMULPS.BCST  (SI), Z8, Z9 // a0
+	VADDPS       Z9, Z0, Z0
+	VMULPS.BCST  (SI)(R8*1), Z8, Z9 // a1
+	VADDPS       Z9, Z1, Z1
+	VMULPS.BCST  (SI)(R8*2), Z8, Z9 // a2
+	VADDPS       Z9, Z2, Z2
+	VMULPS.BCST  (SI)(R9*1), Z8, Z9 // a3
+	VADDPS       Z9, Z3, Z3
+	VMULPS.BCST  (R10), Z8, Z9 // a4
+	VADDPS       Z9, Z4, Z4
+	VMULPS.BCST  (R10)(R8*1), Z8, Z9 // a5
+	VADDPS       Z9, Z5, Z5
+	VMULPS.BCST  (R10)(R8*2), Z8, Z9 // a6
+	VADDPS       Z9, Z6, Z6
+	VMULPS.BCST  (R10)(R9*1), Z8, Z9 // a7
+	VADDPS       Z9, Z7, Z7
+
+	ADDQ $4, SI
+	ADDQ $4, R10
+	ADDQ R11, DI
+	DECQ CX
+	JNZ  avx512loop
+
+avx512store:
+	LEAQ (R12)(R12*2), R9 // 3*ldc bytes
+	LEAQ (DX)(R12*4), R10 // row 4 of C
+	LEAQ (R13)(R13*2), R8 // 3*rs bytes
+	LEAQ (BX)(R13*4), R11 // row 4 of the start
+	CMPQ AX, $1
+	JEQ  avx512vector
+	JGT  avx512bcast
+
+	VMOVUPS Z0, (DX)
+	VMOVUPS Z1, (DX)(R12*1)
+	VMOVUPS Z2, (DX)(R12*2)
+	VMOVUPS Z3, (DX)(R9*1)
+	VMOVUPS Z4, (R10)
+	VMOVUPS Z5, (R10)(R12*1)
+	VMOVUPS Z6, (R10)(R12*2)
+	VMOVUPS Z7, (R10)(R9*1)
+	VZEROUPPER
+	RET
+
+avx512vector:
+	VMOVUPS (BX), Z8
+	VADDPS  Z0, Z8, Z0
+	VMOVUPS Z0, (DX)
+	VMOVUPS (BX)(R13*1), Z8
+	VADDPS  Z1, Z8, Z1
+	VMOVUPS Z1, (DX)(R12*1)
+	VMOVUPS (BX)(R13*2), Z8
+	VADDPS  Z2, Z8, Z2
+	VMOVUPS Z2, (DX)(R12*2)
+	VMOVUPS (BX)(R8*1), Z8
+	VADDPS  Z3, Z8, Z3
+	VMOVUPS Z3, (DX)(R9*1)
+	VMOVUPS (R11), Z8
+	VADDPS  Z4, Z8, Z4
+	VMOVUPS Z4, (R10)
+	VMOVUPS (R11)(R13*1), Z8
+	VADDPS  Z5, Z8, Z5
+	VMOVUPS Z5, (R10)(R12*1)
+	VMOVUPS (R11)(R13*2), Z8
+	VADDPS  Z6, Z8, Z6
+	VMOVUPS Z6, (R10)(R12*2)
+	VMOVUPS (R11)(R8*1), Z8
+	VADDPS  Z7, Z8, Z7
+	VMOVUPS Z7, (R10)(R9*1)
+	VZEROUPPER
+	RET
+
+avx512bcast:
+	VBROADCASTSS (BX), Z8
+	VADDPS       Z0, Z8, Z0
+	VMOVUPS      Z0, (DX)
+	VBROADCASTSS (BX)(R13*1), Z8
+	VADDPS       Z1, Z8, Z1
+	VMOVUPS      Z1, (DX)(R12*1)
+	VBROADCASTSS (BX)(R13*2), Z8
+	VADDPS       Z2, Z8, Z2
+	VMOVUPS      Z2, (DX)(R12*2)
+	VBROADCASTSS (BX)(R8*1), Z8
+	VADDPS       Z3, Z8, Z3
+	VMOVUPS      Z3, (DX)(R9*1)
+	VBROADCASTSS (R11), Z8
+	VADDPS       Z4, Z8, Z4
+	VMOVUPS      Z4, (R10)
+	VBROADCASTSS (R11)(R13*1), Z8
+	VADDPS       Z5, Z8, Z5
+	VMOVUPS      Z5, (R10)(R12*1)
+	VBROADCASTSS (R11)(R13*2), Z8
+	VADDPS       Z6, Z8, Z6
+	VMOVUPS      Z6, (R10)(R12*2)
+	VBROADCASTSS (R11)(R8*1), Z8
+	VADDPS       Z7, Z8, Z7
+	VMOVUPS      Z7, (R10)(R9*1)
 	VZEROUPPER
 	RET

@@ -38,8 +38,8 @@ import "repro/internal/pool"
 // buffer the loop works in comes from one caller-sized scratch slice
 // (ScratchLen). The tile geometry (MR, NR) is not fixed here: it comes
 // from the dispatched Kernel descriptor (kernel.go), so the SSE 4x8,
-// AVX2 8x8, NEON 8x8 and pure-Go kernels all flow through this one
-// pipeline with no per-call ISA branching.
+// AVX2 8x8, AVX-512 8x16, NEON 8x8 and pure-Go kernels all flow
+// through this one pipeline with no per-call ISA branching.
 //
 // Correctness contract: with full-k blocks, every output element
 // C[i,j] is accumulated in strictly ascending p order into a single

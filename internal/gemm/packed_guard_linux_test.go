@@ -15,7 +15,8 @@ import (
 // ParallelPacker under every variant with A, B, C and the scratch each
 // flush against an inaccessible page, at either end. The shapes cover
 // exact multiples of the tile (the last strip, last panel and last tile
-// read and written in place up to the page), ragged m and n (the copied
+// read and written in place up to the page; 24x48 ends on a full
+// 16-wide panel and 8x16 tile after two of them), ragged m and n (the copied
 // strip, the packed panel, the merged edge tiles), a KC/NC-blocked
 // config, one shared block split by strips, and a product wide enough
 // to split by columns at 4 workers. Any read or write past an operand
@@ -24,7 +25,7 @@ import (
 func TestPackedGEMMStaysInsideItsOperands(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	shapes := [][3]int{{16, 16, 8}, {17, 23, 27}, {9, 3, 1}, {160, 4 * panelCols, 27}, {167, 4*panelCols + 1, 27}}
+	shapes := [][3]int{{16, 16, 8}, {24, 48, 9}, {17, 23, 27}, {9, 3, 1}, {160, 4 * panelCols, 27}, {167, 4*panelCols + 1, 27}}
 	cfgs := []BlockConfig{{}, {KC: 5, NC: 16}, {NC: 1 << 20}}
 	var most int
 	for _, d := range shapes {

@@ -24,18 +24,21 @@ func bitEqual(a, b []float32) bool {
 
 // edgeShapes are dimensions chosen to stress the tile/panel boundaries
 // of every dispatched geometry: below one tile, exactly one tile, odd
-// sizes straddling both the 4x8 and 8x8 register tiles, and empty
+// sizes straddling the 4x8, 8x8 and 8x16 register tiles, and empty
 // reductions.
 var edgeShapes = [][3]int{
 	{1, 1, 1},
 	{1, 1, 0}, // k=0: C must be left untouched
 	{4, 8, 16},
 	{8, 8, 8},
+	{8, 16, 8},
 	{3, 7, 5},
 	{5, 9, 3},
 	{4, 8, 1},
 	{9, 17, 5},
 	{17, 23, 31},
+	{9, 31, 7},
+	{16, 49, 33},
 	{64, 64, 64},
 	{65, 130, 70},
 	{200, 17, 129},
@@ -169,9 +172,9 @@ func TestPackedDimCheckPanics(t *testing.T) {
 }
 
 // TestPackBLayout pins the panel layout the micro-kernels assume, at
-// both dispatched panel widths.
+// every dispatched panel width.
 func TestPackBLayout(t *testing.T) {
-	for _, nr := range []int{4, 8} {
+	for _, nr := range []int{4, 8, 16} {
 		k, n := 2, nr+2 // one full panel plus a ragged 2-wide edge
 		b := make([]float32, k*n)
 		for i := range b {

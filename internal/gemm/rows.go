@@ -6,9 +6,9 @@ package gemm
 // gather that lowers a strided conv's patch rows into the packed
 // GEMM's panels. Each Kernel
 // carries one Rows value, so the CPUID probe, QSDNN_DISABLE_SIMD and
-// ActiveKernel cover them exactly as they cover the GEMM tile: avx2-8x8
-// carries AVX2 rows, every other variant the pure-Go rows below, which
-// are the fallback and the reference.
+// ActiveKernel cover them exactly as they cover the GEMM tile:
+// avx512-8x16 and avx2-8x8 carry the AVX2 rows, every other variant the
+// pure-Go rows below, which are the fallback and the reference.
 //
 // Bit-equality contract: every Rows implementation performs, per
 // element, exactly the scalar operation sequence of the pure-Go rows,

@@ -2,12 +2,13 @@
 
 package gemm
 
-// avx2Rows are the rows the avx2-8x8 kernel carries (rows_amd64.s).
+// avx2Rows are the rows the avx2-8x8 and avx512-8x16 kernels carry
+// (rows_amd64.s).
 // Each wrapper bounds-checks the last element its asm call touches and
 // leaves to the pure-Go row what the asm does not cover: ReLU's and
 // Affine's tail of fewer than 8 elements, depth-wise planes narrower
 // than two columns, and Gather2's partial panels at either end of a run
-// (and any run into panels other than 8 wide).
+// (and any run into panels whose width is not a multiple of 8).
 var avx2Rows = &Rows{ReLU: reluAVX2, Affine: affineAVX2, Depthwise3x3: depthwise3x3AVX2, Gather2: gather2AVX2}
 
 // reluRowAVX2 applies ReLU to n elements, n a positive multiple of 8.
@@ -34,12 +35,13 @@ func depthwise3x3RowS1AVX2(dst, x, k *float32, nk, w, inner, right int, b float3
 //go:noescape
 func depthwise3x3RowS2AVX2(dst, x, k *float32, nk, w, inner, right int, b float32)
 
-// gather2RowAVX2 fills chunks whole 8-wide panel rows, next elements
-// apart, each from the 16 source values that start where the previous
-// chunk's ended: src[0], src[2], ..., src[14] of each.
+// gather2RowAVX2 fills panels whole panel rows of 8*chunks values,
+// next elements apart, eight values at a time: each eight are src[0],
+// src[2], ..., src[14] of the 16 source values that start where the
+// previous eight's ended.
 //
 //go:noescape
-func gather2RowAVX2(dst *float32, next int, src *float32, chunks int)
+func gather2RowAVX2(dst *float32, next int, src *float32, panels, chunks int)
 
 func reluAVX2(dst, src []float32) {
 	dst = dst[:len(src)]
@@ -84,28 +86,28 @@ func depthwise3x3AVX2(dst, src []float32, h, w, stride int, k []float32, b float
 }
 
 func gather2AVX2(dst []float32, o, nr, next int, src []float32, n int) {
-	if nr != 8 || n == 0 {
+	if nr%8 != 0 || n == 0 {
 		gather2Go(dst, o, nr, next, src, n)
 		return
 	}
-	dst, o = dst[o/8*next:], o%8
+	dst, o = dst[o/nr*next:], o%nr
 	if o > 0 { // the rest of the first panel
-		h := min(n, 8-o)
-		gather2Go(dst, o, 8, next, src, h)
+		h := min(n, nr-o)
+		gather2Go(dst, o, nr, next, src, h)
 		if n -= h; n == 0 {
 			return
 		}
 		dst, src = dst[next:], src[2*h:]
 	}
-	// Whole panels whose 16-value loads stay inside src; the last one
-	// may need only 15, and goes to the Go row with the partial panel.
-	if chunks := min(n/8, len(src)/16); chunks > 0 {
-		_ = dst[(chunks-1)*next+7]
-		gather2RowAVX2(&dst[0], next, &src[0], chunks)
-		if n -= 8 * chunks; n == 0 {
+	// Whole panels whose 2*nr-value loads stay inside src; the last one
+	// may need only 2*nr-1, and goes to the Go row with the partial panel.
+	if panels := min(n/nr, len(src)/(2*nr)); panels > 0 {
+		_ = dst[(panels-1)*next+nr-1]
+		gather2RowAVX2(&dst[0], next, &src[0], panels, nr/8)
+		if n -= nr * panels; n == 0 {
 			return
 		}
-		dst, src = dst[chunks*next:], src[16*chunks:]
+		dst, src = dst[panels*next:], src[2*nr*panels:]
 	}
-	gather2Go(dst, 0, 8, next, src, n)
+	gather2Go(dst, 0, nr, next, src, n)
 }

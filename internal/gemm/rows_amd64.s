@@ -354,29 +354,39 @@ s2done:
 	VZEROUPPER
 	RET
 
-// func gather2RowAVX2(dst *float32, next int, src *float32, chunks int)
+// func gather2RowAVX2(dst *float32, next int, src *float32, panels, chunks int)
 //
-// chunks is positive. Per chunk: two loads take src[0:8] and src[8:16];
-// VSHUFPS picks lanes 0 and 2 of each 128-bit half of both, giving
-// s0 s2 s8 s10 | s4 s6 s12 s14, and VPERMPD puts the 64-bit pairs in
-// order, s0 s2 s4 s6 s8 s10 s12 s14. Only moves, so every bit pattern
-// survives.
-TEXT ·gather2RowAVX2(SB), NOSPLIT, $0-32
+// panels and chunks are positive. Each panel row is chunks 8-value
+// chunks, one after the other from the panel's start; panel rows lie
+// next elements apart. Per chunk: two loads take src[0:8] and
+// src[8:16]; VSHUFPS picks lanes 0 and 2 of each 128-bit half of both,
+// giving s0 s2 s8 s10 | s4 s6 s12 s14, and VPERMPD puts the 64-bit
+// pairs in order, s0 s2 s4 s6 s8 s10 s12 s14. Only moves, so every bit
+// pattern survives.
+TEXT ·gather2RowAVX2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ next+8(FP), DX
 	MOVQ src+16(FP), SI
-	MOVQ chunks+24(FP), CX
+	MOVQ panels+24(FP), CX
+	MOVQ chunks+32(FP), BX
 	SHLQ $2, DX
+
+gather2panel:
+	MOVQ DI, R8
+	MOVQ BX, AX
 
 gather2loop:
 	VMOVUPS (SI), Y0
 	VMOVUPS 32(SI), Y1
 	VSHUFPS $0x88, Y1, Y0, Y2
 	VPERMPD $0xd8, Y2, Y2
-	VMOVUPS Y2, (DI)
+	VMOVUPS Y2, (R8)
 	ADDQ    $64, SI
+	ADDQ    $32, R8
+	DECQ    AX
+	JNZ     gather2loop
 	ADDQ    DX, DI
 	DECQ    CX
-	JNZ     gather2loop
+	JNZ     gather2panel
 	VZEROUPPER
 	RET

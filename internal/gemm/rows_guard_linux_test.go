@@ -85,14 +85,16 @@ func TestRowsStayInsideTheirPlane(t *testing.T) {
 				guarded(t, fmt.Sprintf("%s ReLU n=%d atEnd=%v", name, n, atEnd), func() { rows.ReLU(dst, src) })
 				guarded(t, fmt.Sprintf("%s Affine n=%d atEnd=%v", name, n, atEnd), func() { rows.Affine(dst, src, 0.5, 1) })
 			}
-			for n := 0; n <= 80; n++ {
-				for o := 0; o < 16; o++ {
-					for _, next := range []int{8, 40} {
-						src, dst := a.slice(0, max(0, 2*n-1), atEnd), a.slice(1, gather2Len(o, 8, next, n), atEnd)
-						copy(src, randomSlice(rng, len(src)))
-						guarded(t, fmt.Sprintf("%s Gather2 n=%d o=%d next=%d atEnd=%v", name, n, o, next, atEnd), func() {
-							rows.Gather2(dst, o, 8, next, src, n)
-						})
+			for _, nr := range []int{8, 16} {
+				for n := 0; n <= 80; n++ {
+					for o := 0; o < 2*nr; o++ {
+						for _, next := range []int{nr, 5 * nr} {
+							src, dst := a.slice(0, max(0, 2*n-1), atEnd), a.slice(1, gather2Len(o, nr, next, n), atEnd)
+							copy(src, randomSlice(rng, len(src)))
+							guarded(t, fmt.Sprintf("%s Gather2 n=%d o=%d nr=%d next=%d atEnd=%v", name, n, o, nr, next, atEnd), func() {
+								rows.Gather2(dst, o, nr, next, src, n)
+							})
+						}
 					}
 				}
 			}

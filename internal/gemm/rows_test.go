@@ -115,7 +115,7 @@ func TestGather2BitEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, name := range KernelVariants() {
 		rows := VariantRows(name)
-		for _, nr := range []int{8, 4} {
+		for _, nr := range []int{16, 8, 4} {
 			for _, next := range []int{nr, 3 * nr, 27 * nr} {
 				for n := 0; n <= 80; n++ {
 					for o := 0; o < 2*nr; o++ {

@@ -78,7 +78,8 @@ func (p matrixPacker) PackB(p0, kcb, j0, ncb, nr int, dst []float32) {
 // TestPackerMatchesMatrixRagged: ParallelPacker (every panel packed)
 // must reproduce ParallelCfg (full panels read in place, the ragged
 // last one packed) bit for bit, under every variant, on shapes whose
-// m and n leave 1 to 7 rows and columns past the last full tile, with
+// m and n leave 1 to 15 rows and columns past a multiple of 16 (every
+// ragged width of a 16-wide panel, every ragged strip of 8 rows), with
 // and without KC/NC blocking, at 1 and 4 workers. The wide shapes are
 // above the flop floor, so at 4 workers they split by columns (default
 // and KC/NC configs) or by strips of one shared block (NC covering n).
@@ -86,7 +87,7 @@ func TestPackerMatchesMatrixRagged(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(44))
 	var shapes [][3]int
-	for r := 1; r <= 7; r++ {
+	for r := 1; r <= 15; r++ {
 		for _, k := range []int{1, 8, 27} {
 			shapes = append(shapes, [3]int{16 + r, 16 + r, k})
 		}

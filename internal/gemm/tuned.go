@@ -21,8 +21,8 @@ package gemm
 // to itself at any worker count, which is the contract the tuner's
 // measurements rely on.
 type BlockConfig struct {
-	// Kernel names the micro-kernel variant to run ("avx2-8x8",
-	// "sse-4x8", "go-4x8", ...); "" or an unknown name selects the
+	// Kernel names the micro-kernel variant to run ("avx512-8x16",
+	// "avx2-8x8", "sse-4x8", "go-4x8", ...); "" or an unknown name selects the
 	// runtime-dispatched kernel, so a stale tuning cache degrades to
 	// the default instead of failing.
 	Kernel string

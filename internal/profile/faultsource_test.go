@@ -12,15 +12,17 @@ import (
 	"repro/internal/primitives"
 )
 
-// testFaults is an aggressive schedule exercising every fault type
-// with fast stalls, sized for test budgets.
+// testFaults is an aggressive schedule exercising every fault type.
+// A stall never ends on its own: FaultSource abandons it when the
+// attempt's context is canceled, so every stalled attempt, and only a
+// stalled one, meets the per-sample timeout (see runFaulty).
 func testFaults(seed int64) FaultConfig {
 	return FaultConfig{
 		Seed:          seed,
 		TransientRate: 0.10,
 		PermanentRate: 0.05,
 		StallRate:     0.02,
-		Stall:         10 * time.Millisecond,
+		Stall:         time.Hour,
 		NaNRate:       0.05,
 		SpikeRate:     0.08,
 		SpikeFactor:   50,
@@ -32,7 +34,10 @@ func runFaulty(t *testing.T, seed int64) (*lut.Table, *Report) {
 	net := models.MustBuild("lenet5")
 	src := NewFaultSource(NewSimSource(net, platform.JetsonTX2Like()), testFaults(seed))
 	pol := robustFast()
-	pol.SampleTimeout = 5 * time.Millisecond // faster than the stall
+	// Far shorter than a stall and far longer than an unstalled
+	// simulator sample (microseconds), so the timeouts, and with them
+	// the retry counts, follow the seed and not the host's load.
+	pol.SampleTimeout = 100 * time.Millisecond
 	tab, rep, err := RunContext(context.Background(), net, src, Options{
 		Mode: primitives.ModeGPGPU, Samples: 5, Robust: pol,
 	})

@@ -104,13 +104,20 @@ func gemmDims(l *nn.Layer, base *primitives.Primitive) (m, n, k int) {
 // the tuner has nothing to offer (non-conv, depthwise) get nil. The
 // grid adapts to the layer's GEMM dims — block sizes that exceed the
 // problem collapse into the default and are skipped — and to the host
-// (registered kernel variants, GOMAXPROCS).
+// (registered kernel variants, GOMAXPROCS). The dispatched kernel
+// appears once, as "": under its own name it would run the same
+// program, and the budget would measure it twice.
 func Space(l *nn.Layer, base *primitives.Primitive) []Variant {
 	if l.Kind != nn.OpConv {
 		return nil
 	}
 	_, n, k := gemmDims(l, base)
-	kernelGrid := append([]string{""}, gemm.KernelVariants()...)
+	kernelGrid := []string{""}
+	for _, name := range gemm.KernelVariants() {
+		if name != gemm.ActiveKernel() {
+			kernelGrid = append(kernelGrid, name)
+		}
+	}
 	kcGrid := clampGrid([]int{0, 16, 32, 64, 128, 256}, k)
 	ncGrid := clampGrid([]int{0, 32, 64, 128, 256}, n)
 	panelGrid := []int{0}
@@ -176,8 +183,8 @@ func features(l *nn.Layer, base *primitives.Primitive, v Variant) []float64 {
 	mr, nr, ok := gemm.KernelShape(v.Kernel)
 	dispatched := 0.0
 	if !ok {
-		// "" or unknown: the dispatched kernel runs.
-		mr, nr = 4, 8
+		// "" or unknown: the dispatched kernel runs, at its own shape.
+		mr, nr, _ = gemm.KernelShape(gemm.ActiveKernel())
 		dispatched = 1.0
 	}
 	workers := float64(v.Workers)
