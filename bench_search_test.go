@@ -1,7 +1,7 @@
 // Search hot-path benchmarks: the compiled-plan episode engine's
-// steady-state cost. These are the benches scripts/bench.sh runs and
-// the CI bench-smoke job tracks with benchstat against
-// bench/baseline.txt (the committed pre-searchplan numbers).
+// steady-state cost. scripts/bench.sh runs them, and the CI bench-smoke
+// job compares them with benchstat against bench/baseline.txt. The
+// end-to-end search throughput is bench/qsbench's search-zoo.
 package qsdnn
 
 import (

@@ -332,47 +332,6 @@ func BenchmarkGemm(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineInference measures real end-to-end inference of a
-// small CNN under the Vanilla and searched assignments.
-func BenchmarkEngineInference(b *testing.B) {
-	bld := nn.NewBuilder("bench-net", tensor.Shape{N: 1, C: 3, H: 32, W: 32})
-	x := bld.Conv("conv1", bld.Input(), 16, 3, 1, 1)
-	x = bld.ReLU("relu1", x)
-	x = bld.Pool("pool1", x, nn.MaxPool, 2, 2, 0)
-	x = bld.Conv("conv2", x, 32, 3, 1, 1)
-	x = bld.Flatten("flat", x)
-	bld.FullyConnected("fc", x, 10)
-	net := bld.MustBuild()
-	eng := engine.New(net, 7, 0.5)
-	input := tensor.New(net.InputShape, tensor.NCHW)
-	input.FillRandom(rand.New(rand.NewSource(2)), 1)
-
-	src, err := engine.NewSource(eng, input)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tab, err := profile.Run(net, src, profile.Options{Mode: primitives.ModeCPU, Samples: 5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	searched := core.Search(tab, core.Config{Episodes: 400, Seed: 1}).Assignment
-
-	b.Run("vanilla", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(eng.VanillaAssignment(), input); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("searched", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(searched, input); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkPBQPvsRL compares the prior-art PBQP solver against the RL
 // search on a chain (both exact) and on branchy graphs (PBQP falls
 // back to heuristic RN reductions).

@@ -22,27 +22,20 @@ type Source struct {
 	acts []*tensor.Tensor
 }
 
-// NewSource runs the canonical inference and returns a profiling
-// source. The input must match the network input shape.
+// NewSource runs the canonical inference through Run's own body and
+// returns a profiling source. The input must match the network input
+// shape; NewSource never writes to it.
 func NewSource(e *Engine, input *tensor.Tensor) (*Source, error) {
-	net := e.Net
-	if !input.Shape().Equal(net.InputShape) {
-		return nil, fmt.Errorf("engine: input shape %v, want %v", input.Shape(), net.InputShape)
+	s := &Source{eng: e, acts: make([]*tensor.Tensor, e.Net.Len())}
+	// Copies, because the arena reuses each activation's memory once
+	// its consumers have read it.
+	_, err := e.run(e.VanillaAssignment(), input, func(i int, out *tensor.Tensor) {
+		s.acts[i] = out.Clone()
+	})
+	if err != nil {
+		return nil, err
 	}
-	s := &Source{eng: e, acts: make([]*tensor.Tensor, net.Len())}
-	s.acts[0] = input.ToLayout(tensor.NCHW)
-	for i := 1; i < net.Len(); i++ {
-		l := net.Layers[i]
-		inputs := make([]*tensor.Tensor, len(l.Inputs))
-		for k, src := range l.Inputs {
-			inputs[k] = s.acts[src].ToLayout(tensor.NCHW)
-		}
-		out, err := e.execCfg(nil, i, l, primitives.PVanilla, inputs, kernels.ConvTuned{}, nil)
-		if err != nil {
-			return nil, err
-		}
-		s.acts[i] = out
-	}
+	s.acts[0] = tensor.Convert(tensor.New(input.Shape(), tensor.NCHW), input)
 	return s, nil
 }
 

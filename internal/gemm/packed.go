@@ -166,8 +166,8 @@ func stripBlock(kn *Kernel, m, n, k, lo, hi, p0, kcb, j0, ncb int, a, b, bpk, c 
 // parallelFloorFlops is the problem size (counted as 2*m*n*k flops)
 // below which Parallel runs the packed path inline instead of fanning
 // out: at small shapes the pack-share handoff and goroutine wakeups
-// cost more than the multiply itself (BENCH_kernels.json had
-// parallel8/128 at 235µs vs 217µs single-threaded). 2*160³ sits just
+// cost more than the multiply itself (parallel8/128 at 235µs vs 217µs
+// single-threaded; EXPERIMENTS.md, "One perf ledger"). 2*160³ sits just
 // under the floor; the 192-cube (14.2 Mflop) is comfortably past the
 // measured crossover. Exclusive strip ownership makes the fan-out
 // bit-identical either way, so the threshold is purely a latency knob.

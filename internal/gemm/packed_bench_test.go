@@ -25,10 +25,10 @@ func benchGemm(b *testing.B, size int, f func(m, n, k int, a, bb, c []float32)) 
 func packed(m, n, k int, a, b, c []float32) { Parallel(m, n, k, a, b, c, 1) }
 
 // BenchmarkGEMMBackends compares the GEMM backends at a 512 cube and at
-// a conv-lowering-like 128 cube. Sub-benchmark
-// names use "/" (not "-<size>") so the bench.sh JSON reducer, which
-// strips the trailing -GOMAXPROCS suffix, never confuses a size for a
-// CPU count.
+// a conv-lowering-like 128 cube. Sub-benchmark names use "/" (not
+// "-<size>"): benchstat and the stale-baseline guard in
+// scripts/bench.sh strip a trailing -<GOMAXPROCS> suffix, so a size
+// there would be read as a CPU count.
 func BenchmarkGEMMBackends(b *testing.B) {
 	b.Logf("active kernel: %s", ActiveKernel())
 	for _, size := range []int{128, 512} {

@@ -165,14 +165,14 @@ func TestEffectiveWorkers(t *testing.T) {
 }
 
 // TestParallelNotSlowerThanPackedGuard guards the crossover fix for
-// the regression BENCH_kernels.json caught at the 512 cube (parallel8
-// behind packed, 5.71 ms vs 5.63 ms, from 8 goroutines time-slicing one
-// core): 8 requested workers must never oversubscribe. It asserts the
-// fan-out Parallel resolves, a pure function of the shape and
-// GOMAXPROCS, for every variant: the 512 cube never runs more workers
-// than GOMAXPROCS, whether its columns or its strips are split; a
-// product below parallelFloorFlops runs inline; and a shared block of
-// four strips wakes only two workers. Timing the two sides belongs to
+// the regression measured at the 512 cube (parallel8 behind packed,
+// 5.71 ms vs 5.63 ms, from 8 goroutines time-slicing one core;
+// EXPERIMENTS.md, "Kernel autotuner"): 8 requested workers must never
+// oversubscribe. It asserts the fan-out Parallel resolves, a pure
+// function of the shape and GOMAXPROCS, for every variant: the 512
+// cube never runs more workers than GOMAXPROCS, whether its columns or
+// its strips are split; a product below parallelFloorFlops runs
+// inline; and a shared block of four strips wakes only two workers. Timing the two sides belongs to
 // BenchmarkParallelVsPacked, which reports the ratio and gates
 // nothing: on a shared host a wall-clock bound turns load into a
 // failure.

@@ -1,8 +1,8 @@
 // Package loadtest drives a running qsdnn serve daemon with a fixed
 // pool of concurrent clients and reports client-observed latency
-// percentiles and throughput. scripts/bench.sh uses it to produce
-// BENCH_serve.json; the package test doubles as the >= 64-client
-// zero-error acceptance gate.
+// percentiles and throughput. Its tests are the >= 64-client
+// zero-error, faulty-deadline and drift acceptance gates; the serving
+// latency record is bench/qsbench's serve-mix workload.
 package loadtest
 
 import (
@@ -33,11 +33,11 @@ type Options struct {
 // Class aggregates the latency distribution of one response class
 // (e.g. degraded brownout answers, budget-exhausted best-effort plans).
 type Class struct {
-	Count int           `json:"count"`
-	P50   time.Duration `json:"p50_ns,omitempty"`
-	P95   time.Duration `json:"p95_ns,omitempty"`
-	P99   time.Duration `json:"p99_ns,omitempty"`
-	Max   time.Duration `json:"max_ns,omitempty"`
+	Count int
+	P50   time.Duration
+	P95   time.Duration
+	P99   time.Duration
+	Max   time.Duration
 }
 
 func classOf(ds []time.Duration) Class {
@@ -55,24 +55,24 @@ func classOf(ds []time.Duration) Class {
 
 // Result is the aggregate outcome of a load run.
 type Result struct {
-	Requests   int           `json:"requests"`
-	Clients    int           `json:"clients"`
-	Errors     int           `json:"errors"`
-	ByStatus   map[int]int   `json:"by_status"`
-	P50        time.Duration `json:"p50_ns"`
-	P95        time.Duration `json:"p95_ns"`
-	P99        time.Duration `json:"p99_ns"`
-	Max        time.Duration `json:"max_ns"`
-	Elapsed    time.Duration `json:"elapsed_ns"`
-	Throughput float64       `json:"requests_per_second"`
+	Requests   int
+	Clients    int
+	Errors     int
+	ByStatus   map[int]int
+	P50        time.Duration
+	P95        time.Duration
+	P99        time.Duration
+	Max        time.Duration
+	Elapsed    time.Duration
+	Throughput float64
 	// Degraded aggregates brownout substitutions ("degraded":true
 	// responses); BudgetExhausted aggregates best-effort plans returned
 	// at the deadline ("budget_exhausted":true); Revalidating aggregates
 	// quarantined-but-served plans awaiting a self-healing re-search
 	// ("revalidating":true). All are zero-count on a healthy run.
-	Degraded        Class `json:"degraded"`
-	BudgetExhausted Class `json:"budget_exhausted"`
-	Revalidating    Class `json:"revalidating"`
+	Degraded        Class
+	BudgetExhausted Class
+	Revalidating    Class
 }
 
 // String renders the run for humans.
