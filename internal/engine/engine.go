@@ -259,7 +259,7 @@ func checkExecutable(l *nn.Layer, p *primitives.Primitive) error {
 
 // execCfg executes layer i under a non-twin primitive, with cfg
 // parameterizing its conv or depth-wise kernel. dst, when non-nil, is
-// the output tensor in the layer's output shape and outLayout; it may
+// the output tensor in the layer's output shape and p's layout; it may
 // be in[0] for the kinds inPlace admits. A Dropout returns in[0].
 // scratch, when non-nil, is the kernel's workspace of scratchLen
 // elements; nil lets a kernel that takes one allocate it.
@@ -416,20 +416,13 @@ func (e *Engine) execConv(dst *tensor.Tensor, l *nn.Layer, p *primitives.Primiti
 		}
 		return kernels.DepthwiseDirect(dst, x, par.w, par.bias, l.Conv, w), nil
 	}
-	if kernels.IsGrouped(l.Conv) {
-		switch p.Lib {
-		case primitives.Vanilla:
-			return kernels.ConvGroupedDirect(dst, x, par.w, par.bias, l.Conv, 1), nil
-		case primitives.Sparse:
-			// Sparse weights for grouped convs run the direct grouped
-			// path (the zeros contribute nothing either way).
-			return kernels.ConvGroupedDirect(dst, x, par.w, par.bias, l.Conv, 1), nil
-		default:
-			return kernels.ConvGroupedIm2col(dst, x, par.w, par.bias, l.Conv, mul, w), nil
-		}
+	if kernels.IsGrouped(l.Conv) && p.Lib != primitives.Vanilla && p.Lib != primitives.Sparse {
+		return kernels.ConvGroupedIm2col(dst, x, par.w, par.bias, l.Conv, mul, w), nil
 	}
 	switch {
-	case p.Lib == primitives.Vanilla:
+	case p.Lib == primitives.Vanilla, p.Lib == primitives.Sparse:
+		// Only a grouped Sparse conv gets here (lowering takes the
+		// rest); its zeros contribute nothing to the direct loop.
 		return kernels.ConvDirect(dst, x, par.w, par.bias, l.Conv, 1), nil
 	case p.Algo == primitives.WinogradAlgo:
 		return viaNCHW(dst, x, p.Layout, func(dst, in *tensor.Tensor) *tensor.Tensor {

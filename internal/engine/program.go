@@ -164,7 +164,7 @@ func (e *Engine) compile(assignment []primitives.ID) (*program, error) {
 			out, st.inPlace = ins[0], true
 		default:
 			out, fresh = newBuffer(take(l.OutShape.Elems()), 0), true
-			st.out = view{out.slot, l.OutShape, outLayout(l, p)}
+			st.out = view{out.slot, l.OutShape, p.Layout}
 		}
 		if n := e.scratchLen(l, st.prim, st.cfg); n > 0 {
 			st.scratchSlot, st.scratchLen = take(n), n
@@ -179,7 +179,7 @@ func (e *Engine) compile(assignment []primitives.ID) (*program, error) {
 		if fresh && out.reads == 0 {
 			dead[out.slot] = true // nothing reads the output
 		}
-		bufOf[i], layoutOf[i] = out, outLayout(l, p)
+		bufOf[i], layoutOf[i] = out, p.Layout
 		prog.steps = append(prog.steps, st)
 	}
 	return prog, nil
@@ -200,14 +200,4 @@ func count(bs []*buffer, b *buffer) int {
 		}
 	}
 	return n
-}
-
-// outLayout is the layout layer l's kernel writes under primitive p:
-// the fully-connected and flatten kernels always write NCHW, every
-// other kernel the primitive's layout.
-func outLayout(l *nn.Layer, p *primitives.Primitive) tensor.Layout {
-	if l.Kind == nn.OpFullyConnected || l.Kind == nn.OpFlatten {
-		return tensor.NCHW
-	}
-	return p.Layout
 }

@@ -3,9 +3,10 @@ package gemm
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // benchGemm measures one GEMM backend at the given cube size.
@@ -70,8 +71,8 @@ func BenchmarkGEMMParallelCrossover(b *testing.B) {
 }
 
 // BenchmarkParallelVsPacked times Parallel at the 512 cube with 8
-// requested workers against one worker, in alternating rounds that swap
-// which side runs first, and reports the ratio of their medians
+// requested workers against one worker, paired by stats.Paired (which
+// swaps the side that runs first), and reports the ratio of their medians
 // (parallel8/packed). Report only: the fan-out rules that keep the
 // ratio near 1 on a small host are asserted deterministically by
 // TestParallelNotSlowerThanPackedGuard.
@@ -79,30 +80,20 @@ func BenchmarkParallelVsPacked(b *testing.B) {
 	const size = 512
 	rng := rand.New(rand.NewSource(31))
 	a, bb, c := randomSlice(rng, size*size), randomSlice(rng, size*size), make([]float32, size*size)
-	timeOne := func(workers int) time.Duration {
-		start := time.Now()
-		Parallel(size, size, size, a, bb, c, workers)
-		return time.Since(start)
-	}
-	timeOne(1) // warm caches and the worker pool
-	timeOne(8)
-	packed, parallel := make([]time.Duration, 0, b.N), make([]time.Duration, 0, b.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			packed = append(packed, timeOne(1))
-			parallel = append(parallel, timeOne(8))
-		} else {
-			parallel = append(parallel, timeOne(8))
-			packed = append(packed, timeOne(1))
+	timeOne := func(workers int) func(int) (float64, error) {
+		return func(int) (float64, error) {
+			start := time.Now()
+			Parallel(size, size, size, a, bb, c, workers)
+			return float64(time.Since(start).Nanoseconds()), nil
 		}
 	}
-	slices.Sort(packed)
-	slices.Sort(parallel)
-	pk, pl := packed[b.N/2], parallel[b.N/2]
-	b.ReportMetric(float64(pk.Nanoseconds()), "packed-ns")
-	b.ReportMetric(float64(pl.Nanoseconds()), "parallel8-ns")
-	b.ReportMetric(float64(pl)/float64(pk), "parallel8/packed")
+	timeOne(1)(0) // warm caches and the worker pool
+	timeOne(8)(0)
+	b.ResetTimer()
+	p, _ := stats.Paired(b.N, timeOne(1), timeOne(8)) // neither side returns an error
+	b.ReportMetric(p.MedianA, "packed-ns")
+	b.ReportMetric(p.MedianB, "parallel8-ns")
+	b.ReportMetric(p.MedianB/p.MedianA, "parallel8/packed")
 }
 
 // pointwiseShapes are the (m, n, k) products the frozen MobileNet-v1

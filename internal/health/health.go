@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/lut"
 	"repro/internal/primitives"
+	"repro/internal/stats"
 )
 
 // Fingerprint summarizes one (platform, library)'s measured latencies
@@ -76,38 +77,14 @@ func Fingerprints(platform string, tab *lut.Table) []Fingerprint {
 	sort.Strings(libs)
 	out := make([]Fingerprint, 0, len(libs))
 	for _, lib := range libs {
-		med, mad := medianMAD(byLib[lib])
+		vals := byLib[lib]
+		sort.Float64s(vals)
 		out = append(out, Fingerprint{
 			Platform: platform, Library: lib,
-			MedianSec: med, MADSec: mad, Entries: len(byLib[lib]),
+			MedianSec: stats.Median(vals), MADSec: stats.MAD(vals), Entries: len(vals),
 		})
 	}
 	return out
-}
-
-// medianMAD returns the median and the (raw, unscaled) median
-// absolute deviation of vals.
-func medianMAD(vals []float64) (med, mad float64) {
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	med = medianSorted(sorted)
-	dev := make([]float64, len(sorted))
-	for i, v := range sorted {
-		dev[i] = math.Abs(v - med)
-	}
-	sort.Float64s(dev)
-	return med, medianSorted(dev)
-}
-
-func medianSorted(sorted []float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
 
 // State is one (platform, library) pair's position in the plan-health
@@ -180,7 +157,7 @@ type Config struct {
 	// re-measures per canary tick; <= 0 selects 4.
 	CanarySize int
 	// Band is the drift band in normalized MADs: a fresh estimate
-	// farther than Band * (1.4826 * MAD) from its baseline is
+	// farther than Band * (stats.MADSigma * MAD) from its baseline is
 	// drifted; <= 0 selects 4.
 	Band float64
 	// Confirm is how many drifted entries confirm a (platform,
@@ -228,13 +205,13 @@ func (c *Config) ConfirmCount() int {
 
 // Drifted reports whether a fresh robust estimate falls outside the
 // MAD-scaled band of its stored baseline. mad is the library
-// fingerprint's raw MAD; 1.4826 scales it to a Gaussian sigma
+// fingerprint's raw MAD; stats.MADSigma scales it to a Gaussian sigma
 // estimate (the same scaling the robust aggregation uses). A floor of
 // 2% of the baseline guards near-zero MADs — deterministic simulated
 // sources reproduce baselines exactly, so the floor never masks real
 // drift, only numeric dust.
 func (c *Config) Drifted(fresh, baseline, mad float64) bool {
-	scale := 1.4826 * mad
+	scale := stats.MADSigma * mad
 	if floor := 0.02 * baseline; scale < floor {
 		scale = floor
 	}

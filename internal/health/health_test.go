@@ -11,25 +11,6 @@ import (
 	"repro/internal/profile"
 )
 
-func TestMedianMAD(t *testing.T) {
-	cases := []struct {
-		vals     []float64
-		med, mad float64
-	}{
-		{nil, 0, 0},
-		{[]float64{5}, 5, 0},
-		{[]float64{1, 2, 3}, 2, 1},
-		{[]float64{1, 2, 3, 100}, 2.5, 1},
-		{[]float64{4, 4, 4, 4}, 4, 0},
-	}
-	for _, c := range cases {
-		med, mad := medianMAD(c.vals)
-		if med != c.med || mad != c.mad {
-			t.Errorf("medianMAD(%v) = (%v, %v), want (%v, %v)", c.vals, med, mad, c.med, c.mad)
-		}
-	}
-}
-
 func TestFingerprintsDeterministicAndSorted(t *testing.T) {
 	net, err := models.Build("lenet5")
 	if err != nil {
@@ -67,7 +48,7 @@ func TestFingerprintsDeterministicAndSorted(t *testing.T) {
 
 func TestDriftedBand(t *testing.T) {
 	c := &Config{Band: 4}
-	// MAD-scaled band: 4 * 1.4826 * 0.01 ≈ 0.0593 around baseline 1.
+	// MAD-scaled band: 4 * stats.MADSigma * 0.01 ≈ 0.0593 around baseline 1.
 	if c.Drifted(1.05, 1.0, 0.01) {
 		t.Error("inside the MAD band flagged as drifted")
 	}

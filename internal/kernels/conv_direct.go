@@ -66,9 +66,14 @@ func output(dst *tensor.Tensor, s tensor.Shape, l tensor.Layout) *tensor.Tensor 
 	return dst
 }
 
-// checkConvArgs validates weight/bias lengths for a dense convolution.
+// checkConvArgs validates a convolution's group geometry and its
+// weight and bias lengths: OIHW weights with I = C/groups.
 func checkConvArgs(in tensor.Shape, w, bias []float32, p nn.ConvParams) {
-	need := p.OutChannels * in.C * p.KernelH * p.KernelW
+	g := p.GroupCount()
+	if in.C%g != 0 || p.OutChannels%g != 0 {
+		panic(fmt.Sprintf("kernels: groups %d do not divide channels %d->%d", g, in.C, p.OutChannels))
+	}
+	need := p.OutChannels * (in.C / g) * p.KernelH * p.KernelW
 	if len(w) != need {
 		panic(fmt.Sprintf("kernels: conv weights have %d elements, need %d", len(w), need))
 	}
@@ -77,12 +82,14 @@ func checkConvArgs(in tensor.Shape, w, bias []float32, p nn.ConvParams) {
 	}
 }
 
-// ConvDirect computes a dense 2-D convolution over an NCHW input with
-// OIHW weights, the dependency-free "Vanilla" implementation and the
-// numerical reference for every other conv kernel. The (sample,
-// output-channel) planes are partitioned across at most workers
-// goroutines; each plane is computed by exactly one iteration with the
-// sequential code, so the output is bit-identical at any worker count.
+// ConvDirect computes a 2-D convolution over an NCHW input with OIHW
+// weights, the dependency-free "Vanilla" implementation and the
+// numerical reference for every other conv kernel. A grouped conv
+// (AlexNet's conv2/4/5) has I = C/groups, and output channel block g
+// reads only input channel block g. The (sample, output-channel)
+// planes are partitioned across at most workers goroutines; each plane
+// is computed by exactly one iteration with the sequential code, so
+// the output is bit-identical at any worker count.
 func ConvDirect(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvDirect requires NCHW input")
@@ -92,13 +99,16 @@ func ConvDirect(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, work
 	out := output(dst, convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
 	kArea := p.KernelH * p.KernelW
+	inPerG, outPerG := s.C/p.GroupCount(), p.OutChannels/p.GroupCount()
 	parFor(s.N*os.C, workers, func(j int) {
 		n, oc := j/os.C, j%os.C
-		wBase := oc * s.C * kArea
+		grp := oc / outPerG
+		wBase := oc * inPerG * kArea
 		for oh := 0; oh < os.H; oh++ {
 			for ow := 0; ow < os.W; ow++ {
 				sum := bias[oc]
-				for c := 0; c < s.C; c++ {
+				for cLocal := 0; cLocal < inPerG; cLocal++ {
+					c := grp*inPerG + cLocal
 					for r := 0; r < p.KernelH; r++ {
 						ih := oh*p.StrideH + r - p.PadH
 						if ih < 0 || ih >= s.H {
@@ -109,7 +119,7 @@ func ConvDirect(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, work
 							if iw < 0 || iw >= s.W {
 								continue
 							}
-							sum += float32(w[wBase+c*kArea+r*p.KernelW+q] * in.At(n, c, ih, iw))
+							sum += float32(w[wBase+cLocal*kArea+r*p.KernelW+q] * in.At(n, c, ih, iw))
 						}
 					}
 				}

@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -10,74 +8,8 @@ import (
 // Grouped convolution — AlexNet's conv2/4/5 split channels into two
 // independent halves (a two-GPU training artifact the deployed model
 // keeps). Weights are OIHW with I = C/groups; output channel block g
-// sees only input channel block g.
-
-// checkGroupedArgs validates a grouped convolution's geometry.
-func checkGroupedArgs(in tensor.Shape, w, bias []float32, p nn.ConvParams) error {
-	g := p.GroupCount()
-	if in.C%g != 0 || p.OutChannels%g != 0 {
-		return fmt.Errorf("kernels: groups %d do not divide channels %d->%d", g, in.C, p.OutChannels)
-	}
-	need := p.OutChannels * (in.C / g) * p.KernelH * p.KernelW
-	if len(w) != need {
-		return fmt.Errorf("kernels: grouped conv weights have %d elements, need %d", len(w), need)
-	}
-	if len(bias) != p.OutChannels {
-		return fmt.Errorf("kernels: grouped conv bias has %d elements, need %d", len(bias), p.OutChannels)
-	}
-	return nil
-}
-
-// ConvGroupedDirect computes a grouped convolution with the direct
-// algorithm over an NCHW input. The (sample, output-channel) planes are
-// partitioned across workers goroutines (each output channel reads only
-// its own group's input block); results are bit-identical at any worker
-// count.
-func ConvGroupedDirect(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
-	if in.Layout() != tensor.NCHW {
-		panic("kernels: ConvGroupedDirect requires NCHW input")
-	}
-	s := in.Shape()
-	if err := checkGroupedArgs(s, w, bias, p); err != nil {
-		panic(err.Error())
-	}
-	g := p.GroupCount()
-	if g == 1 {
-		return ConvDirect(dst, in, w, bias, p, workers)
-	}
-	inPerG, outPerG := s.C/g, p.OutChannels/g
-	kArea := p.KernelH * p.KernelW
-	out := output(dst, convOutShape(s, p.OutChannels, p), tensor.NCHW)
-	os := out.Shape()
-	parFor(s.N*p.OutChannels, workers, func(j int) {
-		n, oc := j/p.OutChannels, j%p.OutChannels
-		grp := oc / outPerG
-		wBase := oc * inPerG * kArea
-		for oh := 0; oh < os.H; oh++ {
-			for ow := 0; ow < os.W; ow++ {
-				sum := bias[oc]
-				for cLocal := 0; cLocal < inPerG; cLocal++ {
-					c := grp*inPerG + cLocal
-					for r := 0; r < p.KernelH; r++ {
-						ih := oh*p.StrideH + r - p.PadH
-						if ih < 0 || ih >= s.H {
-							continue
-						}
-						for q := 0; q < p.KernelW; q++ {
-							iw := ow*p.StrideW + q - p.PadW
-							if iw < 0 || iw >= s.W {
-								continue
-							}
-							sum += float32(w[wBase+cLocal*kArea+r*p.KernelW+q] * in.At(n, c, ih, iw))
-						}
-					}
-				}
-				out.Set(n, oc, oh, ow, sum)
-			}
-		}
-	})
-	return out
-}
+// sees only input channel block g. ConvDirect runs the direct loop of
+// any group count; this file holds the per-group GEMM path.
 
 // sliceChannels copies a channel range [from, to) of an NCHW tensor
 // into a fresh tensor.
@@ -107,9 +39,7 @@ func ConvGroupedIm2col(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParam
 		panic("kernels: ConvGroupedIm2col requires NCHW input")
 	}
 	s := in.Shape()
-	if err := checkGroupedArgs(s, w, bias, p); err != nil {
-		panic(err.Error())
-	}
+	checkConvArgs(s, w, bias, p)
 	g := p.GroupCount()
 	if g == 1 {
 		return ConvIm2col(dst, in, w, bias, p, mul, workers, 0, nil)

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestGroupedConvMatchesBlockDiagonal(t *testing.T) {
 			bias[i] = rng.Float32()
 		}
 		ref := groupedRef(in, w, bias, p)
-		direct := ConvGroupedDirect(nil, in, w, bias, p, 1)
+		direct := ConvDirect(nil, in, w, bias, p, 1)
 		if d := tensor.MaxAbsDiff(ref, direct); d > convTol {
 			t.Errorf("groups=%d: direct max diff %g", g, d)
 		}
@@ -58,20 +59,30 @@ func TestGroupedConvMatchesBlockDiagonal(t *testing.T) {
 	}
 }
 
+// TestGroupedConvReducesToUngrouped: a grouped ConvDirect is, bit for
+// bit, one dense ConvDirect per group over that group's input
+// channels, weights and biases.
 func TestGroupedConvReducesToUngrouped(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	in := tensor.New(tensor.Shape{N: 1, C: 4, H: 6, W: 6}, tensor.NCHW)
 	in.FillRandom(rng, 1)
-	p := nn.ConvParams{OutChannels: 6, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 1}
-	w := make([]float32, 6*4*9)
+	p := nn.ConvParams{OutChannels: 6, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 2}
+	w := make([]float32, 6*2*9)
 	for i := range w {
 		w[i] = rng.Float32()
 	}
 	bias := make([]float32, 6)
-	a := ConvGroupedDirect(nil, in, w, bias, p, 1)
-	b := ConvDirect(nil, in, w, bias, p, 1)
-	if d := tensor.MaxAbsDiff(a, b); d != 0 {
-		t.Errorf("groups=1 should be identical to ConvDirect, diff %g", d)
+	got := ConvDirect(nil, in, w, bias, p, 1).Data()
+	sub := p
+	sub.OutChannels, sub.Groups = 3, 1
+	for g := 0; g < 2; g++ {
+		want := ConvDirect(nil, sliceChannels(in, 2*g, 2*g+2), w[g*3*2*9:(g+1)*3*2*9], bias[3*g:3*g+3], sub, 1).Data()
+		block := got[g*len(want) : (g+1)*len(want)]
+		for i := range want {
+			if math.Float32bits(block[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("group %d element %d: grouped %v, dense %v", g, i, block[i], want[i])
+			}
+		}
 	}
 }
 
@@ -86,7 +97,7 @@ func TestGroupedConvStride(t *testing.T) {
 	}
 	bias := make([]float32, 6)
 	ref := groupedRef(in, w, bias, p)
-	if d := tensor.MaxAbsDiff(ref, ConvGroupedDirect(nil, in, w, bias, p, 1)); d > convTol {
+	if d := tensor.MaxAbsDiff(ref, ConvDirect(nil, in, w, bias, p, 1)); d > convTol {
 		t.Errorf("strided grouped direct diff %g", d)
 	}
 	if d := tensor.MaxAbsDiff(ref, ConvGroupedIm2col(nil, in, w, bias, p, Naive, 1)); d > convTol {
@@ -102,7 +113,7 @@ func TestGroupedConvBadGeometryPanics(t *testing.T) {
 	}()
 	in := tensor.New(tensor.Shape{N: 1, C: 5, H: 4, W: 4}, tensor.NCHW)
 	p := nn.ConvParams{OutChannels: 4, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1, Groups: 2}
-	ConvGroupedDirect(nil, in, make([]float32, 10), make([]float32, 4), p, 1)
+	ConvDirect(nil, in, make([]float32, 10), make([]float32, 4), p, 1)
 }
 
 func TestIsGrouped(t *testing.T) {

@@ -94,7 +94,6 @@ func TestParKernelsMatchSequentialExports(t *testing.T) {
 		{"ConvDirect", ConvDirect},
 		{"ConvWinograd", ConvWinograd},
 		{"ConvFFT", ConvFFT},
-		{"ConvGroupedDirect", ConvGroupedDirect},
 	} {
 		seq := k.run(nil, x, w, b, g.p, 1)
 		for _, workers := range []int{0, -1} {
@@ -150,11 +149,11 @@ func TestGroupedParBitIdentical(t *testing.T) {
 	for i := range b {
 		b[i] = rng.Float32()
 	}
-	seqD := ConvGroupedDirect(nil, x, w, b, p, 1)
+	seqD := ConvDirect(nil, x, w, b, p, 1)
 	seqI := ConvGroupedIm2col(nil, x, w, b, p, Packed, 1)
 	for _, workers := range parWorkerCounts {
-		if !tensorsBitEqual(seqD, ConvGroupedDirect(nil, x, w, b, p, workers)) {
-			t.Errorf("ConvGroupedDirect workers=%d: not bit-identical", workers)
+		if !tensorsBitEqual(seqD, ConvDirect(nil, x, w, b, p, workers)) {
+			t.Errorf("grouped ConvDirect workers=%d: not bit-identical", workers)
 		}
 		if !tensorsBitEqual(seqI, ConvGroupedIm2col(nil, x, w, b, p, Packed, workers)) {
 			t.Errorf("ConvGroupedIm2col workers=%d: not bit-identical", workers)

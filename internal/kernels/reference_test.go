@@ -875,7 +875,7 @@ func checkMatchesReference(t *testing.T, g refGeom, seed int64) {
 			pg := p
 			pg.Groups, pg.OutChannels = 2, 4
 			gw, gb := randSlice(rng, pg.OutChannels*s.C/2*p.KernelH*p.KernelW), randSlice(rng, pg.OutChannels)
-			own["ConvGroupedDirect"] = func(dst *tensor.Tensor) *tensor.Tensor { return ConvGroupedDirect(dst, x, gw, gb, pg, workers) }
+			own["ConvDirect/grouped"] = func(dst *tensor.Tensor) *tensor.Tensor { return ConvDirect(dst, x, gw, gb, pg, workers) }
 			own["ConvGroupedIm2col"] = func(dst *tensor.Tensor) *tensor.Tensor {
 				return ConvGroupedIm2col(dst, x, gw, gb, pg, Packed, workers)
 			}

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/models"
+	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // TestCanImplementAgreesWithCandidates pins CanImplement to Candidates:
@@ -44,5 +46,29 @@ func TestCanImplementAllocatesNothing(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("%v allocations per pass over the network, want 0", allocs)
+	}
+}
+
+// TestFCAndFlattenCandidatesAreNCHW pins a premise the engine's buffer
+// planner relies on: the fully-connected and flatten kernels write
+// NCHW, so every CPU candidate of those layers must be NCHW, or a
+// planned output view would carry the wrong layout.
+func TestFCAndFlattenCandidatesAreNCHW(t *testing.T) {
+	checked := 0
+	for _, name := range models.All() {
+		for _, l := range models.MustBuild(name).Layers {
+			if l.Kind != nn.OpFullyConnected && l.Kind != nn.OpFlatten {
+				continue
+			}
+			for _, p := range Candidates(l, ModeCPU) {
+				if p.Layout != tensor.NCHW {
+					t.Errorf("%s/%s: CPU candidate %s is %v, the %v kernel writes NCHW", name, l.Name, p.Name, p.Layout, l.Kind)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no fully-connected or flatten layer in the zoo")
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"math"
 	"sort"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Robust is the fault-tolerance policy for profiling on real, flaky
@@ -262,7 +264,7 @@ func (m *meter) series(ctx context.Context, what string, n int, f func(ctx conte
 		vals = append(vals, v)
 	}
 	if m.policy == nil {
-		return mean(vals), nil
+		return stats.Mean(vals), nil
 	}
 	if need := m.policy.minValid(n); len(vals) < need {
 		return 0, fmt.Errorf("%s: only %d/%d samples valid (need %d): %w", what, len(vals), n, need, lastErr)
@@ -284,20 +286,14 @@ func (m *meter) single(ctx context.Context, what string, f func(context.Context)
 func (m *meter) aggregate(vals []float64) float64 {
 	p := m.policy
 	if (p.MADK <= 0 && p.TrimFraction <= 0) || len(vals) < 3 {
-		return mean(vals)
+		return stats.Mean(vals)
 	}
 	sorted := append([]float64(nil), vals...)
 	sort.Float64s(sorted)
 	kept := sorted
 	if p.MADK > 0 {
-		med := medianSorted(sorted)
-		dev := make([]float64, len(sorted))
-		for i, v := range sorted {
-			dev[i] = math.Abs(v - med)
-		}
-		sort.Float64s(dev)
-		// 1.4826 scales the MAD to a Gaussian sigma estimate.
-		if mad := medianSorted(dev) * 1.4826; mad > 0 {
+		med := stats.Median(sorted)
+		if mad := stats.MAD(sorted) * stats.MADSigma; mad > 0 {
 			filtered := kept[:0:0]
 			for _, v := range sorted {
 				if math.Abs(v-med) <= p.MADK*mad {
@@ -318,21 +314,5 @@ func (m *meter) aggregate(vals []float64) float64 {
 			kept = kept[k : len(kept)-k]
 		}
 	}
-	return mean(kept)
-}
-
-func mean(vals []float64) float64 {
-	var sum float64
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(vals))
-}
-
-func medianSorted(sorted []float64) float64 {
-	n := len(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
+	return stats.Mean(kept)
 }

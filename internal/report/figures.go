@@ -11,6 +11,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/primitives"
 	"repro/internal/searchplan"
+	"repro/internal/stats"
 )
 
 // Fig4 runs the paper's Fig. 4 experiment: a single QS-DNN search
@@ -87,23 +88,20 @@ func Fig5(network string, pl *platform.Platform, repeats int, opts Options) ([]F
 			rl[r] = core.SearchPlanned(plan, core.Config{Episodes: budget, Seed: seed}).Time
 			rs[r] = core.RandomSearchPlanned(plan, budget, seed).Time
 		}
-		pt.RLMean, pt.RLStd = meanStd(rl)
-		pt.RSMean, pt.RSStd = meanStd(rs)
+		pt.RLMean, pt.RSMean = stats.Mean(rl), stats.Mean(rs)
+		pt.RLStd, pt.RSStd = stdDev(rl, pt.RLMean), stdDev(rs, pt.RSMean)
 		points = append(points, pt)
 	}
 	return points, nil
 }
 
-func meanStd(xs []float64) (mean, std float64) {
+// stdDev returns the population standard deviation of xs about mu.
+func stdDev(xs []float64, mu float64) float64 {
+	var ss float64
 	for _, x := range xs {
-		mean += x
+		ss += (x - mu) * (x - mu)
 	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		std += (x - mean) * (x - mean)
-	}
-	std = math.Sqrt(std / float64(len(xs)))
-	return mean, std
+	return math.Sqrt(ss / float64(len(xs)))
 }
 
 // FormatFig5CSV renders the sweep as CSV (milliseconds).

@@ -45,34 +45,21 @@ type cacheEntry struct {
 
 // tableCache is a keyed single-flight cache: the first request for a
 // key builds the table, every concurrent or later request for the same
-// key waits for (or immediately gets) that one result.
-//
-// In sequential mode (newSequentialTableCache) there is exactly one
-// caller, so the single-flight machinery is pure overhead: get skips
-// the mutex and the ready-channel parking entirely and runs as a plain
-// map lookup + build. The semantics are identical — each key builds at
-// most once, failed builds are not cached — but a one-worker batch
-// pays no synchronization cost (the workers=1 regression guard,
-// TestSequentialCacheNeverParks, pins this).
+// key waits for (or immediately gets) that one result. A one-worker
+// batch has a single caller, so it never parks on another's build
+// (TestSequentialCacheNeverParks).
 type tableCache struct {
-	seq     bool
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
 	hits    int
 	misses  int
 	// parked counts get calls that actually blocked on another
-	// caller's in-flight build — always zero in sequential mode.
+	// caller's in-flight build.
 	parked atomic.Int64
 }
 
 func newTableCache() *tableCache {
 	return &tableCache{entries: map[string]*cacheEntry{}}
-}
-
-// newSequentialTableCache returns a cache for a one-worker batch: same
-// contract, no locking, no parking.
-func newSequentialTableCache() *tableCache {
-	return &tableCache{seq: true, entries: map[string]*cacheEntry{}}
 }
 
 // get returns the table for key, building it with build on the first
@@ -82,9 +69,6 @@ func newSequentialTableCache() *tableCache {
 // build instead of replaying a cached failure forever — a transient
 // board outage must not poison the batch.
 func (c *tableCache) get(key string, build func() (*lut.Table, *profile.Report, error)) (*lut.Table, *searchplan.Plan, *profile.Report, error) {
-	if c.seq {
-		return c.getSeq(key, build)
-	}
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.hits++
@@ -121,36 +105,6 @@ func (c *tableCache) get(key string, build func() (*lut.Table, *profile.Report, 
 	return e.tab, e.plan, e.rep, e.err
 }
 
-// getSeq is the sequential-mode get: exactly one goroutine uses the
-// cache, so a plain map is the whole implementation. Entries are
-// stored with their ready channel already closed so the shared stats
-// and any accidental concurrent read still behave.
-func (c *tableCache) getSeq(key string, build func() (*lut.Table, *profile.Report, error)) (*lut.Table, *searchplan.Plan, *profile.Report, error) {
-	if e, ok := c.entries[key]; ok {
-		c.hits++
-		return e.tab, e.plan, e.rep, e.err
-	}
-	c.misses++
-	e := &cacheEntry{ready: closedChan()}
-	e.tab, e.rep, e.err = build()
-	if e.err != nil {
-		// Mirror the concurrent path: failures are not cached, so the
-		// next request for this key retries the build.
-		return e.tab, nil, e.rep, e.err
-	}
-	if e.tab != nil {
-		e.plan = searchplan.Compile(e.tab)
-	}
-	c.entries[key] = e
-	return e.tab, e.plan, e.rep, e.err
-}
-
-func closedChan() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}
-
 // evict removes key's completed entry so the next get re-runs the
 // build — how the serve daemon's plan-health machinery forces a
 // re-profile of a table whose measurements drifted or whose candidates
@@ -159,13 +113,6 @@ func closedChan() chan struct{} {
 // evict again once it completes). Returns whether an entry was
 // removed.
 func (c *tableCache) evict(key string) bool {
-	if c.seq {
-		if _, ok := c.entries[key]; ok {
-			delete(c.entries, key)
-			return true
-		}
-		return false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
@@ -191,6 +138,5 @@ func (c *tableCache) stats() (hits, misses int) {
 }
 
 // parkedWaiters reports how many get calls blocked behind another
-// caller's in-flight build — the quantity the workers=1 bypass
-// eliminates.
+// caller's in-flight build.
 func (c *tableCache) parkedWaiters() int { return int(c.parked.Load()) }

@@ -14,7 +14,6 @@ import (
 func TestEvictRebuildsOnNextGet(t *testing.T) {
 	tab := seqTestTable(t)
 	for name, c := range map[string]*tableCache{
-		"sequential": newSequentialTableCache(),
 		"concurrent": newTableCache(),
 	} {
 		t.Run(name, func(t *testing.T) {

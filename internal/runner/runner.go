@@ -86,8 +86,8 @@ type Options struct {
 	// Workers bounds the worker pool; <= 0 selects one per CPU. The
 	// effective count is clamped to GOMAXPROCS (units are pure compute,
 	// so extra goroutines only add scheduling overhead); at one
-	// effective worker the batch runs fully sequentially with the pool
-	// and single-flight machinery bypassed.
+	// effective worker the batch runs fully sequentially: the pool runs
+	// inline and no table-cache lookup parks.
 	Workers int
 	// Platform is the board model profiled against when Profile is
 	// nil; nil selects the TX2-like preset.
@@ -232,6 +232,11 @@ func Run(jobs []Job, opts Options) (*BatchResult, error) {
 // returned BatchResult (with Canceled set), so an interrupted batch
 // still flushes its partial results.
 func RunContext(ctx context.Context, jobs []Job, opts Options) (*BatchResult, error) {
+	return runContext(ctx, jobs, opts, newTableCache())
+}
+
+// runContext is RunContext over a caller-supplied table cache.
+func runContext(ctx context.Context, jobs []Job, opts Options, cache *tableCache) (*BatchResult, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("runner: empty batch")
 	}
@@ -300,9 +305,8 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) (*BatchResult, er
 	// only add scheduler churn and single-flight parking — measured at
 	// ~13% of batch wall-clock on a single-core host (EXPERIMENTS.md).
 	// Clamping to GOMAXPROCS makes a one-core host take the sequential
-	// path no matter what was requested, and at one worker both the
-	// pool (which runs inline) and the cache (sequential mode, no
-	// locking or parking) are bypassed entirely.
+	// path no matter what was requested: at one worker the pool runs
+	// inline and no cache lookup ever parks.
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = pool.DefaultWorkers()
@@ -312,10 +316,6 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) (*BatchResult, er
 	}
 	if workers > len(pending) {
 		workers = len(pending)
-	}
-	cache := newTableCache()
-	if workers <= 1 {
-		cache = newSequentialTableCache()
 	}
 	start := time.Now()
 	outcome := pool.RunContext(ctx, len(pending), workers, func(k int) {

@@ -16,10 +16,9 @@ import (
 	"repro/internal/profile"
 )
 
-// The workers=1 regression guard (ISSUE 5): a one-worker batch must
-// run fully sequentially — no goroutines parked on single-flight
-// channels, no lock contention — while keeping the exact cache
-// contract of the concurrent path.
+// The workers=1 regression guard: a one-worker batch must run fully
+// sequentially, with no goroutine parked on a single-flight channel,
+// under the same cache contract as a pooled batch.
 
 func seqTestTable(t testing.TB) *lut.Table {
 	t.Helper()
@@ -33,40 +32,43 @@ func seqTestTable(t testing.TB) *lut.Table {
 	return tab
 }
 
+// TestSequentialCacheNeverParks runs a one-worker batch through the
+// one table cache: with a single caller no lookup parks, and each
+// distinct (network, mode, samples) key is built exactly once.
 func TestSequentialCacheNeverParks(t *testing.T) {
-	c := newSequentialTableCache()
 	tab := seqTestTable(t)
-	builds := 0
-	build := func() (*lut.Table, *profile.Report, error) {
-		builds++
+	builds := map[string]int{}
+	count := func(ctx context.Context, net *nn.Network, mode primitives.Mode, samples int) (*lut.Table, *profile.Report, error) {
+		builds[cacheKey{net.Name, mode, samples}.String()]++
 		return tab, nil, nil
 	}
-	key := cacheKey{network: "lenet5", mode: primitives.ModeCPU, samples: 2}.String()
-	for i := 0; i < 5; i++ {
-		got, plan, _, err := c.get(key, build)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != tab {
-			t.Fatal("cache returned a different table")
-		}
-		if plan == nil {
-			t.Fatal("sequential cache must compile the search plan")
+	jobs := []Job{
+		{Network: "lenet5", Mode: primitives.ModeCPU, Seeds: []int64{1, 2}, Episodes: 40, Samples: 2},
+		{Network: "lenet5", Mode: primitives.ModeCPU, Seeds: []int64{3}, Episodes: 40, Samples: 2},
+		{Network: "lenet5", Mode: primitives.ModeCPU, Seeds: []int64{4}, Episodes: 40, Samples: 3},
+	}
+	c := newTableCache()
+	if _, err := runContext(context.Background(), jobs, Options{Workers: 1, Profile: count}, c); err != nil {
+		t.Fatal(err)
+	}
+	if len(builds) != 2 {
+		t.Errorf("built %d keys, want 2: %v", len(builds), builds)
+	}
+	for key, n := range builds {
+		if n != 1 {
+			t.Errorf("key %s built %d times, want 1", key, n)
 		}
 	}
-	if builds != 1 {
-		t.Errorf("build ran %d times, want 1", builds)
-	}
-	if hits, misses := c.stats(); hits != 4 || misses != 1 {
-		t.Errorf("stats = %d hits / %d misses, want 4/1", hits, misses)
+	if hits, misses := c.stats(); hits != 2 || misses != 2 {
+		t.Errorf("stats = %d hits / %d misses, want 2/2", hits, misses)
 	}
 	if p := c.parkedWaiters(); p != 0 {
-		t.Errorf("sequential cache parked %d waiters, want 0", p)
+		t.Errorf("one-worker batch parked %d waiters, want 0", p)
 	}
 }
 
 func TestSequentialCacheRetriesFailedBuild(t *testing.T) {
-	c := newSequentialTableCache()
+	c := newTableCache()
 	tab := seqTestTable(t)
 	key := cacheKey{network: "lenet5", mode: primitives.ModeCPU, samples: 2}.String()
 	calls := 0
@@ -141,8 +143,8 @@ func TestConcurrentCacheCountsParkedWaiters(t *testing.T) {
 	}
 }
 
-// TestRunSequentialMatchesPooled pins that the sequential bypass is a
-// pure performance change: a Workers=1 batch and an (unclamped,
+// TestRunSequentialMatchesPooled pins that the one-worker path is a
+// pure performance choice: a Workers=1 batch and an (unclamped,
 // genuinely pooled on multicore hosts) Workers=4 batch produce
 // identical results and identical cache statistics.
 func TestRunSequentialMatchesPooled(t *testing.T) {
@@ -174,8 +176,8 @@ func TestRunSequentialMatchesPooled(t *testing.T) {
 // BenchmarkRunBatch is the workers=1 regression guard benchmark: it
 // isolates the orchestrator overhead (pool, cache, aggregation) from
 // profiling and search cost by using an instant ProfileFunc and a tiny
-// episode budget, at one worker (fully sequential, bypassed pool and
-// cache locking) and at eight (pooled on multicore hosts, clamped to
+// episode budget, at one worker (fully sequential, the pool inline)
+// and at eight (pooled on multicore hosts, clamped to
 // GOMAXPROCS otherwise). benchstat against bench/baseline.txt keeps
 // the sequential path from regressing behind the pooled one again.
 func BenchmarkRunBatch(b *testing.B) {

@@ -14,6 +14,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Options configures one load run.
@@ -46,9 +48,9 @@ func classOf(ds []time.Duration) Class {
 	if len(ds) == 0 {
 		return c
 	}
-	c.P50 = percentile(ds, 50)
-	c.P95 = percentile(ds, 95)
-	c.P99 = percentile(ds, 99)
+	c.P50 = stats.NearestRank(ds, 50)
+	c.P95 = stats.NearestRank(ds, 95)
+	c.P99 = stats.NearestRank(ds, 99)
 	c.Max = ds[len(ds)-1]
 	return c
 }
@@ -81,22 +83,6 @@ func (r *Result) String() string {
 		r.Requests, r.Clients, r.Errors,
 		float64(r.P50)/1e6, float64(r.P95)/1e6, float64(r.P99)/1e6, float64(r.Max)/1e6,
 		r.Throughput)
-}
-
-// percentile returns the p-th percentile (0 < p <= 100) of sorted
-// durations using nearest-rank.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }
 
 // Run fires opt.Requests POSTs at opt.BaseURL from opt.Clients
@@ -194,9 +180,9 @@ func Run(ctx context.Context, opt Options) (*Result, error) {
 		Clients:  opt.Clients,
 		Errors:   errorsN,
 		ByStatus: byStatus,
-		P50:      percentile(durations, 50),
-		P95:      percentile(durations, 95),
-		P99:      percentile(durations, 99),
+		P50:      stats.NearestRank(durations, 50),
+		P95:      stats.NearestRank(durations, 95),
+		P99:      stats.NearestRank(durations, 99),
 		Elapsed:  elapsed,
 	}
 	if len(durations) > 0 {

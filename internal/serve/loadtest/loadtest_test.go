@@ -233,21 +233,3 @@ func TestLoad64Clients(t *testing.T) {
 		t.Fatalf("daemon outcomes: %+v", st)
 	}
 }
-
-func TestPercentileNearestRank(t *testing.T) {
-	ds := make([]time.Duration, 100)
-	for i := range ds {
-		ds[i] = time.Duration(i+1) * time.Millisecond
-	}
-	for _, tc := range []struct {
-		p    float64
-		want time.Duration
-	}{{50, 50 * time.Millisecond}, {95, 95 * time.Millisecond}, {99, 99 * time.Millisecond}, {100, 100 * time.Millisecond}} {
-		if got := percentile(ds, tc.p); got != tc.want {
-			t.Fatalf("p%.0f = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-	if got := percentile(nil, 50); got != 0 {
-		t.Fatalf("empty percentile = %v", got)
-	}
-}
