@@ -63,7 +63,7 @@ func BenchmarkTableII(b *testing.B) {
 			pl := platform.JetsonTX2Like()
 			var row report.Row
 			for i := 0; i < b.N; i++ {
-				rows, err := report.TableII([]string{network}, pl, report.Options{Episodes: 1000, Samples: 20, Seed: 1})
+				rows, err := report.TableIIParallel([]string{network}, pl, report.Options{Episodes: 1000, Samples: 20, Seed: 1}, 1, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -302,7 +302,7 @@ func BenchmarkConvKernels(b *testing.B) {
 		{"im2col-packed", func() { kernels.ConvIm2col(nil, in, w, bias, p, kernels.Packed, 1, 0, nil) }},
 		{"im2row-packed", func() { kernels.ConvIm2row(nil, in, w, bias, p, kernels.Packed, 1, 0, nil) }},
 		{"kn2row-packed", func() { kernels.ConvKn2row(nil, in, w, bias, p, kernels.Packed, 1, nil) }},
-		{"winograd", func() { kernels.ConvWinograd(nil, in, w, bias, p, 1) }},
+		{"winograd", func() { kernels.ConvWinograd(nil, in, w, bias, p, 1, nil) }},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {

@@ -57,12 +57,6 @@ func OutputPenalty(pl *platform.Platform, last *nn.Layer, p *primitives.Primitiv
 	return cost
 }
 
-// Incompatible reports whether an edge between the two primitives
-// needs any compatibility layer at all.
-func Incompatible(from, to *primitives.Primitive) bool {
-	return from.Proc != to.Proc || from.Layout != to.Layout
-}
-
 // EnergyPenalty is Penalty's energy counterpart: the joules spent on
 // the transfer and/or conversion an incompatible edge requires.
 func EnergyPenalty(pl *platform.Platform, producer *nn.Layer, from *primitives.Primitive, to *primitives.Primitive) float64 {

@@ -78,18 +78,6 @@ func TestOutputPenalty(t *testing.T) {
 	}
 }
 
-func TestIncompatible(t *testing.T) {
-	if Incompatible(primitives.PVanilla, primitives.PAtlasIm2col) {
-		t.Error("vanilla and atlas share CPU/NCHW")
-	}
-	if !Incompatible(primitives.PVanilla, primitives.PCuDNNConv) {
-		t.Error("CPU vs GPU should be incompatible")
-	}
-	if !Incompatible(primitives.PVanilla, primitives.PArmCLGemm) {
-		t.Error("NCHW vs NHWC should be incompatible")
-	}
-}
-
 func TestInputPrimitiveIsHostFormat(t *testing.T) {
 	p := InputPrimitive()
 	if p.Proc != primitives.CPU || p.Layout != tensor.NCHW {

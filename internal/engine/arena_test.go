@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -54,7 +55,8 @@ func randomAssignments(net *nn.Network, n int, seed int64) [][]primitives.ID {
 }
 
 // replay executes the assignment without an arena, with a fresh tensor
-// for every activation and conversion, and returns the output in NCHW.
+// for every activation and conversion and fresh scratch for every
+// kernel, and returns the output in NCHW.
 func replay(t *testing.T, e *Engine, a []primitives.ID, in *tensor.Tensor) *tensor.Tensor {
 	t.Helper()
 	acts := make([]*tensor.Tensor, e.Net.Len())
@@ -65,7 +67,12 @@ func replay(t *testing.T, e *Engine, a []primitives.ID, in *tensor.Tensor) *tens
 		for k, src := range l.Inputs {
 			inputs[k] = acts[src].ToLayout(p.Layout)
 		}
-		out, err := e.execCfg(nil, i, l, p, inputs, kernels.ConvTuned{}, nil)
+		var dst *tensor.Tensor
+		if l.Kind != nn.OpDropout {
+			dst = tensor.New(l.OutShape, p.Layout)
+		}
+		scratch := make([]float32, e.scratchLen(l, p, kernels.ConvTuned{}))
+		out, err := e.execCfg(dst, i, l, p, inputs, kernels.ConvTuned{}, scratch)
 		if err != nil {
 			t.Fatalf("layer %s: %v", l.Name, err)
 		}
@@ -336,5 +343,81 @@ func TestRunAllocationBound(t *testing.T) {
 		if bytes >= outputs {
 			t.Errorf("%s: Run allocates %d bytes, no less than the %d bytes of all layer outputs", names[j], bytes, outputs)
 		}
+	}
+}
+
+// kernelNet holds one conv of each kind whose kernel once allocated
+// its own buffers: a grouped 3x3 conv (the per-group lowering), a dense
+// 3x3 stride-1 conv (the Winograd candidates) and a 5x5 stride-1 conv
+// (the FFT candidate), with a BatchNorm, ReLUs and an EltwiseAdd to run
+// in place. Every activation holds 16x16x16 values.
+func kernelNet(t *testing.T) *nn.Network {
+	t.Helper()
+	b := nn.NewBuilder("kernel-test", tensor.Shape{N: 1, C: 16, H: 16, W: 16})
+	g := b.ReLU("relu-g", b.Conv2D("conv-g3", b.Input(), nn.ConvParams{
+		OutChannels: 16, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 2,
+	}))
+	x := b.BatchNorm("bn", b.Conv("conv-3", g, 16, 3, 1, 1))
+	x = b.Conv("conv-5", x, 16, 5, 1, 2)
+	b.ReLU("out", b.EltwiseAdd("add", x, g))
+	return b.MustBuild()
+}
+
+// TestRunAllocationBoundEveryKernel extends TestRunAllocationBound to
+// the kernels mobilenet-v1-025 does not run: on kernelNet, a
+// steady-state Run under every CPU library row allocates no more than
+// its planned slots, its output copy and bookkeeping, so the grouped
+// lowering, the
+// Winograd filter transform and the NHWC staging of the Winograd and
+// FFT kernels all work in planned scratch. A row that runs nnpack-fft
+// is exempt: ConvFFT keeps its float64 transform grids to itself until
+// ROADMAP item 12 decides whether float64 stays.
+func TestRunAllocationBoundEveryKernel(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	net := kernelNet(t)
+	e := New(net, 1, 0.5)
+	in := testInput(net, 4)
+	// Bookkeeping is the program, the timing slices, the tensor headers,
+	// the kernels' closures and packers, and the page the runtime rounds
+	// the arena up to.
+	bookkeeping := int64(2048*net.Len() + 8192)
+	output := int64(net.Layers[net.OutputLayer()].OutShape.Bytes())
+	names, assigns := libraryAssignments(e)
+	checked := 0
+	for j, a := range assigns {
+		if slices.Contains(a, primitives.PNNPackFFT.Idx) {
+			continue
+		}
+		prog, err := e.compile(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots := int64(0)
+		for _, n := range prog.slots {
+			slots += 4 * int64(n)
+		}
+		if _, err := e.Run(a, in); err != nil { // warm up
+			t.Fatal(err)
+		}
+		const runs = 3
+		bytes, count := allocated(func() {
+			for range runs {
+				if _, err := e.Run(a, in); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		bytes, count = bytes/runs, count/runs
+		t.Logf("%s: %d bytes (%d slot bytes), %d allocations over %d steps", names[j], bytes, slots, count, len(prog.steps))
+		if bound := slots + output + bookkeeping; bytes > bound {
+			t.Errorf("%s: Run allocates %d bytes, more than its %d planned slot bytes, %d output bytes and %d for bookkeeping",
+				names[j], bytes, slots, output, bookkeeping)
+		}
+		checked++
+	}
+	if checked < len(assigns)-1 {
+		t.Errorf("checked %d of %d library rows; only the nnpack-fft row is exempt", checked, len(assigns))
 	}
 }

@@ -258,11 +258,11 @@ func checkExecutable(l *nn.Layer, p *primitives.Primitive) error {
 }
 
 // execCfg executes layer i under a non-twin primitive, with cfg
-// parameterizing its conv or depth-wise kernel. dst, when non-nil, is
-// the output tensor in the layer's output shape and p's layout; it may
-// be in[0] for the kinds inPlace admits. A Dropout returns in[0].
-// scratch, when non-nil, is the kernel's workspace of scratchLen
-// elements; nil lets a kernel that takes one allocate it.
+// parameterizing its conv or depth-wise kernel. dst is the output
+// tensor in the layer's output shape and p's layout; it may be in[0]
+// for the kinds inPlace admits. A Dropout ignores it and returns in[0].
+// scratch is the kernel's workspace of scratchLen elements. The caller
+// owns both, so a step allocates no buffer of its own.
 func (e *Engine) execCfg(dst *tensor.Tensor, i int, l *nn.Layer, p *primitives.Primitive, in []*tensor.Tensor, cfg kernels.ConvTuned, scratch []float32) (*tensor.Tensor, error) {
 	x := in[0]
 	par := e.params[i]
@@ -302,152 +302,175 @@ func (e *Engine) execCfg(dst *tensor.Tensor, i int, l *nn.Layer, p *primitives.P
 // convGemm returns the GEMM and fan-out a conv runs with under p and
 // its tuned config cfg (zero for plain primitives): cfg.Workers
 // goroutines, or the engine's Parallelism when cfg.Workers is 0 or
-// less. Tuned libraries get the packed parallel GEMM (the tuned-BLAS
-// stand-in) under cfg.Block, which a zero Block makes bit-identical to
-// gemm.Parallel; ATLAS and Vanilla keep the naive one — their role in
-// the paper is the slow reference BLAS.
+// less, and one goroutine for Vanilla and Sparse. Tuned libraries get
+// the packed parallel GEMM (the tuned-BLAS stand-in) under cfg.Block,
+// which a zero Block makes bit-identical to gemm.Parallel; ATLAS and
+// Vanilla keep the naive one — their role in the paper is the slow
+// reference BLAS.
 func (e *Engine) convGemm(p *primitives.Primitive, cfg kernels.ConvTuned) (kernels.Gemm, int) {
 	w := cfg.Workers
 	if w <= 0 {
 		w = e.workers
 	}
-	if p.Lib == primitives.ATLAS || p.Lib == primitives.Vanilla {
+	switch p.Lib {
+	case primitives.Vanilla, primitives.Sparse:
+		return kernels.Naive, 1
+	case primitives.ATLAS:
 		return kernels.Naive, w
 	}
 	return kernels.Gemm{Packed: true, Block: cfg.Block}, w
 }
 
-// loweredConv is a conv kernel that takes scratch, paired with its
-// scratch size function. Both take the layer, the GEMM, the fan-out
-// and the tuned panel (which not every kernel uses).
-type loweredConv struct {
+// convKernel is the kernel a conv or depth-wise step runs, paired with
+// the size of the workspace it takes (nil for none). Both take the
+// layer, the GEMM, the fan-out and the tuned panel, which not every
+// kernel uses. nchw marks a kernel that reads and writes NCHW only:
+// under an NHWC primitive execConv stages its input and output in NCHW
+// at the front of the step's scratch, and scratchLen counts them.
+type convKernel struct {
 	scratch func(l *nn.Layer, mul kernels.Gemm, w, panel int) int
-	run     func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, mul kernels.Gemm, w, panel int, scratch []float32) *tensor.Tensor
+	run     convRun
+	nchw    bool
+}
+
+// convRun runs a conv or depth-wise kernel for a step.
+type convRun func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, mul kernels.Gemm, w, panel int, scratch []float32) *tensor.Tensor
+
+// plain adapts a conv or depth-wise kernel that takes no scratch.
+func plain(k func(dst, x *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor) convRun {
+	return func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, _ kernels.Gemm, w, _ int, _ []float32) *tensor.Tensor {
+		return k(dst, x, par.w, par.bias, l.Conv, w)
+	}
 }
 
 var (
-	sparseConv = loweredConv{
-		func(l *nn.Layer, _ kernels.Gemm, _, _ int) int { return kernels.ConvSparseScratch(l.InShape, l.Conv) },
-		func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, _ kernels.Gemm, _, _ int, scratch []float32) *tensor.Tensor {
+	directConv        = convKernel{run: plain(kernels.ConvDirect)}
+	directNHWCConv    = convKernel{run: plain(kernels.ConvDirectNHWC)}
+	depthwiseConv     = convKernel{run: plain(kernels.DepthwiseDirect)}
+	depthwiseNHWCConv = convKernel{run: plain(kernels.DepthwiseNHWC)}
+
+	sparseConv = convKernel{
+		scratch: func(l *nn.Layer, _ kernels.Gemm, _, _ int) int { return kernels.ConvSparseScratch(l.InShape, l.Conv) },
+		run: func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, _ kernels.Gemm, _, _ int, scratch []float32) *tensor.Tensor {
 			return kernels.ConvSparse(dst, x, par.csr, par.bias, l.Conv, scratch)
 		},
 	}
-	im2colConv = loweredConv{
-		func(l *nn.Layer, mul kernels.Gemm, w, panel int) int {
+	im2colConv = convKernel{
+		scratch: func(l *nn.Layer, mul kernels.Gemm, w, panel int) int {
 			return kernels.ConvIm2colScratch(l.InShape, l.Conv, mul, w, panel)
 		},
-		func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, mul kernels.Gemm, w, panel int, scratch []float32) *tensor.Tensor {
+		run: func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, mul kernels.Gemm, w, panel int, scratch []float32) *tensor.Tensor {
 			return kernels.ConvIm2col(dst, x, par.w, par.bias, l.Conv, mul, w, panel, scratch)
 		},
 	}
-	im2rowConv = loweredConv{
-		func(l *nn.Layer, mul kernels.Gemm, w, panel int) int {
+	im2rowConv = convKernel{
+		scratch: func(l *nn.Layer, mul kernels.Gemm, w, panel int) int {
 			return kernels.ConvIm2rowScratch(l.InShape, l.Conv, mul, w, panel)
 		},
-		func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, mul kernels.Gemm, w, panel int, scratch []float32) *tensor.Tensor {
+		run: func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, mul kernels.Gemm, w, panel int, scratch []float32) *tensor.Tensor {
 			return kernels.ConvIm2row(dst, x, par.w, par.bias, l.Conv, mul, w, panel, scratch)
 		},
 	}
-	kn2rowConv = loweredConv{
-		func(l *nn.Layer, mul kernels.Gemm, w, _ int) int {
+	kn2rowConv = convKernel{
+		scratch: func(l *nn.Layer, mul kernels.Gemm, w, _ int) int {
 			return kernels.ConvKn2rowScratch(l.InShape, l.Conv, mul, w)
 		},
-		func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, mul kernels.Gemm, w, _ int, scratch []float32) *tensor.Tensor {
+		run: func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, mul kernels.Gemm, w, _ int, scratch []float32) *tensor.Tensor {
 			return kernels.ConvKn2row(dst, x, par.w, par.bias, l.Conv, mul, w, scratch)
 		},
 	}
+	winogradConv = convKernel{
+		scratch: func(l *nn.Layer, _ kernels.Gemm, _, _ int) int { return kernels.ConvWinogradScratch(l.InShape, l.Conv) },
+		run: func(dst, x *tensor.Tensor, l *nn.Layer, par layerParams, _ kernels.Gemm, w, _ int, scratch []float32) *tensor.Tensor {
+			return kernels.ConvWinograd(dst, x, par.w, par.bias, l.Conv, w, scratch)
+		},
+		nchw: true,
+	}
+	// fftConv keeps its float64 transform grids to itself: the one
+	// kernel that allocates as it runs (ROADMAP item 12).
+	fftConv = convKernel{run: plain(kernels.ConvFFT), nchw: true}
 )
 
-// lowering returns the kernel layer l runs under p when that kernel
-// takes scratch — an ungrouped NCHW conv lowered to a matrix product,
-// by a GEMM lowering or by Sparse's im2col SpMM — and nil otherwise.
-// compile sizes a step's scratch and execConv calls the kernel through
-// this one choice, so the two cannot disagree.
-func lowering(l *nn.Layer, p *primitives.Primitive) *loweredConv {
-	if l.Kind != nn.OpConv || kernels.IsGrouped(l.Conv) || p.Lower == primitives.NoLowering || p.Layout != tensor.NCHW {
-		return nil
-	}
+// convKernelOf returns the kernel layer l runs under p, or nil when l
+// is no conv or p has no CPU kernel for it. compile sizes a step's
+// scratch and execConv calls the kernel through this one choice, so
+// the two cannot disagree.
+func convKernelOf(l *nn.Layer, p *primitives.Primitive) *convKernel {
 	switch {
+	case l.Kind == nn.OpDepthwiseConv && p.Layout == tensor.NHWC:
+		return &depthwiseNHWCConv
+	case l.Kind == nn.OpDepthwiseConv:
+		return &depthwiseConv
+	case l.Kind != nn.OpConv:
+		return nil
+	case p.Lib == primitives.Vanilla, p.Lib == primitives.Sparse && kernels.IsGrouped(l.Conv):
+		// Sparse's SpMM takes no groups; a grouped conv's zero weights
+		// add nothing to the direct loop.
+		return &directConv
 	case p.Lib == primitives.Sparse:
 		return &sparseConv
 	case p.Lower == primitives.Im2col:
 		return &im2colConv
 	case p.Lower == primitives.Im2row:
 		return &im2rowConv
+	case p.Lower == primitives.Kn2row:
+		return &kn2rowConv
+	case p.Algo == primitives.WinogradAlgo:
+		return &winogradConv
+	case p.Algo == primitives.FFTAlgo:
+		return &fftConv
+	case p.Layout == tensor.NHWC: // nnpack-gemm / armcl-gemm
+		return &directNHWCConv
 	}
-	return &kn2rowConv
+	return nil
+}
+
+// staged reports whether k runs under p through NCHW copies of its
+// input and output.
+func staged(k *convKernel, p *primitives.Primitive) bool {
+	return k.nchw && p.Layout != tensor.NCHW
 }
 
 // scratchLen returns the workspace, in float32 elements, that layer
-// l's kernel takes under p and cfg: what the kernel's own size function
-// reports for a lowered conv (see lowering), and 0 for every other
-// kernel. A tuned twin's cfg.Block may name a micro-kernel other than
-// the dispatched one; the size follows the named one's register tile.
+// l's kernel takes under p and cfg: the NCHW staging of an NCHW-only
+// kernel (see convKernel) plus what the kernel's own size function
+// reports, and 0 for a kernel that takes none. A tuned twin's
+// cfg.Block may name a micro-kernel other than the dispatched one; the
+// size follows the named one's register tile.
 func (e *Engine) scratchLen(l *nn.Layer, p *primitives.Primitive, cfg kernels.ConvTuned) int {
-	k := lowering(l, p)
+	k := convKernelOf(l, p)
 	if k == nil {
 		return 0
 	}
-	mul, w := e.convGemm(p, cfg)
-	return k.scratch(l, mul, w, cfg.Panel)
+	n := 0
+	if staged(k, p) {
+		n = l.InShape.Elems() + l.OutShape.Elems()
+	}
+	if k.scratch != nil {
+		mul, w := e.convGemm(p, cfg)
+		n += k.scratch(l, mul, w, cfg.Panel)
+	}
+	return n
 }
 
-// execConv dispatches the convolution and depth-wise variants.
-// NCHW-native fast kernels used under an NHWC-declared primitive
-// convert internally; that cost is the primitive's own business and
-// lands in its layer time.
-//
-// cfg is the layer's tuned config, zero for plain primitives; see
-// convGemm for the GEMM and fan-out it selects. Vanilla and Sparse
-// always run on one goroutine. Panel applies to the im2col and im2row
-// lowerings only. The kernels lowering returns work in scratch (sized
-// by scratchLen), or allocate their workspace when it is nil.
+// execConv runs a conv or depth-wise layer through convKernelOf's
+// kernel, with the GEMM and fan-out convGemm selects for cfg (zero for
+// plain primitives). Panel applies to the im2col and im2row lowerings
+// only. An NCHW-only kernel under an NHWC primitive reads a converted
+// copy of x and writes an NCHW result that is converted into dst, both
+// held in scratch; that cost is the primitive's own business and lands
+// in its layer time.
 func (e *Engine) execConv(dst *tensor.Tensor, l *nn.Layer, p *primitives.Primitive, x *tensor.Tensor, par layerParams, cfg kernels.ConvTuned, scratch []float32) (*tensor.Tensor, error) {
+	k := convKernelOf(l, p)
+	if k == nil {
+		return nil, fmt.Errorf("engine: no conv kernel for %s", p.Name)
+	}
 	mul, w := e.convGemm(p, cfg)
-	if k := lowering(l, p); k != nil {
+	if !staged(k, p) {
 		return k.run(dst, x, l, par, mul, w, cfg.Panel, scratch), nil
 	}
-	if l.Kind == nn.OpDepthwiseConv {
-		switch {
-		case p.Lib == primitives.Vanilla:
-			return kernels.DepthwiseDirect(dst, x, par.w, par.bias, l.Conv, 1), nil
-		case p.Layout == tensor.NHWC:
-			return kernels.DepthwiseNHWC(dst, x, par.w, par.bias, l.Conv, w), nil
-		}
-		return kernels.DepthwiseDirect(dst, x, par.w, par.bias, l.Conv, w), nil
-	}
-	if kernels.IsGrouped(l.Conv) && p.Lib != primitives.Vanilla && p.Lib != primitives.Sparse {
-		return kernels.ConvGroupedIm2col(dst, x, par.w, par.bias, l.Conv, mul, w), nil
-	}
-	switch {
-	case p.Lib == primitives.Vanilla, p.Lib == primitives.Sparse:
-		// Only a grouped Sparse conv gets here (lowering takes the
-		// rest); its zeros contribute nothing to the direct loop.
-		return kernels.ConvDirect(dst, x, par.w, par.bias, l.Conv, 1), nil
-	case p.Algo == primitives.WinogradAlgo:
-		return viaNCHW(dst, x, p.Layout, func(dst, in *tensor.Tensor) *tensor.Tensor {
-			return kernels.ConvWinograd(dst, in, par.w, par.bias, l.Conv, w)
-		}), nil
-	case p.Algo == primitives.FFTAlgo:
-		return viaNCHW(dst, x, p.Layout, func(dst, in *tensor.Tensor) *tensor.Tensor {
-			return kernels.ConvFFT(dst, in, par.w, par.bias, l.Conv, w)
-		}), nil
-	case p.Layout == tensor.NHWC: // nnpack-gemm / armcl-gemm
-		return kernels.ConvDirectNHWC(dst, x, par.w, par.bias, l.Conv, w), nil
-	}
-	return nil, fmt.Errorf("engine: no conv kernel for %s", p.Name)
-}
-
-// viaNCHW runs an NCHW-only kernel for a primitive of layout l: x and
-// the kernel's output convert to and from NCHW when l is NHWC, and the
-// result lands in dst (a fresh tensor when dst is nil).
-func viaNCHW(dst, x *tensor.Tensor, l tensor.Layout, kernel func(dst, in *tensor.Tensor) *tensor.Tensor) *tensor.Tensor {
-	if l == tensor.NCHW {
-		return kernel(dst, x)
-	}
-	out := kernel(nil, x.ToLayout(tensor.NCHW))
-	if dst == nil {
-		return out.ToLayout(l)
-	}
-	return tensor.Convert(dst, out)
+	ni, no := l.InShape.Elems(), l.OutShape.Elems()
+	in := tensor.Convert(tensor.NewFrom(l.InShape, tensor.NCHW, scratch[:ni]), x)
+	out := tensor.NewFrom(l.OutShape, tensor.NCHW, scratch[ni:ni+no])
+	return tensor.Convert(dst, k.run(out, in, l, par, mul, w, cfg.Panel, scratch[ni+no:])), nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/kernels"
+	"repro/internal/nn"
 	"repro/internal/primitives"
 	"repro/internal/tensor"
 )
@@ -59,54 +60,80 @@ func (s *Source) MeasureSample(ctx context.Context, i int, p *primitives.Primiti
 }
 
 // measure is the one timed body behind MeasureSample and MeasureTuned:
-// convert layer i's cached inputs to p's layout, then time one
-// execution of the non-twin p under cfg. verb names the caller in
-// errors.
+// it times one execution of layer i under the non-twin p and cfg on the
+// cached inputs, converted to p's layout, with the memory the compiled
+// step runs with allocated before the timer starts, as Run allocates
+// its arena before its per-step timers: a fresh output, the step's
+// scratch, and for the kinds inPlace admits a private copy of the first
+// input that the kernel overwrites. verb names the caller in errors.
 func (s *Source) measure(ctx context.Context, verb string, i int, p *primitives.Primitive, cfg kernels.ConvTuned) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	l := s.eng.Net.Layers[i]
+	e := s.eng
+	l := e.Net.Layers[i]
 	inputs := make([]*tensor.Tensor, len(l.Inputs))
 	for k, src := range l.Inputs {
 		inputs[k] = s.acts[src].ToLayout(p.Layout)
 	}
-	t0 := time.Now()
-	if _, err := s.eng.execCfg(nil, i, l, p, inputs, cfg, nil); err != nil {
+	var dst *tensor.Tensor
+	switch {
+	case l.Kind == nn.OpDropout:
+	case inPlace(l.Kind):
+		dst = inputs[0].Clone() // the cached activation must stay as it is
+		inputs[0] = dst
+	default:
+		dst = tensor.New(l.OutShape, p.Layout)
+	}
+	scratch := make([]float32, e.scratchLen(l, p, cfg))
+	var err error
+	sec := timed(func() { _, err = e.execCfg(dst, i, l, p, inputs, cfg, scratch) })
+	if err != nil {
 		return 0, fmt.Errorf("%s %s with %s: %w", verb, l.Name, p.Name, err)
 	}
-	return time.Since(t0).Seconds(), nil
+	return sec, nil
 }
 
 // MeasureEdgePenalty times the real layout conversion between the
 // producer's output under fp and the consumer's required layout under
-// tp. Both primitives run on the CPU here, so no transfer cost exists.
+// tp, into a slot allocated before the timer, as Run converts into an
+// arena slot. Both primitives run on the CPU here, so no transfer cost
+// exists.
 func (s *Source) MeasureEdgePenalty(ctx context.Context, producer int, fp, tp *primitives.Primitive) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if fp.Layout == tp.Layout {
-		return 0, nil
-	}
-	src := s.acts[producer].ToLayout(fp.Layout)
-	t0 := time.Now()
-	src.ToLayout(tp.Layout)
-	return time.Since(t0).Seconds(), nil
+	return s.convert(producer, fp.Layout, tp.Layout), nil
 }
 
 // MeasureOutputPenalty times the conversion of the output layer's
-// activation back to the host NCHW format.
+// activation back to the host NCHW format, into a tensor allocated
+// before the timer.
 func (s *Source) MeasureOutputPenalty(ctx context.Context, output int, p *primitives.Primitive) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if p.Layout == tensor.NCHW {
-		return 0, nil
+	return s.convert(output, p.Layout, tensor.NCHW), nil
+}
+
+// convert times tensor.Convert of layer i's cached activation, held in
+// layout from, into a fresh tensor in layout to; equal layouts cost 0.
+func (s *Source) convert(i int, from, to tensor.Layout) float64 {
+	if from == to {
+		return 0
 	}
-	src := s.acts[output].ToLayout(p.Layout)
+	src := s.acts[i].ToLayout(from)
+	dst := tensor.New(src.Shape(), to)
+	return timed(func() { tensor.Convert(dst, src) })
+}
+
+// timed returns fn's wall time in seconds. It is the one timer behind
+// every Measure method, a variable so that a test can observe what
+// runs inside it.
+var timed = func(fn func()) float64 {
 	t0 := time.Now()
-	src.ToLayout(tensor.NCHW)
-	return time.Since(t0).Seconds(), nil
+	fn()
+	return time.Since(t0).Seconds()
 }
 
 // The Measure* methods satisfy profile.Source structurally;

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/kernels"
@@ -56,4 +57,59 @@ func TestNewSourceActivationsMatchRun(t *testing.T) {
 			t.Fatalf("%s: cached output activation differs from Run's Output", name)
 		}
 	}
+}
+
+// TestMeasureAllocatesBeforeTimer checks that a profiling sample times
+// only what Run times: the output, the scratch and the conversion
+// buffer are all allocated before the timer starts. On kernelNet every
+// activation, conversion and non-empty scratch holds at least 16 KB, so
+// no MeasureSample of any CPU candidate, MeasureEdgePenalty of either
+// layout change or MeasureOutputPenalty may allocate half of that
+// inside its timed region: what is left are the tensor headers,
+// closures and packers a Run step allocates too (25 of them for a 5x5
+// kn2row). nnpack-fft is exempt: ConvFFT keeps its float64 transform
+// grids to itself (ROADMAP item 12).
+func TestMeasureAllocatesBeforeTimer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	net := kernelNet(t)
+	e := New(net, 1, 0.5)
+	src, err := NewSource(e, testInput(net, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := int64(net.InputShape.Bytes() / 2)
+	var inside int64
+	defer func(orig func(func()) float64) { timed = orig }(timed)
+	timed = func(fn func()) float64 {
+		inside, _ = allocated(fn)
+		return 1e-6
+	}
+	check := func(what string, measure func() (float64, error)) {
+		t.Helper()
+		inside = -1
+		if _, err := measure(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if inside < 0 || inside > bound {
+			t.Errorf("%s: %d bytes allocated inside the timer, more than %d", what, inside, bound)
+		}
+	}
+	ctx := context.Background()
+	for i := 1; i < net.Len(); i++ {
+		l := net.Layers[i]
+		for _, p := range primitives.Candidates(l, primitives.ModeCPU) {
+			if p == primitives.PNNPackFFT {
+				continue
+			}
+			check(l.Name+" under "+p.Name, func() (float64, error) { return src.MeasureSample(ctx, i, p, 0) })
+		}
+		nchw, nhwc := primitives.PVanilla, primitives.PNNPackOp
+		check(l.Name+" to NHWC", func() (float64, error) { return src.MeasureEdgePenalty(ctx, i, nchw, nhwc) })
+		check(l.Name+" to NCHW", func() (float64, error) { return src.MeasureEdgePenalty(ctx, i, nhwc, nchw) })
+	}
+	check("output from NHWC", func() (float64, error) {
+		return src.MeasureOutputPenalty(ctx, net.OutputLayer(), primitives.PNNPackOp)
+	})
 }

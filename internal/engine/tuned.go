@@ -30,12 +30,6 @@ func (e *Engine) SetTuned(i int, id primitives.ID, cfg kernels.ConvTuned) {
 	e.tuned[tunedKey{i, id}] = cfg
 }
 
-// TunedConfig reports the config recorded for a (layer, twin) pair.
-func (e *Engine) TunedConfig(i int, id primitives.ID) (kernels.ConvTuned, bool) {
-	cfg, ok := e.tuned[tunedKey{i, id}]
-	return cfg, ok
-}
-
 // MeasureTuned times one execution of layer i as base would run it,
 // under an explicit tuned config, on the cached canonical activations.
 // Unlike MeasureSample with a tuned twin it never touches the engine's

@@ -133,10 +133,10 @@ func TestMeasureTuned(t *testing.T) {
 
 // TestMeasureSampleRunsTunedConfig pins that profiling a tuned twin
 // times the config SetTuned recorded for it, not the defaults. The
-// config is observed through what the timed execution allocates: the
-// source hands the kernel no scratch, so ConvIm2row allocates its
-// ConvIm2rowScratch workspace, which a one-row panel makes far smaller
-// than the default whole-matrix one.
+// config is observed through what a sample allocates: the source
+// allocates the step's ConvIm2rowScratch workspace for the config it
+// runs, which a one-row panel makes far smaller than the default
+// whole-matrix one.
 func TestMeasureSampleRunsTunedConfig(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")

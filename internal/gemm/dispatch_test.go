@@ -233,6 +233,46 @@ func TestKernelRegistry(t *testing.T) {
 	}
 }
 
+// compiledFor lists the micro-kernels each architecture's build
+// carries, in registration order after the pure-Go fallback.
+var compiledFor = map[string][]string{
+	"amd64": {"go-4x8", "sse-4x8", "avx2-8x8", "avx512-8x16"},
+	"arm64": {"go-4x8", "neon-8x8"},
+}
+
+// TestCompiledVariantsRegistered names, in the test log, every
+// micro-kernel this build compiled beside the ones this host registered
+// and the dispatch tests therefore ran. A compiled kernel may be
+// missing from KernelVariants only because its CPUID/XCR0 probe
+// rejected the host, and each such kernel is logged as not run; any
+// other absence fails.
+func TestCompiledVariantsRegistered(t *testing.T) {
+	want, ok := compiledFor[runtime.GOARCH]
+	if !ok {
+		want = []string{"go-4x8"}
+	}
+	var got []string
+	for _, k := range compiled {
+		got = append(got, k.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("%s build compiles %v, want %v", runtime.GOARCH, got, want)
+	}
+	names := KernelVariants()
+	for _, k := range compiled {
+		registered := slices.Contains(names, k.Name)
+		switch {
+		case registered != k.usable:
+			t.Errorf("%s: compiled, registered = %v, but its probe passed = %v", k.Name, registered, k.usable)
+		case registered:
+			t.Logf("%s: compiled and run", k.Name)
+		default:
+			t.Logf("%s: compiled but not run: the CPUID/XCR0 probe rejects this host", k.Name)
+		}
+	}
+	t.Logf("%s: dispatched %s; variants %v", runtime.GOARCH, ActiveKernel(), names)
+}
+
 // TestDisableSIMDKnob exercises the QSDNN_DISABLE_SIMD environment
 // knob end to end: with it set, re-running dispatch selects the
 // pure-Go fallback and GEMM results stay byte-identical to the SIMD

@@ -55,13 +55,16 @@ type Kernel struct {
 	// rows are the memory-bound kernels' lane-wise loops that ride this
 	// variant's dispatch (rows.go).
 	rows *Rows
+	// usable records that this host passed the kernel's CPU feature
+	// probe (see registerKernel).
+	usable bool
 }
 
 // fallbackKernel is the pure-Go kernel every build has: the 4x8
 // geometry of the original SSE micro-kernel with microTileGo as the
 // reference reduction. QSDNN_DISABLE_SIMD forces it; every SIMD
 // variant must be bit-equal to it.
-var fallbackKernel = &Kernel{Name: "go-4x8", MR: 4, NR: 8, micro: microTileGo, rows: goRows}
+var fallbackKernel = &Kernel{Name: "go-4x8", MR: 4, NR: 8, micro: microTileGo, rows: goRows, usable: true}
 
 // variants lists every kernel usable on this host, fastest first, with
 // the pure-Go fallback always last. Populated by init (per GOARCH) and
@@ -73,10 +76,20 @@ var variants = []*Kernel{fallbackKernel}
 // GEMM calls.
 var active atomic.Pointer[Kernel]
 
-// registerKernel prepends a detected kernel, keeping the registration
-// order (fastest first) ahead of the fallback.
-func registerKernel(k *Kernel) {
-	variants = append([]*Kernel{k}, variants...)
+// compiled lists every kernel this build carries, in registration
+// order, whether or not this host can run it: a test compares it with
+// variants to name the kernels a run did not exercise.
+var compiled = []*Kernel{fallbackKernel}
+
+// registerKernel records a kernel this build carries and, when usable
+// (its CPU feature probe passed), prepends it to variants, keeping the
+// registration order (fastest first) ahead of the fallback.
+func registerKernel(k *Kernel, usable bool) {
+	k.usable = usable
+	compiled = append(compiled, k)
+	if usable {
+		variants = append([]*Kernel{k}, variants...)
+	}
 }
 
 // simdDisabled reports whether the QSDNN_DISABLE_SIMD environment knob

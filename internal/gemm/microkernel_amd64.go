@@ -93,12 +93,8 @@ func microTileAVX512(k int, a []float32, lda int, b []float32, ldb int, c []floa
 // (see simdSupport). Both vector kernels carry the AVX2 rows
 // (rows_amd64.go).
 func registerArchKernels() {
-	registerKernel(&Kernel{Name: "sse-4x8", MR: 4, NR: 8, micro: microTileSSE, rows: goRows})
 	avx2, avx512 := probeSIMD()
-	if avx2 {
-		registerKernel(&Kernel{Name: "avx2-8x8", MR: 8, NR: 8, micro: microTileAVX2, rows: avx2Rows})
-	}
-	if avx512 {
-		registerKernel(&Kernel{Name: "avx512-8x16", MR: 8, NR: 16, micro: microTileAVX512, rows: avx2Rows})
-	}
+	registerKernel(&Kernel{Name: "sse-4x8", MR: 4, NR: 8, micro: microTileSSE, rows: goRows}, true)
+	registerKernel(&Kernel{Name: "avx2-8x8", MR: 8, NR: 8, micro: microTileAVX2, rows: avx2Rows}, avx2)
+	registerKernel(&Kernel{Name: "avx512-8x16", MR: 8, NR: 16, micro: microTileAVX512, rows: avx2Rows}, avx512)
 }

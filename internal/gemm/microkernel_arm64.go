@@ -32,5 +32,5 @@ func microTileNEON(k int, a []float32, _ int, b []float32, _ int, c []float32, l
 // NEON kernel needs no feature probe; QSDNN_DISABLE_SIMD still forces
 // the pure-Go fallback.
 func registerArchKernels() {
-	registerKernel(&Kernel{Name: "neon-8x8", MR: 8, NR: 8, micro: microTileNEON, packs: true, rows: goRows})
+	registerKernel(&Kernel{Name: "neon-8x8", MR: 8, NR: 8, micro: microTileNEON, packs: true, rows: goRows}, true)
 }

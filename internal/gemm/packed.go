@@ -344,9 +344,6 @@ func ScratchLen(m, n, k, workers int, cfg BlockConfig) int {
 		return 0
 	}
 	kn := kernelByName(cfg.Kernel)
-	if cfg.Workers > 0 {
-		workers = cfg.Workers
-	}
 	kc, nc := blocking(kn, n, k, cfg.KC, cfg.NC)
 	workers, byCols := split(kn, m, n, k, nc, workers, workers)
 	bpk, per := scratchLayout(kn, kc, nc, byCols)

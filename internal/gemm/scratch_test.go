@@ -125,19 +125,19 @@ func nanSlice(n int) []float32 {
 }
 
 // TestScratchIsWorkspaceOnly runs ParallelCfg and ParallelPacker with
-// nil, NaN-filled and oversized scratch under plain, KC-, NC- and
-// worker-overriding configs: every form must reproduce the nil-scratch
+// nil, NaN-filled and oversized scratch under plain, KC- and NC-blocked
+// configs at 1 to 3 workers: every form must reproduce the nil-scratch
 // bits.
 func TestScratchIsWorkspaceOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	cfgs := append([]BlockConfig{{}, {Workers: 3}}, blockedConfigs...)
+	cfgs := append([]BlockConfig{{}}, blockedConfigs...)
 	for _, dims := range [][3]int{{17, 23, 31}, {65, 130, 70}, {9, panelCols + 9, 27}} {
 		m, n, k := dims[0], dims[1], dims[2]
 		a := randomSlice(rng, m*k)
 		b := randomSlice(rng, k*n)
 		c0 := randomSlice(rng, m*n)
 		for _, cfg := range cfgs {
-			for _, w := range []int{1, 2} {
+			for _, w := range []int{1, 2, 3} {
 				want := append([]float32(nil), c0...)
 				ParallelCfg(m, n, k, a, b, want, Bias{}, w, cfg, nil)
 				size := ScratchLen(m, n, k, w, cfg)

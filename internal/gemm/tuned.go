@@ -32,8 +32,6 @@ type BlockConfig struct {
 	// NC is the n-blocking width (B columns packed per block), rounded
 	// up to the kernel's NR; <= 0 selects the default 256-column blocks.
 	NC int
-	// Workers overrides the caller's strip fan-out; <= 0 keeps it.
-	Workers int
 }
 
 // kernelByName resolves a micro-kernel variant by name. "" and unknown
@@ -65,16 +63,13 @@ func KernelShape(name string) (mr, nr int, ok bool) {
 
 // ParallelCfg computes C = A*B + C like Parallel, or C = bias + A*B
 // under a non-zero bias (see Bias), through an explicit BlockConfig:
-// micro-kernel choice, optional KC/NC cache blocking, and an optional
-// worker override. A zero config and a zero Bias are bit-identical to
-// Parallel(m, n, k, a, b, c, workers). scratch is the call's workspace,
+// micro-kernel choice and optional KC/NC cache blocking. A zero config
+// and a zero Bias are bit-identical to Parallel(m, n, k, a, b, c,
+// workers). scratch is the call's workspace,
 // as dst is a kernel's output: nil allocates one, otherwise it must
 // hold ScratchLen(m, n, k, workers, cfg) elements, whose contents do
 // not matter, and the call allocates nothing on one worker.
 func ParallelCfg(m, n, k int, a, b, c []float32, bias Bias, workers int, cfg BlockConfig, scratch []float32) {
-	if cfg.Workers > 0 {
-		workers = cfg.Workers
-	}
 	blockedKernel(kernelByName(cfg.Kernel), m, n, k, a, b, nil, c, bias, workers, cfg.KC, cfg.NC, scratch)
 }
 
@@ -83,8 +78,5 @@ func ParallelCfg(m, n, k int, a, b, c []float32, bias Bias, workers int, cfg Blo
 // the panel layout builds its patch matrix once rather than twice. The
 // result is bit-identical to ParallelCfg on the matrix pk describes.
 func ParallelPacker(m, n, k int, a []float32, pk Packer, c []float32, bias Bias, workers int, cfg BlockConfig, scratch []float32) {
-	if cfg.Workers > 0 {
-		workers = cfg.Workers
-	}
 	blockedKernel(kernelByName(cfg.Kernel), m, n, k, a, nil, pk, c, bias, workers, cfg.KC, cfg.NC, scratch)
 }

@@ -12,13 +12,14 @@
 // element of dst, so a reused buffer needs no clearing. Only ReLU,
 // BatchNorm and EltwiseAdd (as its first operand) accept dst == in.
 //
-// The kernels that lower a conv to a matrix product (ConvIm2col,
-// ConvIm2row, ConvKn2row, ConvSparse) also take their workspace the
-// way they take dst, as a last scratch argument: nil allocates it,
-// otherwise it must hold as many elements as the kernel's …Scratch
-// function reports, and may hold anything — the kernel writes every
-// element before reading it. A planned caller gives every call the
-// same scratch and so allocates nothing per call.
+// The kernels that need a workspace (ConvIm2col, ConvIm2row,
+// ConvKn2row, ConvSparse, ConvWinograd) also take it the way they take
+// dst, as a last scratch argument: nil allocates it, otherwise it must
+// hold as many elements as the kernel's …Scratch function reports, and
+// may hold anything — the kernel writes every element before reading
+// it. A planned caller gives every call the same scratch and so
+// allocates nothing per call. ConvFFT is the one exception: it keeps
+// its float64 transform grids to itself.
 package kernels
 
 import (
@@ -81,6 +82,9 @@ func checkConvArgs(in tensor.Shape, w, bias []float32, p nn.ConvParams) {
 		panic(fmt.Sprintf("kernels: conv bias has %d elements, need %d", len(bias), p.OutChannels))
 	}
 }
+
+// IsGrouped reports whether a conv layer uses more than one group.
+func IsGrouped(p nn.ConvParams) bool { return p.GroupCount() > 1 }
 
 // ConvDirect computes a 2-D convolution over an NCHW input with OIHW
 // weights, the dependency-free "Vanilla" implementation and the

@@ -18,8 +18,9 @@ import (
 // an exclusive column range, so the matrix is bit-identical at any
 // worker count.
 func Im2col(dst []float32, in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) []float32 {
-	m := matrix(dst, in.Shape().C*p.KernelH*p.KernelW*oh*ow)
-	im2colRows(in, n, p, oh, ow, workers, m)
+	s := in.Shape()
+	m := matrix(dst, s.C*p.KernelH*p.KernelW*oh*ow)
+	im2colRows(sample(in, n), s.C, s.H, s.W, p, oh, ow, workers, m)
 	return m
 }
 
@@ -67,21 +68,19 @@ func carve(ws *[]float32, n int) []float32 {
 	return part
 }
 
-// im2colRows writes the im2col lowering of sample n into m, the
-// (C*KH*KW) x (oh*ow) matrix, splitting the oh output rows across
-// workers goroutines. Each matrix row segment is gathered from one
-// input row slice. Every entry is written (padding entries as zero), so
-// a reused buffer needs no clearing.
-func im2colRows(in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int, m []float32) {
-	s := in.Shape()
+// im2colRows writes the im2col lowering of src, c planes of h x w,
+// into m, the (c*KH*KW) x (oh*ow) matrix, splitting the oh output rows
+// across workers goroutines. Each matrix row segment is gathered from
+// one input row slice. Every entry is written (padding entries as
+// zero), so a reused buffer needs no clearing.
+func im2colRows(src []float32, c, h, w int, p nn.ConvParams, oh, ow, workers int, m []float32) {
 	cols := oh * ow
-	src := sample(in, n)
 	parFor(oh, workers, func(y int) {
 		row := 0
-		for c := 0; c < s.C; c++ {
-			plane := src[c*s.H*s.W : (c+1)*s.H*s.W]
+		for ch := 0; ch < c; ch++ {
+			plane := src[ch*h*w : (ch+1)*h*w]
 			for r := 0; r < p.KernelH; r++ {
-				x := inputRow(plane, y*p.StrideH+r-p.PadH, s.H, s.W)
+				x := inputRow(plane, y*p.StrideH+r-p.PadH, h, w)
 				for q := 0; q < p.KernelW; q++ {
 					base := row*cols + y*ow
 					gatherRow(m[base:base+ow], x, p.StrideW, q-p.PadW)
@@ -185,8 +184,8 @@ func fillBias(dst []float32, m, n int, bias gemm.Bias) {
 // value is gemm.Naive, the textbook loop of the ATLAS-like reference
 // BLAS. Packed selects the packed, register-tiled gemm.ParallelCfg
 // under Block (the tuned-BLAS stand-in), fanned out over the kernel's
-// workers unless Block.Workers overrides them; the lowering then
-// gathers its patch matrix straight into the GEMM's packed panels.
+// workers; the lowering then gathers its patch matrix straight into the
+// GEMM's packed panels.
 type Gemm struct {
 	Packed bool
 	Block  gemm.BlockConfig
@@ -221,13 +220,14 @@ func (g Gemm) mul(m, n, k int, a, b, c []float32, bias gemm.Bias, workers int, s
 	gemm.ParallelCfg(m, n, k, a, b, c, bias, workers, g.Block, scratch)
 }
 
-// im2colPacker gathers one sample's im2col matrix (see Im2col) straight
-// into the packed GEMM's panel layout, so the matrix is never built:
-// row (c, r, q), column y*ow+x is input pixel (y*StrideH+r-PadH,
-// x*StrideW+q-PadW) of channel c, or zero in the padding — the value
-// Im2col writes there, so the GEMM sees the same B bit for bit.
+// im2colPacker gathers the im2col matrix of one sample or one channel
+// group of it (see Im2col) straight into the packed GEMM's panel
+// layout, so the matrix is never built: row (c, r, q), column y*ow+x
+// is input pixel (y*StrideH+r-PadH, x*StrideW+q-PadW) of channel c, or
+// zero in the padding — the value Im2col writes there, so the GEMM sees
+// the same B bit for bit.
 type im2colPacker struct {
-	src  []float32 // the sample: C planes of h x w
+	src  []float32 // the channels: planes of h x w
 	h, w int
 	p    nn.ConvParams
 	ow   int
@@ -289,12 +289,6 @@ func (g *im2colPacker) PackB(p0, kcb, j0, ncb, nr int, dst []float32) {
 	}
 }
 
-// packer returns the im2colPacker of sample n of in under p.
-func packer(in *tensor.Tensor, n int, p nn.ConvParams, ow int) *im2colPacker {
-	s := in.Shape()
-	return &im2colPacker{src: sample(in, n), h: s.H, w: s.W, p: p, ow: ow}
-}
-
 // panelBlock returns the GEMM config a packed ConvIm2col runs under:
 // a panel of output rows, with no NC of its own, becomes the GEMM's
 // n-block width, which is what panel tiling amounts to once the
@@ -307,15 +301,16 @@ func panelBlock(cfg gemm.BlockConfig, panel, oh, ow int) gemm.BlockConfig {
 	return cfg
 }
 
-// im2colParts returns the sizes of ConvIm2col's workspace: the
-// gathered matrix the naive GEMM multiplies, and the packed GEMM's own
-// workspace.
+// im2colParts returns the sizes of ConvIm2col's workspace, which every
+// channel group reuses in turn: the gathered matrix the naive GEMM
+// multiplies, and the packed GEMM's own workspace.
 func im2colParts(s tensor.Shape, p nn.ConvParams, mul Gemm, workers, panel int) (cols, gemmLen int) {
 	os := convOutShape(s, p.OutChannels, p)
-	ckk := s.C * p.KernelH * p.KernelW
+	g := p.GroupCount()
+	ckk := s.C / g * p.KernelH * p.KernelW
 	if mul.Packed {
 		cfg := panelBlock(mul.Block, panel, os.H, os.W)
-		return 0, gemm.ScratchLen(p.OutChannels, os.H*os.W, ckk, workers, cfg)
+		return 0, gemm.ScratchLen(p.OutChannels/g, os.H*os.W, ckk, workers, cfg)
 	}
 	if isPointwise(p) {
 		return 0, 0
@@ -330,23 +325,29 @@ func ConvIm2colScratch(s tensor.Shape, p nn.ConvParams, mul Gemm, workers, panel
 	return cols + g
 }
 
-// ConvIm2col computes a dense convolution as W (OC x CKK) times the
-// im2col matrix (CKK x OHOW), using the selected GEMM, starting from
-// the bias of each output channel (one per GEMM row) and accumulating
-// straight into the output sample. Results are bit-identical at any
-// worker count.
+// ConvIm2col computes a convolution as W (OC x CKK) times the im2col
+// matrix (CKK x OHOW), using the selected GEMM, starting from the bias
+// of each output channel (one per GEMM row) and accumulating straight
+// into the output sample. Results are bit-identical at any worker
+// count.
+//
+// A grouped conv (AlexNet's conv2/4/5) runs one lowering and one GEMM
+// per channel group, as BLAS libraries implement grouping: group g's
+// OC/groups weight rows multiply the im2col matrix of its C/groups
+// input channels, read in place, into its own block of output rows.
+// The groups run one after another and reuse one workspace.
 //
 // With the packed GEMM the matrix is never materialised: the GEMM packs
 // B block by block and the lowering gathers each block straight from
 // the input (im2colPacker). A pointwise conv's matrix is the input
-// sample itself, which the GEMM reads in place. The panel, when it
-// splits the output rows, becomes the GEMM's n-block width
+// channels themselves, which the GEMM reads in place. The panel, when
+// it splits the output rows, becomes the GEMM's n-block width
 // (panelBlock); splitting n leaves every output element's full-k
 // reduction whole, so the result does not depend on panel.
 //
 // With the naive GEMM the matrix is gathered across column blocks
 // (Im2col) and multiplied whole; panel does not apply. A pointwise
-// conv hands the GEMM the input sample in place of a gathered copy.
+// conv hands the GEMM the input channels in place of a gathered copy.
 //
 // scratch is the kernel's workspace, as dst is its output: nil
 // allocates it, otherwise it must hold ConvIm2colScratch elements.
@@ -358,24 +359,32 @@ func ConvIm2col(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul 
 	checkConvArgs(s, w, bias, p)
 	out := output(dst, convOutShape(s, p.OutChannels, p), tensor.NCHW)
 	os := out.Shape()
-	ckk := s.C * p.KernelH * p.KernelW
-	spatial := os.H * os.W
+	g := p.GroupCount()
+	cin, cout := s.C/g, p.OutChannels/g
+	ckk := cin * p.KernelH * p.KernelW
+	plane, spatial := s.H*s.W, os.H*os.W
 	ncols, ngemm := im2colParts(s, p, mul, workers, panel)
 	ws := workspace(scratch, ncols+ngemm)
 	cfg := panelBlock(mul.Block, panel, os.H, os.W)
-	start := gemm.Bias{V: bias}
+	pk := &im2colPacker{h: s.H, w: s.W, p: p, ow: os.W}
 	for n := 0; n < s.N; n++ {
-		res := sample(out, n)
-		switch {
-		case !mul.Packed && isPointwise(p):
-			mul.mul(p.OutChannels, spatial, ckk, w, sample(in, n), res, start, workers, nil)
-		case !mul.Packed:
-			im2colRows(in, n, p, os.H, os.W, workers, ws)
-			mul.mul(p.OutChannels, spatial, ckk, w, ws, res, start, workers, nil)
-		case isPointwise(p):
-			gemm.ParallelCfg(p.OutChannels, spatial, ckk, w, sample(in, n), res, start, workers, cfg, ws)
-		default:
-			gemm.ParallelPacker(p.OutChannels, spatial, ckk, w, packer(in, n, p, os.W), res, start, workers, cfg, ws)
+		for grp := 0; grp < g; grp++ {
+			src := sample(in, n)[grp*cin*plane : (grp+1)*cin*plane]
+			res := sample(out, n)[grp*cout*spatial : (grp+1)*cout*spatial]
+			a := w[grp*cout*ckk : (grp+1)*cout*ckk]
+			start := gemm.Bias{V: bias[grp*cout : (grp+1)*cout]}
+			switch {
+			case !mul.Packed && isPointwise(p):
+				mul.mul(cout, spatial, ckk, a, src, res, start, workers, nil)
+			case !mul.Packed:
+				im2colRows(src, cin, s.H, s.W, p, os.H, os.W, workers, ws)
+				mul.mul(cout, spatial, ckk, a, ws, res, start, workers, nil)
+			case isPointwise(p):
+				gemm.ParallelCfg(cout, spatial, ckk, a, src, res, start, workers, cfg, ws)
+			default:
+				pk.src = src
+				gemm.ParallelPacker(cout, spatial, ckk, a, pk, res, start, workers, cfg, ws)
+			}
 		}
 	}
 	return out
@@ -528,7 +537,7 @@ func ConvKn2row(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul 
 				view := p
 				view.KernelH, view.KernelW, view.PadH, view.PadW = 1, 1, p.PadH-r, p.PadW-q
 				if mul.Packed {
-					gemm.ParallelPacker(p.OutChannels, spatial, s.C, a, packer(in, n, view, os.W), res, start, workers, mul.Block, ws)
+					gemm.ParallelPacker(p.OutChannels, spatial, s.C, a, &im2colPacker{src: src, h: s.H, w: s.W, p: view, ow: os.W}, res, start, workers, mul.Block, ws)
 					continue
 				}
 				parFor(s.C, workers, func(c int) {

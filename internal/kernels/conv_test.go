@@ -14,7 +14,7 @@ import (
 func randConv(rng *rand.Rand, in tensor.Shape, p nn.ConvParams) (*tensor.Tensor, []float32, []float32) {
 	x := tensor.New(in, tensor.NCHW)
 	x.FillRandom(rng, 1)
-	w := make([]float32, p.OutChannels*in.C*p.KernelH*p.KernelW)
+	w := make([]float32, p.OutChannels*(in.C/p.GroupCount())*p.KernelH*p.KernelW)
 	for i := range w {
 		w[i] = rng.Float32()*2 - 1
 	}
@@ -105,7 +105,7 @@ func TestWinogradMatchesDirect(t *testing.T) {
 		}
 		x, w, b := randConv(rng, g.in, g.p)
 		ref := ConvDirect(nil, x, w, b, g.p, 1)
-		got := ConvWinograd(nil, x, w, b, g.p, 1)
+		got := ConvWinograd(nil, x, w, b, g.p, 1, nil)
 		if d := tensor.MaxAbsDiff(ref, got); d > convTol {
 			t.Errorf("%s: winograd max diff %g", g.name, d)
 		}
@@ -114,7 +114,7 @@ func TestWinogradMatchesDirect(t *testing.T) {
 	in := tensor.Shape{N: 1, C: 2, H: 7, W: 9}
 	p := nn.ConvParams{OutChannels: 3, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	x, w, b := randConv(rng, in, p)
-	if d := tensor.MaxAbsDiff(ConvDirect(nil, x, w, b, p, 1), ConvWinograd(nil, x, w, b, p, 1)); d > convTol {
+	if d := tensor.MaxAbsDiff(ConvDirect(nil, x, w, b, p, 1), ConvWinograd(nil, x, w, b, p, 1, nil)); d > convTol {
 		t.Errorf("odd-size winograd max diff %g", d)
 	}
 }
@@ -127,7 +127,7 @@ func TestWinogradRejectsBadGeometry(t *testing.T) {
 	}()
 	p := nn.ConvParams{OutChannels: 1, KernelH: 5, KernelW: 5, StrideH: 1, StrideW: 1}
 	x, w, b := randConv(rand.New(rand.NewSource(1)), tensor.Shape{N: 1, C: 1, H: 8, W: 8}, p)
-	ConvWinograd(nil, x, w, b, p, 1)
+	ConvWinograd(nil, x, w, b, p, 1, nil)
 }
 
 // Property: im2col and direct agree on random small geometries.

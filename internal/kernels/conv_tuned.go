@@ -5,8 +5,7 @@ import "repro/internal/gemm"
 // ConvTuned is the per-layer execution config the autotuner
 // (internal/tune) records for a tuned twin: how many output rows the
 // lowering convs multiply per panel, the fan-out, and the GEMM config
-// (micro-kernel, cache blocking, worker override) for the panel
-// multiplies. The zero value reproduces the default path: one panel of
+// (micro-kernel, cache blocking) for the panel multiplies. The zero value reproduces the default path: one panel of
 // every output row, multiplied by the default parallel GEMM at the
 // engine's worker count.
 type ConvTuned struct {
@@ -21,10 +20,9 @@ type ConvTuned struct {
 	// to the unpaneled one (given the same Block config). <= 0 disables
 	// tiling.
 	Panel int
-	// Workers is the kernel fan-out and the default GEMM strip fan-out;
-	// the engine's conv dispatch (execConv) states how 0 resolves.
+	// Workers is the fan-out of the kernel and of its GEMM strips; the
+	// engine's convGemm states how 0 resolves.
 	Workers int
-	// Block configures the panel GEMMs (see gemm.BlockConfig). Its
-	// Workers field, when set, overrides Workers for the GEMM only.
+	// Block configures the panel GEMMs (see gemm.BlockConfig).
 	Block gemm.BlockConfig
 }

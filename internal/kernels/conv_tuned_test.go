@@ -53,7 +53,7 @@ func TestConvTunedBlockedMatchesDirect(t *testing.T) {
 	cfgs := []ConvTuned{
 		{Block: gemm.BlockConfig{KC: 8}},
 		{Panel: 2, Block: gemm.BlockConfig{KC: 8, NC: 16}},
-		{Panel: 3, Workers: 2, Block: gemm.BlockConfig{NC: 8, Workers: 2}},
+		{Panel: 3, Workers: 2, Block: gemm.BlockConfig{NC: 8}},
 		{Panel: 1, Block: gemm.BlockConfig{Kernel: "go-4x8", KC: 16}},
 	}
 	for _, g := range convGeometries {

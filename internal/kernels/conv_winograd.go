@@ -5,6 +5,13 @@ import (
 	"repro/internal/tensor"
 )
 
+// ConvWinogradScratch returns the scratch elements ConvWinograd needs
+// on input shape s with the same p: one 4x4 transformed filter block
+// per (output, input) channel pair.
+func ConvWinogradScratch(s tensor.Shape, p nn.ConvParams) int {
+	return p.OutChannels * s.C * 16
+}
+
 // ConvWinograd computes a 3x3 stride-1 dense convolution with the
 // Winograd F(2x2, 3x3) algorithm: the input is processed in 4x4 tiles
 // producing 2x2 output tiles, with the filter transformed once. This
@@ -12,10 +19,12 @@ import (
 // VGG-style networks. Panics if the geometry is not 3x3 stride 1 —
 // the primitive registry never selects it otherwise. The (sample,
 // output-channel) tile batches are partitioned across workers
-// goroutines. The filter transform is computed once and shared
-// read-only; each (n, oc) plane of tiles is owned by one iteration with
-// its own scratch, so results are bit-identical at any worker count.
-func ConvWinograd(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+// goroutines. The filter transform is computed once, into scratch, and
+// shared read-only; each (n, oc) plane of tiles is owned by one
+// iteration with its own tile registers, so results are bit-identical
+// at any worker count. scratch is the kernel's workspace: nil
+// allocates it, otherwise it must hold ConvWinogradScratch elements.
+func ConvWinograd(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, workers int, scratch []float32) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvWinograd requires NCHW input")
 	}
@@ -29,7 +38,7 @@ func ConvWinograd(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, wo
 
 	// Filter transform U = G g G^T, one 4x4 block per (oc, c).
 	// G = [1 0 0; .5 .5 .5; .5 -.5 .5; 0 0 1]
-	u := make([]float32, p.OutChannels*s.C*16)
+	u := workspace(scratch, ConvWinogradScratch(s, p))
 	for oc := 0; oc < p.OutChannels; oc++ {
 		for c := 0; c < s.C; c++ {
 			g := w[(oc*s.C+c)*9 : (oc*s.C+c)*9+9]

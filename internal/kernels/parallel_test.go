@@ -43,7 +43,7 @@ func TestParKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 			if p.KernelH != 3 || p.KernelW != 3 || p.StrideH != 1 || p.StrideW != 1 {
 				return nil
 			}
-			return ConvWinograd(nil, in, w, b, p, workers)
+			return ConvWinograd(nil, in, w, b, p, workers, nil)
 		}},
 		{"fft", func(in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
 			if p.StrideH != 1 || p.StrideW != 1 {
@@ -92,7 +92,9 @@ func TestParKernelsMatchSequentialExports(t *testing.T) {
 		run  func(dst, in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor
 	}{
 		{"ConvDirect", ConvDirect},
-		{"ConvWinograd", ConvWinograd},
+		{"ConvWinograd", func(dst, in *tensor.Tensor, w, b []float32, p nn.ConvParams, workers int) *tensor.Tensor {
+			return ConvWinograd(dst, in, w, b, p, workers, nil)
+		}},
 		{"ConvFFT", ConvFFT},
 	} {
 		seq := k.run(nil, x, w, b, g.p, 1)
@@ -150,13 +152,13 @@ func TestGroupedParBitIdentical(t *testing.T) {
 		b[i] = rng.Float32()
 	}
 	seqD := ConvDirect(nil, x, w, b, p, 1)
-	seqI := ConvGroupedIm2col(nil, x, w, b, p, Packed, 1)
+	seqI := ConvIm2col(nil, x, w, b, p, Packed, 1, 0, nil)
 	for _, workers := range parWorkerCounts {
 		if !tensorsBitEqual(seqD, ConvDirect(nil, x, w, b, p, workers)) {
 			t.Errorf("grouped ConvDirect workers=%d: not bit-identical", workers)
 		}
-		if !tensorsBitEqual(seqI, ConvGroupedIm2col(nil, x, w, b, p, Packed, workers)) {
-			t.Errorf("ConvGroupedIm2col workers=%d: not bit-identical", workers)
+		if !tensorsBitEqual(seqI, ConvIm2col(nil, x, w, b, p, Packed, workers, 0, nil)) {
+			t.Errorf("grouped ConvIm2col workers=%d: not bit-identical", workers)
 		}
 	}
 }

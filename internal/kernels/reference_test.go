@@ -868,7 +868,7 @@ func checkMatchesReference(t *testing.T, g refGeom, seed int64) {
 		if p.StrideH == 1 && p.StrideW == 1 {
 			own["ConvFFT"] = func(dst *tensor.Tensor) *tensor.Tensor { return ConvFFT(dst, x, w, b, p, workers) }
 			if p.KernelH == 3 && p.KernelW == 3 {
-				own["ConvWinograd"] = func(dst *tensor.Tensor) *tensor.Tensor { return ConvWinograd(dst, x, w, b, p, workers) }
+				own["ConvWinograd"] = func(dst *tensor.Tensor) *tensor.Tensor { return ConvWinograd(dst, x, w, b, p, workers, nil) }
 			}
 		}
 		if s.C%2 == 0 {
@@ -876,8 +876,8 @@ func checkMatchesReference(t *testing.T, g refGeom, seed int64) {
 			pg.Groups, pg.OutChannels = 2, 4
 			gw, gb := randSlice(rng, pg.OutChannels*s.C/2*p.KernelH*p.KernelW), randSlice(rng, pg.OutChannels)
 			own["ConvDirect/grouped"] = func(dst *tensor.Tensor) *tensor.Tensor { return ConvDirect(dst, x, gw, gb, pg, workers) }
-			own["ConvGroupedIm2col"] = func(dst *tensor.Tensor) *tensor.Tensor {
-				return ConvGroupedIm2col(dst, x, gw, gb, pg, Packed, workers)
+			own["ConvIm2col/grouped"] = func(dst *tensor.Tensor) *tensor.Tensor {
+				return ConvIm2col(dst, x, gw, gb, pg, Packed, workers, 0, nil)
 			}
 		}
 		for name, run := range own {

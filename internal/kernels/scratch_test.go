@@ -90,10 +90,14 @@ func TestShortKernelScratchPanics(t *testing.T) {
 	s := tensor.Shape{N: 1, C: 3, H: 9, W: 9}
 	p := nn.ConvParams{OutChannels: 4, KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	x, w, b := randConv(rng, s, p)
+	gs, gp := tensor.Shape{N: 1, C: 4, H: 9, W: 9}, p
+	gp.Groups = 2
+	gx, gw, gb := randConv(rng, gs, gp)
 	csr := FromDense(p.OutChannels, s.C*9, w, 0)
 	short := func(n int) []float32 { return make([]float32, n-1) }
 	cases := map[string]func(){
-		"ConvSparse": func() { ConvSparse(nil, x, csr, b, p, short(ConvSparseScratch(s, p))) },
+		"ConvSparse":   func() { ConvSparse(nil, x, csr, b, p, short(ConvSparseScratch(s, p))) },
+		"ConvWinograd": func() { ConvWinograd(nil, x, w, b, p, 1, short(ConvWinogradScratch(s, p))) },
 		"ConvIm2col/panel/true": func() {
 			ConvIm2col(nil, x, w, b, p, Packed, 1, 2, short(ConvIm2colScratch(s, p, Packed, 1, 2)))
 		},
@@ -101,6 +105,9 @@ func TestShortKernelScratchPanics(t *testing.T) {
 	for _, mul := range []Gemm{Naive, Packed} {
 		cases[fmt.Sprintf("ConvIm2col/%v", mul.Packed)] = func() {
 			ConvIm2col(nil, x, w, b, p, mul, 1, 0, short(ConvIm2colScratch(s, p, mul, 1, 0)))
+		}
+		cases[fmt.Sprintf("ConvIm2col/grouped/%v", mul.Packed)] = func() {
+			ConvIm2col(nil, gx, gw, gb, gp, mul, 1, 0, short(ConvIm2colScratch(gs, gp, mul, 1, 0)))
 		}
 		cases[fmt.Sprintf("ConvIm2row/%v", mul.Packed)] = func() {
 			ConvIm2row(nil, x, w, b, p, mul, 1, 0, short(ConvIm2rowScratch(s, p, mul, 1, 0)))
@@ -125,11 +132,15 @@ func TestShortKernelScratchPanics(t *testing.T) {
 // that the output plane spans several default n-blocks, and a KC/NC
 // block config, and checks ConvIm2col, ConvIm2row and ConvKn2row under
 // the packed GEMM — run from NaN-filled scratch — against their frozen
-// references bit for bit.
+// references bit for bit. It also runs ConvIm2col grouped one group per
+// input channel against the per-group reference, and, on a 3x3
+// stride-1 window, ConvWinograd from NaN-filled scratch against its own
+// run from fresh scratch.
 func FuzzScratchLoweringMatchesReference(f *testing.F) {
 	f.Add(uint8(3), uint8(37), uint8(41), uint8(2), uint8(1), uint8(0), uint8(0), int64(1))
 	f.Add(uint8(1), uint8(20), uint8(63), uint8(0), uint8(2), uint8(7), uint8(19), int64(2))
 	f.Add(uint8(4), uint8(9), uint8(5), uint8(4), uint8(0), uint8(3), uint8(0), int64(3))
+	f.Add(uint8(2), uint8(9), uint8(13), uint8(2), uint8(0), uint8(0), uint8(0), int64(4))
 	f.Fuzz(func(t *testing.T, cc, hh, ww, kern, stride, kc, nc uint8, seed int64) {
 		s := tensor.Shape{N: 1, C: int(cc%4) + 1, H: int(hh%48) + 1, W: int(ww%64) + 1}
 		k := int(kern%5) + 1
@@ -150,6 +161,18 @@ func FuzzScratchLoweringMatchesReference(f *testing.F) {
 		}
 		if got := ConvKn2row(nil, x, w, b, p, mul, 1, nanSlice(ConvKn2rowScratch(s, p, mul, 1))); !tensorsBitEqual(refConvKn2rowPar(x, w, b, p, ref, 1), got) {
 			t.Errorf("%v %+v %+v: ConvKn2row differs from the reference", s, p, blk)
+		}
+		if gp := p; s.C > 1 {
+			gp.Groups, gp.OutChannels = s.C, 2*s.C
+			gx, gw, gb := randConv(rand.New(rand.NewSource(seed)), s, gp)
+			if got := ConvIm2col(nil, gx, gw, gb, gp, mul, 1, 0, nanSlice(ConvIm2colScratch(s, gp, mul, 1, 0))); !tensorsBitEqual(perGroupIm2col(gx, gw, gb, gp, mul), got) {
+				t.Errorf("%v %+v %+v: grouped ConvIm2col differs from the per-group reference", s, gp, blk)
+			}
+		}
+		if k == 3 && p.StrideH == 1 {
+			if got := ConvWinograd(nil, x, w, b, p, 1, nanSlice(ConvWinogradScratch(s, p))); !tensorsBitEqual(ConvWinograd(nil, x, w, b, p, 1, nil), got) {
+				t.Errorf("%v %+v: ConvWinograd from NaN-filled scratch differs from fresh scratch", s, p)
+			}
 		}
 	})
 }

@@ -148,12 +148,6 @@ type Layer struct {
 	InShape, OutShape tensor.Shape
 }
 
-// IsConvLike reports whether the layer performs a convolution
-// (standard or depth-wise).
-func (l *Layer) IsConvLike() bool {
-	return l.Kind == OpConv || l.Kind == OpDepthwiseConv
-}
-
 // String summarizes the layer.
 func (l *Layer) String() string {
 	return fmt.Sprintf("%s(%s %v->%v)", l.Name, l.Kind, l.InShape, l.OutShape)

@@ -25,10 +25,6 @@ type Network struct {
 // Len returns the number of layers including the input layer.
 func (n *Network) Len() int { return len(n.Layers) }
 
-// NumSearchable returns the number of layers the primitive-selection
-// search assigns implementations to (everything except OpInput).
-func (n *Network) NumSearchable() int { return len(n.Layers) - 1 }
-
 // LayerIndex returns the index of the named layer, or -1.
 func (n *Network) LayerIndex(name string) int {
 	if i, ok := n.byName[name]; ok {
@@ -36,9 +32,6 @@ func (n *Network) LayerIndex(name string) int {
 	}
 	return -1
 }
-
-// Consumers returns the indices of layers that consume layer i's output.
-func (n *Network) Consumers(i int) []int { return n.consumers[i] }
 
 // OutputLayer returns the index of the final layer (no consumers). If
 // several layers have no consumers the last one in topological order is

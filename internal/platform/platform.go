@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/nn"
 	"repro/internal/primitives"
-	"repro/internal/tensor"
 )
 
 // Spec holds the hardware parameters of the modeled board.
@@ -358,7 +357,3 @@ func (pl *Platform) TransferLatency(bytes int64) float64 {
 	}
 	return pl.TransferFixedSec + float64(bytes)/(pl.TransferGBps*1e9)
 }
-
-// LayoutOf returns the layout in which layer l's output materializes
-// when implemented by primitive p.
-func LayoutOf(p *primitives.Primitive) tensor.Layout { return p.Layout }

@@ -140,28 +140,3 @@ func SpaceSize(n *nn.Network, mode Mode) float64 {
 	}
 	return size
 }
-
-// LibrarySupports reports whether a library has any primitive able to
-// implement the layer — used by the profiling phase, which substitutes
-// one library at a time into every layer it supports.
-func LibrarySupports(lib Library, l *nn.Layer, mode Mode) bool {
-	for _, p := range Candidates(l, mode) {
-		if p.Lib == lib {
-			return true
-		}
-	}
-	return false
-}
-
-// LibraryPrimitive returns the library's preferred primitive for the
-// layer (the first candidate in registry order — for BLAS libraries
-// the profiling phase iterates all lowerings explicitly; this helper
-// picks the representative used for whole-library substitution).
-func LibraryPrimitive(lib Library, l *nn.Layer, mode Mode) (*Primitive, bool) {
-	for _, p := range Candidates(l, mode) {
-		if p.Lib == lib {
-			return p, true
-		}
-	}
-	return nil, false
-}

@@ -1,6 +1,7 @@
 package primitives
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/models"
@@ -238,24 +239,29 @@ func TestSpaceSizeGrowsWithNetwork(t *testing.T) {
 	}
 }
 
+// TestLibrarySupports pins which libraries have a candidate for a conv
+// and an FC layer: cuDNN has a conv but no FC primitive, cuBLAS no conv,
+// and ArmCL a CPU conv.
 func TestLibrarySupports(t *testing.T) {
 	conv := layerOfKind(t, nn.OpConv)
 	fc := layerOfKind(t, nn.OpFullyConnected)
-	if !LibrarySupports(CuDNN, conv, ModeGPGPU) {
-		t.Error("cuDNN should support conv")
+	supports := func(lib Library, l *nn.Layer, mode Mode) bool {
+		return slices.ContainsFunc(Candidates(l, mode), func(p *Primitive) bool { return p.Lib == lib })
 	}
-	if LibrarySupports(CuDNN, fc, ModeGPGPU) {
-		t.Error("cuDNN should not support FC")
-	}
-	if LibrarySupports(CuBLAS, conv, ModeGPGPU) {
-		t.Error("cuBLAS should not support conv")
-	}
-	p, ok := LibraryPrimitive(ArmCL, conv, ModeCPU)
-	if !ok || p.Lib != ArmCL {
-		t.Errorf("LibraryPrimitive(ArmCL, conv) = %v, %v", p, ok)
-	}
-	if _, ok := LibraryPrimitive(CuBLAS, conv, ModeGPGPU); ok {
-		t.Error("LibraryPrimitive should miss for unsupported combos")
+	for _, tc := range []struct {
+		lib  Library
+		l    *nn.Layer
+		mode Mode
+		want bool
+	}{
+		{CuDNN, conv, ModeGPGPU, true},
+		{CuDNN, fc, ModeGPGPU, false},
+		{CuBLAS, conv, ModeGPGPU, false},
+		{ArmCL, conv, ModeCPU, true},
+	} {
+		if got := supports(tc.lib, tc.l, tc.mode); got != tc.want {
+			t.Errorf("%v has a candidate for %s under %v: %v, want %v", tc.lib, tc.l.Name, tc.mode, got, tc.want)
+		}
 	}
 }
 

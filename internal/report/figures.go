@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/lut"
 	"repro/internal/models"
 	"repro/internal/platform"
 	"repro/internal/primitives"
@@ -180,15 +179,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// TableFor profiles one network and returns the LUT (exposed for the
-// CLI's profile/search subcommands).
-func TableFor(network string, pl *platform.Platform, mode primitives.Mode, opts Options) (*lut.Table, error) {
-	opts = opts.withDefaults()
-	net, err := models.Build(network)
-	if err != nil {
-		return nil, err
-	}
-	return profiledTable(net, pl, mode, opts)
 }

@@ -16,7 +16,7 @@ func TestTableIIShapes(t *testing.T) {
 	// The paper's qualitative claims, asserted on a representative
 	// subset (full table in cmd/qsdnn-table2 and BenchmarkTableII).
 	pl := platform.JetsonTX2Like()
-	rows, err := TableII([]string{"lenet5", "vgg19", "mobilenet-v1"}, pl, fastOpts)
+	rows, err := TableIIParallel([]string{"lenet5", "vgg19", "mobilenet-v1"}, pl, fastOpts, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestTableIIShapes(t *testing.T) {
 
 func TestFormatTableII(t *testing.T) {
 	pl := platform.JetsonTX2Like()
-	rows, err := TableII([]string{"lenet5"}, pl, fastOpts)
+	rows, err := TableIIParallel([]string{"lenet5"}, pl, fastOpts, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestFig1Demo(t *testing.T) {
 
 func TestUnknownNetworkErrors(t *testing.T) {
 	pl := platform.JetsonTX2Like()
-	if _, err := TableII([]string{"nope"}, pl, fastOpts); err == nil {
+	if _, err := TableIIParallel([]string{"nope"}, pl, fastOpts, 1, 1); err == nil {
 		t.Error("unknown network should error")
 	}
 	if _, err := Fig4("nope", pl, fastOpts); err == nil {
@@ -178,37 +178,6 @@ func TestUnknownNetworkErrors(t *testing.T) {
 		t.Error("unknown network should error")
 	}
 	if _, err := Fig5("nope", pl, 2, fastOpts); err == nil {
-		t.Error("unknown network should error")
-	}
-}
-
-func TestConvergenceTable(t *testing.T) {
-	pl := platform.JetsonTX2Like()
-	rows, err := ConvergenceTable([]string{"lenet5", "mobilenet-v1"}, pl,
-		Options{Episodes: 400, Samples: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.SearchSeconds <= 0 || r.BestMs <= 0 || r.SpaceSize <= 1 {
-			t.Errorf("bad row %+v", r)
-		}
-		if r.ConvergedAt < 0 || r.ConvergedAt >= r.Episodes {
-			t.Errorf("%s: ConvergedAt = %d", r.Network, r.ConvergedAt)
-		}
-		// The §V claim: comfortably under 10 minutes.
-		if r.SearchSeconds > 600 {
-			t.Errorf("%s: search took %.1fs", r.Network, r.SearchSeconds)
-		}
-	}
-	out := FormatConvergence(rows)
-	if !strings.Contains(out, "lenet5") || !strings.Contains(out, "converged@") {
-		t.Error("render incomplete")
-	}
-	if _, err := ConvergenceTable([]string{"nope"}, pl, fastOpts); err == nil {
 		t.Error("unknown network should error")
 	}
 }
@@ -227,7 +196,7 @@ func TestTableIIParallelMatchesSequential(t *testing.T) {
 	pl := platform.JetsonTX2Like()
 	nets := []string{"lenet5", "mobilenet-v1"}
 	opts := Options{Episodes: 150, Samples: 3, Seed: 1}
-	seq, err := TableII(nets, pl, opts)
+	seq, err := TableIIParallel(nets, pl, opts, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

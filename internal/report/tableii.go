@@ -88,13 +88,6 @@ func profiledTable(net *nn.Network, pl *platform.Platform, mode primitives.Mode,
 	return profile.Run(net, profile.NewSimSource(net, pl), profile.Options{Mode: mode, Samples: opts.Samples})
 }
 
-// TableII computes the full table for the given networks,
-// sequentially with the paper's single-seed protocol. It is
-// TableIIParallel with one worker and one seed.
-func TableII(networks []string, pl *platform.Platform, opts Options) ([]Row, error) {
-	return TableIIParallel(networks, pl, opts, 1, 1)
-}
-
 // TableIIParallel computes Table II through the batch runner: every
 // (network, mode) pair is one job fanned across a bounded worker pool
 // with best-of-seeds searches, and each pair is profiled exactly once

@@ -45,9 +45,6 @@ func (s *Surrogate) Observe(x []float64, sec float64) {
 	s.w = nil // stale
 }
 
-// Observations reports how many measurements the model has absorbed.
-func (s *Surrogate) Observations() int { return s.n }
-
 // Fit solves the ridge system (XᵀX + λI)w = Xᵀy and reports whether a
 // usable model exists (it needs at least two observations; a singular
 // system reports false).
