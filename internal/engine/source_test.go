@@ -66,8 +66,8 @@ func TestNewSourceActivationsMatchRun(t *testing.T) {
 // no MeasureSample of any CPU candidate, MeasureEdgePenalty of either
 // layout change or MeasureOutputPenalty may allocate half of that
 // inside its timed region: what is left are the tensor headers,
-// closures and packers a Run step allocates too (25 of them for a 5x5
-// kn2row). nnpack-fft is exempt: ConvFFT keeps its float64 transform
+// closures and packers a Run step allocates too (one packer per call
+// for a gathering lowering). nnpack-fft is exempt: ConvFFT keeps its float64 transform
 // grids to itself (ROADMAP item 12).
 func TestMeasureAllocatesBeforeTimer(t *testing.T) {
 	if raceEnabled {

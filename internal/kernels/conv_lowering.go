@@ -8,45 +8,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Im2col lowers an NCHW input into the (C*KH*KW) x (OH*OW) patch
-// matrix: each column holds one receptive field, each row one
-// (channel, kernel-offset) pair. Out-of-bounds (padding) entries are
-// zero. This is the classic Caffe/BLAS lowering. The columns are
-// partitioned into blocks across workers goroutines: column y*ow+x
-// belongs to output row y, and each worker fills every matrix row for
-// its own block of output rows. Every entry is a pure assignment into
-// an exclusive column range, so the matrix is bit-identical at any
-// worker count.
-func Im2col(dst []float32, in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) []float32 {
-	s := in.Shape()
-	m := matrix(dst, s.C*p.KernelH*p.KernelW*oh*ow)
-	im2colRows(sample(in, n), s.C, s.H, s.W, p, oh, ow, workers, m)
-	return m
-}
-
-// Im2row lowers an NCHW input into the (OH*OW) x (C*KH*KW) patch
-// matrix — the transpose orientation of Im2col, matching BLAS
-// libraries that prefer the patches as rows. The patch rows are
-// partitioned by output row across workers goroutines; each patch is an
-// exclusive slice, so the matrix is bit-identical at any worker count.
-func Im2row(dst []float32, in *tensor.Tensor, n int, p nn.ConvParams, oh, ow, workers int) []float32 {
-	m := matrix(dst, oh*ow*in.Shape().C*p.KernelH*p.KernelW)
-	im2rowRows(in, n, p, ow, 0, oh, workers, m)
-	return m
-}
-
-// matrix returns dst as a lowering's size-element matrix, or a fresh
-// one when dst is nil. The lowerings write every entry.
-func matrix(dst []float32, size int) []float32 {
-	if dst == nil {
-		return make([]float32, size)
-	}
-	if len(dst) != size {
-		panic(fmt.Sprintf("kernels: destination has %d elements, the matrix %d", len(dst), size))
-	}
-	return dst
-}
-
 // workspace returns scratch as a kernel's size-element workspace, or
 // a fresh one when scratch is nil. Scratch may be longer than size and
 // may hold anything: the kernels write every workspace element before
@@ -66,29 +27,6 @@ func carve(ws *[]float32, n int) []float32 {
 	part := (*ws)[:n:n]
 	*ws = (*ws)[n:]
 	return part
-}
-
-// im2colRows writes the im2col lowering of src, c planes of h x w,
-// into m, the (c*KH*KW) x (oh*ow) matrix, splitting the oh output rows
-// across workers goroutines. Each matrix row segment is gathered from
-// one input row slice. Every entry is written (padding entries as
-// zero), so a reused buffer needs no clearing.
-func im2colRows(src []float32, c, h, w int, p nn.ConvParams, oh, ow, workers int, m []float32) {
-	cols := oh * ow
-	parFor(oh, workers, func(y int) {
-		row := 0
-		for ch := 0; ch < c; ch++ {
-			plane := src[ch*h*w : (ch+1)*h*w]
-			for r := 0; r < p.KernelH; r++ {
-				x := inputRow(plane, y*p.StrideH+r-p.PadH, h, w)
-				for q := 0; q < p.KernelW; q++ {
-					base := row*cols + y*ow
-					gatherRow(m[base:base+ow], x, p.StrideW, q-p.PadW)
-					row++
-				}
-			}
-		}
-	})
 }
 
 // im2rowRows writes the im2row lowering of output rows [y0, y1) into
@@ -184,8 +122,8 @@ func fillBias(dst []float32, m, n int, bias gemm.Bias) {
 // value is gemm.Naive, the textbook loop of the ATLAS-like reference
 // BLAS. Packed selects the packed, register-tiled gemm.ParallelCfg
 // under Block (the tuned-BLAS stand-in), fanned out over the kernel's
-// workers; the lowering then gathers its patch matrix straight into the
-// GEMM's packed panels.
+// workers. Both multiply the same B, which a lowering hands over read
+// in place or through its one gather, im2colPacker (see mul).
 type Gemm struct {
 	Packed bool
 	Block  gemm.BlockConfig
@@ -199,33 +137,66 @@ var (
 )
 
 // scratchLen returns the workspace an (m x k) by (k x n) multiply
-// needs at the given fan-out.
-func (g Gemm) scratchLen(m, n, k, workers int) int {
-	if !g.Packed {
-		return 0
+// needs at the given fan-out: the packed GEMM's own, or, when B is
+// gathered, the naive GEMM's (k x n) copy of it.
+func (g Gemm) scratchLen(m, n, k, workers int, gathered bool) int {
+	switch {
+	case g.Packed:
+		return gemm.ScratchLen(m, n, k, workers, g.Block)
+	case gathered:
+		return k * n
 	}
-	return gemm.ScratchLen(m, n, k, workers, g.Block)
+	return 0
 }
 
 // mul computes C = A*B + C, or C = bias + A*B under a non-zero bias
-// (see gemm.Bias), working in scratch (scratchLen elements).
-func (g Gemm) mul(m, n, k int, a, b, c []float32, bias gemm.Bias, workers int, scratch []float32) {
-	if !g.Packed {
+// (see gemm.Bias), working in scratch (scratchLen elements, gathered
+// when pk is non-nil). With pk nil, B is the row-major (k x n) b, read
+// in place; otherwise B is the im2col matrix pk gathers from the
+// channels b. The packed GEMM has pk gather straight into its panels;
+// the naive one has pk fill scratch with B whole (gatherB) and
+// multiplies that, so both read the same B bit for bit.
+func (g Gemm) mul(m, n, k int, a, b []float32, pk *im2colPacker, c []float32, bias gemm.Bias, workers int, scratch []float32) {
+	if pk != nil {
+		pk.src = b
+	}
+	switch {
+	case g.Packed && pk != nil:
+		gemm.ParallelPacker(m, n, k, a, pk, c, bias, workers, g.Block, scratch)
+	case g.Packed:
+		gemm.ParallelCfg(m, n, k, a, b, c, bias, workers, g.Block, scratch)
+	default:
+		if pk != nil {
+			b = scratch[:k*n]
+			gatherB(pk, k, n, workers, b)
+		}
 		if bias.V != nil {
 			fillBias(c, m, n, bias)
 		}
 		gemm.Naive(m, n, k, a, b, c)
-		return
 	}
-	gemm.ParallelCfg(m, n, k, a, b, c, bias, workers, g.Block, scratch)
 }
 
-// im2colPacker gathers the im2col matrix of one sample or one channel
-// group of it (see Im2col) straight into the packed GEMM's panel
-// layout, so the matrix is never built: row (c, r, q), column y*ow+x
-// is input pixel (y*StrideH+r-PadH, x*StrideW+q-PadW) of channel c, or
-// zero in the padding — the value Im2col writes there, so the GEMM sees
-// the same B bit for bit.
+// gatherB has pk write the row-major (k x n) matrix it describes into
+// b. One n-wide panel of k rows is that matrix, so pk fills it with
+// nr = n, each worker packing its own range of rows. One worker packs
+// inline, with no closure to allocate.
+func gatherB(pk *im2colPacker, k, n, workers int, b []float32) {
+	if workers <= 1 {
+		pk.PackB(0, k, 0, n, n, b)
+		return
+	}
+	parChunks(k, workers, func(lo, hi int) { pk.PackB(lo, hi-lo, 0, n, n, b[lo*n:hi*n]) })
+}
+
+// im2colPacker is the one im2col gather: it describes the
+// (C*KH*KW) x (OH*OW) patch matrix of one sample or one channel group
+// of it, the classic Caffe/BLAS lowering, and packs any block of it
+// into the packed GEMM's panel layout. Row (c, r, q), column y*ow+x is
+// input pixel (y*StrideH+r-PadH, x*StrideW+q-PadW) of channel c, or
+// zero in the padding. The packed GEMM takes it block by block, so the
+// matrix is never built; gatherB builds it whole, as one n-wide panel,
+// for the naive GEMM and the sparse SpMM.
 type im2colPacker struct {
 	src  []float32 // the channels: planes of h x w
 	h, w int
@@ -301,28 +272,14 @@ func panelBlock(cfg gemm.BlockConfig, panel, oh, ow int) gemm.BlockConfig {
 	return cfg
 }
 
-// im2colParts returns the sizes of ConvIm2col's workspace, which every
-// channel group reuses in turn: the gathered matrix the naive GEMM
-// multiplies, and the packed GEMM's own workspace.
-func im2colParts(s tensor.Shape, p nn.ConvParams, mul Gemm, workers, panel int) (cols, gemmLen int) {
+// ConvIm2colScratch returns the scratch elements ConvIm2col needs on
+// input shape s with the same p, mul, workers and panel: one channel
+// group's multiply, which every group reuses in turn.
+func ConvIm2colScratch(s tensor.Shape, p nn.ConvParams, mul Gemm, workers, panel int) int {
 	os := convOutShape(s, p.OutChannels, p)
 	g := p.GroupCount()
-	ckk := s.C / g * p.KernelH * p.KernelW
-	if mul.Packed {
-		cfg := panelBlock(mul.Block, panel, os.H, os.W)
-		return 0, gemm.ScratchLen(p.OutChannels/g, os.H*os.W, ckk, workers, cfg)
-	}
-	if isPointwise(p) {
-		return 0, 0
-	}
-	return ckk * os.H * os.W, 0
-}
-
-// ConvIm2colScratch returns the scratch elements ConvIm2col needs on
-// input shape s with the same p, mul, workers and panel.
-func ConvIm2colScratch(s tensor.Shape, p nn.ConvParams, mul Gemm, workers, panel int) int {
-	cols, g := im2colParts(s, p, mul, workers, panel)
-	return cols + g
+	mul.Block = panelBlock(mul.Block, panel, os.H, os.W)
+	return mul.scratchLen(p.OutChannels/g, os.H*os.W, s.C/g*p.KernelH*p.KernelW, workers, !isPointwise(p))
 }
 
 // ConvIm2col computes a convolution as W (OC x CKK) times the im2col
@@ -337,17 +294,14 @@ func ConvIm2colScratch(s tensor.Shape, p nn.ConvParams, mul Gemm, workers, panel
 // input channels, read in place, into its own block of output rows.
 // The groups run one after another and reuse one workspace.
 //
-// With the packed GEMM the matrix is never materialised: the GEMM packs
-// B block by block and the lowering gathers each block straight from
-// the input (im2colPacker). A pointwise conv's matrix is the input
-// channels themselves, which the GEMM reads in place. The panel, when
-// it splits the output rows, becomes the GEMM's n-block width
-// (panelBlock); splitting n leaves every output element's full-k
-// reduction whole, so the result does not depend on panel.
-//
-// With the naive GEMM the matrix is gathered across column blocks
-// (Im2col) and multiplied whole; panel does not apply. A pointwise
-// conv hands the GEMM the input channels in place of a gathered copy.
+// A pointwise conv's matrix is the input channels themselves, which
+// either GEMM reads in place; any other is gathered by im2colPacker,
+// straight into the packed GEMM's panels or whole for the naive one
+// (see Gemm.mul). The panel, when it splits the output rows, becomes
+// the packed GEMM's n-block width (panelBlock); splitting n leaves
+// every output element's full-k reduction whole, so the result does
+// not depend on panel. The naive GEMM takes no blocks, so panel does
+// not apply to it.
 //
 // scratch is the kernel's workspace, as dst is its output: nil
 // allocates it, otherwise it must hold ConvIm2colScratch elements.
@@ -363,28 +317,19 @@ func ConvIm2col(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul 
 	cin, cout := s.C/g, p.OutChannels/g
 	ckk := cin * p.KernelH * p.KernelW
 	plane, spatial := s.H*s.W, os.H*os.W
-	ncols, ngemm := im2colParts(s, p, mul, workers, panel)
-	ws := workspace(scratch, ncols+ngemm)
-	cfg := panelBlock(mul.Block, panel, os.H, os.W)
-	pk := &im2colPacker{h: s.H, w: s.W, p: p, ow: os.W}
+	ws := workspace(scratch, ConvIm2colScratch(s, p, mul, workers, panel))
+	mul.Block = panelBlock(mul.Block, panel, os.H, os.W)
+	var pk *im2colPacker // nil: a pointwise conv's matrix is its input
+	if !isPointwise(p) {
+		pk = &im2colPacker{h: s.H, w: s.W, p: p, ow: os.W}
+	}
 	for n := 0; n < s.N; n++ {
 		for grp := 0; grp < g; grp++ {
 			src := sample(in, n)[grp*cin*plane : (grp+1)*cin*plane]
 			res := sample(out, n)[grp*cout*spatial : (grp+1)*cout*spatial]
 			a := w[grp*cout*ckk : (grp+1)*cout*ckk]
 			start := gemm.Bias{V: bias[grp*cout : (grp+1)*cout]}
-			switch {
-			case !mul.Packed && isPointwise(p):
-				mul.mul(cout, spatial, ckk, a, src, res, start, workers, nil)
-			case !mul.Packed:
-				im2colRows(src, cin, s.H, s.W, p, os.H, os.W, workers, ws)
-				mul.mul(cout, spatial, ckk, a, ws, res, start, workers, nil)
-			case isPointwise(p):
-				gemm.ParallelCfg(cout, spatial, ckk, a, src, res, start, workers, cfg, ws)
-			default:
-				pk.src = src
-				gemm.ParallelPacker(cout, spatial, ckk, a, pk, res, start, workers, cfg, ws)
-			}
+			mul.mul(cout, spatial, ckk, a, src, pk, res, start, workers, ws)
 		}
 	}
 	return out
@@ -400,7 +345,7 @@ func im2rowParts(s tensor.Shape, p nn.ConvParams, mul Gemm, workers, panel int) 
 		panel = os.H
 	}
 	prows := panel * os.W
-	return p.OutChannels * ckk, prows * ckk, prows * p.OutChannels, mul.scratchLen(prows, p.OutChannels, ckk, workers)
+	return p.OutChannels * ckk, prows * ckk, prows * p.OutChannels, mul.scratchLen(prows, p.OutChannels, ckk, workers, false)
 }
 
 // ConvIm2rowScratch returns the scratch elements ConvIm2row needs on
@@ -414,7 +359,7 @@ func ConvIm2rowScratch(s tensor.Shape, p nn.ConvParams, mul Gemm, workers, panel
 // (OHOW x CKK) times W-transposed (CKK x OC), starting from the bias of
 // each output channel (one per GEMM column), then transposes the
 // result back into NCHW. The lowering is parallelized across patch-row
-// blocks (Im2row); results are bit-identical at any worker count. The
+// blocks (im2rowRows); results are bit-identical at any worker count. The
 // lowering and GEMM run over blocks of panel output rows (panel <= 0 or
 // >= OH is one block), each block's (rows x OC) product transposed into
 // the NCHW output. Blocks split the GEMM's m dimension only, so the
@@ -443,7 +388,7 @@ func ConvIm2row(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul 
 			y1 := min(y0+panel, os.H)
 			prows := (y1 - y0) * os.W
 			im2rowRows(in, n, p, os.W, y0, y1, workers, rows)
-			mul.mul(prows, p.OutChannels, ckk, rows, wt, pres, gemm.Bias{V: bias, PerColumn: true}, workers, ws)
+			mul.mul(prows, p.OutChannels, ckk, rows, wt, nil, pres, gemm.Bias{V: bias, PerColumn: true}, workers, ws)
 			for i := 0; i < prows; i++ {
 				for oc := 0; oc < p.OutChannels; oc++ {
 					res[oc*spatial+y0*os.W+i] = pres[i*p.OutChannels+oc]
@@ -455,25 +400,21 @@ func ConvIm2row(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul 
 }
 
 // kn2rowParts returns the sizes of ConvKn2row's workspace: the
-// regrouped weights, the naive GEMM's shifted view, and the packed
-// GEMM's own workspace.
-func kn2rowParts(s tensor.Shape, p nn.ConvParams, mul Gemm, workers int) (sub, shift, gemmLen int) {
+// regrouped weights and the multiply's own workspace, which every
+// offset reuses in turn.
+func kn2rowParts(s tensor.Shape, p nn.ConvParams, mul Gemm, workers int) (sub, gemmLen int) {
 	os := convOutShape(s, p.OutChannels, p)
-	spatial := os.H * os.W
 	if kArea := p.KernelH * p.KernelW; kArea > 1 {
 		sub = kArea * p.OutChannels * s.C
 	}
-	if !mul.Packed && !isPointwise(p) {
-		shift = s.C * spatial
-	}
-	return sub, shift, mul.scratchLen(p.OutChannels, spatial, s.C, workers)
+	return sub, mul.scratchLen(p.OutChannels, os.H*os.W, s.C, workers, !isPointwise(p))
 }
 
 // ConvKn2rowScratch returns the scratch elements ConvKn2row needs on
 // input shape s with the same p, mul and workers.
 func ConvKn2rowScratch(s tensor.Shape, p nn.ConvParams, mul Gemm, workers int) int {
-	sub, shift, g := kn2rowParts(s, p, mul, workers)
-	return sub + shift + g
+	sub, g := kn2rowParts(s, p, mul, workers)
+	return sub + g
 }
 
 // ConvKn2row computes a dense convolution as KH*KW rank-C GEMMs: for
@@ -482,17 +423,15 @@ func ConvKn2rowScratch(s tensor.Shape, p nn.ConvParams, mul Gemm, workers int) i
 // accumulates into the output. The shifted view for (r,q) is the
 // im2col matrix of a 1x1 conv with the padding moved by (r,q), which
 // generalizes the textbook stride-1 kn2row to arbitrary stride and
-// padding. The packed GEMM gathers that view straight into its panels
-// (im2colPacker); the naive one multiplies a gathered copy, built in
-// parallel across input channels (each channel writes an exclusive
-// plane). Results are bit-identical at any worker count. The lowering
-// is already a sequence of rank-C GEMMs, so it takes no panel. The
-// GEMMs accumulate straight into the output sample, the first one
-// starting from the bias of each output channel. A 1x1 kernel needs
-// no weight regroup (its one OC x C block is w), and a pointwise conv's
-// shifted view is the input sample itself. scratch is the kernel's
-// workspace: nil allocates it, otherwise it must hold
-// ConvKn2rowScratch elements.
+// padding. One im2colPacker, pointed at each offset's view in turn,
+// gathers it for either GEMM (see Gemm.mul). Results are bit-identical
+// at any worker count. The lowering is already a sequence of rank-C
+// GEMMs, so it takes no panel. The GEMMs accumulate straight into the
+// output sample, the first one starting from the bias of each output
+// channel. A 1x1 kernel needs no weight regroup (its one OC x C block
+// is w), and a pointwise conv's shifted view is the input sample
+// itself, read in place. scratch is the kernel's workspace: nil
+// allocates it, otherwise it must hold ConvKn2rowScratch elements.
 func ConvKn2row(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul Gemm, workers int, scratch []float32) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvKn2row requires NCHW input")
@@ -504,8 +443,8 @@ func ConvKn2row(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul 
 	spatial := os.H * os.W
 	kArea := p.KernelH * p.KernelW
 	block := p.OutChannels * s.C
-	nsub, nshift, ngemm := kn2rowParts(s, p, mul, workers)
-	ws := workspace(scratch, nsub+nshift+ngemm)
+	nsub, ngemm := kn2rowParts(s, p, mul, workers)
+	ws := workspace(scratch, nsub+ngemm)
 
 	// Regroup OIHW weights into per-offset (r,q) OC x C blocks.
 	sub := w
@@ -519,10 +458,13 @@ func ConvKn2row(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul 
 			}
 		}
 	}
-	shift := carve(&ws, nshift)
+	var pk *im2colPacker // nil: a pointwise conv's one view is its input
+	if !isPointwise(p) {
+		pk = &im2colPacker{h: s.H, w: s.W, p: p, ow: os.W}
+		pk.p.KernelH, pk.p.KernelW = 1, 1
+	}
 	for n := 0; n < s.N; n++ {
-		res := sample(out, n)
-		src := sample(in, n)
+		res, src := sample(out, n), sample(in, n)
 		for r := 0; r < p.KernelH; r++ {
 			for q := 0; q < p.KernelW; q++ {
 				a := sub[(r*p.KernelW+q)*block : (r*p.KernelW+q+1)*block]
@@ -530,24 +472,10 @@ func ConvKn2row(dst, in *tensor.Tensor, w, bias []float32, p nn.ConvParams, mul 
 				if r == 0 && q == 0 {
 					start.V = bias
 				}
-				if isPointwise(p) {
-					mul.mul(p.OutChannels, spatial, s.C, a, src, res, start, workers, ws)
-					continue
+				if pk != nil {
+					pk.p.PadH, pk.p.PadW = p.PadH-r, p.PadW-q
 				}
-				view := p
-				view.KernelH, view.KernelW, view.PadH, view.PadW = 1, 1, p.PadH-r, p.PadW-q
-				if mul.Packed {
-					gemm.ParallelPacker(p.OutChannels, spatial, s.C, a, &im2colPacker{src: src, h: s.H, w: s.W, p: view, ow: os.W}, res, start, workers, mul.Block, ws)
-					continue
-				}
-				parFor(s.C, workers, func(c int) {
-					plane := src[c*s.H*s.W : (c+1)*s.H*s.W]
-					for y := 0; y < os.H; y++ {
-						x := inputRow(plane, y*view.StrideH-view.PadH, s.H, s.W)
-						gatherRow(shift[c*spatial+y*os.W:c*spatial+(y+1)*os.W], x, view.StrideW, -view.PadW)
-					}
-				})
-				mul.mul(p.OutChannels, spatial, s.C, a, shift, res, start, workers, nil)
+				mul.mul(p.OutChannels, spatial, s.C, a, src, pk, res, start, workers, ws)
 			}
 		}
 	}

@@ -101,9 +101,9 @@ func ConvSparseScratch(s tensor.Shape, p nn.ConvParams) int {
 }
 
 // ConvSparse computes a dense-output convolution whose weights are a
-// CSR matrix of shape (OC x C*KH*KW): im2col the input, then SpMM.
-// scratch holds the im2col matrix: nil allocates it, otherwise it must
-// hold ConvSparseScratch elements.
+// CSR matrix of shape (OC x C*KH*KW): im2col the input (im2colPacker,
+// gathered whole), then SpMM. scratch holds the im2col matrix: nil
+// allocates it, otherwise it must hold ConvSparseScratch elements.
 func ConvSparse(dst, in *tensor.Tensor, w *CSR, bias []float32, p nn.ConvParams, scratch []float32) *tensor.Tensor {
 	if in.Layout() != tensor.NCHW {
 		panic("kernels: ConvSparse requires NCHW input")
@@ -120,8 +120,10 @@ func ConvSparse(dst, in *tensor.Tensor, w *CSR, bias []float32, p nn.ConvParams,
 	os := out.Shape()
 	spatial := os.H * os.W
 	cols := workspace(scratch, ConvSparseScratch(s, p))
+	pk := &im2colPacker{h: s.H, w: s.W, p: p, ow: os.W}
 	for n := 0; n < s.N; n++ {
-		cols = Im2col(cols, in, n, p, os.H, os.W, 1)
+		pk.src = sample(in, n)
+		gatherB(pk, w.Cols, spatial, 1, cols)
 		res := sample(out, n)
 		fillBias(res, p.OutChannels, spatial, gemm.Bias{V: bias})
 		w.MulMat(spatial, cols, res)

@@ -821,12 +821,25 @@ func checkMatchesReference(t *testing.T, g refGeom, seed int64) {
 		same("DepthwiseNHWC", refDepthwiseNHWCPar(xh, dw, db, g.p, workers), func(dst *tensor.Tensor) *tensor.Tensor {
 			return DepthwiseNHWC(dst, xh, dw, db, g.p, workers)
 		})
+		// The one im2col gather, packed whole at nr = n as the naive GEMM
+		// and the SpMM take it: in one call on one worker, split into
+		// per-worker ranges of k rows on three.
+		ckk, cols := s.C*p.KernelH*p.KernelW, os.H*os.W
 		for n := 0; n < s.N; n++ {
-			sameSlice("Im2col", refIm2colPar(x, n, p, os.H, os.W, workers), func(dst []float32) []float32 {
-				return Im2col(dst, x, n, p, os.H, os.W, workers)
+			pk := &im2colPacker{src: sample(x, n), h: s.H, w: s.W, p: p, ow: os.W}
+			sameSlice("im2colPacker", refIm2colPar(x, n, p, os.H, os.W, workers), func(dst []float32) []float32 {
+				if dst == nil {
+					dst = make([]float32, ckk*cols)
+				}
+				gatherB(pk, ckk, cols, workers, dst)
+				return dst
 			})
-			sameSlice("Im2row", refIm2rowPar(x, n, p, os.H, os.W, workers), func(dst []float32) []float32 {
-				return Im2row(dst, x, n, p, os.H, os.W, workers)
+			sameSlice("im2rowRows", refIm2rowPar(x, n, p, os.H, os.W, workers), func(dst []float32) []float32 {
+				if dst == nil {
+					dst = make([]float32, cols*ckk)
+				}
+				im2rowRows(x, n, p, os.W, 0, os.H, workers, dst)
+				return dst
 			})
 		}
 		for _, g := range refGemms() {

@@ -131,16 +131,20 @@ func TestShortKernelScratchPanics(t *testing.T) {
 // FuzzScratchLoweringMatchesReference draws conv shapes wide enough
 // that the output plane spans several default n-blocks, and a KC/NC
 // block config, and checks ConvIm2col, ConvIm2row and ConvKn2row under
-// the packed GEMM — run from NaN-filled scratch — against their frozen
-// references bit for bit. It also runs ConvIm2col grouped one group per
-// input channel against the per-group reference, and, on a 3x3
-// stride-1 window, ConvWinograd from NaN-filled scratch against its own
-// run from fresh scratch.
+// the packed GEMM, and ConvKn2row under the naive one, whose gather
+// fills its B whole — each run from NaN-filled scratch — against their
+// frozen references bit for bit. It also runs ConvIm2col grouped one
+// group per input channel against the per-group reference, and, on a
+// 3x3 stride-1 window, ConvWinograd from NaN-filled scratch against its
+// own run from fresh scratch.
 func FuzzScratchLoweringMatchesReference(f *testing.F) {
 	f.Add(uint8(3), uint8(37), uint8(41), uint8(2), uint8(1), uint8(0), uint8(0), int64(1))
 	f.Add(uint8(1), uint8(20), uint8(63), uint8(0), uint8(2), uint8(7), uint8(19), int64(2))
 	f.Add(uint8(4), uint8(9), uint8(5), uint8(4), uint8(0), uint8(3), uint8(0), int64(3))
 	f.Add(uint8(2), uint8(9), uint8(13), uint8(2), uint8(0), uint8(0), uint8(0), int64(4))
+	// A 5x5 window on an odd-width plane: the naive kn2row gathers 25
+	// shifted views, each with padding on every side, into one B.
+	f.Add(uint8(2), uint8(10), uint8(44), uint8(4), uint8(0), uint8(0), uint8(0), int64(5))
 	f.Fuzz(func(t *testing.T, cc, hh, ww, kern, stride, kc, nc uint8, seed int64) {
 		s := tensor.Shape{N: 1, C: int(cc%4) + 1, H: int(hh%48) + 1, W: int(ww%64) + 1}
 		k := int(kern%5) + 1
@@ -162,6 +166,9 @@ func FuzzScratchLoweringMatchesReference(f *testing.F) {
 		if got := ConvKn2row(nil, x, w, b, p, mul, 1, nanSlice(ConvKn2rowScratch(s, p, mul, 1))); !tensorsBitEqual(refConvKn2rowPar(x, w, b, p, ref, 1), got) {
 			t.Errorf("%v %+v %+v: ConvKn2row differs from the reference", s, p, blk)
 		}
+		if got := ConvKn2row(nil, x, w, b, p, Naive, 1, nanSlice(ConvKn2rowScratch(s, p, Naive, 1))); !tensorsBitEqual(refConvKn2rowPar(x, w, b, p, gemm.Naive, 1), got) {
+			t.Errorf("%v %+v: naive ConvKn2row differs from the reference", s, p)
+		}
 		if gp := p; s.C > 1 {
 			gp.Groups, gp.OutChannels = s.C, 2*s.C
 			gx, gw, gb := randConv(rand.New(rand.NewSource(seed)), s, gp)
@@ -175,4 +182,34 @@ func FuzzScratchLoweringMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestKn2rowAllocsPerCall: with its output and scratch planned and one
+// worker, ConvKn2row allocates per call, not per kernel offset. Under
+// either GEMM a 5x5 conv, 25 gathered offsets, makes no more
+// allocations than a strided 1x1 conv of the same channels, one
+// gathered offset, and a pointwise conv, which reads its input in
+// place, makes none.
+func TestKn2rowAllocsPerCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	rng := rand.New(rand.NewSource(94))
+	s := tensor.Shape{N: 1, C: 16, H: 16, W: 16}
+	allocs := func(p nn.ConvParams, mul Gemm) float64 {
+		x, w, b := randConv(rng, s, p)
+		dst := tensor.New(convOutShape(s, p.OutChannels, p), tensor.NCHW)
+		scratch := make([]float32, ConvKn2rowScratch(s, p, mul, 1))
+		return testing.AllocsPerRun(10, func() { ConvKn2row(dst, x, w, b, p, mul, 1, scratch) })
+	}
+	for _, mul := range []Gemm{Naive, Packed} {
+		one := allocs(nn.ConvParams{OutChannels: 16, KernelH: 1, KernelW: 1, StrideH: 2, StrideW: 2}, mul)
+		five := allocs(nn.ConvParams{OutChannels: 16, KernelH: 5, KernelW: 5, StrideH: 1, StrideW: 1, PadH: 2, PadW: 2}, mul)
+		if five > one {
+			t.Errorf("packed=%v: a 5x5 ConvKn2row makes %v allocations per call, more than the %v of a strided 1x1", mul.Packed, five, one)
+		}
+		if pw := allocs(nn.ConvParams{OutChannels: 16, KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1}, mul); pw > 0 {
+			t.Errorf("packed=%v: a pointwise ConvKn2row makes %v allocations per call, want none", mul.Packed, pw)
+		}
+	}
 }

@@ -633,45 +633,3 @@ func Load(data []byte, net *nn.Network) (*Table, error) {
 	}
 	return t, nil
 }
-
-// Stats summarizes a profiled table: how many (layer, primitive)
-// latencies were measured, how many compatibility pairs were profiled
-// (the paper's Fig. 3 pass) and how many of those actually need a
-// conversion or transfer.
-type Stats struct {
-	// Layers is the searchable layer count.
-	Layers int
-	// TimeEntries is the number of measured (layer, primitive) cells.
-	TimeEntries int
-	// PenaltyPairs is the number of profiled compatibility pairs.
-	PenaltyPairs int
-	// NonzeroPenalties counts pairs that need a compatibility layer.
-	NonzeroPenalties int
-}
-
-// ComputeStats scans the table.
-func (t *Table) ComputeStats() Stats {
-	s := Stats{Layers: t.numLayers - 1}
-	for i := 1; i < t.numLayers; i++ {
-		for _, p := range t.candidates[i] {
-			if !math.IsInf(t.Time(i, p), 1) {
-				s.TimeEntries++
-			}
-		}
-	}
-	for e, ed := range t.edges {
-		for _, fp := range t.candidates[ed.From] {
-			for _, tp := range t.candidates[ed.To] {
-				v := t.penaltyByEdge(e, fp, tp)
-				if math.IsInf(v, 1) {
-					continue
-				}
-				s.PenaltyPairs++
-				if v > 0 {
-					s.NonzeroPenalties++
-				}
-			}
-		}
-	}
-	return s
-}

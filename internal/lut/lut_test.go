@@ -232,27 +232,3 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Error("garbage JSON should fail")
 	}
 }
-
-func TestComputeStats(t *testing.T) {
-	net := chainNet(t)
-	tab := New(net, primitives.ModeCPU)
-	s := tab.ComputeStats()
-	if s.Layers != net.Len()-1 {
-		t.Errorf("Layers = %d", s.Layers)
-	}
-	if s.TimeEntries != 0 || s.PenaltyPairs != 0 {
-		t.Errorf("fresh table stats = %+v, want empty", s)
-	}
-	fill(tab)
-	s = tab.ComputeStats()
-	wantTimes := 0
-	for i := 1; i < tab.NumLayers(); i++ {
-		wantTimes += len(tab.Candidates(i))
-	}
-	if s.TimeEntries != wantTimes {
-		t.Errorf("TimeEntries = %d, want %d", s.TimeEntries, wantTimes)
-	}
-	if s.PenaltyPairs == 0 || s.NonzeroPenalties == 0 || s.NonzeroPenalties > s.PenaltyPairs {
-		t.Errorf("penalty stats = %+v", s)
-	}
-}

@@ -2,12 +2,11 @@ package plan
 
 // Streaming analysis of deployment plans. The paper optimizes
 // single-image latency (batch 1, the edge-inference setting); Analyze
-// and Makespan answer the follow-on deployment question: what
-// throughput does the chosen mapping sustain when images stream in and
-// the CPU, the GPU and the interconnect can each work on a *different*
-// image concurrently (double buffering)? The steady-state rate is set
-// by the busiest resource, and a discrete simulation gives exact
-// makespans for finite batches.
+// answers the follow-on deployment question: what throughput could the
+// chosen mapping sustain when images stream in and the CPU, the GPU and
+// the interconnect can each work on a *different* image concurrently
+// (double buffering)? The steady-state rate is bounded by the busiest
+// resource.
 
 import (
 	"fmt"
@@ -43,8 +42,8 @@ type Analysis struct {
 	Bottleneck string
 	// ThroughputUpperBound is the best possible pipelined rate,
 	// 1 / busy(bottleneck). A mapping that ping-pongs between
-	// processors (re-entrant flow) generally cannot reach it — use
-	// Makespan to get the rate a FIFO pipeline actually achieves.
+	// processors (re-entrant flow) generally cannot reach it: it is a
+	// bound, not a rate any schedule is shown to achieve.
 	ThroughputUpperBound float64
 	// MaxPipelineSpeedup is ThroughputUpperBound x latency: 1.0 means
 	// no overlap is possible (everything on one resource).
@@ -68,44 +67,6 @@ func Analyze(p *Plan) *Analysis {
 		a.MaxPipelineSpeedup = a.LatencySeconds / busy
 	}
 	return a
-}
-
-// AchievedThroughput simulates a FIFO pipeline over n images and
-// returns the sustained rate (images/second).
-func AchievedThroughput(p *Plan, n int) (float64, error) {
-	ms, err := Makespan(p, n)
-	if err != nil {
-		return 0, err
-	}
-	return float64(n) / ms, nil
-}
-
-// Makespan simulates processing `images` inputs through the plan with
-// per-resource pipelining: each image executes its steps in order,
-// and each resource serves images FIFO. Returns the total time until
-// the last image completes.
-func Makespan(p *Plan, images int) (float64, error) {
-	if images <= 0 {
-		return 0, fmt.Errorf("plan: images must be positive, got %d", images)
-	}
-	resourceFree := map[string]float64{}
-	prevDone := 0.0 // finish time of the current image's previous step
-	var last float64
-	for img := 0; img < images; img++ {
-		prevDone = 0
-		for _, s := range p.Steps {
-			res := resourceOf(s)
-			start := prevDone
-			if resourceFree[res] > start {
-				start = resourceFree[res]
-			}
-			done := start + s.Seconds
-			resourceFree[res] = done
-			prevDone = done
-		}
-		last = prevDone
-	}
-	return last, nil
 }
 
 // resources returns the busy resources' names in sorted order, so the

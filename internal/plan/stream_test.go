@@ -59,67 +59,6 @@ func TestAnalyzeConsistency(t *testing.T) {
 	}
 }
 
-func TestMakespanBounds(t *testing.T) {
-	p := mobilenetPlan(t)
-	a := Analyze(p)
-	one, err := Makespan(p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(one-a.LatencySeconds) > 1e-9 {
-		t.Errorf("makespan(1) = %v, want latency %v", one, a.LatencySeconds)
-	}
-	n := 20
-	many, err := Makespan(p, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bounds: pipelined is no worse than sequential and no better
-	// than the bottleneck rate.
-	if many > float64(n)*a.LatencySeconds+1e-9 {
-		t.Errorf("makespan(%d) = %v exceeds sequential %v", n, many, float64(n)*a.LatencySeconds)
-	}
-	lower := float64(n) * a.PerResourceSeconds[a.Bottleneck]
-	if many < lower-1e-9 {
-		t.Errorf("makespan(%d) = %v beats the bottleneck bound %v", n, many, lower)
-	}
-	// Monotone in n.
-	fewer, err := Makespan(p, n-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fewer > many {
-		t.Error("makespan should be monotone in the batch size")
-	}
-}
-
-func TestAchievedRateWithinBounds(t *testing.T) {
-	// A re-entrant mapping (CPU<->GPU ping-pong) cannot reach the
-	// bottleneck bound with a FIFO pipeline, but must stay between the
-	// sequential rate and the bound.
-	p := mobilenetPlan(t)
-	a := Analyze(p)
-	n := 200
-	rate, err := AchievedThroughput(p, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rate > a.ThroughputUpperBound+1e-9 {
-		t.Errorf("simulated rate %v exceeds the bound %v", rate, a.ThroughputUpperBound)
-	}
-	seq := 1 / a.LatencySeconds
-	if rate < seq*(1-1e-9)*float64(n)/(float64(n)+1) {
-		t.Errorf("simulated rate %v below the sequential rate %v", rate, seq)
-	}
-}
-
-func TestMakespanValidation(t *testing.T) {
-	p := mobilenetPlan(t)
-	if _, err := Makespan(p, 0); err == nil {
-		t.Error("zero images should error")
-	}
-}
-
 func TestRender(t *testing.T) {
 	a := Analyze(mobilenetPlan(t))
 	out := a.Render()

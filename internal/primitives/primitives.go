@@ -314,11 +314,6 @@ func EnableTunedVariants() []*Primitive {
 	return twins
 }
 
-// TunedVariantsEnabled reports whether EnableTunedVariants has run.
-func TunedVariantsEnabled() bool {
-	return len(regp.Load().prims) > len(registry)
-}
-
 // TunedOf returns the tuned twin of the given base primitive, or ok
 // false if the base has no twin (or twins are not enabled).
 func TunedOf(base ID) (ID, bool) {
@@ -329,7 +324,3 @@ func TunedOf(base ID) (ID, bool) {
 	}
 	return 0, false
 }
-
-// BaseOf resolves a tuned twin to its base primitive; ordinary
-// primitives resolve to themselves.
-func BaseOf(id ID) ID { return ByID(id).Base }

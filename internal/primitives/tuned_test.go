@@ -15,8 +15,8 @@ import (
 
 func TestEnableTunedVariants(t *testing.T) {
 	base := Count()
-	if TunedVariantsEnabled() {
-		t.Fatal("tuned variants enabled before EnableTunedVariants")
+	if base != len(registry) {
+		t.Fatalf("Count = %d before EnableTunedVariants, want the %d registered", base, len(registry))
 	}
 	var twins []*Primitive
 	var wg sync.WaitGroup
@@ -30,9 +30,6 @@ func TestEnableTunedVariants(t *testing.T) {
 	}
 	wg.Wait()
 	twins = results[0]
-	if !TunedVariantsEnabled() {
-		t.Fatal("TunedVariantsEnabled false after enable")
-	}
 	if len(twins) == 0 {
 		t.Fatal("no twins registered")
 	}
@@ -66,8 +63,8 @@ func TestEnableTunedVariants(t *testing.T) {
 		if got, ok := TunedOf(b.Idx); !ok || got != tw.Idx {
 			t.Errorf("TunedOf(%s) = %d, %v", b.Name, got, ok)
 		}
-		if BaseOf(tw.Idx) != b.Idx || BaseOf(b.Idx) != b.Idx {
-			t.Errorf("BaseOf inconsistent for %s", tw.Name)
+		if ByID(b.Idx).Base != b.Idx {
+			t.Errorf("base %s does not resolve to itself", b.Name)
 		}
 		if p, ok := ByName(tw.Name); !ok || p != tw {
 			t.Errorf("ByName(%q) lookup failed", tw.Name)

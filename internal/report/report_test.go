@@ -182,16 +182,6 @@ func TestUnknownNetworkErrors(t *testing.T) {
 	}
 }
 
-func TestSortedLibraries(t *testing.T) {
-	got := SortedLibraries(map[string]float64{"Zeta": 1, "Alpha": 2, "Mid": 3})
-	want := []string{"Alpha", "Mid", "Zeta"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sorted = %v", got)
-		}
-	}
-}
-
 func TestTableIIParallelMatchesSequential(t *testing.T) {
 	pl := platform.JetsonTX2Like()
 	nets := []string{"lenet5", "mobilenet-v1"}

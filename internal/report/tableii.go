@@ -8,7 +8,6 @@ package report
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -234,15 +233,4 @@ func FormatTableII(rows []Row) string {
 	fmt.Fprintf(&b, "\nHeadlines: best CPU speedup vs Vanilla %.0fx (paper: 45x); "+
 		"mean GPGPU speedup vs BSL %.2fx (paper: ~2x)\n", maxCPU, sumBSL/n)
 	return b.String()
-}
-
-// SortedLibraries returns a row's CPU library columns sorted by name
-// (stable iteration for tests and rendering).
-func SortedLibraries(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

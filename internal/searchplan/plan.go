@@ -143,10 +143,6 @@ func (p *Plan) Candidates(i int) []primitives.ID { return p.cands[i] }
 // NumCandidates returns the size of layer i's candidate set.
 func (p *Plan) NumCandidates(i int) int { return len(p.cands[i]) }
 
-// CandidateAt returns the primitive ID at candidate position c of
-// layer i.
-func (p *Plan) CandidateAt(i, c int) primitives.ID { return p.cands[i][c] }
-
 // Allowed returns layer i's candidate set as Q-table actions. The
 // slice is shared; callers must not mutate it.
 func (p *Plan) Allowed(i int) []int { return p.allowed[i] }

@@ -136,8 +136,8 @@ func TestPlanPositionMaps(t *testing.T) {
 		inSet := map[primitives.ID]int{}
 		for c, id := range cands {
 			inSet[id] = c
-			if got := p.CandidateAt(i, c); got != id {
-				t.Fatalf("layer %d pos %d: CandidateAt %d, want %d", i, c, got, id)
+			if got := p.Candidates(i)[c]; got != id {
+				t.Fatalf("layer %d pos %d: Candidates %d, want %d", i, c, got, id)
 			}
 			if got := p.Pos(i, id); got != int32(c) {
 				t.Fatalf("layer %d: Pos(%d) = %d, want %d", i, id, got, c)

@@ -197,6 +197,3 @@ func MaxAbsDiff(a, b *Tensor) float64 {
 	}
 	return maxd
 }
-
-// AllClose reports whether every element of a and b differs by at most tol.
-func AllClose(a, b *Tensor, tol float64) bool { return MaxAbsDiff(a, b) <= tol }

@@ -183,11 +183,8 @@ func TestAllClose(t *testing.T) {
 	a := New(Shape{1, 1, 1, 2}, NCHW)
 	b := New(Shape{1, 1, 1, 2}, NCHW)
 	b.Set(0, 0, 0, 1, 0.01)
-	if !AllClose(a, b, 0.011) {
-		t.Error("should be close at tol 0.011")
-	}
-	if AllClose(a, b, 0.009) {
-		t.Error("should not be close at tol 0.009")
+	if d := MaxAbsDiff(a, b); d > 0.011 || d <= 0.009 {
+		t.Errorf("MaxAbsDiff = %v, want 0.01", d)
 	}
 }
 
