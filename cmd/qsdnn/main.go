@@ -87,7 +87,7 @@ func main() {
 	driftBand := fs.Float64("drift-band", 4, "serve: drift threshold in MAD-scaled band widths — a canary measurement further than this from its stored baseline counts as drifted")
 	planTTL := fs.Int64("plan-ttl", 0, "serve: profile epochs a cached plan stays fresh; older plans are served marked revalidating (0 = no TTL)")
 	noHeal := fs.Bool("no-heal", false, "serve: disable self-healing re-optimization; quarantined plans stay cached and are served marked revalidating")
-	autotune := fs.Bool("autotune", false, "profile/search: run the per-layer kernel autotuner on the real engine (requires -engine -mode cpu); tuned variants join the LUT as extra candidates")
+	autotune := fs.Bool("autotune", false, "profile/search: run the per-layer kernel autotuner on the real engine (requires -engine -mode cpu); a tuned variant prices its base primitive's LUT entry when it is faster")
 	tunerBudget := fs.Int("tuner-budget", 16, "autotune: real measurements per (layer, primitive) pair; the surrogate model shortlists this many variants out of the full space")
 	tunerCache := fs.String("tuner-cache", "", "durable tuned-variant cache file: reused when it matches the network/mode/budget, written after a fresh -autotune run; serve feeds it into every matching table")
 	if err := fs.Parse(args); err != nil {
@@ -370,7 +370,7 @@ flags: -net NAME -mode cpu|gpgpu -platform NAME -episodes N -samples N -seed N -
                                                 micro-kernel, panel width, worker count;
                                                 a surrogate cost model shortlists N real
                                                 measurements per (layer, primitive) and
-                                                winners join the LUT as extra candidates
+                                                a winner prices its base's LUT entry
        -tuner-cache FILE                        durable tuned-variant cache: written after
                                                 -autotune, reused when it matches, fed into
                                                 matching tables by profile/search/serve;
@@ -522,11 +522,6 @@ func searchDurable(tab *lut.Table, cfg core.Config, df durableFlags) (*core.Resu
 // With ef.real it measures on the actual host-CPU engine (kernels run
 // with -kernel-workers goroutines) instead of the platform simulator.
 func profileTable(ctx context.Context, ft faultFlags, ef engineFlags, net *qsdnn.Network, board *platform.Platform, mode primitives.Mode, samples int) (*lut.Table, error) {
-	if tunerCfg.enabled() {
-		// Twins must exist before the table is built so tuned ids fit
-		// the candidate bounds.
-		primitives.EnableTunedVariants()
-	}
 	var src profile.Source
 	var es *engine.Source
 	if ef.real {

@@ -84,7 +84,7 @@ func applyTuning(ctx context.Context, ft faultFlags, net *nn.Network, tab *lut.T
 	if src != nil {
 		eng := src.Engine()
 		for _, a := range applied {
-			eng.SetTuned(a.Layer, a.Twin, a.Variant.Conv())
+			eng.SetTuned(a.Layer, a.Base, a.Variant.Conv())
 		}
 	}
 	st := cache.Stats

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/kernels"
 	"repro/internal/models"
 	"repro/internal/primitives"
 	"repro/internal/tensor"
@@ -121,18 +122,6 @@ var mobileNetDigests = map[string]map[string]string{
 	},
 }
 
-// twinAssignment returns a with every tunable base swapped for its
-// tuned twin.
-func twinAssignment(a []primitives.ID) []primitives.ID {
-	tw := append([]primitives.ID(nil), a...)
-	for i, id := range tw {
-		if twin, ok := primitives.TunedOf(id); ok {
-			tw[i] = twin
-		}
-	}
-	return tw
-}
-
 // dagDigests pins the same per-layer digests for the branchy zoo
 // networks, whose Concat, EltwiseAdd, fan-out and Dropout layers the
 // chain MobileNets never execute. They were generated with the engine
@@ -209,12 +198,13 @@ func TestDAGOutputDigests(t *testing.T) {
 // TestMobileNetOutputDigests runs each library assignment of the
 // MobileNets through the real engine and checks the digest of every
 // layer's output. On mobilenet-v1-025 each OpenBLAS row runs a second
-// time with its tunable bases (the packed-GEMM lowerings, on pointwise
-// and depth-wise layers alike) swapped for their tuned twins at the
-// zero config, which must reproduce the base row's digest.
-// The full-width network is skipped under -short.
+// time on an engine that records a tuned config for every layer its
+// tunable bases (the packed-GEMM lowerings, on pointwise and
+// depth-wise layers alike) run; the config is one that is
+// bit-identical by contract, so it must reproduce the base row's
+// digest. The full-width network is skipped under -short.
 func TestMobileNetOutputDigests(t *testing.T) {
-	primitives.EnableTunedVariants()
+	tunedCfg := kernels.ConvTuned{Panel: 1, Workers: 2}
 	for _, name := range []string{"mobilenet-v1-025", "mobilenet-v1"} {
 		if name == "mobilenet-v1" && testing.Short() {
 			continue
@@ -224,6 +214,7 @@ func TestMobileNetOutputDigests(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := New(net, 1, 0.35)
+		tuned := New(net, 1, 0.35)
 		in := testInput(net, 1)
 		names, assigns := libraryAssignments(e)
 		for j, a := range assigns {
@@ -234,8 +225,13 @@ func TestMobileNetOutputDigests(t *testing.T) {
 			if name != "mobilenet-v1-025" || !strings.HasPrefix(names[j], "OpenBLAS/") {
 				continue
 			}
-			if got := activationDigest(t, e, twinAssignment(a), in); got != want {
-				t.Errorf("%s %s with tuned twins: output digest %s, want %s", name, names[j], got, want)
+			for i, id := range a {
+				if tunable(id) {
+					tuned.SetTuned(i, id, tunedCfg)
+				}
+			}
+			if got := activationDigest(t, tuned, a, in); got != want {
+				t.Errorf("%s %s with tuned configs: output digest %s, want %s", name, names[j], got, want)
 			}
 		}
 	}

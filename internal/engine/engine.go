@@ -43,7 +43,7 @@ type Engine struct {
 
 	params  []layerParams
 	workers int
-	// tuned maps (layer, tuned-twin) to the execution config the
+	// tuned maps (layer, primitive) to the execution config the
 	// autotuner selected; see SetTuned.
 	tuned map[tunedKey]kernels.ConvTuned
 }
@@ -245,19 +245,13 @@ func checkExecutable(l *nn.Layer, p *primitives.Primitive) error {
 	if p.Proc == primitives.GPU {
 		return fmt.Errorf("engine: %s targets the GPU; the real engine executes CPU primitives only (use the platform simulator for GPGPU studies)", p.Name)
 	}
-	// A tuned twin is executable wherever its base is — candidate sets
-	// deliberately never contain twins (see primitives.Candidates).
-	target := p
-	if p.Tuned {
-		target = primitives.ByID(p.Base)
-	}
-	if primitives.CanImplement(l, primitives.ModeCPU, target) {
+	if primitives.CanImplement(l, primitives.ModeCPU, p) {
 		return nil
 	}
 	return fmt.Errorf("engine: primitive %s cannot implement layer %s (%v)", p.Name, l.Name, l.Kind)
 }
 
-// execCfg executes layer i under a non-twin primitive, with cfg
+// execCfg executes layer i under primitive p, with cfg
 // parameterizing its conv or depth-wise kernel. dst is the output
 // tensor in the layer's output shape and p's layout; it may be in[0]
 // for the kinds inPlace admits. A Dropout ignores it and returns in[0].
@@ -434,7 +428,7 @@ func staged(k *convKernel, p *primitives.Primitive) bool {
 // scratchLen returns the workspace, in float32 elements, that layer
 // l's kernel takes under p and cfg: the NCHW staging of an NCHW-only
 // kernel (see convKernel) plus what the kernel's own size function
-// reports, and 0 for a kernel that takes none. A tuned twin's
+// reports, and 0 for a kernel that takes none. A tuned config's
 // cfg.Block may name a micro-kernel other than the dispatched one; the
 // size follows the named one's register tile.
 func (e *Engine) scratchLen(l *nn.Layer, p *primitives.Primitive, cfg kernels.ConvTuned) int {

@@ -20,11 +20,11 @@ type program struct {
 // step executes one layer.
 type step struct {
 	layer int
-	// prim is never a tuned twin: a twin is compiled to its base and
-	// the config recorded for it.
-	prim *primitives.Primitive
-	cfg  kernels.ConvTuned
-	in   []operand
+	prim  *primitives.Primitive
+	// cfg is the config SetTuned recorded for (layer, prim); the zero
+	// config runs the defaults.
+	cfg kernels.ConvTuned
+	in  []operand
 	// out is where the kernel writes. With inPlace the kernel
 	// overwrites its first input instead, and a Dropout step writes
 	// nowhere: its output is its input.
@@ -135,12 +135,8 @@ func (e *Engine) compile(assignment []primitives.ID) (*program, error) {
 		if err := checkExecutable(l, p); err != nil {
 			return nil, err
 		}
-		st := step{layer: i, prim: p, in: operands[:len(l.Inputs)], out: noView}
+		st := step{layer: i, prim: p, cfg: e.tuned[tunedKey{i, p.Idx}], in: operands[:len(l.Inputs)], out: noView}
 		operands = operands[len(l.Inputs):]
-		if p.Tuned {
-			st.cfg = e.tuned[tunedKey{i, p.Idx}]
-			st.prim = primitives.ByID(p.Base)
-		}
 		ins = ins[:0]
 		for k, src := range l.Inputs {
 			st.in[k] = operand{src: src, conv: noView}

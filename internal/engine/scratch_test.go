@@ -9,13 +9,12 @@ import (
 	"repro/internal/primitives"
 )
 
-// TestTunedTwinScratchFollowsNamedKernel: a tuned twin whose config
+// TestTunedTwinScratchFollowsNamedKernel: a base whose recorded config
 // names a micro-kernel with another register tile than the dispatched
 // one gets scratch sized for the named variant — the size the kernel
 // itself asks for under that config, not the dispatched one's — and
-// still runs bit-identically to its base, for every lowering.
+// still runs bit-identically to its defaults, for every lowering.
 func TestTunedTwinScratchFollowsNamedKernel(t *testing.T) {
-	primitives.EnableTunedVariants()
 	amr, anr, _ := gemm.KernelShape(gemm.ActiveKernel())
 	other := ""
 	for _, name := range gemm.KernelVariants() {
@@ -32,12 +31,15 @@ func TestTunedTwinScratchFollowsNamedKernel(t *testing.T) {
 	in := testInput(net, 2)
 	named := kernels.ConvTuned{Block: gemm.BlockConfig{Kernel: other}}
 	mul := kernels.Gemm{Packed: true, Block: named.Block}
-	for _, base := range []*primitives.Primitive{primitives.POpenIm2col, primitives.POpenIm2row, primitives.POpenKn2row} {
-		twin, _ := primitives.TunedOf(base.Idx)
-		for i := range net.Layers {
-			e.SetTuned(i, twin, named)
+	for _, base := range tunableBases {
+		a := convAssignment(e, base.Idx)
+		ref, err := e.Run(a, in)
+		if err != nil {
+			t.Fatal(err)
 		}
-		a := convAssignment(e, twin)
+		for i := range net.Layers {
+			e.SetTuned(i, base.Idx, named)
+		}
 		prog, err := e.compile(a)
 		if err != nil {
 			t.Fatal(err)
@@ -74,16 +76,12 @@ func TestTunedTwinScratchFollowsNamedKernel(t *testing.T) {
 		if planned == 0 {
 			t.Fatalf("%s: no conv step", base.Name)
 		}
-		ref, err := e.Run(convAssignment(e, base.Idx), in)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := e.Run(a, in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bitEqual(ref.Output, got.Output) {
-			t.Errorf("%s twin under %s: output differs from its base", base.Name, other)
+			t.Errorf("%s under %s: output differs from its defaults", base.Name, other)
 		}
 	}
 }

@@ -45,22 +45,17 @@ func NewSource(e *Engine, input *tensor.Tensor) (*Source, error) {
 func (s *Source) Engine() *Engine { return s.eng }
 
 // MeasureSample times one execution of layer i under primitive p on
-// the cached activations; a tuned twin runs as its base under the
-// config SetTuned recorded for it. The sample index is accepted for
+// the cached activations, under the config SetTuned recorded for
+// (i, p), as Run executes it. The sample index is accepted for
 // interface compatibility; real time naturally varies between calls. A
 // primitive that cannot execute the layer yields an error, which lets
 // profile.RunContext retry it or drop it from the candidate set.
 func (s *Source) MeasureSample(ctx context.Context, i int, p *primitives.Primitive, sample int) (float64, error) {
-	var cfg kernels.ConvTuned
-	if p.Tuned {
-		cfg = s.eng.tuned[tunedKey{i, p.Idx}]
-		p = primitives.ByID(p.Base)
-	}
-	return s.measure(ctx, "profiling", i, p, cfg)
+	return s.measure(ctx, "profiling", i, p, s.eng.tuned[tunedKey{i, p.Idx}])
 }
 
 // measure is the one timed body behind MeasureSample and MeasureTuned:
-// it times one execution of layer i under the non-twin p and cfg on the
+// it times one execution of layer i under p and cfg on the
 // cached inputs, converted to p's layout, with the memory the compiled
 // step runs with allocated before the timer starts, as Run allocates
 // its arena before its per-step timers: a fresh output, the step's

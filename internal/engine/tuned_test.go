@@ -26,83 +26,81 @@ func convAssignment(e *Engine, id primitives.ID) []primitives.ID {
 	return a
 }
 
-func TestRunTunedTwinMatchesBase(t *testing.T) {
-	primitives.EnableTunedVariants()
-	base := primitives.POpenIm2col
-	twinID, ok := primitives.TunedOf(base.Idx)
-	if !ok {
-		t.Fatal("no tuned twin for openblas-gemm-im2col")
+// tunableBases are the packed-GEMM lowerings whose execution config
+// the autotuner varies.
+var tunableBases = []*primitives.Primitive{primitives.POpenIm2col, primitives.POpenIm2row, primitives.POpenKn2row}
+
+// tunable reports whether id is one of tunableBases.
+func tunable(id primitives.ID) bool {
+	for _, p := range tunableBases {
+		if p.Idx == id {
+			return true
+		}
 	}
+	return false
+}
+
+func TestRunTunedTwinMatchesBase(t *testing.T) {
+	base := primitives.POpenIm2col
 	net := testNet(t)
 	e := New(net, 1, 1.0)
 	in := testInput(net, 2)
+	a := convAssignment(e, base.Idx)
 
-	ref, err := e.Run(convAssignment(e, base.Idx), in)
+	ref, err := e.Run(a, in)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	// With no recorded config, the twin runs the defaults and must be
-	// bit-identical to the base path.
-	got, err := e.Run(convAssignment(e, twinID), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := tensor.MaxAbsDiff(ref.Output, got.Output); d != 0 {
-		t.Errorf("unconfigured twin output differs from base by %g", d)
 	}
 
 	// A panel-tiled, worker-overridden config with a zero Block stays
 	// bit-identical; a KC-blocked config stays within float32 tolerance.
 	for i := range net.Layers {
-		e.SetTuned(i, twinID, kernels.ConvTuned{Panel: 2, Workers: 2})
+		e.SetTuned(i, base.Idx, kernels.ConvTuned{Panel: 2, Workers: 2})
 	}
-	got, err = e.Run(convAssignment(e, twinID), in)
+	got, err := e.Run(a, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := tensor.MaxAbsDiff(ref.Output, got.Output); d != 0 {
-		t.Errorf("panel-tiled twin output differs from base by %g", d)
+		t.Errorf("panel-tiled config output differs from the default by %g", d)
 	}
 
 	for i := range net.Layers {
-		e.SetTuned(i, twinID, kernels.ConvTuned{Panel: 2, Block: gemm.BlockConfig{KC: 16, NC: 16}})
+		e.SetTuned(i, base.Idx, kernels.ConvTuned{Panel: 2, Block: gemm.BlockConfig{KC: 16, NC: 16}})
 	}
-	got, err = e.Run(convAssignment(e, twinID), in)
+	got, err = e.Run(a, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := tensor.MaxAbsDiff(ref.Output, got.Output); d > 1e-3 {
-		t.Errorf("blocked twin output differs from base by %g", d)
+		t.Errorf("blocked config output differs from the default by %g", d)
 	}
 }
 
 func TestRunTunedTwinAllLowerings(t *testing.T) {
-	primitives.EnableTunedVariants()
 	net := testNet(t)
 	e := New(net, 1, 1.0)
 	in := testInput(net, 2)
-	for _, base := range []*primitives.Primitive{primitives.POpenIm2col, primitives.POpenIm2row, primitives.POpenKn2row} {
-		twinID, ok := primitives.TunedOf(base.Idx)
-		if !ok {
-			t.Fatalf("no twin for %s", base.Name)
-		}
-		ref, err := e.Run(convAssignment(e, base.Idx), in)
+	for _, base := range tunableBases {
+		a := convAssignment(e, base.Idx)
+		ref, err := e.Run(a, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Run(convAssignment(e, twinID), in)
+		for i := range net.Layers {
+			e.SetTuned(i, base.Idx, kernels.ConvTuned{Panel: 2, Workers: 2})
+		}
+		got, err := e.Run(a, in)
 		if err != nil {
-			t.Fatalf("%s twin: %v", base.Name, err)
+			t.Fatalf("%s tuned: %v", base.Name, err)
 		}
 		if d := tensor.MaxAbsDiff(ref.Output, got.Output); d != 0 {
-			t.Errorf("%s twin differs from base by %g", base.Name, d)
+			t.Errorf("%s tuned differs from its default by %g", base.Name, d)
 		}
 	}
 }
 
 func TestMeasureTuned(t *testing.T) {
-	primitives.EnableTunedVariants()
 	net := testNet(t)
 	e := New(net, 1, 1.0)
 	src, err := NewSource(e, testInput(net, 2))
@@ -131,9 +129,9 @@ func TestMeasureTuned(t *testing.T) {
 	}
 }
 
-// TestMeasureSampleRunsTunedConfig pins that profiling a tuned twin
-// times the config SetTuned recorded for it, not the defaults. The
-// config is observed through what a sample allocates: the source
+// TestMeasureSampleRunsTunedConfig pins that profiling a primitive at
+// a layer with a recorded config times that config, not the defaults.
+// The config is observed through what a sample allocates: the source
 // allocates the step's ConvIm2rowScratch workspace for the config it
 // runs, which a one-row panel makes far smaller than the default
 // whole-matrix one.
@@ -141,7 +139,6 @@ func TestMeasureSampleRunsTunedConfig(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	primitives.EnableTunedVariants()
 	net := testNet(t)
 	e := New(net, 1, 1.0)
 	src, err := NewSource(e, testInput(net, 2))
@@ -149,13 +146,8 @@ func TestMeasureSampleRunsTunedConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := primitives.POpenIm2row
-	twinID, ok := primitives.TunedOf(base.Idx)
-	if !ok {
-		t.Fatal("no tuned twin for openblas-gemm-im2row")
-	}
 	i := net.LayerIndex("conv1")
 	cfg := kernels.ConvTuned{Panel: 1}
-	e.SetTuned(i, twinID, cfg)
 	ctx := context.Background()
 	// bytes returns the fewest bytes one of three measurements allocates.
 	bytes := func(measure func() (float64, error)) int64 {
@@ -172,13 +164,19 @@ func TestMeasureSampleRunsTunedConfig(t *testing.T) {
 		}
 		return least
 	}
-	twin := bytes(func() (float64, error) { return src.MeasureSample(ctx, i, primitives.ByID(twinID), 0) })
+	sample := func() (float64, error) { return src.MeasureSample(ctx, i, base, 0) }
+	untuned := bytes(sample)
+	e.SetTuned(i, base.Idx, cfg)
+	recorded := bytes(sample)
 	tuned := bytes(func() (float64, error) { return src.MeasureTuned(ctx, i, base, cfg) })
 	plain := bytes(func() (float64, error) { return src.MeasureTuned(ctx, i, base, kernels.ConvTuned{}) })
 	if tuned >= plain {
 		t.Fatalf("the one-row panel allocates %d bytes, the default %d: the config is not observable", tuned, plain)
 	}
-	if twin != tuned {
-		t.Errorf("profiling the twin allocated %d bytes, its recorded config %d and the default %d: the twin did not run its config", twin, tuned, plain)
+	if untuned != plain {
+		t.Errorf("profiling with no recorded config allocated %d bytes, the default %d", untuned, plain)
+	}
+	if recorded != tuned {
+		t.Errorf("profiling the base allocated %d bytes, its recorded config %d and the default %d: the sample did not run its config", recorded, tuned, plain)
 	}
 }

@@ -386,14 +386,6 @@ func (m *Monitor) QuarantinedLibs(platform string) []string {
 	return libs
 }
 
-// IsQuarantined reports whether (platform, library) is quarantined.
-func (m *Monitor) IsQuarantined(platform, library string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p := m.pairs[pairKey{platform, library}]
-	return p != nil && p.state == Quarantined
-}
-
 // Snapshot returns every tracked pair's status, sorted by (platform,
 // library) — the /statusz health section.
 func (m *Monitor) Snapshot() []Status {

@@ -3,6 +3,7 @@ package health
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/models"
@@ -122,11 +123,12 @@ func TestCanaryIndicesSweepCoverage(t *testing.T) {
 
 func TestMonitorStateMachine(t *testing.T) {
 	m := NewMonitor(2)
+	atlasQuarantined := func() bool { return slices.Contains(m.QuarantinedLibs("p"), "ATLAS") }
 	// One drifted entry: suspect, not quarantined.
 	if m.NoteDrift("p", "ATLAS", 1) {
 		t.Fatal("single drifted entry confirmed quarantine at confirm=2")
 	}
-	if m.IsQuarantined("p", "ATLAS") {
+	if atlasQuarantined() {
 		t.Fatal("suspect pair reported quarantined")
 	}
 	// A clean round clears a suspect.
@@ -138,7 +140,7 @@ func TestMonitorStateMachine(t *testing.T) {
 	if !m.NoteDrift("p", "ATLAS", 2) {
 		t.Fatal("confirm threshold reached but quarantine not confirmed")
 	}
-	if !m.IsQuarantined("p", "ATLAS") {
+	if !atlasQuarantined() {
 		t.Fatal("confirmed pair not quarantined")
 	}
 	// Further drift accumulates without re-confirming.
@@ -147,7 +149,7 @@ func TestMonitorStateMachine(t *testing.T) {
 	}
 	// A clean round does NOT clear a quarantine.
 	m.NoteClean("p", "ATLAS")
-	if !m.IsQuarantined("p", "ATLAS") {
+	if !atlasQuarantined() {
 		t.Fatal("clean round cleared a confirmed quarantine")
 	}
 	if libs := m.QuarantinedLibs("p"); len(libs) != 1 || libs[0] != "ATLAS" {
@@ -155,7 +157,7 @@ func TestMonitorStateMachine(t *testing.T) {
 	}
 	// Heal resolves it; MarkHealed on a non-quarantined pair is a no-op.
 	m.MarkHealed("p", "ATLAS", false)
-	if m.IsQuarantined("p", "ATLAS") {
+	if atlasQuarantined() {
 		t.Fatal("healed pair still quarantined")
 	}
 	if st := m.Snapshot(); st[0].State != "healed" {

@@ -3,7 +3,7 @@ package kernels
 import "repro/internal/gemm"
 
 // ConvTuned is the per-layer execution config the autotuner
-// (internal/tune) records for a tuned twin: how many output rows the
+// (internal/tune) records for a base primitive at one layer: how many output rows the
 // lowering convs multiply per panel, the fan-out, and the GEMM config
 // (micro-kernel, cache blocking) for the panel multiplies. The zero value reproduces the default path: one panel of
 // every output row, multiplied by the default parallel GEMM at the

@@ -242,61 +242,6 @@ func (t *Table) DropCandidate(i int, p primitives.ID) bool {
 	return false
 }
 
-// AddCandidate inserts primitive id into layer i's candidate set and
-// reports whether it was added. This is the autotuner's hook: a tuned
-// twin (see primitives.EnableTunedVariants) added here becomes one
-// more action for every search — Q-learning, DP, PBQP — with no search
-// code aware of tuning at all. The id must fit the table's primitive
-// dimension, which means the table must have been constructed after
-// EnableTunedVariants; ids past the table's dimension are refused (not
-// panicked) so a stale cache can never corrupt a live table. The input
-// pseudo-layer cannot gain candidates. Like the Set* methods,
-// AddCandidate may only be called while the table is being populated.
-func (t *Table) AddCandidate(i int, id primitives.ID) bool {
-	if i <= 0 || i >= t.numLayers {
-		return false
-	}
-	if int(id) < 0 || int(id) >= t.numPrims {
-		return false
-	}
-	if t.IsCandidate(i, id) {
-		return false
-	}
-	t.candidates[i] = append(t.candidates[i], id)
-	return true
-}
-
-// MirrorCandidate copies every penalty involving base at layer i to id:
-// incoming-edge columns, outgoing-edge rows, and the output-return
-// penalty when i is the output layer. A tuned twin shares its base's
-// library, layout and processor, so every conversion cost is identical
-// by construction — mirroring keeps the penalty matrices consistent
-// without re-profiling any pair. Mirror layers in a fixed order after
-// AddCandidate-ing each twin: a (twin, twin) pair on an edge is covered
-// when the consumer layer mirrors, because the producer's twin is
-// already in its candidate set by then.
-func (t *Table) MirrorCandidate(i int, base, id primitives.ID) {
-	if int(id) >= t.numPrims || int(base) >= t.numPrims {
-		return
-	}
-	for _, e := range t.incoming[i] {
-		for _, fp := range t.candidates[t.edges[e].From] {
-			t.penalties[e][int(fp)*t.numPrims+int(id)] = t.penalties[e][int(fp)*t.numPrims+int(base)]
-		}
-	}
-	for e, ed := range t.edges {
-		if ed.From != i {
-			continue
-		}
-		for _, tp := range t.candidates[ed.To] {
-			t.penalties[e][int(id)*t.numPrims+int(tp)] = t.penalties[e][int(base)*t.numPrims+int(tp)]
-		}
-	}
-	if i == t.output {
-		t.outputPen[int(id)] = t.outputPen[int(base)]
-	}
-}
-
 // OutputPenalty returns the host-return cost under primitive p.
 func (t *Table) OutputPenalty(p primitives.ID) float64 {
 	return t.outputPen[int(p)]
@@ -552,17 +497,7 @@ func Load(data []byte, net *nn.Network) (*Table, error) {
 					return nil, err
 				}
 				if !t.IsCandidate(i, id) {
-					// A tuned twin (added by the autotuner via
-					// AddCandidate) is acceptable exactly when its base
-					// primitive is a real candidate of the layer; any
-					// other unknown-to-the-layer name is a forgery.
-					// Twins resolve by name only after
-					// EnableTunedVariants, so the default path still
-					// rejects tuned tables outright.
-					p := primitives.ByID(id)
-					if !p.Tuned || !t.IsCandidate(i, p.Base) || !t.AddCandidate(i, id) {
-						return nil, fmt.Errorf("lut: %q is not a candidate of layer %d", name, i)
-					}
+					return nil, fmt.Errorf("lut: %q is not a candidate of layer %d", name, i)
 				}
 				keep[id] = true
 			}

@@ -9,8 +9,6 @@ package primitives
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/tensor"
 )
@@ -158,34 +156,13 @@ type Primitive struct {
 	// Layout is the activation layout the primitive requires for both
 	// input and output.
 	Layout tensor.Layout
-	// Tuned marks an autotuner twin: a copy of the primitive at Base
-	// whose per-layer execution parameters (cache blocking,
-	// micro-kernel, panel width, workers) come from a tuning cache
-	// instead of the defaults. Twins exist only after
-	// EnableTunedVariants and never appear in default candidate sets.
-	Tuned bool
-	// Base is the registry index of the primitive a tuned twin
-	// parameterizes (equal to Idx for ordinary primitives).
-	Base ID
 }
 
 // String returns the primitive name.
 func (p *Primitive) String() string { return p.Name }
 
-// regState is one immutable snapshot of the primitive table. The
-// active snapshot is swapped atomically (copy-on-write) so that
-// EnableTunedVariants can extend the table while concurrent readers
-// (serve handlers, profiling goroutines) keep a consistent view — a
-// reader either sees the table with all tuned twins or with none.
-type regState struct {
-	prims  []*Primitive
-	byName map[string]*Primitive
-}
-
-var regp atomic.Pointer[regState]
-
-// registry and byName accumulate the fixed base table during package
-// initialization; init() below publishes them as the first snapshot.
+// registry and byName hold the fixed primitive table, built once
+// during package initialization and read-only afterwards.
 var registry []*Primitive
 var byName = map[string]*Primitive{}
 
@@ -194,14 +171,9 @@ func reg(name string, lib Library, algo Algorithm, lower Lowering, proc Processo
 		Idx:  ID(len(registry)),
 		Name: name, Lib: lib, Algo: algo, Lower: lower, Proc: proc, Layout: layout,
 	}
-	p.Base = p.Idx
 	registry = append(registry, p)
 	byName[name] = p
 	return p
-}
-
-func init() {
-	regp.Store(&regState{prims: registry, byName: byName})
 }
 
 // The primitive instances. Grouped by library; layouts follow the
@@ -242,85 +214,23 @@ var (
 
 // Registry returns the full primitive table in index order. The
 // returned slice must not be modified.
-func Registry() []*Primitive { return regp.Load().prims }
+func Registry() []*Primitive { return registry }
 
 // ByName looks a primitive up by its stable name.
 func ByName(name string) (*Primitive, bool) {
-	p, ok := regp.Load().byName[name]
+	p, ok := byName[name]
 	return p, ok
 }
 
 // ByID returns the primitive with the given registry index.
 func ByID(id ID) *Primitive {
-	prims := regp.Load().prims
-	if int(id) < 0 || int(id) >= len(prims) {
+	if int(id) < 0 || int(id) >= len(registry) {
 		panic(fmt.Sprintf("primitives: id %d out of range", id))
 	}
-	return prims[id]
+	return registry[id]
 }
 
-// Count returns the registry size.
-func Count() int { return len(regp.Load().prims) }
-
-// TunedSuffix distinguishes an autotuner twin's name from its base
-// primitive's ("openblas-gemm-im2col" -> "openblas-gemm-im2col#tuned").
-const TunedSuffix = "#tuned"
-
-// tunedBases lists the primitives that get autotuner twins: the
-// packed-GEMM lowering paths whose blocking, micro-kernel, panel width
-// and worker count internal/tune can actually vary.
-var tunedBases = []*Primitive{POpenIm2col, POpenIm2row, POpenKn2row}
-
-var enableTunedOnce sync.Once
-
-// EnableTunedVariants extends the registry with one tuned twin per
-// tunable base primitive and returns the twins in registration order.
-// It is idempotent and safe for concurrent use.
-//
-// Twins are registered on demand — never at init — because the
-// registry size is serialized state: Q-table checkpoints and LUT
-// penalty matrices are sized by Count(), and the committed goldens pin
-// the 22-primitive base table. Only code paths that opted into
-// autotuning (-autotune, -tuner-cache) ever see the extended table;
-// the default path stays byte-identical. Candidate sets are built from
-// the explicit base primitives (see Candidates), so twins never enter
-// a search unless a tuning cache adds them via lut.AddCandidate.
-func EnableTunedVariants() []*Primitive {
-	enableTunedOnce.Do(func() {
-		old := regp.Load()
-		prims := append([]*Primitive(nil), old.prims...)
-		names := make(map[string]*Primitive, len(old.byName)+len(tunedBases))
-		for k, v := range old.byName {
-			names[k] = v
-		}
-		for _, base := range tunedBases {
-			t := *base
-			t.Idx = ID(len(prims))
-			t.Name = base.Name + TunedSuffix
-			t.Tuned = true
-			t.Base = base.Idx
-			tp := &t
-			prims = append(prims, tp)
-			names[tp.Name] = tp
-		}
-		regp.Store(&regState{prims: prims, byName: names})
-	})
-	twins := make([]*Primitive, 0, len(tunedBases))
-	for _, p := range regp.Load().prims {
-		if p.Tuned {
-			twins = append(twins, p)
-		}
-	}
-	return twins
-}
-
-// TunedOf returns the tuned twin of the given base primitive, or ok
-// false if the base has no twin (or twins are not enabled).
-func TunedOf(base ID) (ID, bool) {
-	for _, p := range regp.Load().prims {
-		if p.Tuned && p.Base == base {
-			return p.Idx, true
-		}
-	}
-	return 0, false
-}
+// Count returns the registry size: a constant, since the table is
+// fixed at init. Q-tables, LUT penalty matrices and the committed
+// goldens are all sized by it.
+func Count() int { return len(registry) }

@@ -323,18 +323,6 @@ func (s *BreakerSet) For(platform, library string) *Breaker {
 	return b
 }
 
-// AnyOpen reports whether any breaker in the set is currently open.
-func (s *BreakerSet) AnyOpen() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, b := range s.m {
-		if b.State() == Open {
-			return true
-		}
-	}
-	return false
-}
-
 // Snapshot returns every breaker's status, sorted by (platform,
 // library) for deterministic output.
 func (s *BreakerSet) Snapshot() []BreakerStatus {

@@ -194,17 +194,6 @@ type BatchResult struct {
 	Restored int
 }
 
-// FailedJobs counts jobs with a non-nil Err.
-func (b *BatchResult) FailedJobs() int {
-	n := 0
-	for i := range b.Jobs {
-		if b.Jobs[i].Err != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Run executes the batch with a background context and the legacy
 // all-or-nothing contract: the first per-job error fails the whole
 // call. Callers that want partial results under failure or

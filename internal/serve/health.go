@@ -14,6 +14,7 @@ import (
 	"repro/internal/primitives"
 	"repro/internal/profile"
 	"repro/internal/resilience"
+	"repro/internal/tune"
 )
 
 // This file is the serve side of the plan-health subsystem: LUT
@@ -173,11 +174,29 @@ type canaryEntry struct {
 	prim  *primitives.Primitive
 }
 
-func canaryEntries(li *lutInfo) []canaryEntry {
+// canaryEntries lists the cells of li's table the canaries may
+// re-measure. It leaves out the (layer, base) cells the tuner cache
+// names for the table's network and mode: Cache.Apply may have priced
+// such a cell with the tuner's engine measurement of a tuned config,
+// which a fresh simulator sample of the default config would read as
+// drift, quarantining a healthy library.
+func canaryEntries(li *lutInfo, tuner *tune.Cache) []canaryEntry {
+	type cell struct {
+		layer int
+		prim  string
+	}
+	tuned := map[cell]bool{}
+	if tuner != nil && tuner.Network == li.network && tuner.Mode == li.mode.String() {
+		for _, e := range tuner.Entries {
+			tuned[cell{e.Layer, e.Base}] = true
+		}
+	}
 	var out []canaryEntry
 	for i := 1; i < li.net.Len(); i++ {
 		for _, p := range primitives.Candidates(li.net.Layers[i], li.mode) {
-			out = append(out, canaryEntry{layer: i, prim: p})
+			if !tuned[cell{i, p.Name}] {
+				out = append(out, canaryEntry{layer: i, prim: p})
+			}
 		}
 	}
 	return out
@@ -210,7 +229,7 @@ func (s *Server) CanaryTick(ctx context.Context) health.TickStats {
 		li.round++
 		round := li.round
 		s.lutMu.Unlock()
-		entries := canaryEntries(li)
+		entries := canaryEntries(li, s.tuner)
 		idxs := health.CanaryIndices(s.hcfg.Seed, round, len(entries), s.hcfg.Size())
 		src := s.measureSource(li.net, li.board, li.lutKey, li.platform)
 		pol := profile.RobustFor(s.cfg.Robust, s.cfg.Faults)

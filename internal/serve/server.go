@@ -100,9 +100,9 @@ type Config struct {
 	Health *health.Config
 	// TunerCache, when set, loads a kernel-autotuner cache file
 	// (written by `qsdnn profile -engine -autotune -tuner-cache`) at
-	// startup and feeds its tuned-variant candidates into every
-	// profiled table whose network and mode match, so searches can
-	// select the tuned kernels. An unreadable or corrupt cache is
+	// startup and writes its tuned times onto the base primitives'
+	// entries of every profiled table whose network and mode match, so
+	// searches price the tuned kernels. An unreadable or corrupt cache is
 	// reported in /statusz and ignored — the server starts and serves
 	// defaults.
 	TunerCache string
@@ -278,9 +278,6 @@ func New(cfg Config) (*Server, error) {
 		if c, err := tune.LoadCache(cfg.TunerCache); err != nil {
 			s.tunerErr = err.Error()
 		} else {
-			// Twins must exist before any table is built so tuned ids
-			// fit the tables' candidate bounds.
-			primitives.EnableTunedVariants()
 			s.tuner = c
 		}
 	}
@@ -1182,7 +1179,7 @@ func (s *Server) exec(j *job) {
 func (s *Server) profileJob(j *job, hb *resilience.Heartbeat, net *nn.Network, board *platform.Platform) (*lut.Table, *profile.Report, error) {
 	tab, rep, err := s.profileJobInner(j, hb, net, board)
 	if err == nil && s.tuner != nil {
-		// Feed tuned-variant candidates in before the flight builds the
+		// Price the tuned configs in before the flight builds the
 		// shared search plan; a mismatched cache just skips.
 		applied, skipped := s.tuner.Apply(tab, net)
 		s.tunerApplied.Add(int64(len(applied)))

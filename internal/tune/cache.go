@@ -84,67 +84,47 @@ func LoadCache(path string) (*Cache, error) {
 	return &c, nil
 }
 
-// Apply feeds the cache into a LUT: it enables the tuned twin
-// primitives, adds each entry's twin as a candidate of its layer,
-// mirrors the base's conversion penalties onto the twin, and records
-// the tuned time — after which every search over the table can select
-// the tuned variant exactly like any other primitive. It returns the
-// per-(layer, twin) variant assignments the engine needs (feed them to
-// engine.Engine.SetTuned via their Conv() form).
+// Apply feeds the cache into a LUT. A tuning is the execution config
+// of a base primitive at one layer, so it prices that base's own
+// entry: when an entry's time is no slower than the base's time at its
+// layer, the base's time becomes the entry's and the entry is returned
+// as applied, for engine.Engine.SetTuned via its Conv() form; a slower
+// entry leaves the base untouched and counts as skipped. The config
+// shares its base's library, layout and processor, so every penalty
+// already prices it, and an exact search over the tuned table picks
+// what one over the base and its tuned config as separate candidates
+// would: the faster of the two. The <= makes a second Apply a no-op.
 //
-// Entries that no longer fit — unknown base, layer out of range, base
-// not a candidate of the layer, invalid times, insane variants — are
-// skipped and counted, never fatal: a stale or forged cache degrades
-// to fewer tunings, it cannot corrupt a table.
+// Entries that no longer fit — unknown or untunable base, layer out of
+// range, base not a candidate of the layer, invalid times, default or
+// insane variants — are skipped and counted, never fatal: a stale or
+// forged cache degrades to fewer tunings, it cannot corrupt a table.
 func (c *Cache) Apply(tab *lut.Table, net *nn.Network) (applied []Applied, skipped int) {
 	if c.Network != net.Name || c.Mode != tab.Mode.String() {
 		return nil, len(c.Entries)
 	}
-	primitives.EnableTunedVariants()
-	// Ascending layer order makes penalty mirroring cover twin-twin
-	// edge pairs (see lut.MirrorCandidate).
-	entries := append([]Entry(nil), c.Entries...)
-	sort.SliceStable(entries, func(a, b int) bool { return entries[a].Layer < entries[b].Layer })
-	for _, e := range entries {
+	for _, e := range c.Entries {
 		base, ok := primitives.ByName(e.Base)
-		if !ok || base.Tuned {
-			skipped++
-			continue
-		}
-		twin, ok := primitives.TunedOf(base.Idx)
-		if !ok {
-			skipped++
-			continue
-		}
-		if e.Layer <= 0 || e.Layer >= tab.NumLayers() ||
+		if !ok || !tunable(base) ||
+			e.Layer <= 0 || e.Layer >= tab.NumLayers() || !tab.IsCandidate(e.Layer, base.Idx) ||
 			!e.Variant.valid() || e.Variant.IsDefault() ||
-			!lut.ValidSeconds(e.Seconds) || !lut.ValidSeconds(e.DefaultSec) {
+			!lut.ValidSeconds(e.Seconds) || !lut.ValidSeconds(e.DefaultSec) ||
+			e.Seconds > tab.Time(e.Layer, base.Idx) {
 			skipped++
 			continue
 		}
-		if !hasCandidate(tab, e.Layer, base.Idx) {
-			skipped++
-			continue
-		}
-		if !tab.AddCandidate(e.Layer, twin) {
-			// Already present (double apply): refresh the time only.
-			tab.SetTime(e.Layer, twin, e.Seconds)
-			applied = append(applied, Applied{Layer: e.Layer, Twin: twin, Variant: e.Variant})
-			continue
-		}
-		tab.MirrorCandidate(e.Layer, base.Idx, twin)
-		tab.SetTime(e.Layer, twin, e.Seconds)
-		applied = append(applied, Applied{Layer: e.Layer, Twin: twin, Variant: e.Variant})
+		tab.SetTime(e.Layer, base.Idx, e.Seconds)
+		applied = append(applied, Applied{Layer: e.Layer, Base: base.Idx, Variant: e.Variant})
 	}
 	return applied, skipped
 }
 
-// Applied is one (layer, twin, variant) assignment produced by Apply.
+// Applied is one (layer, base, variant) assignment produced by Apply.
 type Applied struct {
 	// Layer is the network layer index.
 	Layer int
-	// Twin is the tuned twin primitive the variant executes as.
-	Twin primitives.ID
+	// Base is the primitive the variant configures at the layer.
+	Base primitives.ID
 	// Variant is the execution configuration.
 	Variant Variant
 }

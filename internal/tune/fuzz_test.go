@@ -56,8 +56,6 @@ func FuzzCacheLoad(f *testing.F) {
 	f.Add(store.Encode([]byte(`{"entries":[{"layer":1,"base":"openblas-gemm-im2col","variant":{"kernel":"` +
 		string(make([]byte, 100)) + `","workers":99999},"sec":1e308,"default_sec":2}]}`)))
 
-	primitives.EnableTunedVariants()
-
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "cache.qsd")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -72,9 +70,8 @@ func FuzzCacheLoad(f *testing.F) {
 		tab := testTableF(net)
 		applied, _ := got.Apply(tab, net)
 		for _, a := range applied {
-			p := primitives.ByID(a.Twin)
-			if p == nil || !p.Tuned {
-				t.Fatalf("applied non-twin primitive %v", a.Twin)
+			if !tunable(primitives.ByID(a.Base)) {
+				t.Fatalf("applied untunable primitive %v", a.Base)
 			}
 			if a.Layer <= 0 || a.Layer >= tab.NumLayers() {
 				t.Fatalf("applied out-of-range layer %d", a.Layer)

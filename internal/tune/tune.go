@@ -117,7 +117,7 @@ func Tune(ctx context.Context, net *nn.Network, tab *lut.Table, meas Measurer, o
 	for i := 1; i < net.Len(); i++ {
 		l := net.Layers[i]
 		for _, base := range Bases() {
-			if !hasCandidate(tab, i, base.Idx) {
+			if !tab.IsCandidate(i, base.Idx) {
 				continue
 			}
 			vars := Space(l, base)
@@ -142,9 +142,10 @@ func Tune(ctx context.Context, net *nn.Network, tab *lut.Table, meas Measurer, o
 	return c, nil
 }
 
-func hasCandidate(tab *lut.Table, i int, id primitives.ID) bool {
-	for _, c := range tab.Candidates(i) {
-		if c == id {
+// tunable reports whether p is one of Bases().
+func tunable(p *primitives.Primitive) bool {
+	for _, b := range Bases() {
+		if b == p {
 			return true
 		}
 	}

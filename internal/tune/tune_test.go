@@ -5,6 +5,7 @@ import (
 	"context"
 	"hash/fnv"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/lut"
@@ -66,7 +67,6 @@ func (m *synthMeasurer) MeasureVariant(_ context.Context, layer int, base *primi
 
 func testTable(t *testing.T, net *nn.Network) *lut.Table {
 	t.Helper()
-	primitives.EnableTunedVariants() // before New so twins fit the table
 	tab := lut.New(net, primitives.ModeCPU)
 	for i := 1; i < tab.NumLayers(); i++ {
 		for _, p := range tab.Candidates(i) {
@@ -177,7 +177,7 @@ func TestSurrogateRegretGate(t *testing.T) {
 		l := net.Layers[i]
 		for _, base := range Bases() {
 			vars := Space(l, base)
-			if len(vars) == 0 || !hasCandidate(tab, i, base.Idx) {
+			if len(vars) == 0 || !tab.IsCandidate(i, base.Idx) {
 				continue
 			}
 			trueBest := math.Inf(1)
@@ -202,51 +202,71 @@ func TestSurrogateRegretGate(t *testing.T) {
 	}
 }
 
+// TestApplyFeedsTable pins the one rule: an entry no slower than its
+// base's time at its layer becomes that time and is applied, a slower
+// one leaves the base untouched and is skipped, no candidate is added,
+// and a second Apply changes nothing.
 func TestApplyFeedsTable(t *testing.T) {
 	net := tuneNet(t)
 	tab := testTable(t, net)
 	c := runTune(t, net, 1)
+	if len(c.Entries) < 2 {
+		t.Fatalf("%d entries: both branches of the rule need two", len(c.Entries))
+	}
+	// Price every other entry's base above the entry and the rest
+	// below it, so both branches run.
+	var want []Applied
+	for k, e := range c.Entries {
+		base, _ := primitives.ByName(e.Base)
+		if k%2 == 0 {
+			tab.SetTime(e.Layer, base.Idx, e.Seconds*2)
+			want = append(want, Applied{Layer: e.Layer, Base: base.Idx, Variant: e.Variant})
+		} else {
+			tab.SetTime(e.Layer, base.Idx, e.Seconds/2)
+		}
+	}
+	cands := make([][]primitives.ID, tab.NumLayers())
+	for i := range cands {
+		cands[i] = append([]primitives.ID(nil), tab.Candidates(i)...)
+	}
 	applied, skipped := c.Apply(tab, net)
-	if skipped != 0 {
-		t.Errorf("%d entries skipped on a fresh table", skipped)
+	if !reflect.DeepEqual(applied, want) {
+		t.Fatalf("applied %+v, want %+v", applied, want)
 	}
-	if len(applied) != len(c.Entries) {
-		t.Fatalf("applied %d of %d entries", len(applied), len(c.Entries))
+	if skipped != len(c.Entries)-len(want) {
+		t.Errorf("skipped %d, want %d", skipped, len(c.Entries)-len(want))
 	}
-	for _, a := range applied {
-		twin := primitives.ByID(a.Twin)
-		if !twin.Tuned {
-			t.Fatalf("applied non-tuned primitive %s", twin.Name)
+	for k, e := range c.Entries {
+		base, _ := primitives.ByName(e.Base)
+		wantSec := e.Seconds
+		if k%2 == 1 {
+			wantSec = e.Seconds / 2
 		}
-		if !hasCandidate(tab, a.Layer, a.Twin) {
-			t.Errorf("twin %s not a candidate of layer %d", twin.Name, a.Layer)
-		}
-		if math.IsInf(tab.Time(a.Layer, a.Twin), 1) {
-			t.Errorf("twin %s time unset at layer %d", twin.Name, a.Layer)
-		}
-		// Twin must price no worse than base everywhere it appears:
-		// mirrored penalties plus a strictly better time.
-		if tab.Time(a.Layer, a.Twin) >= tab.Time(a.Layer, twin.Base) {
-			// The synthetic table's base times (0.001*i) may be lower
-			// than the synthetic measurement; only check that a time
-			// exists. Real flows re-measure the base with the same
-			// measurer.
-			continue
+		if got := tab.Time(e.Layer, base.Idx); got != wantSec {
+			t.Errorf("layer %d %s: time %v, want %v", e.Layer, e.Base, got, wantSec)
 		}
 	}
-	// Double apply refreshes, never errors or duplicates.
-	applied2, _ := c.Apply(tab, net)
-	if len(applied2) != len(applied) {
-		t.Errorf("second apply returned %d entries, want %d", len(applied2), len(applied))
-	}
-	for i := 1; i < tab.NumLayers(); i++ {
-		seen := map[primitives.ID]int{}
-		for _, id := range tab.Candidates(i) {
-			seen[id]++
-			if seen[id] > 1 {
-				t.Errorf("layer %d: duplicate candidate %d after double apply", i, id)
-			}
+	for i := range cands {
+		if !reflect.DeepEqual(tab.Candidates(i), cands[i]) {
+			t.Errorf("layer %d: candidates %v, want %v", i, tab.Candidates(i), cands[i])
 		}
+	}
+
+	// A second Apply is a no-op on the table and returns the same.
+	before, err := tab.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied2, skipped2 := c.Apply(tab, net)
+	if !reflect.DeepEqual(applied2, applied) || skipped2 != skipped {
+		t.Errorf("second apply: %d applied / %d skipped, want %d / %d", len(applied2), skipped2, len(applied), skipped)
+	}
+	after, err := tab.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("second apply changed the table")
 	}
 }
 
@@ -276,7 +296,7 @@ func TestApplySkipsForgedEntries(t *testing.T) {
 			{Layer: -1, Base: "openblas-gemm-im2col", Variant: Variant{KC: 8}, Seconds: 1, DefaultSec: 2},
 			{Layer: 9999, Base: "openblas-gemm-im2col", Variant: Variant{KC: 8}, Seconds: 1, DefaultSec: 2},
 			{Layer: 1, Base: "no-such-primitive", Variant: Variant{KC: 8}, Seconds: 1, DefaultSec: 2},
-			{Layer: 1, Base: "vanilla-direct", Variant: Variant{KC: 8}, Seconds: 1, DefaultSec: 2}, // no twin
+			{Layer: 1, Base: "vanilla-direct", Variant: Variant{KC: 8}, Seconds: 1, DefaultSec: 2}, // not tunable
 			{Layer: 1, Base: "openblas-gemm-im2col", Variant: Variant{KC: -4}, Seconds: 1, DefaultSec: 2},
 			{Layer: 1, Base: "openblas-gemm-im2col", Variant: Variant{}, Seconds: 1, DefaultSec: 2}, // default
 			{Layer: 1, Base: "openblas-gemm-im2col", Variant: Variant{KC: 8}, Seconds: -1, DefaultSec: 2},

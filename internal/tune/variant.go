@@ -4,9 +4,9 @@
 // registry, lowering panel widths, worker counts — ranks them with a
 // small learned surrogate cost model trained online from measured
 // samples, measures only a shortlist through the robust profiling
-// series, and feeds the winners into the LUT as extra candidates
-// (tuned twin primitives) so the existing Q-learning/DP/PBQP searches
-// select them for free. Tunings persist durably (internal/store
+// series, and writes each winner's time onto its base primitive's LUT
+// entry, so the existing Q-learning/DP/PBQP searches price the tuned
+// kernels with no search code aware of tuning. Tunings persist durably (internal/store
 // envelope) so serving and batch runs reuse them across processes.
 //
 // This is the inner tuning loop of the paper's outer primitive
