@@ -39,6 +39,9 @@ func All() []string {
 	return names
 }
 
+// Known reports whether name is a model of the zoo, without building it.
+func Known(name string) bool { _, ok := builders[name]; return ok }
+
 // Build constructs the named model or returns an error listing the
 // available names.
 func Build(name string) (*nn.Network, error) {

@@ -448,8 +448,11 @@ func (s *Server) enqueueHeal(spec *jobSpec) bool {
 // healDone is called when a revalidation job reaches any terminal
 // state: the platform's outstanding-heal count drops, and once it
 // reaches zero every quarantined library with no remaining stale LUT
-// is marked healed (or rolled-back when any heal kept its parent).
-func (s *Server) healDone(spec *jobSpec, rolledBack bool) {
+// is marked healed (or rolled-back when any heal kept its parent). A
+// heal that stored its plan (healed) is counted here, after the drop
+// and under lutMu, so a reader that sees the count and then asks for
+// the plan sees the platform's heal state already settled.
+func (s *Server) healDone(spec *jobSpec, healed, rolledBack bool) {
 	plat := spec.Platform
 	s.lutMu.Lock()
 	defer s.lutMu.Unlock()
@@ -462,6 +465,12 @@ func (s *Server) healDone(spec *jobSpec, rolledBack bool) {
 		delete(s.healPending, plat)
 	}
 	s.maybeMarkHealedLocked(plat)
+	if healed {
+		s.healedN.Add(1)
+		if rolledBack {
+			s.rolledBackN.Add(1)
+		}
+	}
 }
 
 // maybeMarkHealedLocked resolves a platform's quarantines once no heal

@@ -402,7 +402,7 @@ func TestBreakerDegradedLUTEviction(t *testing.T) {
 	for cycle := 0; cycle < 200 && !converged; cycle++ {
 		waitFor(t, 30*time.Second, func() bool {
 			st := srv.Status()
-			return st.Healed+st.RolledBack >= st.HealsEnqueued
+			return st.Healed >= st.HealsEnqueued
 		}, "heal cycle to settle")
 		code, _, payload = postOptimize(t, ts.URL, body)
 		if code != http.StatusOK {

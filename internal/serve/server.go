@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -384,6 +385,43 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// writeResponse writes resp with the given status code: exactly the
+// bytes writeJSON would, but with the plan copied in verbatim. The
+// encoder re-compacts and re-escapes a json.RawMessage on every call,
+// which for a 21 KB plan cost more than the HTTP round trip of a cache
+// hit; plans are normalised once instead, where they enter the cache
+// (exec marshals them, planStore.getPlan re-encodes what it loads).
+func writeResponse(w http.ResponseWriter, code int, resp OptimizeResponse) {
+	plan := resp.Plan
+	if len(plan) > 0 {
+		resp.Plan = planMark
+	}
+	env, err := json.Marshal(resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	if err != nil {
+		return // the encoder writes no body on error either
+	}
+	out := env
+	if len(plan) > 0 {
+		at := bytes.Index(env, planField) + len(planField) - len(planMark)
+		out = make([]byte, 0, len(env)+len(plan))
+		out = append(out, env[:at]...)
+		out = append(out, plan...)
+		out = append(out, env[at+len(planMark):]...)
+	}
+	w.Write(append(out, '\n'))
+}
+
+// planMark holds the plan's place while writeResponse marshals the
+// envelope. planField occurs exactly once in the result: no other key
+// of the envelope is "plan", and inside an encoded string its quotes
+// would be escaped.
+var (
+	planMark  = json.RawMessage("0")
+	planField = []byte(`"plan":0`)
+)
+
 // errorJSON is the uniform error reply body.
 type errorJSON struct {
 	Error string `json:"error"`
@@ -402,7 +440,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	key := spec.key()
 	if payload, ok := s.lookupPlan(key); ok {
-		writeJSON(w, http.StatusOK, s.cachedResponse(spec, key, payload))
+		writeResponse(w, http.StatusOK, s.cachedResponse(spec, key, payload))
 		return
 	}
 	// The effective deadline budget: the client's, capped by the
@@ -436,7 +474,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// without this, the race would admit a duplicate search.
 	if payload, ok := s.lookupPlan(key); ok {
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, s.cachedResponse(spec, key, payload))
+		writeResponse(w, http.StatusOK, s.cachedResponse(spec, key, payload))
 		return
 	}
 	// Load shedding under a budget: when the queue alone is expected
@@ -500,7 +538,7 @@ func (s *Server) brownoutOr503(w http.ResponseWriter, spec *jobSpec, msg string)
 	if s.cfg.Brownout {
 		if payload, ok := s.lookupDegraded(spec); ok {
 			s.degradedServed.Add(1)
-			writeJSON(w, http.StatusOK, OptimizeResponse{State: StateDone, Cached: true, Degraded: true, Plan: payload})
+			writeResponse(w, http.StatusOK, OptimizeResponse{State: StateDone, Cached: true, Degraded: true, Plan: payload})
 			return
 		}
 	}
@@ -521,7 +559,7 @@ const budgetGrace = time.Second
 // cancels an unpinned job.
 func (s *Server) respondJob(w http.ResponseWriter, r *http.Request, j *job, wait bool, code int, budget time.Duration) {
 	if !wait {
-		writeJSON(w, code, j.status())
+		writeResponse(w, code, j.status())
 		return
 	}
 	defer j.dropWaiter()
@@ -550,12 +588,12 @@ func (s *Server) respondJob(w http.ResponseWriter, r *http.Request, j *job, wait
 		if st.Degraded {
 			w.Header().Set("Retry-After", s.retryAfter())
 		}
-		writeJSON(w, http.StatusOK, st)
+		writeResponse(w, http.StatusOK, st)
 	case StateInterrupted, StateCanceled:
 		w.Header().Set("Retry-After", s.retryAfter())
-		writeJSON(w, http.StatusServiceUnavailable, st)
+		writeResponse(w, http.StatusServiceUnavailable, st)
 	default:
-		writeJSON(w, http.StatusInternalServerError, st)
+		writeResponse(w, http.StatusInternalServerError, st)
 	}
 }
 
@@ -572,7 +610,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorJSON{Error: "unknown job"})
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	writeResponse(w, http.StatusOK, j.status())
 }
 
 // handleEvents streams a job's progress as server-sent events: one
@@ -986,9 +1024,9 @@ func (s *Server) exec(j *job) {
 	// A heal job reports its completion — any terminal state — to the
 	// health monitor, so a platform's quarantine resolves only once all
 	// of its outstanding heals are accounted for.
-	var healRolledBack bool
+	var healed, healRolledBack bool
 	if j.revalidate {
-		defer func() { s.healDone(spec, healRolledBack) }()
+		defer func() { s.healDone(spec, healed, healRolledBack) }()
 	}
 
 	var hb *resilience.Heartbeat
@@ -1161,11 +1199,7 @@ func (s *Server) exec(j *job) {
 	s.noteFamily(key)
 	s.notePlan(key, spec, meta)
 	if j.revalidate {
-		s.healedN.Add(1)
-		if meta.RolledBack {
-			s.rolledBackN.Add(1)
-		}
-		healRolledBack = meta.RolledBack
+		healed, healRolledBack = true, meta.RolledBack
 	}
 	s.finishJob(j, StateDone, payload, nil)
 }

@@ -111,7 +111,11 @@ func (s *planStore) putPlan(key string, plan []byte, meta planMeta) error {
 // getPlan loads the newest valid stored plan for key. A torn or
 // bit-flipped current generation falls back to the previous one; when
 // no valid generation exists the lookup is a miss, never an error —
-// the plan is deterministic, so the server just recomputes it.
+// the plan is deterministic, so the server just recomputes it. The
+// plan comes back compact and HTML-escaped, as json.Marshal writes it,
+// whatever whitespace the file holds: replies splice plan bytes in
+// verbatim (writeResponse), so a hand-edited file still serves the
+// bytes the encoder would.
 func (s *planStore) getPlan(key string) ([]byte, planMeta, bool) {
 	payload, _, _, err := store.LoadRotating(s.planPath(key), func(p []byte) error {
 		var env planEnvelope
@@ -133,7 +137,11 @@ func (s *planStore) getPlan(key string) ([]byte, planMeta, bool) {
 	if json.Unmarshal(payload, &env) != nil {
 		return nil, planMeta{}, false
 	}
-	return env.Plan, env.planMeta, true
+	plan, err := json.Marshal(env.Plan)
+	if err != nil {
+		return nil, planMeta{}, false
+	}
+	return plan, env.planMeta, true
 }
 
 // saveJobRecord durably records an admitted job; snapshot may be nil

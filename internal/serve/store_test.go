@@ -2,8 +2,11 @@ package serve
 
 import (
 	"context"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -198,5 +201,45 @@ func TestPendingJobsSkipsGarbage(t *testing.T) {
 	}
 	if len(reqs) != 1 || skipped != 1 {
 		t.Fatalf("got %d requests, %d skipped; want 1 and 1", len(reqs), skipped)
+	}
+}
+
+// TestStoreHitServesNormalisedPlan: a plan file whose payload is
+// indented and holds unescaped '&' (hand-edited, or written by another
+// encoder) is served compact and escaped, the bytes json.Encoder made
+// of it when replies re-encoded the plan, although hits now splice the
+// plan in verbatim.
+func TestStoreHitServesNormalisedPlan(t *testing.T) {
+	dir := t.TempDir()
+	ps, err := openPlanStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fastBody(5)
+	_, spec, err := decodeOptimizeRequest(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := spec.key()
+	envelope := "{\n  \"key\": " + strconv.Quote(key) + ",\n  \"plan\": {\n    \"network\": \"lenet5\",\n    \"bsl_library\": \"R&D <x>\",\n    \"assignment\": [ 0, 1 ]\n  }\n}\n"
+	if err := store.SaveRotating(ps.planPath(key), []byte(envelope)); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"network":"lenet5","bsl_library":"R\u0026D \u003cx\u003e","assignment":[0,1]}`
+	if got, _, ok := ps.getPlan(key); !ok || string(got) != want {
+		t.Fatalf("getPlan: got %q ok=%v, want %q", got, ok, want)
+	}
+
+	srv, ts := newTestServer(t, Config{MaxInflight: 1, QueueDepth: 4, PlanStore: dir})
+	code, _, payload := postOptimize(t, ts.URL, body)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, payload)
+	}
+	wantReply := `{"state":"done","cached":true,"plan":` + want + "}\n"
+	if string(payload) != wantReply {
+		t.Fatalf("store hit reply\n got: %q\nwant: %q", payload, wantReply)
+	}
+	if st := srv.Status(); st.Searches != 0 {
+		t.Fatalf("store hit ran %d searches", st.Searches)
 	}
 }

@@ -174,7 +174,7 @@ func (r *OptimizeRequest) spec() (*jobSpec, error) {
 	if s.Network == "" {
 		return nil, badRequest("network is required (one of %s)", strings.Join(models.All(), ", "))
 	}
-	if _, err := models.Build(s.Network); err != nil {
+	if !models.Known(s.Network) {
 		return nil, badRequest("unknown network %q (one of %s)", s.Network, strings.Join(models.All(), ", "))
 	}
 	if s.Platform == "" {

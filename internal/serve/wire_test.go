@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/models"
 )
 
 // TestDecodeOptimizeRequest pins the request validator: every
@@ -94,6 +96,36 @@ func TestBudgetNonFinite(t *testing.T) {
 	}
 }
 
+// TestNetworkNameCheck pins the network check: every zoo model is
+// accepted, and near misses get the 400 text that lists the zoo.
+func TestNetworkNameCheck(t *testing.T) {
+	for _, name := range models.All() {
+		req := OptimizeRequest{Network: name}
+		spec, err := req.spec()
+		if err != nil {
+			t.Fatalf("zoo model %q rejected: %v", name, err)
+		}
+		if spec.Network != name {
+			t.Fatalf("zoo model %q normalised to %q", name, spec.Network)
+		}
+	}
+	zoo := strings.Join(models.All(), ", ")
+	for _, tc := range []struct{ name, want string }{
+		{"LeNet5", `unknown network "LeNet5" (one of ` + zoo + `)`},
+		{"lenet5/", `unknown network "lenet5/" (one of ` + zoo + `)`},
+		{"le net5", `unknown network "le net5" (one of ` + zoo + `)`},
+		{"mobilenet-v1-0.25", `unknown network "mobilenet-v1-0.25" (one of ` + zoo + `)`},
+		{"", "network is required (one of " + zoo + ")"},
+		{" \t", "network is required (one of " + zoo + ")"},
+	} {
+		req := OptimizeRequest{Network: tc.name}
+		_, err := req.spec()
+		if err == nil || !isBadRequest(err) || err.Error() != tc.want {
+			t.Fatalf("network %q: got %v, want bad request %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // FuzzOptimizeRequest hammers the decode+validate path with arbitrary
 // bytes: it must never panic, every rejection must be a bad-request
 // error, and every accepted request must normalize to a fixed point
@@ -111,6 +143,10 @@ func FuzzOptimizeRequest(f *testing.F) {
 		`[]`,
 		`null`,
 		`{"network":"lenet5","mode":"fpga"}`,
+		`{"network":"LeNet5"}`,
+		`{"network":"lenet5/"}`,
+		`{"network":"le net5"}`,
+		`{"network":" googlenet "}`,
 		strings.Repeat(`{"network":"lenet5",`, 200),
 	}
 	for _, s := range seeds {
