@@ -149,6 +149,7 @@ func BenchmarkSearchWallClock(b *testing.B) {
 func BenchmarkProfilePhase(b *testing.B) {
 	for _, network := range []string{"lenet5", "mobilenet-v1", "googlenet"} {
 		b.Run(network, func(b *testing.B) {
+			b.ReportAllocs()
 			net := models.MustBuild(network)
 			pl := platform.JetsonTX2Like()
 			for i := 0; i < b.N; i++ {

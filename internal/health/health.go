@@ -27,7 +27,6 @@ package health
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"sync"
@@ -246,18 +245,10 @@ func CanaryIndices(seed, round int64, n, k int) []int {
 }
 
 // hash01 maps (seed, round) to a deterministic uniform value in
-// [0, 1) — FNV-64a with a splitmix64 finalizer, the same construction
+// [0, 1): the Unit of the key "<seed>|canary|<round>", the key hash
 // profile's seeded schedules use.
 func hash01(seed, round int64) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|canary|%d", seed, round)
-	x := h.Sum64()
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
+	return stats.NewKey().Int(seed).Str("|canary|").Int(round).Unit()
 }
 
 // Monitor is the quarantine state machine plus the global profile

@@ -132,21 +132,22 @@ func ValidSeconds(sec float64) bool {
 	return !math.IsNaN(sec) && !math.IsInf(sec, 0) && sec >= 0
 }
 
-// checkSet panics when sec violates the table invariant. Writing an
-// invalid value is a programming error in the caller (the profiling
-// layer validates measurements at the source boundary), so it is loud
-// rather than silent.
-func checkSet(what string, sec float64) {
-	if !ValidSeconds(sec) {
-		panic(fmt.Sprintf("lut: %s: invalid time %v (want finite, >= 0)", what, sec))
-	}
+// invalidSet is the panic message of a Set* call whose sec violates
+// the table invariant. Writing an invalid value is a programming error
+// in the caller (the profiling layer validates measurements at the
+// source boundary), so it is loud rather than silent. The callers
+// format what only on that path: a valid write formats nothing.
+func invalidSet(what string, sec float64) string {
+	return fmt.Sprintf("lut: %s: invalid time %v (want finite, >= 0)", what, sec)
 }
 
 // SetTime records the measured latency of layer i under primitive p.
 // It panics if sec is NaN, infinite or negative — the same invariant
 // Load enforces.
 func (t *Table) SetTime(i int, p primitives.ID, sec float64) {
-	checkSet(fmt.Sprintf("SetTime(%d, %d)", i, p), sec)
+	if !ValidSeconds(sec) {
+		panic(invalidSet(fmt.Sprintf("SetTime(%d, %d)", i, p), sec))
+	}
 	t.times[i*t.numPrims+int(p)] = sec
 }
 
@@ -190,7 +191,9 @@ func (t *Table) IsCandidate(i int, id primitives.ID) bool {
 // the primitive pair (fp, tp). It panics if sec is NaN, infinite or
 // negative — the same invariant Load enforces.
 func (t *Table) SetPenalty(from, to int, fp, tp primitives.ID, sec float64) {
-	checkSet(fmt.Sprintf("SetPenalty(%d->%d, %d, %d)", from, to, fp, tp), sec)
+	if !ValidSeconds(sec) {
+		panic(invalidSet(fmt.Sprintf("SetPenalty(%d->%d, %d, %d)", from, to, fp, tp), sec))
+	}
 	t.penalties[t.edgeIndex(from, to)][int(fp)*t.numPrims+int(tp)] = sec
 }
 
@@ -218,7 +221,9 @@ func (t *Table) PenaltyByEdge(e int, fp, tp primitives.ID) float64 {
 // under primitive p. It panics if sec is NaN, infinite or negative —
 // the same invariant Load enforces.
 func (t *Table) SetOutputPenalty(p primitives.ID, sec float64) {
-	checkSet(fmt.Sprintf("SetOutputPenalty(%d)", p), sec)
+	if !ValidSeconds(sec) {
+		panic(invalidSet(fmt.Sprintf("SetOutputPenalty(%d)", p), sec))
+	}
 	t.outputPen[int(p)] = sec
 }
 

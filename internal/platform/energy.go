@@ -43,34 +43,23 @@ func (pl *Platform) Power() PowerSpec {
 // layer l with primitive p: the layer's latency times the executing
 // processor's active power.
 func (pl *Platform) LayerEnergy(l *nn.Layer, p *primitives.Primitive) float64 {
-	t := pl.LayerLatency(l, p)
-	pw := pl.Power()
-	if p.Proc == primitives.GPU {
-		return t * pw.GPUWatts
-	}
-	return t * pw.CPUWatts
-}
-
-// SampleEnergy returns one noisy energy measurement (same jitter model
-// as Sample).
-func (pl *Platform) SampleEnergy(l *nn.Layer, p *primitives.Primitive, sample int) float64 {
-	t := pl.Sample(l, p, sample)
-	pw := pl.Power()
-	if p.Proc == primitives.GPU {
-		return t * pw.GPUWatts
-	}
-	return t * pw.CPUWatts
+	return pl.Joules(pl.LayerLatency(l, p), p.Proc)
 }
 
 // ConversionEnergy returns the joules of a layout conversion on the
 // given processor.
 func (pl *Platform) ConversionEnergy(bytes int64, proc primitives.Processor) float64 {
-	t := pl.ConversionLatency(bytes, proc)
+	return pl.Joules(pl.ConversionLatency(bytes, proc), proc)
+}
+
+// Joules returns the energy of busying proc for the given seconds at
+// its active power.
+func (pl *Platform) Joules(seconds float64, proc primitives.Processor) float64 {
 	pw := pl.Power()
 	if proc == primitives.GPU {
-		return t * pw.GPUWatts
+		return seconds * pw.GPUWatts
 	}
-	return t * pw.CPUWatts
+	return seconds * pw.CPUWatts
 }
 
 // TransferEnergy returns the joules of one CPU<->GPU copy.

@@ -24,11 +24,11 @@ package platform
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"repro/internal/nn"
 	"repro/internal/primitives"
+	"repro/internal/stats"
 )
 
 // Spec holds the hardware parameters of the modeled board.
@@ -121,15 +121,17 @@ func CPUOnlyBoard() *Platform {
 // String returns the preset name.
 func (pl *Platform) String() string { return pl.Name }
 
-// hash01 returns a deterministic pseudo-uniform value in [0, 1) from
-// the platform seed and the given strings/ints.
-func (pl *Platform) hash01(parts ...any) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d", pl.Seed)
-	for _, p := range parts {
-		fmt.Fprintf(h, "/%v", p)
-	}
-	return float64(h.Sum64()%1_000_000) / 1_000_000
+// noiseKey hashes the noise key "<seed>/<tag>/<layer>/<primitive>" of
+// one (layer, primitive) pair; a measurement draw appends
+// "/<sample>". These bytes fix every simulated table: see stats.Key.
+func (pl *Platform) noiseKey(tag string, l *nn.Layer, p *primitives.Primitive) stats.Key {
+	return stats.NewKey().Uint(pl.Seed).Byte('/').Str(tag).Byte('/').Str(l.Name).Byte('/').Str(p.Name)
+}
+
+// hash01 maps a noise key to a deterministic pseudo-uniform value in
+// [0, 1), in steps of 1e-6.
+func hash01(k stats.Key) float64 {
+	return float64(k.Sum()%1_000_000) / 1_000_000
 }
 
 // effModel is the per-primitive efficiency triple: fraction of peak
@@ -317,7 +319,7 @@ func (pl *Platform) LayerLatency(l *nn.Layer, p *primitives.Primitive) float64 {
 	}
 	t := m.overhead + math.Max(tCompute, tMem)
 	if pl.FabricationNoise > 0 {
-		u := pl.hash01("fab", l.Name, p.Name)
+		u := hash01(pl.noiseKey("fab", l, p))
 		t *= 1 + pl.FabricationNoise*(2*u-1)
 	}
 	return t
@@ -327,12 +329,33 @@ func (pl *Platform) LayerLatency(l *nn.Layer, p *primitives.Primitive) float64 {
 // profiling phase would observe for a single image. sample indexes
 // the image so repeated profiling is reproducible.
 func (pl *Platform) Sample(l *nn.Layer, p *primitives.Primitive, sample int) float64 {
-	base := pl.LayerLatency(l, p)
-	if pl.MeasurementNoise <= 0 || math.IsInf(base, 1) {
-		return base
+	return pl.Pair(l, p).Sample(sample)
+}
+
+// Pair is one (layer, primitive) pair modelled once for repeated
+// sampling: its LayerLatency and its measurement key up to the sample
+// number are the same for every sample, so a draw costs one short
+// hash. Pair(l, p).Sample(s) equals Sample(l, p, s) bit for bit.
+type Pair struct {
+	// Base is LayerLatency(l, p).
+	Base  float64
+	noise float64   // the platform's MeasurementNoise
+	key   stats.Key // "<seed>/meas/<layer>/<primitive>"
+}
+
+// Pair models layer l under primitive p for repeated sampling.
+func (pl *Platform) Pair(l *nn.Layer, p *primitives.Primitive) Pair {
+	return Pair{Base: pl.LayerLatency(l, p), noise: pl.MeasurementNoise, key: pl.noiseKey("meas", l, p)}
+}
+
+// Sample returns the pair's measurement of image sample: Base with
+// that sample's jitter.
+func (q Pair) Sample(sample int) float64 {
+	if q.noise <= 0 || math.IsInf(q.Base, 1) {
+		return q.Base
 	}
-	u := pl.hash01("meas", l.Name, p.Name, sample)
-	return base * (1 + pl.MeasurementNoise*(2*u-1))
+	u := hash01(q.key.Byte('/').Int(int64(sample)))
+	return q.Base * (1 + q.noise*(2*u-1))
 }
 
 // ConversionLatency returns the cost of converting an activation of

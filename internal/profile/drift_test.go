@@ -214,7 +214,7 @@ func TestRemeasureSampleMatchesProfile(t *testing.T) {
 func TestFastFailCounter(t *testing.T) {
 	var rep Report
 	m := &meter{policy: DefaultRobust(), report: &rep}
-	_, err := m.series(context.Background(), "x", 2, func(ctx context.Context, s int) (float64, error) {
+	_, err := m.series(context.Background(), text("x"), 2, func(ctx context.Context, s int) (float64, error) {
 		return 0, &noRetryErr{msg: "fast fail"}
 	})
 	if err == nil {

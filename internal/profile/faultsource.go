@@ -108,8 +108,18 @@ type FaultSource struct {
 	round atomic.Int64
 
 	mu       sync.Mutex
-	attempts map[string]int
+	attempts map[measurement]int
 }
+
+// measurement identifies one measurement of the schedule: its kind
+// ("sample", "edge" or "output") and its first n numbers.
+type measurement struct {
+	kind string
+	nums [3]int
+	n    int
+}
+
+func (ms measurement) String() string { return fmt.Sprintf("%s %v", ms.kind, ms.nums[:ms.n]) }
 
 // NewFaultSource wraps src in the fault schedule: injected errors and
 // stalls come before src is asked, poisoning and drift apply to what
@@ -117,7 +127,7 @@ type FaultSource struct {
 // starts with fresh attempt counters; construct one per profiling run
 // to keep runs independent and deterministic.
 func NewFaultSource(src Source, cfg FaultConfig) *FaultSource {
-	return &FaultSource{cfg: cfg, src: src, attempts: map[string]int{}}
+	return &FaultSource{cfg: cfg, src: src, attempts: map[measurement]int{}}
 }
 
 // AdvanceDrift advances the drift round counter by one and returns
@@ -185,19 +195,24 @@ func containsLib(list []string, lib string) bool {
 	return false
 }
 
-// nextAttempt returns and increments the attempt counter for key.
-func (f *FaultSource) nextAttempt(key string) int {
+// nextAttempt returns and increments the attempt counter for ms.
+func (f *FaultSource) nextAttempt(ms measurement) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	a := f.attempts[key]
-	f.attempts[key] = a + 1
+	a := f.attempts[ms]
+	f.attempts[ms] = a + 1
 	return a
 }
 
-// roll returns the schedule's uniform value for one decision kind over
-// a measurement identity.
-func (f *FaultSource) roll(kind string, nums ...int) float64 {
-	return u01(f.cfg.Seed, "fault|"+kind, nums...)
+// roll returns the schedule's uniform value for one decision over the
+// first n numbers of a measurement: the Unit of the key
+// "<seed>|fault|<kind>|<decision>" followed by "|<num>" per number.
+func (f *FaultSource) roll(ms measurement, decision string, n int) float64 {
+	k := seedKey(f.cfg.Seed, "fault|").Str(ms.kind).Byte('|').Str(decision)
+	for _, v := range ms.nums[:n] {
+		k = k.Byte('|').Int(int64(v))
+	}
+	return k.Unit()
 }
 
 // stall blocks for the configured stall duration or until ctx is done.
@@ -216,42 +231,42 @@ func (f *FaultSource) stall(ctx context.Context) error {
 	}
 }
 
-// inject applies the schedule to one attempt of the measurement
-// identified by (kind, nums). permanentOK enables permanent faults
-// (sample measurements only). It returns an injected (or context)
-// error, whether to poison the observation with NaN, and a multiplier
-// for valid observations.
-func (f *FaultSource) inject(ctx context.Context, kind string, permanentOK bool, nums ...int) (poison bool, factor float64, err error) {
+// inject applies the schedule to one attempt of the measurement ms.
+// permanentOK enables permanent faults (sample measurements only),
+// which key on the measurement's first two numbers. It returns an
+// injected (or context) error, whether to poison the observation with
+// NaN, and a multiplier for valid observations.
+func (f *FaultSource) inject(ctx context.Context, ms measurement, permanentOK bool) (poison bool, factor float64, err error) {
 	if err := ctx.Err(); err != nil {
 		return false, 1, err
 	}
-	attempt := f.nextAttempt(fmt.Sprintf("%s|%v", kind, nums))
+	attempt := f.nextAttempt(ms)
 
-	if permanentOK && f.cfg.PermanentRate > 0 && f.roll(kind+"|perm", nums[0], nums[1]) < f.cfg.PermanentRate {
-		return false, 1, &ErrInjected{What: fmt.Sprintf("%s %v: permanent failure", kind, nums)}
+	if permanentOK && f.cfg.PermanentRate > 0 && f.roll(ms, "perm", 2) < f.cfg.PermanentRate {
+		return false, 1, &ErrInjected{What: fmt.Sprintf("%v: permanent failure", ms)}
 	}
-	if attempt == 0 && f.cfg.StallRate > 0 && f.roll(kind+"|stall", nums...) < f.cfg.StallRate {
+	if attempt == 0 && f.cfg.StallRate > 0 && f.roll(ms, "stall", ms.n) < f.cfg.StallRate {
 		if err := f.stall(ctx); err != nil {
 			return false, 1, err
 		}
 	}
-	if f.cfg.TransientRate > 0 && f.roll(kind+"|trans", nums...) < f.cfg.TransientRate {
+	if f.cfg.TransientRate > 0 && f.roll(ms, "trans", ms.n) < f.cfg.TransientRate {
 		burst := f.cfg.TransientBurst
 		if burst <= 0 {
 			burst = 2
 		}
-		n := 1 + int(f.roll(kind+"|burst", nums...)*float64(burst))
+		n := 1 + int(f.roll(ms, "burst", ms.n)*float64(burst))
 		if n > burst {
 			n = burst
 		}
 		if attempt < n {
-			return false, 1, &ErrInjected{What: fmt.Sprintf("%s %v: transient failure (attempt %d)", kind, nums, attempt)}
+			return false, 1, &ErrInjected{What: fmt.Sprintf("%v: transient failure (attempt %d)", ms, attempt)}
 		}
 	}
-	if attempt == 0 && f.cfg.NaNRate > 0 && f.roll(kind+"|nan", nums...) < f.cfg.NaNRate {
+	if attempt == 0 && f.cfg.NaNRate > 0 && f.roll(ms, "nan", ms.n) < f.cfg.NaNRate {
 		return true, 1, nil
 	}
-	if f.cfg.SpikeRate > 0 && f.roll(kind+"|spike", nums...) < f.cfg.SpikeRate {
+	if f.cfg.SpikeRate > 0 && f.roll(ms, "spike", ms.n) < f.cfg.SpikeRate {
 		factor := f.cfg.SpikeFactor
 		if factor <= 0 {
 			factor = 25
@@ -271,7 +286,8 @@ func (f *FaultSource) MeasureSample(ctx context.Context, i int, p *primitives.Pr
 	poison, factor := false, 1.0
 	if f.targeted(p.Lib.String()) {
 		var err error
-		poison, factor, err = f.inject(ctx, "sample", p.Idx != primitives.PVanilla.Idx, i, int(p.Idx), sample)
+		ms := measurement{kind: "sample", nums: [3]int{i, int(p.Idx), sample}, n: 3}
+		poison, factor, err = f.inject(ctx, ms, p.Idx != primitives.PVanilla.Idx)
 		if err != nil {
 			return 0, err
 		}
@@ -293,7 +309,8 @@ func (f *FaultSource) MeasureEdgePenalty(ctx context.Context, producer int, fp, 
 	var poison bool
 	if f.targeted(fp.Lib.String(), tp.Lib.String()) {
 		var err error
-		poison, _, err = f.inject(ctx, "edge", false, producer, int(fp.Idx), int(tp.Idx))
+		ms := measurement{kind: "edge", nums: [3]int{producer, int(fp.Idx), int(tp.Idx)}, n: 3}
+		poison, _, err = f.inject(ctx, ms, false)
 		if err != nil {
 			return 0, err
 		}
@@ -313,7 +330,8 @@ func (f *FaultSource) MeasureOutputPenalty(ctx context.Context, output int, p *p
 	var poison bool
 	if f.targeted(p.Lib.String()) {
 		var err error
-		poison, _, err = f.inject(ctx, "output", false, output, int(p.Idx))
+		ms := measurement{kind: "output", nums: [3]int{output, int(p.Idx)}, n: 2}
+		poison, _, err = f.inject(ctx, ms, false)
 		if err != nil {
 			return 0, err
 		}

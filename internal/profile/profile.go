@@ -126,10 +126,10 @@ func RunContext(ctx context.Context, net *nn.Network, src Source, opts Options) 
 			if i == 0 {
 				continue
 			}
-			if !supports(l, p, opts.Mode) {
+			if !primitives.CanImplement(l, opts.Mode, p) {
 				continue
 			}
-			what := fmt.Sprintf("layer %d (%s) with %s", i, l.Name, p.Name)
+			what := func() string { return fmt.Sprintf("layer %d (%s) with %s", i, l.Name, p.Name) }
 			v, err := m.series(ctx, what, opts.Samples, func(ctx context.Context, s int) (float64, error) {
 				return src.MeasureSample(ctx, i, p, s)
 			})
@@ -173,9 +173,11 @@ func RunContext(ctx context.Context, net *nn.Network, src Source, opts Options) 
 		okPair := false
 		for _, fp := range t.Candidates(ed.From) {
 			for _, tp := range t.Candidates(ed.To) {
-				what := fmt.Sprintf("edge %d->%d (%s -> %s)",
-					ed.From, ed.To, primitives.ByID(fp).Name, primitives.ByID(tp).Name)
-				pen, err := m.single(ctx, what, func(ctx context.Context) (float64, error) {
+				what := func() string {
+					return fmt.Sprintf("edge %d->%d (%s -> %s)",
+						ed.From, ed.To, primitives.ByID(fp).Name, primitives.ByID(tp).Name)
+				}
+				pen, err := m.single(ctx, what, func(ctx context.Context, _ int) (float64, error) {
 					return src.MeasureEdgePenalty(ctx, ed.From, primitives.ByID(fp), primitives.ByID(tp))
 				})
 				if err != nil {
@@ -199,8 +201,8 @@ func RunContext(ctx context.Context, net *nn.Network, src Source, opts Options) 
 	}
 	out := t.OutputLayer()
 	for _, p := range append([]primitives.ID(nil), t.Candidates(out)...) {
-		what := fmt.Sprintf("output penalty (%s)", primitives.ByID(p).Name)
-		pen, err := m.single(ctx, what, func(ctx context.Context) (float64, error) {
+		what := func() string { return fmt.Sprintf("output penalty (%s)", primitives.ByID(p).Name) }
+		pen, err := m.single(ctx, what, func(ctx context.Context, _ int) (float64, error) {
 			return src.MeasureOutputPenalty(ctx, out, primitives.ByID(p))
 		})
 		if err != nil {
@@ -224,41 +226,64 @@ func RunContext(ctx context.Context, net *nn.Network, src Source, opts Options) 
 	return t, rep, nil
 }
 
-// supports reports whether p is a candidate for layer l under mode.
-func supports(l *nn.Layer, p *primitives.Primitive, mode primitives.Mode) bool {
-	for _, c := range primitives.Candidates(l, mode) {
-		if c == p {
-			return true
-		}
-	}
-	return false
-}
-
 // SimSource adapts the platform cost model to the Source interface.
 // The model never fails, so a measurement errs only on a done context.
 type SimSource struct {
-	Net      *nn.Network
-	Platform *platform.Platform
+	net *nn.Network
+	pl  *platform.Platform
+	// pairs holds every candidate (layer, primitive) pair of net,
+	// modelled once, at [layer*primitives.Count()+primitive]; a pair
+	// that is no candidate of its layer holds a NaN Base. It is filled
+	// by newSim and only read afterwards.
+	pairs []platform.Pair
 }
 
-// NewSimSource wires a network to a platform model.
+// NewSimSource wires a network to a platform model. It models each
+// candidate (layer, primitive) pair once, so pl must not change
+// afterwards.
 func NewSimSource(net *nn.Network, pl *platform.Platform) *SimSource {
-	return &SimSource{Net: net, Platform: pl}
+	s := newSim(net, pl)
+	return &s
+}
+
+func newSim(net *nn.Network, pl *platform.Platform) SimSource {
+	n := primitives.Count()
+	pairs := make([]platform.Pair, len(net.Layers)*n)
+	for i, l := range net.Layers {
+		row := pairs[i*n : (i+1)*n]
+		for j := range row {
+			row[j].Base = math.NaN()
+		}
+		// GPGPU mode's candidates include CPU mode's.
+		for _, p := range primitives.Candidates(l, primitives.ModeGPGPU) {
+			row[p.Idx] = pl.Pair(l, p)
+		}
+	}
+	return SimSource{net: net, pl: pl, pairs: pairs}
+}
+
+// sample returns one simulated latency of layer i under p.
+func (s *SimSource) sample(i int, p *primitives.Primitive, sample int) float64 {
+	q := s.pairs[i*primitives.Count()+int(p.Idx)]
+	if math.IsNaN(q.Base) {
+		return s.pl.Sample(s.net.Layers[i], p, sample)
+	}
+	return q.Sample(sample)
 }
 
 // MeasureSample returns one noisy simulated measurement.
 func (s *SimSource) MeasureSample(ctx context.Context, i int, p *primitives.Primitive, sample int) (float64, error) {
-	return s.Platform.Sample(s.Net.Layers[i], p, sample), ctx.Err()
+	return s.sample(i, p, sample), ctx.Err()
 }
 
 // MeasureEdgePenalty returns the simulated compatibility cost.
 func (s *SimSource) MeasureEdgePenalty(ctx context.Context, producer int, fp, tp *primitives.Primitive) (float64, error) {
-	return compat.Penalty(s.Platform, s.Net.Layers[producer], fp, tp), ctx.Err()
+	return compat.Penalty(s.pl, s.net.Layers[producer], fp, tp), ctx.Err()
 }
 
 // MeasureOutputPenalty returns the simulated host-return cost.
 func (s *SimSource) MeasureOutputPenalty(ctx context.Context, output int, p *primitives.Primitive) (float64, error) {
-	return compat.OutputPenalty(s.Platform, s.Net.Layers[output], p), ctx.Err()
+	return compat.OutputPenalty(s.pl, s.net.Layers[output], p), ctx.Err()
 }
 
 // SimEnergySource is SimSource measuring joules instead of seconds:
@@ -267,22 +292,25 @@ func (s *SimSource) MeasureOutputPenalty(ctx context.Context, output int, p *pri
 // policy as the latency table.
 type SimEnergySource SimSource
 
-// NewSimEnergySource wires a network to a platform's energy model.
+// NewSimEnergySource wires a network to a platform's energy model. Like
+// NewSimSource, it models each candidate pair once, so pl must not
+// change afterwards.
 func NewSimEnergySource(net *nn.Network, pl *platform.Platform) *SimEnergySource {
-	return &SimEnergySource{Net: net, Platform: pl}
+	s := SimEnergySource(newSim(net, pl))
+	return &s
 }
 
 // MeasureSample returns one noisy simulated energy measurement.
 func (s *SimEnergySource) MeasureSample(ctx context.Context, i int, p *primitives.Primitive, sample int) (float64, error) {
-	return s.Platform.SampleEnergy(s.Net.Layers[i], p, sample), ctx.Err()
+	return s.pl.Joules((*SimSource)(s).sample(i, p, sample), p.Proc), ctx.Err()
 }
 
 // MeasureEdgePenalty returns the simulated compatibility energy.
 func (s *SimEnergySource) MeasureEdgePenalty(ctx context.Context, producer int, fp, tp *primitives.Primitive) (float64, error) {
-	return compat.EnergyPenalty(s.Platform, s.Net.Layers[producer], fp, tp), ctx.Err()
+	return compat.EnergyPenalty(s.pl, s.net.Layers[producer], fp, tp), ctx.Err()
 }
 
 // MeasureOutputPenalty returns the simulated host-return energy.
 func (s *SimEnergySource) MeasureOutputPenalty(ctx context.Context, output int, p *primitives.Primitive) (float64, error) {
-	return compat.OutputEnergyPenalty(s.Platform, s.Net.Layers[output], p), ctx.Err()
+	return compat.OutputEnergyPenalty(s.pl, s.net.Layers[output], p), ctx.Err()
 }

@@ -223,3 +223,21 @@ func TestSimEnergySource(t *testing.T) {
 		}
 	}
 }
+
+// TestStrictRunAllocationsIndependentOfSamples: in strict mode a
+// simulated sample allocates nothing, so profiling lenet5 with 50
+// samples per pair allocates exactly as often as with 5.
+func TestStrictRunAllocationsIndependentOfSamples(t *testing.T) {
+	net := models.MustBuild("lenet5")
+	pl := platform.JetsonTX2Like()
+	allocs := func(samples int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Run(net, NewSimSource(net, pl), Options{Mode: primitives.ModeGPGPU, Samples: samples}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a5, a50 := allocs(5), allocs(50); a5 != a50 {
+		t.Fatalf("Run allocates %v times at 5 samples and %v at 50; want equal", a5, a50)
+	}
+}

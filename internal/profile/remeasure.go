@@ -34,5 +34,5 @@ func RobustSeries(ctx context.Context, pol *Robust, what string, samples int, f 
 		return 0, fmt.Errorf("profile: Samples must be positive, got %d", samples)
 	}
 	m := &meter{policy: pol, report: &Report{}}
-	return m.series(ctx, what, samples, f)
+	return m.series(ctx, text(what), samples, f)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"time"
@@ -110,7 +109,13 @@ func (r *Robust) backoffDelay(what string, sample, attempt int) time.Duration {
 	}
 	// Deterministic jitter in [0.5, 1.5): seeded by the measurement
 	// identity so runs with equal seeds sleep identically.
-	return time.Duration(float64(d) * (0.5 + u01(r.JitterSeed, what, sample, attempt)))
+	return time.Duration(float64(d) * (0.5 + jitter(r.JitterSeed, what, sample, attempt)))
+}
+
+// jitter is the backoff's uniform draw in [0, 1): the Unit of the key
+// "<seed>|<what>|<sample>|<attempt>".
+func jitter(seed int64, what string, sample, attempt int) float64 {
+	return seedKey(seed, what).Byte('|').Int(int64(sample)).Byte('|').Int(int64(attempt)).Unit()
 }
 
 // backoff sleeps for backoffDelay, aborting early if ctx is done.
@@ -129,22 +134,11 @@ func (r *Robust) backoff(ctx context.Context, what string, sample, attempt int) 
 	}
 }
 
-// u01 maps (seed, key, nums) to a deterministic uniform value in
-// [0, 1) — shared by the backoff jitter and the fault injector.
-func u01(seed int64, key string, nums ...int) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s", seed, key)
-	for _, n := range nums {
-		fmt.Fprintf(h, "|%d", n)
-	}
-	// splitmix64 finalizer decorrelates nearby FNV states.
-	x := h.Sum64()
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
+// seedKey starts the key "<seed>|<key>" shared by the backoff jitter
+// and the fault schedule; each extends it with "|<n>" per number and
+// draws its Unit.
+func seedKey(seed int64, key string) stats.Key {
+	return stats.NewKey().Int(seed).Byte('|').Str(key)
 }
 
 // meter executes measurements under a policy, accumulating counters
@@ -153,13 +147,22 @@ func u01(seed int64, key string, nums ...int) float64 {
 type meter struct {
 	policy *Robust
 	report *Report
+	vals   []float64 // series' sample buffer, reused across series
 }
 
-// attempt runs one measurement with timeout, validity checking at the
-// source boundary, and bounded retry. what identifies the measurement
-// in errors and jitter hashing; sample disambiguates retries of
-// different samples of the same measurement.
-func (m *meter) attempt(ctx context.Context, what string, sample int, f func(context.Context) (float64, error)) (float64, error) {
+// sampleFunc takes one sample of a measurement.
+type sampleFunc func(ctx context.Context, sample int) (float64, error)
+
+// text labels a measurement with a fixed string.
+func text(s string) func() string { return func() string { return s } }
+
+// attempt runs sample of one measurement with timeout, validity
+// checking at the source boundary, and bounded retry. what labels the
+// measurement in errors and jitter hashing; it is called only once an
+// attempt has failed, so a measurement that succeeds formats nothing.
+// sample disambiguates retries of different samples of the same
+// measurement.
+func (m *meter) attempt(ctx context.Context, what func() string, sample int, f sampleFunc) (float64, error) {
 	retries := 0
 	var timeout time.Duration
 	if m.policy != nil {
@@ -173,18 +176,19 @@ func (m *meter) attempt(ctx context.Context, what string, sample int, f func(con
 			// per-sample timeout: a retry whose backoff sleep would
 			// outlive the budget cannot possibly succeed, so fail now
 			// and let the caller use what is left of the budget.
+			label := what()
 			if dl, ok := ctx.Deadline(); ok {
-				if d := m.policy.backoffDelay(what, sample, a); time.Until(dl) <= d {
+				if d := m.policy.backoffDelay(label, sample, a); time.Until(dl) <= d {
 					return 0, fmt.Errorf("%s: retry budget exhausted after %d attempt(s): %w (last error: %v)",
-						what, a, context.DeadlineExceeded, lastErr)
+						label, a, context.DeadlineExceeded, lastErr)
 				}
 			}
 			m.report.Retries++
-			if err := m.policy.backoff(ctx, what, sample, a); err != nil {
+			if err := m.policy.backoff(ctx, label, sample, a); err != nil {
 				return 0, err
 			}
 		}
-		v, err := runBounded(ctx, timeout, f)
+		v, err := runBounded(ctx, timeout, f, sample)
 		if err == nil {
 			if !ValidObservation(v) {
 				m.report.Invalid++
@@ -204,23 +208,24 @@ func (m *meter) attempt(ctx context.Context, what string, sample int, f func(con
 		var nr interface{ NoRetry() bool }
 		if errors.As(err, &nr) && nr.NoRetry() {
 			m.report.FastFails++
-			return 0, fmt.Errorf("%s: %w", what, err)
+			return 0, fmt.Errorf("%s: %w", what(), err)
 		}
 		if errors.Is(err, context.DeadlineExceeded) {
 			m.report.Timeouts++
 		}
 		lastErr = err
 	}
-	return 0, fmt.Errorf("%s: %d attempt(s) failed: %w", what, retries+1, lastErr)
+	return 0, fmt.Errorf("%s: %d attempt(s) failed: %w", what(), retries+1, lastErr)
 }
 
-// runBounded invokes f under an optional per-attempt deadline. The
-// measurement runs in its own goroutine so a source that ignores its
-// context cannot block the pipeline past the timeout (it leaks that
-// goroutine until it returns — the price of preemption-free Go).
-func runBounded(ctx context.Context, timeout time.Duration, f func(context.Context) (float64, error)) (float64, error) {
+// runBounded takes sample of f under an optional per-attempt
+// deadline. The measurement runs in its own goroutine so a source that
+// ignores its context cannot block the pipeline past the timeout (it
+// leaks that goroutine until it returns — the price of preemption-free
+// Go).
+func runBounded(ctx context.Context, timeout time.Duration, f sampleFunc, sample int) (float64, error) {
 	if timeout <= 0 {
-		return f(ctx)
+		return f(ctx, sample)
 	}
 	actx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -230,7 +235,7 @@ func runBounded(ctx context.Context, timeout time.Duration, f func(context.Conte
 	}
 	ch := make(chan res, 1)
 	go func() {
-		v, err := f(actx)
+		v, err := f(actx, sample)
 		ch <- res{v, err}
 	}()
 	select {
@@ -245,11 +250,14 @@ func runBounded(ctx context.Context, timeout time.Duration, f func(context.Conte
 // returns the aggregate. In strict mode (nil policy) any failure
 // aborts; under a policy, failed samples are dropped and the
 // measurement succeeds as long as minValid samples survive.
-func (m *meter) series(ctx context.Context, what string, n int, f func(ctx context.Context, sample int) (float64, error)) (float64, error) {
-	vals := make([]float64, 0, n)
+func (m *meter) series(ctx context.Context, what func() string, n int, f sampleFunc) (float64, error) {
+	if cap(m.vals) < n {
+		m.vals = make([]float64, 0, n)
+	}
+	vals := m.vals[:0]
 	var lastErr error
 	for s := 0; s < n; s++ {
-		v, err := m.attempt(ctx, what, s, func(ctx context.Context) (float64, error) { return f(ctx, s) })
+		v, err := m.attempt(ctx, what, s, f)
 		if err != nil {
 			if ctx.Err() != nil {
 				return 0, err
@@ -267,14 +275,14 @@ func (m *meter) series(ctx context.Context, what string, n int, f func(ctx conte
 		return stats.Mean(vals), nil
 	}
 	if need := m.policy.minValid(n); len(vals) < need {
-		return 0, fmt.Errorf("%s: only %d/%d samples valid (need %d): %w", what, len(vals), n, need, lastErr)
+		return 0, fmt.Errorf("%s: only %d/%d samples valid (need %d): %w", what(), len(vals), n, need, lastErr)
 	}
 	return m.aggregate(vals), nil
 }
 
 // single measures a one-shot quantity (edge or output penalty) under
-// the retry/timeout machinery.
-func (m *meter) single(ctx context.Context, what string, f func(context.Context) (float64, error)) (float64, error) {
+// the retry/timeout machinery, as its sample 0.
+func (m *meter) single(ctx context.Context, what func() string, f sampleFunc) (float64, error) {
 	return m.attempt(ctx, what, 0, f)
 }
 

@@ -25,7 +25,7 @@ func TestAttemptNoRetry(t *testing.T) {
 		report: rep,
 	}
 	var calls atomic.Int64
-	_, err := m.attempt(context.Background(), "sample", 0, func(context.Context) (float64, error) {
+	_, err := m.attempt(context.Background(), text("sample"), 0, func(context.Context, int) (float64, error) {
 		calls.Add(1)
 		return 0, fmt.Errorf("guarded: %w", &noRetryErr{msg: "breaker open"})
 	})
@@ -58,7 +58,7 @@ func TestRetryBudget(t *testing.T) {
 
 	var calls atomic.Int64
 	start := time.Now()
-	_, err := m.attempt(ctx, "sample", 0, func(context.Context) (float64, error) {
+	_, err := m.attempt(ctx, text("sample"), 0, func(context.Context, int) (float64, error) {
 		calls.Add(1)
 		return 0, errors.New("transient")
 	})

@@ -165,7 +165,7 @@ func TestDegradationDropsPersistentlyFailingPrimitive(t *testing.T) {
 	net := smallNet(t)
 	var victim *primitives.Primitive
 	for _, p := range primitives.Registry() {
-		if p.Proc == primitives.CPU && p != primitives.PVanilla && supports(net.Layers[1], p, primitives.ModeCPU) {
+		if p.Proc == primitives.CPU && p != primitives.PVanilla && primitives.CanImplement(net.Layers[1], primitives.ModeCPU, p) {
 			victim = p
 			break
 		}

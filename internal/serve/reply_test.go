@@ -3,9 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -32,6 +36,52 @@ func checkReply(t *testing.T, resp OptimizeResponse) {
 	}
 	if want := encoderReply(resp); !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatalf("reply bytes differ from the encoder's\n got: %q\nwant: %q", rec.Body.Bytes(), want)
+	}
+	if cl, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); cl != want {
+		t.Fatalf("Content-Length %q, want %q", cl, want)
+	}
+}
+
+// TestUndrainedHitsKeepTheirConnection: a client that decodes each
+// googlenet cache hit (a reply far over net/http's 2 KB chunking
+// threshold) with json.Decoder and closes the body without reading the
+// trailing newline still reuses one connection for every request.
+func TestUndrainedHitsKeepTheirConnection(t *testing.T) {
+	srv, err := New(Config{MaxInflight: 1, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	var conns atomic.Int64
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Drain(0)
+	})
+	client := ts.Client()
+	const body = `{"network":"googlenet","mode":"cpu","episodes":50,"samples":1,"seed":3,"wait":true}`
+	for i := 0; i < 10; i++ {
+		resp, err := client.Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var or OptimizeResponse
+		err = json.NewDecoder(resp.Body).Decode(&or)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(or.Plan) <= 2048 {
+			t.Fatalf("request %d: status %d, %d plan bytes, err %v", i, resp.StatusCode, len(or.Plan), err)
+		}
+		if i > 0 && !or.Cached {
+			t.Fatalf("request %d was not a cache hit", i)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("10 requests opened %d connections, want 1", n)
 	}
 }
 

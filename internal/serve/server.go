@@ -391,6 +391,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // which for a 21 KB plan cost more than the HTTP round trip of a cache
 // hit; plans are normalised once instead, where they enter the cache
 // (exec marshals them, planStore.getPlan re-encodes what it loads).
+// The reply carries its Content-Length: a reply larger than net/http's
+// 2 KB buffer would otherwise go out chunked, and a client that stops
+// reading after the JSON value (json.Decoder does, before the trailing
+// newline) could then not reuse its connection.
 func writeResponse(w http.ResponseWriter, code int, resp OptimizeResponse) {
 	plan := resp.Plan
 	if len(plan) > 0 {
@@ -398,19 +402,22 @@ func writeResponse(w http.ResponseWriter, code int, resp OptimizeResponse) {
 	}
 	env, err := json.Marshal(resp)
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
 	if err != nil {
+		w.WriteHeader(code)
 		return // the encoder writes no body on error either
 	}
 	out := env
 	if len(plan) > 0 {
 		at := bytes.Index(env, planField) + len(planField) - len(planMark)
-		out = make([]byte, 0, len(env)+len(plan))
+		out = make([]byte, 0, len(env)+len(plan)+1)
 		out = append(out, env[:at]...)
 		out = append(out, plan...)
 		out = append(out, env[at+len(planMark):]...)
 	}
-	w.Write(append(out, '\n'))
+	out = append(out, '\n')
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	w.WriteHeader(code)
+	w.Write(out)
 }
 
 // planMark holds the plan's place while writeResponse marshals the

@@ -2,7 +2,9 @@
 // measurements to judged numbers: the mean, the median, the
 // nearest-rank percentile, the median absolute deviation and the
 // interquartile range, and Paired, the alternating pair comparison
-// that decides whether one measured side beats another.
+// that decides whether one measured side beats another. Key, the
+// seeded key hash, is where the module's deterministic draws come
+// from.
 //
 // The order statistics take their input sorted ascending: every caller
 // sorts once and reuses the order.
